@@ -25,7 +25,7 @@ from itertools import product
 from .factor import factor_univariate
 from .groebner import GREVLEX, buchberger, normal_form
 from .linalg import ExactMatrix, nullspace, rational_eigen, rref, stack
-from .multipoly import MultiPoly, order_key
+from .multipoly import MultiPoly, exponents_upto, order_key
 from .ratfunc import RatFunc
 from .solve import sampled_rational_solutions
 
@@ -153,23 +153,6 @@ class DarbouxResult:
         )
 
 
-def _monomials_upto(sig, d):
-    """Exponent tuples of total degree <= d, descending grevlex."""
-    n = len(sig)
-
-    def rec(i, rem):
-        if i == n - 1:
-            for x in range(rem + 1):
-                yield (x,)
-            return
-        for x in range(rem + 1):
-            for rest in rec(i + 1, rem - x):
-                yield (x,) + rest
-
-    key = order_key(GREVLEX)
-    return sorted(rec(0, d), key=key, reverse=True)
-
-
 def _poly_from_vector(sig, monos, vec):
     terms = {}
     for e, c in zip(monos, vec):
@@ -184,7 +167,7 @@ def _action_matrix(spec, k, monos, cofactor=None):
     if cofactor is not None and not cofactor.is_zero():
         extra = max(extra, cofactor.total_degree())
     target_deg = max(e_total(monos) + max(extra, 0), e_total(monos))
-    target = _monomials_upto(spec.sig, target_deg)
+    target = sorted(exponents_upto(spec.nvars, target_deg), key=order_key(GREVLEX), reverse=True)
     index = {e: i for i, e in enumerate(target)}
     rows = len(target)
     cols = len(monos)
@@ -280,7 +263,7 @@ def darboux_search_eigen(spec, d):
     for k in range(spec.nder):
         if spec.max_field_degree(k) > 1:
             raise ValueError("eigenproblem path needs every field of degree <= 1")
-    monos = _monomials_upto(spec.sig, d)
+    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
     candidate_lists = []
     for k in range(spec.nder):
         # the action maps the space to itself: square matrix
@@ -302,7 +285,7 @@ def darboux_search_eigen(spec, d):
 
 def _cofactor_monomials(spec, k):
     bound = max(spec.max_field_degree(k) - 1, 0)
-    return _monomials_upto(spec.sig, bound)
+    return sorted(exponents_upto(spec.nvars, bound), key=order_key(GREVLEX), reverse=True)
 
 
 def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
@@ -314,7 +297,7 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
     ideal are collected.  Cofactor families (positive-dimensional cofactor
     components) are sampled and flagged.
     """
-    monos = _monomials_upto(spec.sig, d)
+    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
     cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
     avars = [f"a{i}" for i in range(len(monos))]
     bvars = [
@@ -443,7 +426,7 @@ def first_integral_search(spec, d, method="auto"):
     the bounded-degree space (constants quotiented out); rational ones from
     ratios of Darboux products with matching cofactor sums.
     """
-    monos = _monomials_upto(spec.sig, d)
+    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
     mats = [_action_matrix(spec, k, monos) for k in range(spec.nder)]
     vecs = nullspace(stack(mats))
     integrals = []

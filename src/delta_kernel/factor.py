@@ -11,26 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .multipoly import MultiPoly, poly_gcd
-
-
-def _dense_coeffs(p, i=0):
-    d = p.degree_in(i)
-    out = [Fraction(0)] * (d + 1)
-    for e, c in p.terms.items():
-        out[e[i]] += c
-    return out
-
-
-def _from_dense(coeffs, vars, i=0, order="grevlex"):
-    terms = {}
-    width = len(vars)
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * width
-            e[i] = k
-            terms[tuple(e)] = c
-    return MultiPoly(vars, terms, order)
+from .multipoly import dense_coeffs, from_dense, horner, interpolate, poly_gcd
 
 
 def _main_index(p):
@@ -61,7 +42,7 @@ def rational_roots(p):
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     i = _main_index(p)
-    coeffs = _dense_coeffs(p.primitive(), i)
+    coeffs = dense_coeffs(p.primitive(), i)
     roots = []
     # strip powers of the variable: root 0
     shift = 0
@@ -74,12 +55,6 @@ def rational_roots(p):
         return roots
     a0 = coeffs[0].numerator
     an = coeffs[-1].numerator
-
-    def value(f, x):
-        acc = Fraction(0)
-        for c in reversed(f):
-            acc = acc * x + c
-        return acc
 
     def deflate(f, x):
         # synthetic division by (X - x); caller guarantees exactness
@@ -97,7 +72,7 @@ def rational_roots(p):
             candidates.add(Fraction(-num, den))
     for cand in sorted(candidates):
         mult = 0
-        while len(coeffs) > 1 and not value(coeffs, cand):
+        while len(coeffs) > 1 and not horner(coeffs, cand):
             coeffs = deflate(coeffs, cand)
             mult += 1
         if mult:
@@ -124,30 +99,6 @@ def squarefree_decomposition(p):
         b = b2
         k += 1
     return out
-
-
-def _interpolate(points, vars, i, order):
-    """Lagrange interpolation through (x, y) pairs; dense coefficient list."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for j, (xj, yj) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == j:
-                continue
-            denom *= xj - xk
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                nxt[t] -= c * xk
-                nxt[t + 1] += c
-            basis = nxt
-        w = yj / denom
-        for t, c in enumerate(basis):
-            coeffs[t] += c * w
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
 
 
 def _kronecker_factor(p, i):
@@ -178,15 +129,10 @@ def _kronecker_factor(p, i):
         # fix the first value's sign to halve the search
         divisor_lists[0] = [d0 for d0 in divisor_lists[0] if d0 > 0]
         for combo in product(*divisor_lists):
-            coeffs = _interpolate(
-                list(zip(map(Fraction, pts), map(Fraction, combo))),
-                prim.vars,
-                i,
-                prim.order,
-            )
+            coeffs = interpolate(list(zip(pts, combo)))
             if len(coeffs) - 1 != d:
                 continue
-            cand = _from_dense(coeffs, prim.vars, i, prim.order)
+            cand = from_dense(coeffs, prim.vars, i, prim.order)
             try:
                 prim.exact_div(cand)
             except ArithmeticError:
@@ -222,7 +168,7 @@ def factor_univariate(p):
             g = stack.pop()
             # peel rational roots first
             for root, rmult in rational_roots(g):
-                lin = _from_dense([-root, Fraction(1)], g.vars, i, g.order)
+                lin = from_dense([-root, Fraction(1)], g.vars, i, g.order)
                 for _ in range(rmult):
                     g = g.exact_div(lin)
                 add(lin, mult * rmult)

@@ -1,10 +1,10 @@
 """Buchberger-based Groebner engine over Q.
 
 Used throughout the package as the independent algebraic oracle: ideal
-membership via normal forms, staircase (Krull) dimension, elimination, and
-saturation through a single Rabinowitsch variable.  Normal pair selection
-with the coprimality and chain criteria keeps desk-scale runs fast and
-deterministic.
+membership via normal forms, staircase (Krull) dimension by branch-and-bound
+independent sets, elimination, and saturation through a single Rabinowitsch
+variable.  Normal pair selection with the coprimality and chain criteria
+keeps desk-scale runs fast and deterministic.
 """
 
 from __future__ import annotations
@@ -182,6 +182,51 @@ def _interreduce(basis, order):
     return kept
 
 
+def _max_independent_set(basis):
+    """Lexicographically first maximum set of variable indices containing the
+    support of no leading monomial; None for the unit ideal.
+
+    Include-first branch and bound over the variables on the minimal
+    supports (Kredel-Weispfenning, JSC 1988): the first maximum set the
+    search reaches is the lexicographically first one, and a branch is cut
+    once each of a family of pairwise disjoint live supports, needing an
+    excluded variable of its own, leaves no room to beat the best set.
+    """
+    key = order_key(basis.order)
+    supports = {
+        frozenset(i for i, x in enumerate(max(g.terms, key=key)) if x)
+        for g in basis.generators
+    }
+    if frozenset() in supports:
+        return None
+    nvars = len(basis.vars)
+    chosen, best = [], []
+
+    def search(v, live):
+        # live: parts of the supports not yet hit by an excluded variable,
+        # outside the chosen ones, all within v..nvars-1
+        nonlocal best
+        bound = len(chosen) + nvars - v
+        hit = set()
+        for s in live:
+            if hit.isdisjoint(s):
+                hit |= s
+                bound -= 1
+        if bound <= len(best):
+            return
+        if v == nvars:
+            best = chosen[:]
+            return
+        if {v} not in live:
+            chosen.append(v)
+            search(v + 1, [s - {v} for s in live])
+            chosen.pop()
+        search(v + 1, [s for s in live if v not in s])
+
+    search(0, [s for s in supports if not any(t < s for t in supports)])
+    return set(best)
+
+
 def ideal_dimension(basis):
     """Staircase dimension of a reduced Groebner basis.
 
@@ -189,28 +234,21 @@ def ideal_dimension(basis):
     involves only variables from S; -1 for the unit ideal, the full variable
     count for the zero ideal.
     """
-    if isinstance(basis, GroebnerBasis):
-        gens, order = basis.generators, basis.order
-        if not gens:
-            return len(basis.vars)
-    else:
-        gens, order = tuple(basis), basis[0].order if basis else GREVLEX
-        if not gens:
+    if not isinstance(basis, GroebnerBasis):
+        if not basis:
             raise ValueError("pass a GroebnerBasis to take the zero ideal's dimension")
-    nvars = len(gens[0].vars)
-    if any(g.is_constant() and not g.is_zero() for g in gens):
-        return -1
-    key = order_key(order)
-    supports = []
-    for g in gens:
-        e = max(g.terms, key=key)
-        supports.append(frozenset(i for i, x in enumerate(e) if x))
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            s = set(subset)
-            if not any(supp <= s for supp in supports):
-                return size
-    return 0
+        basis = GroebnerBasis(tuple(basis), basis[0].order, basis[0].vars)
+    indep = _max_independent_set(basis)
+    return -1 if indep is None else len(indep)
+
+
+def independent_variable_set(gb):
+    """A maximum-cardinality variable subset met by no leading monomial.
+
+    The lexicographically first such subset; empty for the unit ideal.
+    """
+    indep = _max_independent_set(gb)
+    return set() if indep is None else indep
 
 
 def dimension_of(gens, nvars, order=GREVLEX):
@@ -218,10 +256,7 @@ def dimension_of(gens, nvars, order=GREVLEX):
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return nvars
-    gb = buchberger(gens, order)
-    if not gb.generators:
-        return nvars
-    return ideal_dimension(gb)
+    return ideal_dimension(buchberger(gens, order))
 
 
 def eliminate_first(gens, order=LEX):

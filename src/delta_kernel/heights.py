@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .groebner import GREVLEX, buchberger, ideal_dimension
-from .multipoly import MultiPoly, order_key
+from .multipoly import MultiPoly, exponents_upto, order_key
 from .ratfunc import RatFunc
 from .solve import sampled_rational_solutions
 
@@ -111,29 +111,6 @@ class HeightReport:
         return {(g.num, g.den) for g, _ in self.solutions}
 
 
-def _monomials_of_degree(sig, d):
-    n = len(sig)
-
-    def rec(i, rem):
-        if i == n - 1:
-            yield (rem,)
-            return
-        for x in range(rem + 1):
-            for rest in rec(i + 1, rem - x):
-                yield (x,) + rest
-
-    key = order_key(GREVLEX)
-    return sorted(rec(0, d), key=key, reverse=True)
-
-
-def _monomials_upto(sig, d):
-    out = []
-    for dd in range(d + 1):
-        out.extend(_monomials_of_degree(sig, dd))
-    key = order_key(GREVLEX)
-    return sorted(out, key=key, reverse=True)
-
-
 def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 3)):
     """Search x = p/q with deg p, deg q <= degree_bound, q monic.
 
@@ -153,9 +130,11 @@ def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 
             "multivariate coefficients: experimental pipeline, heights use total degree"
         )
     seen = set()
+    key = order_key(GREVLEX)
     for pmax in range(degree_bound + 1):
         for dq in range(pmax + 1):
-            for pivot in _monomials_of_degree(tsig, dq):
+            exponents = sorted(exponents_upto(s, dq), key=key, reverse=True)
+            for pivot in (e for e in exponents if sum(e) == dq):
                 _run_stratum(
                     ode, pmax, dq, pivot, sample_values, report, seen
                 )
@@ -172,10 +151,10 @@ def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 
 def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
     tsig = ode.tvars
     s = len(tsig)
-    p_monos = _monomials_upto(tsig, pmax)
-    q_monos = [e for e in _monomials_upto(tsig, dq)]
     key = order_key(GREVLEX)
+    p_monos = sorted(exponents_upto(s, pmax), key=key, reverse=True)
     # q: pivot monomial pinned to 1, strictly grevlex-smaller monomials free
+    q_monos = sorted(exponents_upto(s, dq), key=key, reverse=True)
     q_free = [e for e in q_monos if key(e) < key(pivot)]
     avars = [f"a{i}" for i in range(len(p_monos))]
     bvars = [f"b{i}" for i in range(len(q_free))]
@@ -225,13 +204,13 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
         if not eq.is_zero():
             equations.append(eq)
 
-    gb = buchberger(equations) if equations else None
-    if gb is not None and gb.is_unit_ideal():
+    gb = buchberger(equations or [MultiPoly.zero(unknowns)])
+    if gb.is_unit_ideal():
         report.strata.append(
             StratumReport(pmax, dq, pivot, ["1"], -1, True, 0)
         )
         return
-    dim = ideal_dimension(gb) if gb is not None and gb.generators else len(unknowns)
+    dim = ideal_dimension(gb)
     points, exact, free = sampled_rational_solutions(
         equations, unknowns, sample_values=sample_values
     )
@@ -240,7 +219,7 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
             pmax,
             dq,
             pivot,
-            [g.to_str() for g in gb.generators] if gb is not None else [],
+            [g.to_str() for g in gb.generators],
             dim,
             exact,
             len(free),

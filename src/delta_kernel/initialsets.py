@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .multipoly import exponents_upto, horner, interpolate
+
 
 @dataclass(frozen=True)
 class ExpPoint:
@@ -39,17 +41,6 @@ class ExpPoint:
 
     def __repr__(self):
         return f"({', '.join(map(str, self.r))}; u{self.j})"
-
-
-def _simplex(m, t):
-    """All exponent tuples of length m with coordinate sum <= t."""
-    if m == 1:
-        for x in range(t + 1):
-            yield (x,)
-        return
-    for x in range(t + 1):
-        for rest in _simplex(m - 1, t - x):
-            yield (x,) + rest
 
 
 class InitialSetRep:
@@ -80,7 +71,7 @@ class InitialSetRep:
         total = 0
         for j in range(1, self.n + 1):
             ej = [e for e in self.E if e.j == j]
-            for r in _simplex(self.m, t):
+            for r in exponents_upto(self.m, t):
                 p = ExpPoint(r, j)
                 if not any(e.leq(p) for e in ej):
                     total += 1
@@ -114,7 +105,7 @@ class InitialSetRep:
         bound = max(e.weight for e in self.E) + (slack if slack is not None else self.m)
         out = []
         for j in range(1, self.n + 1):
-            for r in _simplex(self.m, bound):
+            for r in exponents_upto(self.m, bound):
                 p = ExpPoint(r, j)
                 if self.contains(p) and all(
                     not self.contains(p.bump(k)) for k in range(self.m)
@@ -183,45 +174,12 @@ def _detect_eventual_polynomial(values, max_degree):
     if not top or top[-1] != 0:
         return None, None
     # interpolate through the last max_degree+1 points, extend backwards
-    pts = [(Fraction(t), Fraction(values[t])) for t in range(n - max_degree - 1, n)]
-    coeffs = _newton_interpolate(pts)
+    pts = [(t, values[t]) for t in range(n - max_degree - 1, n)]
+    coeffs = interpolate(pts)
     start = n - max_degree - 1
-    while start > 0 and _poly_eval(coeffs, Fraction(start - 1)) == values[start - 1]:
+    while start > 0 and horner(coeffs, start - 1) == values[start - 1]:
         start -= 1
     return coeffs, start
-
-
-def _newton_interpolate(pts):
-    n = len(pts)
-    xs = [p[0] for p in pts]
-    table = [p[1] for p in pts]
-    coeffs = [Fraction(0)] * n
-    newton = []
-    for k in range(n):
-        newton.append(table[0])
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + k + 1] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-    basis = [Fraction(1)]
-    for k, c in enumerate(newton):
-        for t, b in enumerate(basis):
-            coeffs[t] += c * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, b in enumerate(basis):
-            nxt[t] -= b * xs[k]
-            nxt[t + 1] += b
-        basis = nxt
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 @dataclass

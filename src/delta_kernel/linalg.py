@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .factor import rational_roots, _from_dense
-from .multipoly import MultiPoly
+from .factor import rational_roots
+from .multipoly import from_dense, interpolate
 
 
 class ExactMatrix:
@@ -157,23 +157,7 @@ def charpoly(m):
             ]
         )
         values.append(det(shifted))
-    # Newton forward differences give the coefficients exactly
-    coeffs = [Fraction(0)] * (n + 1)
-    diffs = values[:]
-    basis = [Fraction(1)]  # falling-factorial accumulation as dense coeffs
-    fact = 1
-    for k in range(n + 1):
-        lead = diffs[0]
-        for t, c in enumerate(basis):
-            coeffs[t] += lead * c / fact
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, c in enumerate(basis):
-            nxt[t] -= c * k
-            nxt[t + 1] += c
-        basis = nxt
-        fact *= k + 1
-    return _from_dense(coeffs, ("X",))
+    return from_dense(interpolate(list(enumerate(values))), ("X",))
 
 
 @dataclass

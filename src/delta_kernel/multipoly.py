@@ -425,19 +425,82 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
+# ---------- monomials and dense univariate views ----------
+
+
+def exponents_upto(n, d):
+    """Exponent tuples of length n with coordinate sum <= d.
+
+    The first coordinate varies slowest and every coordinate ascends; sort
+    with order_key at the call site when a term order is wanted.
+    """
+    if n == 0:
+        yield ()
+        return
+    for x in range(d + 1):
+        for rest in exponents_upto(n - 1, d - x):
+            yield (x,) + rest
+
+
+def dense_coeffs(p, i=0):
+    """Coefficients c0..cd of p viewed as univariate in variable index i."""
+    out = [Fraction(0)] * (p.degree_in(i) + 1)
+    for e, c in p.terms.items():
+        out[e[i]] += c
+    return out
+
+
+def from_dense(coeffs, vars, i=0, order=GREVLEX):
+    """The polynomial sum of coeffs[k] * (variable i)^k over the signature."""
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            e = [0] * len(vars)
+            e[i] = k
+            terms[tuple(e)] = c
+    return MultiPoly(vars, terms, order)
+
+
+def horner(coeffs, x):
+    """Value at x of the dense polynomial c0 + c1 X + ... ."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def interpolate(points):
+    """Dense coefficients of the polynomial through distinct (x, y) points.
+
+    Newton divided differences, expanded by Horner's rule; trailing zero
+    coefficients are stripped (the zero polynomial keeps one).
+    """
+    xs = [Fraction(x) for x, _ in points]
+    table = [Fraction(y) for _, y in points]
+    newton = []
+    for k in range(len(points)):
+        newton.append(table[0])
+        table = [
+            (table[j + 1] - table[j]) / (xs[j + k + 1] - xs[j])
+            for j in range(len(table) - 1)
+        ]
+    coeffs = []
+    for c, x in zip(reversed(newton), reversed(xs)):
+        # coeffs := coeffs * (X - x) + c
+        coeffs = [Fraction(0)] + coeffs
+        for t in range(len(coeffs) - 1):
+            coeffs[t] -= x * coeffs[t + 1]
+        coeffs[0] += c
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 # ---------- gcd machinery ----------
 
 
 def _univariate_gcd(a, b, i):
     """Monic gcd of polynomials effectively univariate in variable index i."""
-    def coeffs(p):
-        d = p.degree_in(i)
-        out = [Fraction(0)] * (d + 1)
-        for e, c in p.terms.items():
-            out[e[i]] += c
-        return out
-
-    fa, fb = coeffs(a), coeffs(b)
 
     def strip(f):
         while f and not f[-1]:
@@ -456,18 +519,11 @@ def _univariate_gcd(a, b, i):
                 f[shift + k] -= q * g[k]
             f.pop()
 
-    fa, fb = strip(fa), strip(fb)
+    fa, fb = strip(dense_coeffs(a, i)), strip(dense_coeffs(b, i))
     while fb:
         fa, fb = fb, dense_mod(fa, fb)
     lead = fa[-1]
-    terms = {}
-    base = [0] * len(a.vars)
-    for k, c in enumerate(fa):
-        if c:
-            e = base[:]
-            e[i] = k
-            terms[tuple(e)] = c / lead
-    return MultiPoly(a.vars, terms, a.order)
+    return from_dense([c / lead for c in fa], a.vars, i, a.order)
 
 
 def _to_univariate(p, i):

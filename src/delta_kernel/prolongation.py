@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .diffring import AlgIndet, AutoreducedSet
 from .groebner import GREVLEX, buchberger, dimension_of, normal_form, saturate
-from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound, _simplex
-from .multipoly import MultiPoly
+from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
+from .multipoly import MultiPoly, exponents_upto
 from .ratfunc import RatFunc
 
 
@@ -28,7 +28,7 @@ def nabla_frame(m, n, t):
     if t < 0:
         raise ValueError("negative prolongation level")
     frame = [
-        AlgIndet(r, j) for j in range(1, n + 1) for r in _simplex(m, t)
+        AlgIndet(r, j) for j in range(1, n + 1) for r in exponents_upto(m, t)
     ]
     frame.sort(key=lambda v: v.rank_key())
     return tuple(frame)
@@ -107,7 +107,7 @@ def prolong_generators(polys, t):
         room = t - f.order()
         if room < 0:
             continue
-        for theta in _simplex(ctx.m, room):
+        for theta in exponents_upto(ctx.m, room):
             g = f
             for k, times in enumerate(theta, start=1):
                 g = ctx.d(k, g, times)

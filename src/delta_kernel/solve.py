@@ -11,30 +11,10 @@ point satisfies the system exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .factor import rational_roots
-from .groebner import GREVLEX, LEX, buchberger, ideal_dimension, order_key
+from .groebner import GREVLEX, LEX, buchberger, ideal_dimension, independent_variable_set
 from .multipoly import poly_gcd
-
-
-def independent_variable_set(gb):
-    """A maximum-cardinality variable subset met by no leading monomial."""
-    gens = gb.generators
-    if not gens:
-        return set(range(len(gb.vars)))
-    nvars = len(gens[0].vars)
-    key = order_key(gb.order)
-    supports = []
-    for g in gens:
-        e = max(g.terms, key=key)
-        supports.append(frozenset(i for i, x in enumerate(e) if x))
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            s = set(subset)
-            if not any(supp <= s for supp in supports):
-                return s
-    return set()
 
 
 def enumerate_rational_points(gens, vars):

@@ -115,7 +115,7 @@ def test_criterion_03_basis_oracle_equivalence():
     for aset in _corpus():
         rep = leaders_to_exponents(aset)
         level = prolongation_bound(aset).level
-        for t in range(aset.max_order(), level + 3):
+        for t in range(aset.max_order(), level + 5):
             assert prolong_ideal(aset, t).dimension() == rep.count_up_to(t)
             checked += 1
     _stamp("criterion 3 (oracle equivalence)", started, 300, f"{checked} levels")

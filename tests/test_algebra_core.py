@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -14,6 +15,11 @@ from delta_kernel.multipoly import (
     InexactDivisionError,
     MultiPoly,
     SignatureMismatchError,
+    dense_coeffs,
+    exponents_upto,
+    from_dense,
+    horner,
+    interpolate,
     poly_gcd,
 )
 from delta_kernel.ratfunc import RatFunc
@@ -153,6 +159,11 @@ class TestLinalg:
         # X^2 - 5X - 2
         assert cp.terms == {(2,): Fraction(1), (1,): Fraction(-5), (0,): Fraction(-2)}
 
+    def test_charpoly_three_by_three(self):
+        cp = charpoly(ExactMatrix([[2, 1, 0], [0, 3, -1], [1, 0, 1]]))
+        # X^3 - 6X^2 + 11X - 5
+        assert dense_coeffs(cp) == [-5, 11, -6, 1]
+
     def test_eigen_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             rational_eigen(ExactMatrix([[1, 2, 3], [4, 5, 6]]))
@@ -193,3 +204,41 @@ class TestFactor:
         p = t ** 4 + t + 1  # no rational roots, no quadratic factors over Q
         unit, factors = factor_univariate(p)
         assert len(factors) == 1 and factors[0][1] == 1
+
+
+def _simplex_reference(m, t):
+    """The recursive simplex enumerator exponents_upto replaced; its order
+    fixes the provenance order of prolonged generators."""
+    if m == 1:
+        for x in range(t + 1):
+            yield (x,)
+        return
+    for x in range(t + 1):
+        for rest in _simplex_reference(m - 1, t - x):
+            yield (x,) + rest
+
+
+class TestMonomialsAndDenseViews:
+    def test_exponents_upto_count_and_order(self):
+        for n in range(1, 5):
+            for d in range(6):
+                got = list(exponents_upto(n, d))
+                assert len(got) == comb(n + d, d)
+                assert got == list(_simplex_reference(n, d))
+                assert all(sum(e) <= d for e in got)
+
+    def test_dense_roundtrip_random(self):
+        rng = random.Random(default_seed() + 4)
+        for _ in range(30):
+            i = rng.randrange(len(SIG))
+            p = random_multipoly(rng, (SIG[i],), max_degree=5).restrict(SIG)
+            coeffs = dense_coeffs(p, i)
+            assert len(coeffs) == p.degree_in(i) + 1
+            assert from_dense(coeffs, SIG, i) == p
+
+    def test_interpolate_known_cubic(self):
+        cubic = [Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(2)]
+        for xs in ([0, 1, 2, 3], [-2, Fraction(1, 3), 5, 7, 11, -4]):
+            points = [(x, horner(cubic, x)) for x in xs]
+            assert interpolate(points) == cubic
+        assert interpolate([(1, 0), (2, 0)]) == [0]

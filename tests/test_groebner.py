@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
 
 from delta_kernel.groebner import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     buchberger,
     dimension_of,
     ideal_dimension,
+    independent_variable_set,
     normal_form,
     s_polynomial,
     saturate,
@@ -46,10 +49,50 @@ def test_normal_form_trivial_cases():
     assert normal_form(X, gb) == X
 
 
+def _bruteforce_independent_set(supports, nvars):
+    """Scan of all variable subsets, largest first and lexicographically
+    within a size; reference for the branch-and-bound staircase search."""
+    for size in range(nvars, -1, -1):
+        for sub in combinations(range(nvars), size):
+            if not any(s <= set(sub) for s in supports):
+                return set(sub)
+    return set()
+
+
 def test_ideal_dimension_examples():
     assert ideal_dimension(buchberger([X * Y - 1])) == 1
     assert ideal_dimension(buchberger([X, X + 1])) == -1
     assert dimension_of([], 3) == 3
+
+
+def test_unit_and_zero_ideal_staircase():
+    unit = buchberger([X, X + 1])
+    assert ideal_dimension(unit) == -1
+    assert independent_variable_set(unit) == set()
+    zero = buchberger([MultiPoly.zero(SIG)])
+    assert zero.generators == ()
+    assert ideal_dimension(zero) == 2
+    assert independent_variable_set(zero) == {0, 1}
+
+
+def test_independent_set_matches_bruteforce_on_random_supports():
+    rng = random.Random(default_seed() + 4)
+    for _ in range(400):
+        nvars = rng.randint(1, 12)
+        sig = tuple(f"v{i}" for i in range(nvars))
+        leads = set()
+        for _ in range(rng.randint(1, 8)):
+            width = rng.randint(1, min(nvars, 4))
+            e = [0] * nvars
+            for i in rng.sample(range(nvars), width):
+                e[i] = rng.randint(1, 2)
+            leads.add(tuple(e))
+        # monomials generate a monomial ideal and are a Groebner basis of it
+        gb = GroebnerBasis(tuple(MultiPoly.monomial(sig, e) for e in leads), GREVLEX, sig)
+        supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
+        want = _bruteforce_independent_set(supports, nvars)
+        assert independent_variable_set(gb) == want
+        assert ideal_dimension(gb) == len(want)
 
 
 def test_reduced_basis_properties():
@@ -104,8 +147,6 @@ def test_generator_order_invariance():
 
 
 def test_dimension_matches_bruteforce():
-    from itertools import combinations
-
     rng = random.Random(default_seed() + 3)
     sig = ("a", "b", "c", "d")
     for _ in range(10):
@@ -120,15 +161,9 @@ def test_dimension_matches_bruteforce():
             continue
         leads = [g.leading()[0] for g in gb.generators]
         supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
-        best = -1
-        for size in range(len(sig), -1, -1):
-            if any(
-                not any(s <= set(sub) for s in supports)
-                for sub in combinations(range(len(sig)), size)
-            ):
-                best = size
-                break
-        assert got == best
+        want = _bruteforce_independent_set(supports, len(sig))
+        assert got == len(want)
+        assert independent_variable_set(gb) == want
 
 
 def test_saturation():
