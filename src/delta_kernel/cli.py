@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -518,6 +519,9 @@ def _render_value(value, out, indent, key=None):
 # ---------- argument wiring ----------
 
 
+# built once per process: parsing never mutates the parser, and main runs
+# once per job in a long-lived batch process
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="delta-kernel",

@@ -80,14 +80,6 @@ def rank_compare(v, w):
     return (a > b) - (a < b)
 
 
-def _var_sort_key(v):
-    # signatures list highest rank first; coefficient generators come last,
-    # so the term order treats them as the smallest variables
-    if isinstance(v, CoeffGen):
-        return (1, (), v.index)
-    return (0, tuple(-x for x in v.rank_key()), 0)
-
-
 class DiffContext:
     """Signature of a differential polynomial ring.
 
@@ -165,32 +157,35 @@ class DiffContext:
             raise ValueError(f"coefficient generator t{index} not declared")
         return DiffPoly(self, MultiPoly.var(self._signature(()), gen))
 
-    def _signature(self, indets):
-        vars = sorted(set(indets), key=_var_sort_key) + list(self.coeff_gens)
-        seen = []
-        for v in vars:
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+    def _signature(self, vars):
+        """The one ordering of indeterminates in this ring: the algebraic
+        indeterminates among vars in strictly decreasing rank, then the
+        coefficient generators, which the term order thus treats as the
+        smallest variables."""
+        indets = {v for v in vars if isinstance(v, AlgIndet)}
+        return tuple(sorted(indets, key=AlgIndet.rank_key, reverse=True)) + self.coeff_gens
 
 
 class DiffPoly:
-    """A differential polynomial in canonical form.
+    """A differential polynomial.
 
-    The body is a MultiPoly whose signature lists the context's coefficient
-    generators followed by exactly the occurring algebraic indeterminates in
-    increasing rank.
+    The body is a MultiPoly whose signature is one that
+    DiffContext._signature builds: algebraic indeterminates in strictly
+    decreasing rank, then the context's coefficient generators.  The
+    signature may carry indeterminates that do not occur, so equality and
+    hashing look at the occurring ones only.
     """
 
     __slots__ = ("ctx", "body")
 
     def __init__(self, ctx, body):
         self.ctx = ctx
-        self.body = _canonical_body(ctx, body)
+        self.body = body
 
     # ---------- structure ----------
 
     def indets(self):
+        """The occurring algebraic indeterminates, highest rank first."""
         used = self.body.support_indices()
         return [
             v
@@ -208,7 +203,7 @@ class DiffPoly:
         vs = self.indets()
         if not vs:
             raise ValueError("element of the coefficient field has no leader")
-        return max(vs, key=lambda v: v.rank_key())
+        return vs[0]
 
     def order(self):
         return self.leader().order
@@ -228,15 +223,7 @@ class DiffPoly:
 
     def initial(self):
         u = self.leader()
-        i = self.body.vars.index(u)
-        d = self.body.degree_in(i)
-        terms = {}
-        for e, c in self.body.terms.items():
-            if e[i] == d:
-                ne = list(e)
-                ne[i] = 0
-                terms[tuple(ne)] = c
-        return DiffPoly(self.ctx, MultiPoly(self.body.vars, terms, self.body.order))
+        return self.coeff_of_power(u, self.degree_in(u))
 
     def degree_in(self, v):
         if v not in self.body.vars:
@@ -268,9 +255,7 @@ class DiffPoly:
             raise SignatureMismatchError("differential polynomials from different rings")
         if self.body.vars == other.body.vars:
             return self.body, other.body
-        merged = self.ctx._signature(
-            tuple(v for v in self.body.vars + other.body.vars if isinstance(v, AlgIndet))
-        )
+        merged = self.ctx._signature(self.body.vars + other.body.vars)
         return self.body.restrict(merged), other.body.restrict(merged)
 
     def __add__(self, other):
@@ -303,10 +288,19 @@ class DiffPoly:
             other = self.ctx.const(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.body == other.body
+        if self.ctx != other.ctx:
+            return False
+        a, b = self._pair(other)
+        return a.terms == b.terms
 
     def __hash__(self):
-        return hash(self.body)
+        vars = self.body.vars
+        return hash(
+            frozenset(
+                (tuple((v, x) for v, x in zip(vars, e) if x), c)
+                for e, c in self.body.terms.items()
+            )
+        )
 
     def __repr__(self):
         return f"DiffPoly({self.to_str()})"
@@ -315,23 +309,6 @@ class DiffPoly:
         from .printer import print_diffpoly
 
         return print_diffpoly(self)
-
-
-def _canonical_body(ctx, body):
-    indets = [v for v in body.vars if isinstance(v, AlgIndet)]
-    for v in indets:
-        if len(v.theta) != ctx.m or not (1 <= v.var <= ctx.n):
-            raise ValueError(f"indeterminate {v!r} outside the ring signature")
-    used = body.support_indices()
-    keep = tuple(
-        v
-        for i, v in enumerate(body.vars)
-        if isinstance(v, CoeffGen) or i in used
-    )
-    sig = ctx._signature(tuple(v for v in keep if isinstance(v, AlgIndet)))
-    if body.vars == sig:
-        return body
-    return body.restrict(sig)
 
 
 def apply_derivation(f, k):
@@ -344,13 +321,11 @@ def apply_derivation(f, k):
     ctx = f.ctx
     if not (1 <= k <= ctx.m):
         raise ValueError(f"derivation index {k} outside 1..{ctx.m}")
-    body = f.body
-    vars = body.vars
-    # target signature: existing indets plus their k-derivatives
-    new_indets = [v for v in vars if isinstance(v, AlgIndet)]
-    new_indets += [v.derive(k) for v in new_indets]
-    sig = ctx._signature(tuple(new_indets))
-    src = body.restrict(sig)
+    # from the occurring indeterminates only: the body's unused columns
+    # would otherwise pile up along chains of derivatives
+    indets = f.indets()
+    sig = ctx._signature(indets + [v.derive(k) for v in indets])
+    src = f.body.restrict(sig)
     out = MultiPoly.zero(sig, src.order)
     for e, c in src.terms.items():
         for i, exp in enumerate(e):
@@ -562,63 +537,51 @@ def ritt_reduce(g, aset):
         steps=[],
     )
 
-    def absorb(mult_index, e, q, theta, kind):
-        book = result.sep_powers if kind == "sep" else result.init_powers
+    while True:
+        target = _reduction_target(result.remainder, aset, leaders)
+        if target is None:
+            break
+        v, i = target
+        f = aset.elements[i]
+        theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
+        h = f
+        for k, times in enumerate(theta, start=1):
+            h = ctx.d(k, h, times)
+        e, q, result.remainder = _pseudo_reduce_once(result.remainder, h, v, ctx)
         if e:
-            book[mult_index] = book.get(mult_index, 0) + e
-            base = (
-                aset.elements[mult_index].separant()
-                if kind == "sep"
-                else aset.elements[mult_index].initial()
-            )
+            # the leading coefficient of a proper derivative of f is f's
+            # separant; of f itself, f's initial
+            if any(theta):
+                book, base = result.sep_powers, f.separant()
+            else:
+                book, base = result.init_powers, f.initial()
+            book[i] = book.get(i, 0) + e
             scale = base ** e
             for step in result.steps:
                 step.quotient = step.quotient * scale
         if not q.is_zero():
-            result.steps.append(ReductionStep(mult_index, theta, q))
-
-    while True:
-        r = result.remainder
-        if r.is_in_coeff_field():
-            break
-        # highest-ranking indeterminate that is a proper derivative of a leader
-        target = None
-        for v in sorted(r.indets(), key=lambda w: w.rank_key(), reverse=True):
-            hits = [
-                i
-                for i, u in enumerate(leaders)
-                if v.is_proper_derivative_of(u)
-            ]
-            if hits:
-                target = (v, min(hits, key=lambda i: _rank_sort_key(aset.elements[i])))
-                break
-        if target is not None:
-            v, i = target
-            f = aset.elements[i]
-            theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
-            h = f
-            for k, times in enumerate(theta, start=1):
-                h = ctx.d(k, h, times)
-            e, q, rem = _pseudo_reduce_once(r, h, v, ctx)
-            result.remainder = rem
-            absorb(i, e, q, theta, "sep")
-            continue
-        # algebraic step: a leader occurring with degree >= its leading degree
-        target = None
-        for v in sorted(r.indets(), key=lambda w: w.rank_key(), reverse=True):
-            for i, u in enumerate(leaders):
-                if v == u and r.degree_in(v) >= aset.elements[i].leading_degree():
-                    target = (v, i)
-                    break
-            if target:
-                break
-        if target is None:
-            break
-        v, i = target
-        e, q, rem = _pseudo_reduce_once(r, aset.elements[i], v, ctx)
-        result.remainder = rem
-        absorb(i, e, q, (0,) * ctx.m, "init")
+            result.steps.append(ReductionStep(i, theta, q))
     return result
+
+
+def _reduction_target(r, aset, leaders):
+    """The (indeterminate, element index) that the next step of ritt_reduce
+    eliminates from r, or None when r is partially reduced.
+
+    The highest-ranking proper derivative of a leader comes first, taken
+    with the lowest-ranked element it derives from; then a leader occurring
+    with degree at least its element's leading degree.
+    """
+    indets = r.indets()
+    for v in indets:
+        hits = [i for i, u in enumerate(leaders) if v.is_proper_derivative_of(u)]
+        if hits:
+            return v, min(hits, key=lambda i: _rank_sort_key(aset.elements[i]))
+    for v in indets:
+        for i, u in enumerate(leaders):
+            if v == u and r.degree_in(v) >= aset.elements[i].leading_degree():
+                return v, i
+    return None
 
 
 def is_partially_reduced(g, aset):

@@ -37,18 +37,10 @@ class DSpec:
         self.nvars = nvars
         self.nder = nder
         self.sig = tuple(f"x{j}" for j in range(1, nvars + 1))
-        self.fields = []
-        for k in range(nder):
-            row = []
-            for j in range(nvars):
-                p = fields[k][j]
-                if p.vars != self.sig:
-                    p = p.restrict(self.sig)
-                row.append(p)
-            self.fields.append(row)
-        self.ideal_gens = [
-            g if g.vars == self.sig else g.restrict(self.sig) for g in ideal_gens
+        self.fields = [
+            [fields[k][j].restrict(self.sig) for j in range(nvars)] for k in range(nder)
         ]
+        self.ideal_gens = [g.restrict(self.sig) for g in ideal_gens]
         self._gb = None
         if check_commuting:
             witness = self.commuting_witness()
@@ -108,7 +100,7 @@ def is_dsubvariety(spec, ideal_gens):
 
     Returns (True, None) or (False, (k, g, nonzero normal form)).
     """
-    gens = [g if g.vars == spec.sig else g.restrict(spec.sig) for g in ideal_gens]
+    gens = [g.restrict(spec.sig) for g in ideal_gens]
     combined = gens + spec.ideal_gens
     nonzero = [g for g in combined if not g.is_zero()]
     gb = buchberger(nonzero) if nonzero else None
@@ -184,27 +176,6 @@ def _action_matrix(spec, k, monos, cofactor=None):
 
 def e_total(monos):
     return max(sum(e) for e in monos)
-
-
-def _canonical_basis(sig, monos, vectors, drop_constants=True):
-    """Reduced-echelon canonical representatives; constants quotiented out."""
-    if not vectors:
-        return []
-    mat = ExactMatrix([list(v) for v in vectors])
-    red, pivots = rref(mat)
-    out = []
-    const_expo = (0,) * len(sig)
-    for row in red.entries:
-        if not any(row):
-            continue
-        p = _poly_from_vector(sig, monos, row)
-        if drop_constants and p.is_constant():
-            continue
-        # strip the constant part of a zero-cofactor representative only when
-        # the constant monomial is a free direction (handled by caller); here
-        # we keep the echelon form as-is and just normalize
-        out.append(p.primitive())
-    return out
 
 
 def _annotate(spec, p, cofactors):
@@ -489,8 +460,7 @@ def _darboux_products(spec, darboux, d):
     one = MultiPoly.const(spec.sig, 1)
     zeros = [MultiPoly.zero(spec.sig) for _ in range(spec.nder)]
     rec(0, d, one, zeros)
-    # drop the empty product (constant 1): ratios with it are polynomials
-    return [(k, p) for k, p in out]
+    return out
 
 
 def _orient(ratio):

@@ -45,8 +45,7 @@ class OdePoly:
         s = len(self.tvars)
         self.yvars = ("y",) if s == 1 else tuple(f"y{k}" for k in range(1, s + 1))
         self.sig = self.tvars + ("x",) + self.yvars
-        if poly.vars != self.sig:
-            poly = poly.restrict(self.sig)
+        poly = poly.restrict(self.sig)
         if poly.is_zero():
             raise ValueError("the defining polynomial must be nonzero")
         self.poly = poly.primitive()

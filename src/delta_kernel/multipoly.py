@@ -349,8 +349,14 @@ class MultiPoly:
         return total
 
     def restrict(self, vars):
-        """Reindex onto a (super- or sub-)signature; dropped vars must be unused."""
+        """Reindex onto a (super- or sub-)signature; dropped vars must be unused.
+
+        Onto its own signature the polynomial itself is returned: no code
+        mutates a polynomial's terms in place, so sharing it is safe.
+        """
         vars = tuple(vars)
+        if vars == self.vars:
+            return self
         pos = {v: i for i, v in enumerate(vars)}
         terms = {}
         for e, c in self.terms.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .factor import rational_roots
-from .groebner import GREVLEX, LEX, buchberger, ideal_dimension, independent_variable_set
+from .groebner import GREVLEX, LEX, buchberger, independent_variable_set
 from .multipoly import poly_gcd
 
 
@@ -73,10 +73,9 @@ def sampled_rational_solutions(gens, vars, sample_values=(0, 1, -1, 2, -2, 3), _
     gb = buchberger(gens, GREVLEX)
     if gb.is_unit_ideal():
         return [], True, free
-    dim = ideal_dimension(gb)
-    if dim == 0:
-        return enumerate_rational_points(list(gb.generators), vars), True, free
     indep = independent_variable_set(gb)
+    if not indep:
+        return enumerate_rational_points(list(gb.generators), vars), True, free
     pivot_index = min(indep)
     pivot = vars[pivot_index]
     rest = vars[:pivot_index] + vars[pivot_index + 1 :]

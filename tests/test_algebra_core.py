@@ -74,6 +74,16 @@ class TestPolyArith:
             assert (a * b).exact_div(b) == a
             done += 1
 
+    def test_restrict_round_trip(self):
+        rng = random.Random(default_seed() + 2)
+        wide = ("y", "z", "x")
+        for _ in range(20):
+            p = random_multipoly(rng, SIG)
+            assert p.restrict(SIG) == p
+            q = p.restrict(wide)
+            assert q.vars == wide
+            assert q.restrict(SIG) == p
+
     def test_gcd_common_factor(self):
         g = poly_gcd((X + Y) * (X - Y), (X + Y) * (X + 1))
         assert g == (X + Y).monic()

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from delta_kernel.cli import main, validate_report
+from delta_kernel.cli import build_parser, main, validate_report
 from delta_kernel.diffring import DiffContext
 from delta_kernel.parser import (
     ParseError,
@@ -257,6 +257,28 @@ class TestDeterminism:
             code2, out2, _ = run(argv)
             assert code1 == code2 == 0
             assert out1 == out2
+
+    def test_back_to_back_calls_match_first_calls(self, problem_path, monkeypatch):
+        # main reuses one parser across calls; each call must still print
+        # what it prints as the first call of a process
+        bound = ["--json", "bound", problem_path, "--set", "L"]
+        wedge = ["wedge-check", "--count", "5"]
+
+        def first_call(argv):
+            build_parser.cache_clear()
+            return run(argv)
+
+        monkeypatch.setenv("DELTA_KERNEL_SEED", "3")
+        alone = {"bound": first_call(bound), "wedge": first_call(wedge)}
+        assert alone["bound"][0] == alone["wedge"][0] == 0
+        assert run(bound) == alone["bound"]
+        assert run(["bound", problem_path])[0] == 1
+        assert run(wedge) == alone["wedge"]
+        # the seed default is read at call time, not when the parser is built
+        monkeypatch.setenv("DELTA_KERNEL_SEED", "4")
+        reseeded = run(wedge)
+        assert "input seed: 4" in reseeded[1]
+        assert reseeded == first_call(wedge)
 
     def test_all_reports_validate(self, problem_path):
         for argv in (

@@ -79,6 +79,53 @@ class TestLeaderSeparantInitial:
             self.ctx.const(3).leader()
 
 
+class TestUnusedIndeterminates:
+    """A body's signature may carry indeterminates that do not occur; no
+    observable of the polynomial may depend on them."""
+
+    def setup_method(self):
+        self.ctx = DiffContext(2, 1)
+        self.u = self.ctx.u()
+        self.d1u = self.ctx.d(1, self.u)
+        self.d2u = self.ctx.d(2, self.u)
+
+    def test_cancelled_higher_indeterminate(self):
+        a = self.u * self.d1u ** 2 + self.u
+        f = (a + self.d2u) - self.d2u
+        assert len(f.body.vars) > len(a.body.vars)
+        assert f == a and a == f
+        assert hash(f) == hash(a)
+        assert f.to_str() == a.to_str()
+        assert f.indets() == a.indets()
+        assert f.leader() == a.leader() == AlgIndet((1, 0), 1)
+        for v in (AlgIndet((0, 0), 1), AlgIndet((1, 0), 1), AlgIndet((0, 1), 1)):
+            assert f.degree_in(v) == a.degree_in(v)
+        assert f.initial() == a.initial() == self.u
+        assert f.separant() == a.separant()
+        assert f != a + self.d2u
+
+    def test_cancelled_down_to_a_constant(self):
+        f = (self.d2u + 3) - self.d2u
+        assert f.is_in_coeff_field()
+        assert f == 3 and hash(f) == hash(self.ctx.const(3))
+        with pytest.raises(ValueError):
+            f.leader()
+
+    def test_ring_laws_random(self, rng):
+        for _ in range(30):
+            ctx = DiffContext(rng.randint(1, 2), rng.randint(1, 2))
+            a, b, c = (
+                random_diffpoly(rng, ctx, max_order=2, max_degree=2, max_terms=3)
+                for _ in range(3)
+            )
+            assert a * (b + c) == a * b + a * c
+            back = (a + b) - b
+            assert back == a and hash(back) == hash(a)
+            for k in range(1, ctx.m + 1):
+                da, db = apply_derivation(a, k), apply_derivation(b, k)
+                assert apply_derivation(a * b, k) == da * b + a * db
+
+
 class TestDerivation:
     def setup_method(self):
         self.ctx = DiffContext(2, 1)
