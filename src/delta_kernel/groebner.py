@@ -3,15 +3,18 @@
 Used throughout the package as the independent algebraic oracle: ideal
 membership via normal forms, staircase (Krull) dimension by branch-and-bound
 independent sets, elimination, and saturation through a single Rabinowitsch
-variable.  Normal pair selection with the coprimality and chain criteria
-keeps desk-scale runs fast and deterministic.
+variable.  Normal pair selection pops S-pairs from a heap keyed on each
+pair's lcm, stored when the pair is formed (ties broken on the pair's
+indices); the coprimality and chain criteria skip pairs, and every basis
+element's leading monomial is computed once and reused by the pairs, the
+S-polynomials, the reductions and the final interreduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
 
 from .multipoly import GREVLEX, LEX, MultiPoly, order_key
 
@@ -56,7 +59,11 @@ def normal_form(p, basis, order=None):
         order = basis.order if isinstance(basis, GroebnerBasis) else p.order
     key = order_key(order)
     gens = [g for g in gens if not g.is_zero()]
-    leads = [max(g.terms, key=key) for g in gens]
+    return _reduce(p, gens, [max(g.terms, key=key) for g in gens], key, order)
+
+
+def _reduce(p, gens, leads, key, order):
+    """normal_form of p by nonzero gens whose leading monomials are leads."""
     rem = {}
     work = dict(p.terms)
     while work:
@@ -93,10 +100,20 @@ def s_polynomial(f, g, order):
     key = order_key(order)
     ef = max(f.terms, key=key)
     eg = max(g.terms, key=key)
-    lcm = _lcm(ef, eg)
+    return _s_poly(f, ef, g, eg, _lcm(ef, eg))
+
+
+def _s_poly(f, ef, g, eg, lcm):
+    """s_polynomial of f and g with leading monomials ef, eg and their lcm."""
     mf = tuple(a - b for a, b in zip(lcm, ef))
     mg = tuple(a - b for a, b in zip(lcm, eg))
     return f.mul_monomial(mf, 1 / f.terms[ef]) - g.mul_monomial(mg, 1 / g.terms[eg])
+
+
+def _monic(p, key):
+    """(p with leading coefficient 1, its leading monomial) for nonzero p."""
+    le = max(p.terms, key=key)
+    return p.scale(1 / p.terms[le]), le
 
 
 def buchberger(gens, order=None):
@@ -109,17 +126,23 @@ def buchberger(gens, order=None):
         return GroebnerBasis((), order, all_vars)
     vars = gens[0].vars
     key = order_key(order)
-    basis = []
+    basis, leads = [], []
     for g in gens:
-        g = g.with_order(order).monic(order)
+        g, le = _monic(g.with_order(order), key)
         if g not in basis:
             basis.append(g)
-    leads = [max(g.terms, key=key) for g in basis]
-    pairs = set(combinations(range(len(basis)), 2))
+            leads.append(le)
+    # normal selection: a heap of (key(lcm), i, j, lcm), smallest lcm first,
+    # ties broken on (i, j); each pair is pushed once, when it is formed
+    pairs = []
     handled = set()
 
-    def chain_skip(i, j):
-        lij = _lcm(leads[i], leads[j])
+    def form_pairs(new):
+        for k in range(new):
+            lcm = _lcm(leads[k], leads[new])
+            heappush(pairs, (key(lcm), k, new, lcm))
+
+    def chain_skip(i, j, lij):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
@@ -130,55 +153,47 @@ def buchberger(gens, order=None):
                     return True
         return False
 
+    for new in range(1, len(basis)):
+        form_pairs(new)
     while pairs:
-        # normal selection: smallest lcm in the term order
-        i, j = min(pairs, key=lambda p: key(_lcm(leads[p[0]], leads[p[1]])))
-        pairs.discard((i, j))
+        _, i, j, lij = heappop(pairs)
         handled.add((i, j))
         if _coprime(leads[i], leads[j]):
             continue
-        if chain_skip(i, j):
+        if chain_skip(i, j, lij):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        s = _s_poly(basis[i], leads[i], basis[j], leads[j], lij)
+        r = _reduce(s, basis, leads, key, order)
         if r.is_zero():
             continue
-        r = r.monic(order)
+        r, le = _monic(r, key)
         basis.append(r)
-        leads.append(max(r.terms, key=key))
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
-    return GroebnerBasis(tuple(_interreduce(basis, order)), order, vars)
+        leads.append(le)
+        form_pairs(len(basis) - 1)
+    return GroebnerBasis(tuple(_interreduce(basis, order, leads)), order, vars)
 
 
-def _interreduce(basis, order):
+def _interreduce(basis, order, leads=None):
+    """Reduced basis, smallest leading monomial first, from a Groebner basis
+    and its leading monomials (computed when not given)."""
     key = order_key(order)
-    # drop generators whose leading term another leading term divides
-    basis = sorted((g for g in basis if not g.is_zero()), key=lambda g: key(max(g.terms, key=key)))
-    kept = []
-    for idx, g in enumerate(basis):
-        lg = max(g.terms, key=key)
-        if any(
-            _divides(max(h.terms, key=key), lg)
-            for jdx, h in enumerate(basis)
-            if jdx != idx and (jdx < idx or max(h.terms, key=key) != lg)
-        ):
-            continue
-        kept.append(g)
-    # tail-reduce each against the others
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            r = normal_form(kept[idx], others, order) if others else kept[idx]
-            r = r.monic(order) if not r.is_zero() else r
-            if r != kept[idx]:
-                kept[idx] = r
-                changed = True
-        kept = [g for g in kept if not g.is_zero()]
-    kept.sort(key=lambda g: key(max(g.terms, key=key)))
+    if leads is None:
+        basis = [g for g in basis if not g.is_zero()]
+        leads = [max(g.terms, key=key) for g in basis]
+    # drop generators whose leading monomial a kept one divides; smaller
+    # monomials come first, and of equal ones the first is kept
+    kept, kept_leads = [], []
+    for idx in sorted(range(len(basis)), key=lambda i: key(leads[i])):
+        if not any(_divides(le, leads[idx]) for le in kept_leads):
+            kept.append(basis[idx])
+            kept_leads.append(leads[idx])
+    # tail-reduce each against the others: no kept leading monomial divides
+    # another, so reduction keeps every leading term and one pass suffices
+    for idx, (g, le) in enumerate(zip(kept, kept_leads)):
+        others = kept[:idx] + kept[idx + 1 :]
+        if others:
+            g = _reduce(g, others, kept_leads[:idx] + kept_leads[idx + 1 :], key, order)
+        kept[idx] = g.scale(1 / g.terms[le])
     return kept
 
 

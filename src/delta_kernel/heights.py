@@ -203,7 +203,7 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
         if not eq.is_zero():
             equations.append(eq)
 
-    gb = buchberger(equations or [MultiPoly.zero(unknowns)])
+    gb = buchberger(equations or [MultiPoly.zero(unknowns)], GREVLEX)
     if gb.is_unit_ideal():
         report.strata.append(
             StratumReport(pmax, dq, pivot, ["1"], -1, True, 0)
@@ -211,7 +211,7 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
         return
     dim = ideal_dimension(gb)
     points, exact, free = sampled_rational_solutions(
-        equations, unknowns, sample_values=sample_values
+        gb, unknowns, sample_values=sample_values
     )
     report.strata.append(
         StratumReport(

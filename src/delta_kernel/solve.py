@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .factor import rational_roots
-from .groebner import GREVLEX, LEX, buchberger, independent_variable_set
+from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger, independent_variable_set
 from .multipoly import poly_gcd
 
 
@@ -60,17 +60,20 @@ def sampled_rational_solutions(gens, vars, sample_values=(0, 1, -1, 2, -2, 3), _
 
     exact is True when the system was zero-dimensional and the enumeration
     is complete; otherwise staircase-independent variables were specialized
-    over sample_values and free_vars lists them.
+    over sample_values and free_vars lists them.  gens may be a
+    GroebnerBasis; a grevlex one is used as it is.
     """
     vars = tuple(vars)
     free = list(_free) if _free else []
+    gb = gens if isinstance(gens, GroebnerBasis) and gens.order == GREVLEX else None
     gens = [g for g in gens if not g.is_zero()]
     if not vars:
         return ([{}] if not gens else []), True, free
     if not gens:
         point = {v: Fraction(0) for v in vars}
         return [point], False, free + list(vars)
-    gb = buchberger(gens, GREVLEX)
+    if gb is None:
+        gb = buchberger(gens, GREVLEX)
     if gb.is_unit_ideal():
         return [], True, free
     indep = independent_variable_set(gb)

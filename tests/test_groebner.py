@@ -1,5 +1,8 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from delta_kernel.groebner import (
     GREVLEX,
@@ -13,7 +16,8 @@ from delta_kernel.groebner import (
     s_polynomial,
     saturate,
 )
-from delta_kernel.multipoly import MultiPoly
+from delta_kernel.multipoly import MultiPoly, exponents_upto, order_key
+from delta_kernel.solve import sampled_rational_solutions
 
 from conftest import default_seed, random_multipoly
 
@@ -209,3 +213,99 @@ def test_criteria_match_plain_buchberger():
             fast = buchberger(list(gens), order)
             slow = _buchberger_no_criteria(list(gens), order)
             assert set(fast.generators) == set(slow.generators)
+
+
+def _tie_heavy_system(rng, sig):
+    """Three to five generators of two or three terms, each term a squarefree
+    monomial of degree <= 2: leading monomials share variables, so many
+    pairs share an lcm."""
+    monos = [e for e in exponents_upto(len(sig), 2) if max(e) <= 1]
+    gens = []
+    for _ in range(rng.randint(3, 5)):
+        chosen = rng.sample(monos, rng.randint(2, 3))
+        coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)) for _ in chosen]
+        gens.append(MultiPoly(sig, dict(zip(chosen, coeffs))))
+    return gens
+
+
+def test_tied_lcms_match_plain_buchberger_and_permutations():
+    from delta_kernel.groebner import _lcm
+
+    rng = random.Random(default_seed() + 11)
+    sig = ("a", "b", "c", "d")
+    tied = 0
+    for _ in range(15):
+        gens = _tie_heavy_system(rng, sig)
+        for order in (GREVLEX, LEX):
+            key = order_key(order)
+            leads = [max(g.terms, key=key) for g in gens]
+            lcms = [_lcm(p, q) for p, q in combinations(leads, 2)]
+            tied += len(lcms) - len(set(lcms))
+            fast = buchberger(list(gens), order)
+            slow = _buchberger_no_criteria(list(gens), order)
+            assert set(fast.generators) == set(slow.generators)
+            for _ in range(2):
+                shuffled = list(gens)
+                rng.shuffle(shuffled)
+                assert buchberger(shuffled, order).generators == fast.generators
+    # the systems exercise the tie-break: many initial pairs share an lcm
+    assert tied >= 30
+
+
+def test_buchberger_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(default_seed() + 12)
+    sig = ("x", "y", "z")
+    syms = sympy.symbols(sig)
+
+    def to_sympy(p):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**k for s, k in zip(syms, e))
+            for e, c in p.terms.items()
+        )
+
+    checked = 0
+    for _ in range(12):
+        gens = [random_multipoly(rng, sig, max_degree=2, max_terms=3) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        for order in (GREVLEX, LEX):
+            ours = {g.monic(order) for g in buchberger(list(gens), order).generators}
+            theirs = set()
+            for g in sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, domain="QQ").exprs:
+                terms = {
+                    e: Fraction(int(c.p), int(c.q))
+                    for e, c in sympy.Poly(g, *syms).terms()
+                }
+                theirs.add(MultiPoly(sig, terms).monic(order))
+            assert ours == theirs
+            checked += 1
+    assert checked >= 16
+
+
+def test_sampled_solutions_reuse_a_given_basis(monkeypatch):
+    import delta_kernel.solve as solve
+
+    runs = []
+
+    def counting_buchberger(gens, order=None):
+        runs.append(order)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(solve, "buchberger", counting_buchberger)
+    systems = [
+        [X * Y - 1, Y * Y - 1],  # zero-dimensional
+        [X * Y - Y],  # a line and a point: sampled
+        [X, X + 1],  # unit ideal
+    ]
+    for gens in systems:
+        runs.clear()
+        want = sampled_rational_solutions(gens, SIG)
+        from_gens = len(runs)
+        for order, saved in ((GREVLEX, 1), (LEX, 0)):
+            runs.clear()
+            assert sampled_rational_solutions(buchberger(gens, order), SIG) == want
+            assert len(runs) == from_gens - saved
+        for point in want[0]:
+            assert all(g.evaluate(point) == 0 for g in gens)
