@@ -547,7 +547,9 @@ def ritt_reduce(g, aset):
         h = f
         for k, times in enumerate(theta, start=1):
             h = ctx.d(k, h, times)
-        e, q, result.remainder = _pseudo_reduce_once(result.remainder, h, v, ctx)
+        e, q, r = _pseudo_reduce_once(result.remainder, h, v, ctx)
+        # drop the columns of the indeterminates this step eliminated
+        result.remainder = DiffPoly(ctx, r.body.restrict(ctx._signature(r.indets())))
         if e:
             # the leading coefficient of a proper derivative of f is f's
             # separant; of f itself, f's initial

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from .multipoly import dense_coeffs, from_dense, horner, interpolate, poly_gcd
+from .multipoly import dense_coeffs, from_dense, interpolate, poly_gcd
 
 
 def _main_index(p):
@@ -22,27 +23,39 @@ def _main_index(p):
 
 
 def _int_divisors(n):
+    """Sorted positive divisors of n (none for 0), built from the prime
+    factors that trial division finds; each factor divided out shrinks the
+    bound, so smooth numbers (products of eigenvalues) factor at once."""
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    if not n:
+        return []
+    out = [1]
+    p = 2
+    while p * p <= n:
+        if not n % p:
+            powers = [1]
+            while not n % p:
+                n //= p
+                powers.append(powers[-1] * p)
+            out = [d * q for d in out for q in powers]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out += [d * n for d in out]
     return sorted(out)
 
 
 def rational_roots(p):
     """All rational roots of a univariate polynomial, with multiplicities.
 
-    Returns a list of (root, multiplicity) sorted by root.
+    Returns a list of (root, multiplicity) sorted by root.  The primitive
+    form has integer coefficients a_k, so a candidate p/q in lowest terms is
+    a root iff sum_k a_k p^k q^(n-k) == 0, and then (qX - p) divides the
+    polynomial over the integers (Gauss's lemma): all in int arithmetic.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     i = _main_index(p)
-    coeffs = dense_coeffs(p.primitive(), i)
+    coeffs = [c.numerator for c in dense_coeffs(p.primitive(), i)]
     roots = []
     # strip powers of the variable: root 0
     shift = 0
@@ -53,30 +66,42 @@ def rational_roots(p):
         roots.append((Fraction(0), shift))
     if len(coeffs) == 1:
         return roots
-    a0 = coeffs[0].numerator
-    an = coeffs[-1].numerator
 
-    def deflate(f, x):
-        # synthetic division by (X - x); caller guarantees exactness
-        out = [Fraction(0)] * (len(f) - 1)
-        acc = Fraction(0)
+    def vanishes(f, num, den):
+        # den^n f(num/den), by Horner's rule on the homogenised form
+        acc, scale = f[-1], 1
+        for c in reversed(f[:-1]):
+            scale *= den
+            acc = acc * num + c * scale
+        return not acc
+
+    def deflate(f, num, den):
+        # exact quotient of f by (den X - num), from the top coefficient down
+        out = [0] * (len(f) - 1)
+        carry, exact = 0, True
         for k in range(len(f) - 1, 0, -1):
-            acc = f[k] + acc * x
-            out[k - 1] = acc
+            q, r = divmod(f[k] + carry, den)
+            exact = exact and not r
+            out[k - 1] = q
+            carry = num * q
+        if not exact or f[0] + carry:
+            raise ArithmeticError(f"{den}X - {num} leaves a remainder on a polynomial it annuls")
         return out
 
-    candidates = set()
-    for num in _int_divisors(a0):
-        for den in _int_divisors(an):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        mult = 0
-        while len(coeffs) > 1 and not horner(coeffs, cand):
-            coeffs = deflate(coeffs, cand)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
+    # each candidate num/den in lowest terms once; the order found does not
+    # matter, since every root is divided out to its full multiplicity
+    dens = _int_divisors(coeffs[-1])
+    for num in _int_divisors(coeffs[0]):
+        for den in dens:
+            if gcd(num, den) != 1:
+                continue
+            for signed in (num, -num):
+                mult = 0
+                while len(coeffs) > 1 and vanishes(coeffs, signed, den):
+                    coeffs = deflate(coeffs, signed, den)
+                    mult += 1
+                if mult:
+                    roots.append((Fraction(signed, den), mult))
     return sorted(roots)
 
 

@@ -8,6 +8,16 @@ pair's lcm, stored when the pair is formed (ties broken on the pair's
 indices); the coprimality and chain criteria skip pairs, and every basis
 element's leading monomial is computed once and reused by the pairs, the
 S-polynomials, the reductions and the final interreduction.
+
+Reduction is fraction-free: basis elements, S-polynomials and remainders
+are dicts from exponent tuples to Python ints, each basis element primitive
+with a positive leading coefficient.  A reduction step cross-multiplies,
+work := a*work - b*x^shift*g with a, b the leading-coefficient ratio in
+lowest terms, so every intermediate polynomial is a nonzero rational
+multiple of the one that reduction over Q would build: the leading
+monomials, the pairs, the criteria and each chosen divisor are the same.
+Only the final reduced basis is made monic over Q, and normal_form divides
+its remainder once by the multiplier the steps accumulated.
 """
 
 from __future__ import annotations
@@ -15,20 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, lcm
+from operator import add, ge, mul, sub
 
 from .multipoly import GREVLEX, LEX, MultiPoly, order_key
 
 
 def _lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(ge, e2, e1))
 
 
 def _coprime(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+    return not any(map(mul, e1, e2))
 
 
 @dataclass(frozen=True)
@@ -48,72 +60,114 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
 
+def _primitive(t, le):
+    """(t / g, g) for the gcd g of the integer coefficients of t, signed so
+    that the coefficient at the monomial le becomes positive."""
+    g = gcd(*t.values())
+    if t[le] < 0:
+        g = -g
+    return (t if g == 1 else {e: c // g for e, c in t.items()}), g
+
+
+def _integral(p, key):
+    """(t, le, c) for a nonzero MultiPoly p: its leading monomial le and the
+    primitive integer term dict t, positive at le, with c * t == p."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    t = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    le = max(t, key=key)
+    t, g = _primitive(t, le)
+    return t, le, Fraction(g, den)
+
+
+def _from_ints(t, scale, vars, order):
+    """The MultiPoly with coefficients scale * t[e]."""
+    out = MultiPoly.zero(vars, order)
+    out.terms = {e: c * scale for e, c in t.items()}
+    return out
+
+
 def normal_form(p, basis, order=None):
     """Remainder of p on division by the basis; no term divisible by any LT.
 
     normal_form(p, G) == 0 iff p lies in the ideal, when G is a Groebner
-    basis for the order.
+    basis for the order.  The remainder is exact, not a scalar multiple.
     """
     gens = list(basis.generators) if isinstance(basis, GroebnerBasis) else list(basis)
     if order is None:
         order = basis.order if isinstance(basis, GroebnerBasis) else p.order
+    if p.is_zero():
+        return MultiPoly.zero(p.vars, order)
     key = order_key(order)
-    gens = [g for g in gens if not g.is_zero()]
-    return _reduce(p, gens, [max(g.terms, key=key) for g in gens], key, order)
+    ints = [_integral(g, key) for g in gens if not g.is_zero()]
+    t, _, content = _integral(p, key)
+    rem, mult = _reduce(t, [g for g, _, _ in ints], [le for _, le, _ in ints], key)
+    return _from_ints(rem, content / mult, p.vars, order)
 
 
-def _reduce(p, gens, leads, key, order):
-    """normal_form of p by nonzero gens whose leading monomials are leads."""
+def _reduce(t, gens, leads, key):
+    """(r, m): the remainder r of m * t on division by the integer term dicts
+    gens, whose leading monomials are leads and leading coefficients
+    positive; m is the positive integer the cross-multiplications built up,
+    so r / m is the remainder of t over Q."""
     rem = {}
-    work = dict(p.terms)
+    work = dict(t)
+    mult = 1
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        hit = None
         for g, le in zip(gens, leads):
             if _divides(le, e):
-                hit = (g, le)
                 break
-        if hit is None:
-            rem[e] = rem.get(e, Fraction(0)) + c
-            if not rem[e]:
-                del rem[e]
+        else:
+            rem[e] = c
             continue
-        g, le = hit
-        factor = c / g.terms[le]
-        shift = tuple(a - b for a, b in zip(e, le))
-        for ge, gc in g.terms.items():
-            ne = tuple(a + b for a, b in zip(ge, shift))
+        lc = g[le]
+        d = gcd(c, lc)
+        a, b = lc // d, c // d
+        if a != 1:
+            mult *= a
+            for k in work:
+                work[k] *= a
+            for k in rem:
+                rem[k] *= a
+        shift = tuple(map(sub, e, le))
+        for te, tc in g.items():
+            ne = tuple(map(add, te, shift))
             if ne == e:
                 continue
-            acc = work.get(ne, Fraction(0)) - factor * gc
+            acc = work.get(ne, 0) - b * tc
             if acc:
                 work[ne] = acc
             elif ne in work:
                 del work[ne]
-    out = MultiPoly.zero(p.vars, order)
-    out.terms = rem
-    return out
+    return rem, mult
 
 
 def s_polynomial(f, g, order):
-    key = order_key(order)
-    ef = max(f.terms, key=key)
-    eg = max(g.terms, key=key)
-    return _s_poly(f, ef, g, eg, _lcm(ef, eg))
+    ef, cf = f.leading(order)
+    eg, cg = g.leading(order)
+    lij = _lcm(ef, eg)
+    mf = tuple(map(sub, lij, ef))
+    mg = tuple(map(sub, lij, eg))
+    return f.mul_monomial(mf, 1 / cf) - g.mul_monomial(mg, 1 / cg)
 
 
-def _s_poly(f, ef, g, eg, lcm):
-    """s_polynomial of f and g with leading monomials ef, eg and their lcm."""
-    mf = tuple(a - b for a, b in zip(lcm, ef))
-    mg = tuple(a - b for a, b in zip(lcm, eg))
-    return f.mul_monomial(mf, 1 / f.terms[ef]) - g.mul_monomial(mg, 1 / g.terms[eg])
-
-
-def _monic(p, key):
-    """(p with leading coefficient 1, its leading monomial) for nonzero p."""
-    le = max(p.terms, key=key)
-    return p.scale(1 / p.terms[le]), le
+def _s_poly(f, ef, g, eg, lij):
+    """An integer multiple of the S-polynomial of the integer term dicts f
+    and g with leading monomials ef, eg and their lcm lij."""
+    d = gcd(f[ef], g[eg])
+    a, b = g[eg] // d, f[ef] // d
+    mf = tuple(map(sub, lij, ef))
+    mg = tuple(map(sub, lij, eg))
+    out = {tuple(map(add, e, mf)): a * c for e, c in f.items()}
+    for e, c in g.items():
+        ne = tuple(map(add, e, mg))
+        acc = out.get(ne, 0) - b * c
+        if acc:
+            out[ne] = acc
+        else:
+            del out[ne]
+    return out
 
 
 def buchberger(gens, order=None):
@@ -128,9 +182,9 @@ def buchberger(gens, order=None):
     key = order_key(order)
     basis, leads = [], []
     for g in gens:
-        g, le = _monic(g.with_order(order), key)
-        if g not in basis:
-            basis.append(g)
+        t, le, _ = _integral(g, key)
+        if t not in basis:
+            basis.append(t)
             leads.append(le)
     # normal selection: a heap of (key(lcm), i, j, lcm), smallest lcm first,
     # ties broken on (i, j); each pair is pushed once, when it is formed
@@ -139,8 +193,8 @@ def buchberger(gens, order=None):
 
     def form_pairs(new):
         for k in range(new):
-            lcm = _lcm(leads[k], leads[new])
-            heappush(pairs, (key(lcm), k, new, lcm))
+            lij = _lcm(leads[k], leads[new])
+            heappush(pairs, (key(lij), k, new, lij))
 
     def chain_skip(i, j, lij):
         for k in range(len(basis)):
@@ -163,23 +217,28 @@ def buchberger(gens, order=None):
         if chain_skip(i, j, lij):
             continue
         s = _s_poly(basis[i], leads[i], basis[j], leads[j], lij)
-        r = _reduce(s, basis, leads, key, order)
-        if r.is_zero():
+        r, _ = _reduce(s, basis, leads, key)
+        if not r:
             continue
-        r, le = _monic(r, key)
-        basis.append(r)
+        le = max(r, key=key)
+        basis.append(_primitive(r, le)[0])
         leads.append(le)
         form_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, order, leads)), order, vars)
+    return GroebnerBasis(tuple(_reduced(basis, leads, key, vars, order)), order, vars)
 
 
-def _interreduce(basis, order, leads=None):
-    """Reduced basis, smallest leading monomial first, from a Groebner basis
-    and its leading monomials (computed when not given)."""
+def _interreduce(basis, order):
+    """Reduced basis, smallest leading monomial first, of a Groebner basis
+    given as MultiPolys."""
     key = order_key(order)
-    if leads is None:
-        basis = [g for g in basis if not g.is_zero()]
-        leads = [max(g.terms, key=key) for g in basis]
+    ints = [_integral(g, key) for g in basis if not g.is_zero()]
+    vars = basis[0].vars if basis else ()
+    return _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], key, vars, order)
+
+
+def _reduced(basis, leads, key, vars, order):
+    """Reduced basis, smallest leading monomial first, as monic MultiPolys,
+    from a Groebner basis of integer term dicts and their leading monomials."""
     # drop generators whose leading monomial a kept one divides; smaller
     # monomials come first, and of equal ones the first is kept
     kept, kept_leads = [], []
@@ -192,9 +251,9 @@ def _interreduce(basis, order, leads=None):
     for idx, (g, le) in enumerate(zip(kept, kept_leads)):
         others = kept[:idx] + kept[idx + 1 :]
         if others:
-            g = _reduce(g, others, kept_leads[:idx] + kept_leads[idx + 1 :], key, order)
-        kept[idx] = g.scale(1 / g.terms[le])
-    return kept
+            g, _ = _reduce(g, others, kept_leads[:idx] + kept_leads[idx + 1 :], key)
+            kept[idx] = _primitive(g, le)[0]
+    return [_from_ints(g, Fraction(1, g[le]), vars, order) for g, le in zip(kept, kept_leads)]
 
 
 def _max_independent_set(basis):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .factor import rational_roots
-from .multipoly import from_dense, interpolate
+from .multipoly import from_dense
 
 
 class ExactMatrix:
@@ -108,56 +108,62 @@ def nullspace(m):
     return basis
 
 
-def det(m):
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    a = [row[:] for row in m.entries]
-    n = m.rows
-    zero = m.one - m.one
-    sign = m.one
-    acc = m.one
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return zero
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-            sign = -sign
-        acc = acc * a[c][c]
-        inv = m.one / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * acc
-
-
 def charpoly(m):
     """Monic characteristic polynomial det(X*I - M) as a univariate MultiPoly.
 
-    Fraction entries only.  Computed by exact interpolation: n+1 determinant
-    evaluations at X = 0..n.
+    Fraction entries only.  M is brought to upper Hessenberg form H by
+    similarity transforms (row operations each matched by the inverse column
+    operation), then the characteristic polynomials p_k of the leading k x k
+    blocks of H follow from
+
+        p_k = (X - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) p_(i-1)
+
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9):
+    O(n^3) field operations, no determinant.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    values = []
-    for x in range(n + 1):
-        shifted = ExactMatrix(
-            [
-                [
-                    (Fraction(x) if i == j else Fraction(0)) - m.entries[i][j]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        values.append(det(shifted))
-    return from_dense(interpolate(list(enumerate(values))), ("X",))
+    h = [[Fraction(x) for x in row] for row in m.entries]
+    for c in range(n - 2):
+        # clear column c below the subdiagonal, pivoting on row c + 1
+        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for row in h:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        top = h[c + 1]
+        for i in range(c + 2, n):
+            if not h[i][c]:
+                continue
+            u = h[i][c] / top[c]
+            row_i = h[i]
+            for j in range(c, n):
+                if top[j]:
+                    row_i[j] -= u * top[j]
+            for row in h:
+                if row[i]:
+                    row[c + 1] += u * row[i]
+    # polys[k]: dense characteristic polynomial of the leading k x k block
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[k]
+        p = [Fraction(0)] + prev
+        for d, c in enumerate(prev):
+            p[d] -= h[k][k] * c
+        t = Fraction(1)
+        for i in range(k, 0, -1):
+            t *= h[i][i - 1]
+            if not t:
+                break
+            coef = h[i - 1][k] * t
+            if coef:
+                for d, c in enumerate(polys[i - 1]):
+                    p[d] -= coef * c
+        polys.append(p)
+    return from_dense(polys[n], ("X",))
 
 
 @dataclass

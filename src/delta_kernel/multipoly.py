@@ -308,31 +308,46 @@ class MultiPoly:
         """Substitute polynomials/Fractions for variables (by id).
 
         `values` maps variable ids to MultiPoly (over this signature) or
-        exact rationals.  Unmapped variables stay untouched.
+        exact rationals.  Unmapped variables stay untouched.  The image of
+        each term goes straight into one dict: a number's power scales the
+        coefficient, a polynomial's power contributes its terms.
         """
         idx = {}
         for v, val in values.items():
-            i = self.vars.index(v)
-            if isinstance(val, (int, Fraction)):
-                val = MultiPoly.const(self.vars, val, self.order)
-            idx[i] = val
-        result = MultiPoly.zero(self.vars, self.order)
+            if not isinstance(val, (int, Fraction)):
+                self._check(val)
+            idx[self.vars.index(v)] = val
+        terms = {}
         pow_cache = {}
         for e, c in self.terms.items():
-            factor = MultiPoly.const(self.vars, c, self.order)
             rest = list(e)
+            factor = None
             for i, val in idx.items():
                 if e[i]:
-                    key = (i, e[i])
-                    p = pow_cache.get(key)
+                    p = pow_cache.get((i, e[i]))
                     if p is None:
-                        p = val ** e[i]
-                        pow_cache[key] = p
-                    factor = factor * p
+                        p = pow_cache[(i, e[i])] = val ** e[i]
+                    if isinstance(p, MultiPoly):
+                        factor = p if factor is None else factor * p
+                    else:
+                        c = c * p
                     rest[i] = 0
-            factor = factor.mul_monomial(tuple(rest))
-            result = result + factor
-        return result
+            if factor is None:
+                image = ((tuple(rest), c),)
+            else:
+                image = [
+                    (tuple(x + y for x, y in zip(fe, rest)), c * fc)
+                    for fe, fc in factor.terms.items()
+                ]
+            for ne, nc in image:
+                acc = terms.get(ne, 0) + nc
+                if acc:
+                    terms[ne] = acc
+                else:
+                    terms.pop(ne, None)
+        out = MultiPoly.zero(self.vars, self.order)
+        out.terms = terms
+        return out
 
     def evaluate(self, point):
         """Evaluate at a full point given as {var id: Fraction}."""

@@ -24,7 +24,7 @@ from delta_kernel.multipoly import (
 )
 from delta_kernel.ratfunc import RatFunc
 
-from conftest import default_seed, random_multipoly
+from conftest import default_seed, random_fraction, random_multipoly
 
 SIG = ("x", "y")
 X = MultiPoly.var(SIG, "x")
@@ -83,6 +83,43 @@ class TestPolyArith:
             q = p.restrict(wide)
             assert q.vars == wide
             assert q.restrict(SIG) == p
+
+    def test_substitute_matches_term_by_term_composition(self):
+        rng = random.Random(default_seed() + 5)
+        sig = ("x", "y", "z")
+        for _ in range(40):
+            p = random_multipoly(rng, sig, max_degree=4, max_terms=6)
+            values = {
+                "x": random_fraction(rng),
+                "y": random_multipoly(rng, sig, max_degree=2, max_terms=3),
+            }
+            if rng.random() < 0.5:
+                values["z"] = rng.randint(-3, 3)
+            want = MultiPoly.zero(sig)
+            for e, c in p.terms.items():
+                term = MultiPoly.const(sig, c)
+                for v, k in zip(sig, e):
+                    val = values.get(v, MultiPoly.var(sig, v))
+                    if not isinstance(val, MultiPoly):
+                        val = MultiPoly.const(sig, val)
+                    term = term * val**k
+                want = want + term
+            got = p.substitute(values)
+            assert got == want
+            assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+    def test_substitute_cancelling_to_zero(self):
+        got = (X * Y - 2 * X).substitute({"y": 2})
+        assert got.is_zero() and got.terms == {}
+        assert (X * Y - Y * Y).substitute({"x": Y}).is_zero()
+        assert (X * X + Y).substitute({"x": 0, "y": 0}).terms == {}
+
+    def test_substitute_unused_variable(self):
+        sig = ("x", "y", "z")
+        p = MultiPoly(sig, {(2, 1, 0): Fraction(3, 2), (0, 0, 0): Fraction(-1)})
+        assert p.substitute({"z": Fraction(5, 7)}) == p
+        assert p.substitute({"z": MultiPoly.var(sig, "x")}) == p
+        assert p.substitute({}) == p
 
     def test_gcd_common_factor(self):
         g = poly_gcd((X + Y) * (X - Y), (X + Y) * (X + 1))
@@ -173,6 +210,38 @@ class TestLinalg:
         cp = charpoly(ExactMatrix([[2, 1, 0], [0, 3, -1], [1, 0, 1]]))
         # X^3 - 6X^2 + 11X - 5
         assert dense_coeffs(cp) == [-5, 11, -6, 1]
+        # a zero subdiagonal entry with a nonzero one below it: a row swap
+        cp = charpoly(ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))
+        assert dense_coeffs(cp) == [0, -1, 0, 1]
+        assert dense_coeffs(charpoly(ExactMatrix([]))) == [1]
+
+    def test_charpoly_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(default_seed() + 6)
+        lam = sympy.Symbol("lam")
+
+        def entry():
+            return rng.choice([Fraction(0)] * 2 + [random_fraction(rng)])
+
+        for trial in range(36):
+            n = rng.randint(1, 10)
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            shape = ("dense", "block", "zero_subdiagonal")[trial % 3]
+            if shape == "block":
+                # block upper triangular: the Darboux action matrices on a
+                # graded basis have this shape
+                cut = rng.randint(0, n)
+                for i in range(cut, n):
+                    for j in range(cut):
+                        rows[i][j] = Fraction(0)
+            elif shape == "zero_subdiagonal":
+                for i in range(1, n):
+                    rows[i][i - 1] = Fraction(0)
+            want = sympy.Matrix(
+                [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+            ).charpoly(lam).all_coeffs()
+            got = dense_coeffs(charpoly(ExactMatrix(rows)))
+            assert got == [Fraction(int(c.p), int(c.q)) for c in reversed(want)]
 
     def test_eigen_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -187,6 +256,45 @@ class TestFactor:
         p = (t - 2) * (t - 2) * (2 * t + 1)
         roots = rational_roots(p)
         assert roots == [(Fraction(-1, 2), 1), (Fraction(2), 2)]
+
+    def test_rational_roots_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from delta_kernel.factor import rational_roots
+
+        rng = random.Random(default_seed() + 7)
+        sig = ("t",)
+        t = MultiPoly.var(sig, "t")
+        T = sympy.Symbol("t")
+        seen = {"zero root": 0, "repeated root": 0, "non-monic": 0}
+        for _ in range(50):
+            # linear factors (q t - p)^k, maybe t^k, times an integer cofactor
+            p = MultiPoly.const(sig, rng.choice([1, -1, 2, 3, -4, 6, 12]))
+            degree = 0
+            for _ in range(rng.randint(0, 4)):
+                k = rng.randint(1, 3)
+                root = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                p = p * (root.denominator * t - root.numerator) ** k
+                degree += k
+            cofactor = random_multipoly(rng, sig, max_degree=12 - degree, max_terms=4)
+            if not cofactor.is_zero():
+                p = p * cofactor.scale(cofactor.content() ** -1 * rng.randint(1, 5))
+            if p.total_degree() > 12 or p.total_degree() < 1:
+                continue
+            prim = p.primitive()
+            expr = sum(
+                (sympy.Integer(int(c)) * T ** e[0] for e, c in prim.terms.items()),
+                sympy.Integer(0),
+            )
+            # no radical formulas: only the rational roots are compared
+            want = sympy.roots(
+                sympy.Poly(expr, T), filter="Q", cubics=False, quartics=False, quintics=False
+            )
+            got = rational_roots(p)
+            assert got == sorted((Fraction(int(r.p), int(r.q)), m) for r, m in want.items())
+            seen["zero root"] += any(r == 0 for r, _ in got)
+            seen["repeated root"] += any(m > 1 for _, m in got)
+            seen["non-monic"] += prim.leading()[1] != 1
+        assert min(seen.values()) >= 5, seen
 
     def test_factor_univariate(self):
         from delta_kernel.factor import factor_univariate

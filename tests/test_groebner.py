@@ -252,17 +252,24 @@ def test_tied_lcms_match_plain_buchberger_and_permutations():
     assert tied >= 30
 
 
+def _to_sympy(sympy, syms, p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**k for s, k in zip(syms, e))
+         for e, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(sympy, syms, expr, sig):
+    terms = {e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(expr, *syms).terms() if c}
+    return MultiPoly(sig, terms)
+
+
 def test_buchberger_matches_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(default_seed() + 12)
     sig = ("x", "y", "z")
     syms = sympy.symbols(sig)
-
-    def to_sympy(p):
-        return sum(
-            sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**k for s, k in zip(syms, e))
-            for e, c in p.terms.items()
-        )
 
     checked = 0
     for _ in range(12):
@@ -272,16 +279,65 @@ def test_buchberger_matches_sympy():
             continue
         for order in (GREVLEX, LEX):
             ours = {g.monic(order) for g in buchberger(list(gens), order).generators}
-            theirs = set()
-            for g in sympy.groebner([to_sympy(g) for g in gens], *syms, order=order, domain="QQ").exprs:
-                terms = {
-                    e: Fraction(int(c.p), int(c.q))
-                    for e, c in sympy.Poly(g, *syms).terms()
-                }
-                theirs.add(MultiPoly(sig, terms).monic(order))
+            theirs = {
+                _from_sympy(sympy, syms, g, sig).monic(order)
+                for g in sympy.groebner(
+                    [_to_sympy(sympy, syms, g) for g in gens], *syms, order=order, domain="QQ"
+                ).exprs
+            }
             assert ours == theirs
             checked += 1
     assert checked >= 16
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice([-7, -5, -3, -2, -1, 1, 2, 3, 5, 7]), rng.randint(1, 9))
+
+
+def test_normal_form_is_the_exact_remainder():
+    """Fraction-free reduction must not return a scalar multiple of the
+    remainder: on a reduced basis the remainder is unique, so sympy's
+    division must give it exactly, also when the divisors and the input are
+    non-monic."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(default_seed() + 13)
+    sig = ("x", "y", "z")
+    syms = sympy.symbols(sig)
+    nonzero = 0
+    for _ in range(20):
+        gens = [
+            random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False)
+            for _ in range(rng.randint(1, 2))
+        ]
+        for order in (GREVLEX, LEX):
+            gb = buchberger(gens, order)
+            if gb.is_unit_ideal():
+                continue
+            scaled = [g.scale(_nonzero_fraction(rng)) for g in gb.generators]
+            p = random_multipoly(rng, sig, max_degree=4, max_terms=6, allow_zero=False)
+            p = p.scale(_nonzero_fraction(rng))
+            _, r = sympy.reduced(
+                _to_sympy(sympy, syms, p), [_to_sympy(sympy, syms, g) for g in gb.generators],
+                *syms, order=order, domain="QQ",
+            )
+            want = _from_sympy(sympy, syms, r, sig)
+            assert normal_form(p, gb) == want
+            assert normal_form(p, scaled, order) == want
+            nonzero += not want.is_zero()
+    assert nonzero >= 16
+
+
+def test_buchberger_ignores_generator_scaling():
+    rng = random.Random(default_seed() + 14)
+    sig = ("x", "y", "z")
+    for _ in range(15):
+        gens = [random_multipoly(rng, sig, max_degree=2, max_terms=3) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        for order in (GREVLEX, LEX):
+            scaled = [g.scale(_nonzero_fraction(rng)) for g in gens]
+            assert buchberger(scaled, order).generators == buchberger(gens, order).generators
 
 
 def test_sampled_solutions_reuse_a_given_basis(monkeypatch):
