@@ -52,6 +52,11 @@ class MathError(Exception):
     pass
 
 
+class InternalError(Exception):
+    """A result that the mathematics guarantees failed its own check: a bug
+    in this package, not in the input."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -385,14 +390,11 @@ def _cmd_reduce(args, problem):
     if args.poly in problem.polys:
         g = problem.polys[args.poly]
     else:
-        try:
-            g = parse_diff_expression(args.poly, problem.ctx)
-        except ParseError:
-            raise
+        g = parse_diff_expression(args.poly, problem.ctx)
     res = ritt_reduce(g, aset)
     ok = res.verify()
     if not ok:
-        raise MathError("certificate failed to re-expand (internal error)")
+        raise InternalError("certificate failed to re-expand")
     results = {
         "input": print_diffpoly(g),
         "remainder": print_diffpoly(res.remainder),
@@ -443,7 +445,7 @@ def _cmd_wedge_check(args, problem):
         if len(examples) < 3:
             examples.append({"instance": i, "status": verdict.status, "detail": verdict.detail})
     if statuses["refuted"]:
-        raise MathError("an implication instance failed; this cannot happen")
+        raise InternalError("an implication instance failed; this cannot happen")
     results = {
         "dimension": dim,
         "instances": args.count,
@@ -640,6 +642,9 @@ def main(argv=None, stdout=None, stderr=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=stderr)
+        return 4
     except (MathError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=stderr)
         return 3

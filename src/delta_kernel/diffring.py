@@ -237,14 +237,7 @@ class DiffPoly:
         """Coefficient of v**d, as a DiffPoly free of v."""
         if v not in self.body.vars:
             return self if d == 0 else self.ctx.const(0)
-        i = self.body.vars.index(v)
-        terms = {}
-        for e, c in self.body.terms.items():
-            if e[i] == d:
-                ne = list(e)
-                ne[i] = 0
-                terms[tuple(ne)] = c
-        return DiffPoly(self.ctx, MultiPoly(self.body.vars, terms, self.body.order))
+        return DiffPoly(self.ctx, _coeff_of_power(self.body, self.body.vars.index(v), d))
 
     # ---------- arithmetic ----------
 
@@ -497,21 +490,34 @@ def _pseudo_reduce_once(r, h, v, ctx):
 
     h must have positive degree d in v; returns (e, q, rem) with
     lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient
-    of v**d in h.
+    of v**d in h.  The loop runs on the bodies of r and h, restricted once
+    onto their merged signature.
     """
-    d = h.degree_in(v)
-    lc = h.coeff_of_power(v, d)
-    q = ctx.const(0)
+    sig = ctx._signature(r.body.vars + h.body.vars)
+    rb, hb = r.body.restrict(sig), h.body.restrict(sig)
+    i = sig.index(v)
+    d = hb.degree_in(i)
+    lc = _coeff_of_power(hb, i, d)
+    q = MultiPoly.zero(sig, hb.order)
+    shift = [0] * len(sig)
     e = 0
     while True:
-        dr = r.degree_in(v)
+        dr = rb.degree_in(i)
         if dr < d:
-            return e, q, r
-        cr = r.coeff_of_power(v, dr)
-        vpow = ctx.indet(v.theta, v.var) ** (dr - d)
-        q = lc * q + cr * vpow
-        r = lc * r - cr * vpow * h
+            return e, DiffPoly(ctx, q), DiffPoly(ctx, rb)
+        shift[i] = dr - d
+        m = _coeff_of_power(rb, i, dr).mul_monomial(tuple(shift))
+        q = lc * q + m
+        rb = lc * rb - m * hb
         e += 1
+
+
+def _coeff_of_power(p, i, d):
+    """Coefficient of x**d in the MultiPoly p, x its variable at index i;
+    over p's signature, free of x."""
+    out = MultiPoly.zero(p.vars, p.order)
+    out.terms = {e[:i] + (0,) + e[i + 1 :]: c for e, c in p.terms.items() if e[i] == d}
+    return out
 
 
 def ritt_reduce(g, aset):
@@ -537,6 +543,8 @@ def ritt_reduce(g, aset):
         steps=[],
     )
 
+    # (number of steps so far, base**e) for each step that scaled
+    scales = []
     while True:
         target = _reduction_target(result.remainder, aset, leaders)
         if target is None:
@@ -558,11 +566,19 @@ def ritt_reduce(g, aset):
             else:
                 book, base = result.init_powers, f.initial()
             book[i] = book.get(i, 0) + e
-            scale = base ** e
-            for step in result.steps:
-                step.quotient = step.quotient * scale
+            scales.append((len(result.steps), base ** e))
         if not q.is_zero():
             result.steps.append(ReductionStep(i, theta, q))
+    # every scaling multiplies the quotients recorded before it: walk from
+    # the last step back, each quotient taking the product of the scales
+    # met after it
+    acc = None
+    for j in range(len(result.steps) - 1, -1, -1):
+        while scales and scales[-1][0] > j:
+            scale = scales.pop()[1]
+            acc = scale if acc is None else acc * scale
+        if acc is not None:
+            result.steps[j].quotient = result.steps[j].quotient * acc
     return result
 
 

@@ -129,21 +129,24 @@ def wedge(a, b):
     """Graded-anticommutative product with exact permutation signs."""
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch in wedge")
-    grade = a.grade + b.grade
     out = {}
+    get = out.get
     for sa, ca in a.coeffs.items():
         for sb, cb in b.coeffs.items():
             merged, sign = _merge_sign(sa, sb)
             if merged is None:
                 continue
-            c = ca * cb * sign
-            cur = out.get(merged)
-            total = c if cur is None else cur + c
-            if _nonzero(total):
-                out[merged] = total
-            elif merged in out:
-                del out[merged]
-    return ExtVector(a.dim, grade, out)
+            c = ca * cb
+            if sign < 0:
+                c = -c
+            cur = get(merged)
+            out[merged] = c if cur is None else cur + c
+    # merged subsets are valid by construction: skip the constructor's checks
+    result = ExtVector.__new__(ExtVector)
+    result.dim = a.dim
+    result.grade = a.grade + b.grade
+    result.coeffs = {s: c for s, c in out.items() if _nonzero(c)}
+    return result
 
 
 def wedge_all(vectors):

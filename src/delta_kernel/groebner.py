@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import add, ge, mul, sub
 
-from .multipoly import GREVLEX, LEX, MultiPoly, order_key
+from .multipoly import GREVLEX, LEX, MultiPoly, integer_terms, order_key
 
 
 def _lcm(e1, e2):
@@ -72,8 +72,7 @@ def _primitive(t, le):
 def _integral(p, key):
     """(t, le, c) for a nonzero MultiPoly p: its leading monomial le and the
     primitive integer term dict t, positive at le, with c * t == p."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    t = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    den, t = integer_terms(p.terms)
     le = max(t, key=key)
     t, g = _primitive(t, le)
     return t, le, Fraction(g, den)

@@ -5,12 +5,19 @@ exponent tuples to nonzero Fraction coefficients.  Two term orders are
 supported: graded reverse lexicographic (the default) and lexicographic
 (for elimination).  All arithmetic is exact; there is no floating point
 anywhere in this package.
+
+Coefficients stay Fraction at every interface.  Products run over a common
+denominator: each operand is cleared to integer numerators over the lcm of
+its denominators, the term pairs multiply and accumulate as Python ints,
+and one Fraction is built per surviving output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from math import lcm
+from operator import add, sub
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -199,7 +206,21 @@ class MultiPoly:
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other, self.order)
-        return self + (-other)
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            acc = terms.get(e)
+            if acc is None:
+                terms[e] = -c
+            else:
+                acc -= c
+                if acc:
+                    terms[e] = acc
+                else:
+                    del terms[e]
+        out = MultiPoly.zero(self.vars, self.order)
+        out.terms = terms
+        return out
 
     def __rsub__(self, other):
         return (-self) + other
@@ -210,25 +231,22 @@ class MultiPoly:
         self._check(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.vars, self.order)
-        a, b = self.terms, other.terms
+        da, a = integer_terms(self.terms)
+        db, b = integer_terms(other.terms)
         if len(a) < len(b):
             a, b = b, a
         terms = {}
+        get = terms.get
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                c = c1 * c2
-                acc = terms.get(e)
-                if acc is None:
-                    terms[e] = c
-                else:
-                    acc += c
-                    if acc:
-                        terms[e] = acc
-                    else:
-                        del terms[e]
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        den = da * db
         out = MultiPoly.zero(self.vars, self.order)
-        out.terms = terms
+        if den == 1:
+            out.terms = {e: Fraction(c) for e, c in terms.items() if c}
+        else:
+            out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -257,8 +275,7 @@ class MultiPoly:
         out = MultiPoly.zero(self.vars, self.order)
         if coeff:
             out.terms = {
-                tuple(x + y for x, y in zip(e, expo)): c * coeff
-                for e, c in self.terms.items()
+                tuple(map(add, e, expo)): c * coeff for e, c in self.terms.items()
             }
         return out
 
@@ -271,17 +288,26 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         key = order_key(self.order)
         le, lc = other.leading()
-        q = MultiPoly.zero(self.vars, self.order)
-        r = self
-        while r.terms:
-            re = max(r.terms, key=key)
-            diff = tuple(x - y for x, y in zip(re, le))
+        divisor = other.terms.items()
+        q = {}
+        r = dict(self.terms)
+        while r:
+            re = max(r, key=key)
+            diff = tuple(map(sub, re, le))
             if any(d < 0 for d in diff):
                 raise InexactDivisionError("polynomial division leaves a remainder")
-            c = r.terms[re] / lc
-            q = q + MultiPoly.monomial(self.vars, diff, c, self.order)
-            r = r - other.mul_monomial(diff, c)
-        return q
+            c = r[re] / lc
+            q[diff] = c
+            for oe, oc in divisor:
+                e = tuple(map(add, oe, diff))
+                acc = r.get(e, 0) - c * oc
+                if acc:
+                    r[e] = acc
+                else:
+                    del r[e]
+        out = MultiPoly.zero(self.vars, self.order)
+        out.terms = q
+        return out
 
     def divides(self, other):
         try:
@@ -294,12 +320,10 @@ class MultiPoly:
 
     def partial(self, i):
         """Formal partial derivative with respect to variable index i."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                terms[tuple(ne)] = c * e[i]
+        step = (0,) * i + (1,) + (0,) * (len(self.vars) - i - 1)
+        terms = {
+            tuple(map(sub, e, step)): c * e[i] for e, c in self.terms.items() if e[i]
+        }
         out = MultiPoly.zero(self.vars, self.order)
         out.terms = terms
         return out
@@ -383,7 +407,10 @@ class MultiPoly:
                         raise ValueError(f"variable {self.vars[i]!r} in use, cannot drop")
                     ne[j] = x
             terms[tuple(ne)] = c
-        return MultiPoly(vars, terms, self.order)
+        # distinct terms stay distinct: only zero columns are dropped
+        out = MultiPoly.zero(vars, self.order)
+        out.terms = terms
+        return out
 
     # ---------- normal forms ----------
 
@@ -444,6 +471,13 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"
+
+
+def integer_terms(terms):
+    """(den, {exponent: int}) with every coefficient equal to int / den,
+    den the lcm of the denominators."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 # ---------- monomials and dense univariate views ----------

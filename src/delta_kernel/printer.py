@@ -37,32 +37,40 @@ def print_diffpoly(f):
     body = f.body
     if body.is_zero():
         return "0"
+    vars = body.vars
+    # low-rank factors first, coefficient generators in front
+    columns = range(len(vars) - 1, -1, -1)
+    factor_strs = {}
     pieces = []
     for e, c in body.sorted_terms():
         factors = []
-        # low-rank factors first, coefficient generators in front
-        for i in range(len(body.vars) - 1, -1, -1):
+        for i in columns:
             exp = e[i]
             if not exp:
                 continue
-            v = body.vars[i]
-            if isinstance(v, CoeffGen):
-                factors.append(_coeff_factor(v, exp))
-            else:
-                factors.append(_indet_factor(v, exp))
+            s = factor_strs.get((i, exp))
+            if s is None:
+                v = vars[i]
+                if isinstance(v, CoeffGen):
+                    s = _coeff_factor(v, exp)
+                else:
+                    s = _indet_factor(v, exp)
+                factor_strs[(i, exp)] = s
+            factors.append(s)
         mono = "*".join(factors)
+        size = abs(c)
         if not mono:
-            chunk = _frac_str(abs(c))
-        elif abs(c) == 1:
+            chunk = _frac_str(size)
+        elif size == 1:
             chunk = mono
         else:
-            chunk = f"{_frac_str(abs(c))}*{mono}"
-        pieces.append(("-" if c < 0 else "+", chunk))
-    sign, chunk = pieces[0]
-    out = ("-" if sign == "-" else "") + chunk
-    for sign, chunk in pieces[1:]:
-        out += f" {sign} {chunk}"
-    return out
+            chunk = f"{_frac_str(size)}*{mono}"
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            pieces.append("-")
+        pieces.append(chunk)
+    return "".join(pieces)
 
 
 def print_named_poly(p, rename=None):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from delta_kernel import cli
 from delta_kernel.cli import build_parser, main, validate_report
-from delta_kernel.diffring import DiffContext
+from delta_kernel.diffring import DiffContext, ReductionResult
+from delta_kernel.exterior import LemmaVerdict
 from delta_kernel.parser import (
     ParseError,
     parse_diff_expression,
@@ -243,6 +245,17 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _, err = run(["analyze", "/nonexistent/path.dk"])
         assert code == 1
+
+    def test_certificate_that_fails_to_verify_is_internal(self, problem_path, monkeypatch):
+        monkeypatch.setattr(ReductionResult, "verify", lambda self: False)
+        code, out, err = run(["reduce", problem_path, "d1^4*u1", "--modulo", "L"])
+        assert code == 4 and "internal error" in err and out == ""
+
+    def test_refuted_wedge_instance_is_internal(self, monkeypatch):
+        refuted = LemmaVerdict("refuted", "beta ^ gamma = 0 but beta ^ omega != 0")
+        monkeypatch.setattr(cli, "factorization_implication_check", lambda *a: refuted)
+        code, out, err = run(["wedge-check", "--count", "3", "--seed", "7"])
+        assert code == 4 and "internal error" in err and out == ""
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -55,6 +56,24 @@ class TestWedge:
             assert wedge(b, a) == ab.scaled(Fraction(-1))
             assert wedge(ab, c) == wedge(c, ab)  # grades 2*1: sign +1
             assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+    def test_wedge_all_coefficients_are_minors(self, rng):
+        sympy = pytest.importorskip("sympy")
+        nonzero = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, n)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            w = wedge_all([ExtVector.from_components(n, [Fraction(x) for x in r]) for r in rows])
+            assert (w.dim, w.grade) == (n, k)
+            for cols in combinations(range(1, n + 1), k):
+                minor = sympy.Matrix([[r[j - 1] for j in cols] for r in rows]).det()
+                assert w.coeffs.get(cols, 0) == int(minor)
+            # what the unchecked build in wedge produced is a valid, zero-free vector
+            assert ExtVector(w.dim, w.grade, w.coeffs) == w
+            assert all(w.coeffs.values())
+            nonzero += not w.is_zero()
+        assert nonzero >= 30
 
 
 class TestImplication:
