@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multipoly import MultiPoly, SignatureMismatchError
+from .multipoly import MultiPoly, SignatureMismatchError, coeff_of_power
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ class DiffPoly:
         """Coefficient of v**d, as a DiffPoly free of v."""
         if v not in self.body.vars:
             return self if d == 0 else self.ctx.const(0)
-        return DiffPoly(self.ctx, _coeff_of_power(self.body, self.body.vars.index(v), d))
+        return DiffPoly(self.ctx, coeff_of_power(self.body, self.body.vars.index(v), d))
 
     # ---------- arithmetic ----------
 
@@ -497,7 +497,7 @@ def _pseudo_reduce_once(r, h, v, ctx):
     rb, hb = r.body.restrict(sig), h.body.restrict(sig)
     i = sig.index(v)
     d = hb.degree_in(i)
-    lc = _coeff_of_power(hb, i, d)
+    lc = coeff_of_power(hb, i, d)
     q = MultiPoly.zero(sig, hb.order)
     shift = [0] * len(sig)
     e = 0
@@ -506,18 +506,10 @@ def _pseudo_reduce_once(r, h, v, ctx):
         if dr < d:
             return e, DiffPoly(ctx, q), DiffPoly(ctx, rb)
         shift[i] = dr - d
-        m = _coeff_of_power(rb, i, dr).mul_monomial(tuple(shift))
+        m = coeff_of_power(rb, i, dr).mul_monomial(tuple(shift))
         q = lc * q + m
         rb = lc * rb - m * hb
         e += 1
-
-
-def _coeff_of_power(p, i, d):
-    """Coefficient of x**d in the MultiPoly p, x its variable at index i;
-    over p's signature, free of x."""
-    out = MultiPoly.zero(p.vars, p.order)
-    out.terms = {e[:i] + (0,) + e[i + 1 :]: c for e, c in p.terms.items() if e[i] == d}
-    return out
 
 
 def ritt_reduce(g, aset):

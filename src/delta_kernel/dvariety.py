@@ -25,7 +25,7 @@ from itertools import product
 from .factor import factor_univariate
 from .groebner import GREVLEX, buchberger, normal_form
 from .linalg import ExactMatrix, nullspace, rational_eigen, rref, stack
-from .multipoly import MultiPoly, exponents_upto, order_key
+from .multipoly import MultiPoly, coefficients, exponents_upto, order_key
 from .ratfunc import RatFunc
 from .solve import sampled_rational_solutions
 
@@ -319,18 +319,7 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
 
     residual = [derive_ext(k, f_ext) - cof_ext[k] * f_ext for k in range(spec.nder)]
     # coefficients of the ambient monomials are the equations in a, b
-    equations = []
-    amb = len(spec.sig)
-    for r in residual:
-        buckets = {}
-        for e, c in r.terms.items():
-            key = e[:amb]
-            rest = (0,) * amb + e[amb:]
-            buckets.setdefault(key, {})[rest] = c
-        for key, terms in buckets.items():
-            eq = MultiPoly(ext, terms).restrict(allvars)
-            if not eq.is_zero():
-                equations.append(eq)
+    equations = [eq for r in residual for eq in coefficients(r, len(spec.sig))]
 
     for pivot in range(len(monos)):
         branch = [eq for eq in equations]

@@ -209,8 +209,3 @@ def factor_univariate(p):
         factors.values(), key=lambda fm: (fm[0].total_degree(), fm[0].to_str())
     )
     return unit, ordered
-
-
-def is_irreducible_univariate(p):
-    _, factors = factor_univariate(p)
-    return len(factors) == 1 and factors[0][1] == 1

@@ -3,11 +3,14 @@
 Used throughout the package as the independent algebraic oracle: ideal
 membership via normal forms, staircase (Krull) dimension by branch-and-bound
 independent sets, elimination, and saturation through a single Rabinowitsch
-variable.  Normal pair selection pops S-pairs from a heap keyed on each
-pair's lcm, stored when the pair is formed (ties broken on the pair's
-indices); the coprimality and chain criteria skip pairs, and every basis
-element's leading monomial is computed once and reused by the pairs, the
-S-polynomials, the reductions and the final interreduction.
+variable.  Saturation returns the reduced lex basis of the saturated ideal
+that its elimination computes; the dimension and the normal forms of a
+saturated ideal are read from that one basis, since the staircase dimension
+does not depend on the term order.  Normal pair selection pops S-pairs from
+a heap keyed on each pair's lcm, stored when the pair is formed (ties broken
+on the pair's indices); the coprimality and chain criteria skip pairs, and
+every basis element's leading monomial is computed once and reused by the
+pairs, the S-polynomials, the reductions and the final interreduction.
 
 Reduction is fraction-free: basis elements, S-polynomials and remainders
 are dicts from exponent tuples to Python ints, each basis element primitive
@@ -48,7 +51,6 @@ class GroebnerBasis:
     generators: tuple
     order: str
     vars: tuple = ()
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -307,10 +309,6 @@ def ideal_dimension(basis):
     involves only variables from S; -1 for the unit ideal, the full variable
     count for the zero ideal.
     """
-    if not isinstance(basis, GroebnerBasis):
-        if not basis:
-            raise ValueError("pass a GroebnerBasis to take the zero ideal's dimension")
-        basis = GroebnerBasis(tuple(basis), basis[0].order, basis[0].vars)
     indep = _max_independent_set(basis)
     return -1 if indep is None else len(indep)
 
@@ -324,30 +322,17 @@ def independent_variable_set(gb):
     return set() if indep is None else indep
 
 
-def dimension_of(gens, nvars, order=GREVLEX):
-    """Staircase dimension of <gens> inside a ring with nvars variables."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return nvars
-    return ideal_dimension(buchberger(gens, order))
-
-
-def eliminate_first(gens, order=LEX):
-    """Generators of the elimination ideal dropping the first variable.
+def eliminate_first(gens):
+    """Reduced lex basis of the elimination ideal dropping the first variable.
 
     Computes a lex basis (first variable greatest) and keeps the generators
-    free of it, restricted onto the shorter signature.
+    free of it, restricted onto the shorter signature: they are a reduced lex
+    basis of the elimination ideal (Elimination Theorem).
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    vars = gens[0].vars
     gb = buchberger(gens, LEX)
-    kept = []
-    for g in gb.generators:
-        if g.degree_in(0) <= 0:
-            kept.append(g.restrict(vars[1:]).with_order(order))
-    return kept
+    vars = gb.vars[1:]
+    kept = tuple(g.restrict(vars) for g in gb if g.degree_in(0) <= 0)
+    return GroebnerBasis(kept, LEX, vars)
 
 
 class _SatVar:
@@ -365,19 +350,13 @@ class _SatVar:
         return "@sat"
 
 
-def saturate(gens, h, order=GREVLEX):
-    """Generators of the saturation of <gens> by the polynomial h.
+def saturate(gens, h):
+    """Reduced lex basis of the saturation of <gens> by the polynomial h.
 
     One Rabinowitsch variable z against h: adjoin z*h - 1, eliminate z.
+    gens and h share one signature.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    if h.is_constant():
-        return [g.with_order(order) for g in gens]
-    vars = gens[0].vars
-    z = _SatVar()
-    ext = (z,) + vars
+    ext = (_SatVar(),) + h.vars
     lifted = [g.restrict(ext) for g in gens]
-    rab = MultiPoly.var(ext, z, LEX) * h.restrict(ext) - MultiPoly.const(ext, 1, LEX)
-    return [g.with_order(order) for g in eliminate_first(lifted + [rab])]
+    rab = MultiPoly.gen(ext, 0, LEX) * h.restrict(ext) - MultiPoly.const(ext, 1, LEX)
+    return eliminate_first(lifted + [rab])

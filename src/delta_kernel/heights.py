@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .groebner import GREVLEX, buchberger, ideal_dimension
-from .multipoly import MultiPoly, exponents_upto, order_key
+from .multipoly import MultiPoly, coefficients, exponents_upto, order_key
 from .ratfunc import RatFunc
 from .solve import sampled_rational_solutions
 
@@ -192,17 +192,8 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
         factor = factor * q_sym ** (max_pow - xdeg - 2 * sum(ydegs))
         residual = residual + factor
 
-    # bucket by t-monomials: the coefficient system in the unknowns
-    equations = []
-    amb = len(tsig)
-    buckets = {}
-    for e, c in residual.terms.items():
-        buckets.setdefault(e[:amb], {})[(0,) * amb + e[amb:]] = c
-    for terms in buckets.values():
-        eq = MultiPoly(ext, terms).restrict(unknowns)
-        if not eq.is_zero():
-            equations.append(eq)
-
+    # the coefficients of the t-monomials: the system in the unknowns
+    equations = coefficients(residual, len(tsig))
     gb = buchberger(equations or [MultiPoly.zero(unknowns)], GREVLEX)
     if gb.is_unit_ideal():
         report.strata.append(

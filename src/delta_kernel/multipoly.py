@@ -594,25 +594,37 @@ def _to_univariate(p, i):
     }
 
 
-def _from_univariate(coeffs, i, vars, order):
-    total = MultiPoly.zero(vars, order)
-    for k, poly in coeffs.items():
-        e = [0] * len(vars)
-        e[i] = k
-        total = total + poly.mul_monomial(tuple(e))
-    return total
+def coeff_of_power(p, i, d):
+    """Coefficient of x**d in the MultiPoly p, x its variable at index i;
+    over p's signature, free of x."""
+    out = MultiPoly.zero(p.vars, p.order)
+    out.terms = {e[:i] + (0,) + e[i + 1 :]: c for e, c in p.terms.items() if e[i] == d}
+    return out
+
+
+def coefficients(p, k):
+    """Coefficients of p as a polynomial in its first k variables: one
+    MultiPoly over p.vars[k:] per monomial in those variables that occurs,
+    in the order of the first term of p carrying it."""
+    buckets = {}
+    for e, c in p.terms.items():
+        buckets.setdefault(e[:k], {})[e[k:]] = c
+    out = []
+    for terms in buckets.values():
+        q = MultiPoly.zero(p.vars[k:], p.order)
+        q.terms = terms
+        out.append(q)
+    return out
 
 
 def _pseudo_rem(a, b, i):
     """Pseudo-remainder of a by b with respect to variable index i."""
-    da, db = a.degree_in(i), b.degree_in(i)
-    bu = _to_univariate(b, i)
-    lb = bu[db]
+    db = b.degree_in(i)
+    lb = coeff_of_power(b, i, db)
     r = a
     while r.terms and r.degree_in(i) >= db:
         dr = r.degree_in(i)
-        ru = _to_univariate(r, i)
-        lr = ru[dr]
+        lr = coeff_of_power(r, i, dr)
         shift = [0] * len(a.vars)
         shift[i] = dr - db
         r = r * lb - b * lr.mul_monomial(tuple(shift))

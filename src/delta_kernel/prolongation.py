@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diffring import AlgIndet, AutoreducedSet
-from .groebner import GREVLEX, buchberger, dimension_of, normal_form, saturate
+from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, normal_form, saturate
 from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
 from .multipoly import MultiPoly, exponents_upto
 from .ratfunc import RatFunc
@@ -64,8 +64,10 @@ def _as_frame_poly(f, frame):
 class ProlongedIdeal:
     """Level-t generators theta(f), ord(theta f) <= t, over the frame ring.
 
-    The geometric object is the saturation by the separant set; dimension()
-    computes the staircase dimension of that saturation.
+    The geometric object is the saturation by the separant set.  Its one
+    reduced Groebner basis, computed once, is the lex basis that saturation
+    returns (grevlex when no separant needs inverting); dimension() and the
+    normal forms of the fiber checks read it.
     """
 
     level: int
@@ -73,26 +75,22 @@ class ProlongedIdeal:
     generators: list
     provenance: list  # (element index, theta) per generator
     separants: list  # nonconstant separants over the frame
-    _sat_cache: list = field(default=None, repr=False)
+    _basis: GroebnerBasis = field(default=None, repr=False)
 
-    def saturated_generators(self):
-        # one Rabinowitsch elimination against the product of the separants
-        if self._sat_cache is None:
-            gens = self.generators
+    def groebner_basis(self):
+        if self._basis is None:
             if self.separants:
+                # one Rabinowitsch elimination against the separants' product
                 product = self.separants[0]
                 for h in self.separants[1:]:
                     product = product * h
-                gens = saturate(gens, product.primitive())
-            self._sat_cache = gens
-        return self._sat_cache
-
-    def groebner_basis(self, order=GREVLEX):
-        return buchberger(self.saturated_generators() or
-                          [MultiPoly.zero(_frame_sig(self.frame))], order)
+                self._basis = saturate(self.generators, product.primitive())
+            else:
+                self._basis = buchberger(self.generators, GREVLEX)
+        return self._basis
 
     def dimension(self):
-        return dimension_of(self.saturated_generators(), len(self.frame))
+        return ideal_dimension(self.groebner_basis())
 
 
 def prolong_generators(polys, t):
@@ -302,8 +300,9 @@ def fiber_residuals(aset, model, ideal_low=None):
     """Exact check of the affine solve against the prolonged ideal.
 
     Substitutes the fiber expressions into every level-t generator and
-    reduces modulo the saturated level-(t-1) ideal; returns the list of
-    normal forms (all zero when the model is consistent).
+    reduces modulo the Groebner basis of the saturated level-(t-1) ideal
+    (ProlongedIdeal.groebner_basis, lifted to the level-t frame); returns
+    the list of remainders (all zero when the model is consistent).
     """
     if not isinstance(aset, AutoreducedSet):
         aset = AutoreducedSet(aset)
@@ -314,6 +313,9 @@ def fiber_residuals(aset, model, ideal_low=None):
         ideal_low = prolong_ideal(aset, t - 1)
     gb_low = ideal_low.groebner_basis()
     ext = _frame_sig(nabla_frame(ctx.m, ctx.n, t))
+    # a basis over the lower frame stays one over the level-t frame: the
+    # term order on ext restricts to gb_low's order on the lower coordinates
+    lifted = [g.restrict(ext) for g in gb_low]
     residuals = []
     for gen in pid.generators:
         top = [
@@ -338,8 +340,7 @@ def fiber_residuals(aset, model, ideal_low=None):
                     val = RatFunc.var(ext, v)
                 factor = factor * val ** x
             total = total + factor
-        lifted = [g.restrict(ext) for g in gb_low.generators]
-        residuals.append(normal_form(total.num, lifted, GREVLEX) if lifted else total.num)
+        residuals.append(normal_form(total.num, lifted, gb_low.order))
     return residuals
 
 

@@ -1,10 +1,14 @@
-"""Pinned --json output of the CLI commands that reach the rational solver.
+"""Pinned --json output of the CLI commands that reach the rational solver
+and of the prolongation commands.
 
-The fixture `data/solver_golden/search.dk` holds the coefficients of the
-benchmark's prolong-search problem file for seed 1; each `.json` file is
-the output recorded before the solver was rewritten around one lex basis
-per zero-dimensional system.  Any change to the set or the order of the
-points found shows here as a byte difference.
+The fixtures `data/solver_golden/search.dk` and `data/prolong_golden/*.dk`
+hold the coefficients of the benchmark's prolong-search problem files for
+seed 1.  Each solver `.json` file is the output recorded before the solver
+was rewritten around one lex basis per zero-dimensional system; each
+prolongation `.json` file is the output recorded while the dimension of a
+saturated prolonged ideal still came from a second, grevlex basis.  Any
+change to the set or the order of the points found, or to a generator,
+dimension or fiber datum printed, shows here as a byte difference.
 """
 
 import io
@@ -14,20 +18,36 @@ import pytest
 
 from delta_kernel.cli import main
 
-DATA = Path(__file__).parent / "data" / "solver_golden"
+DATA = Path(__file__).parent / "data"
 
-JOBS = {
+SOLVER_JOBS = {
     "solve_ode_growth_d3": ["solve-ode", "search.dk", "--ode", "growth", "--deg", "3"],
     "solve_ode_square_d3": ["solve-ode", "search.dk", "--ode", "square", "--deg", "3"],
     "solve_ode_riccati_d2": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "2"],
     "darboux_lv_d2": ["darboux", "search.dk", "--dspec", "lv", "--deg", "2"],
 }
 
+PROLONG_JOBS = {
+    "prolong_burgers_t4": ["prolong", "burgers.dk", "--set", "S", "--t", "4"],
+    "dimfn_burgers_t4": ["dimfn", "burgers.dk", "--set", "S", "--max-t", "4"],
+    "extract_sqrt": ["extract-dvariety", "sqrt.dk", "--set", "S"],
+    "extract_burgers": ["extract-dvariety", "burgers.dk", "--set", "S"],
+}
 
-@pytest.mark.parametrize("name", sorted(JOBS))
-def test_solver_output_is_byte_identical(name, monkeypatch):
+
+def _check(folder, name, argv, monkeypatch):
     # the report echoes the problem path, so run beside the fixture
-    monkeypatch.chdir(DATA)
+    monkeypatch.chdir(folder)
     out, err = io.StringIO(), io.StringIO()
-    assert main(["--json", *JOBS[name]], stdout=out, stderr=err) == 0
-    assert out.getvalue().encode("utf-8") == (DATA / f"{name}.json").read_bytes()
+    assert main(["--json", *argv], stdout=out, stderr=err) == 0
+    assert out.getvalue().encode("utf-8") == (folder / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_JOBS))
+def test_solver_output_is_byte_identical(name, monkeypatch):
+    _check(DATA / "solver_golden", name, SOLVER_JOBS[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(PROLONG_JOBS))
+def test_prolongation_output_is_byte_identical(name, monkeypatch):
+    _check(DATA / "prolong_golden", name, PROLONG_JOBS[name], monkeypatch)

@@ -9,7 +9,6 @@ from delta_kernel.groebner import (
     LEX,
     GroebnerBasis,
     buchberger,
-    dimension_of,
     ideal_dimension,
     independent_variable_set,
     normal_form,
@@ -66,7 +65,6 @@ def _bruteforce_independent_set(supports, nvars):
 def test_ideal_dimension_examples():
     assert ideal_dimension(buchberger([X * Y - 1])) == 1
     assert ideal_dimension(buchberger([X, X + 1])) == -1
-    assert dimension_of([], 3) == 3
 
 
 def test_unit_and_zero_ideal_staircase():
@@ -174,7 +172,40 @@ def test_saturation():
     assert [g.to_str() for g in saturate([X * Y], X)] == ["y"]
     # saturation by a constant changes nothing
     sat = saturate([X * Y - 1], MultiPoly.const(SIG, 2))
-    assert sat == [X * Y - 1]
+    assert sat.generators == (X * Y - 1,)
+
+
+def test_saturation_matches_sympy():
+    """saturate's basis is sympy's reduced lex basis of <gens, w*h - 1>
+    (w greatest) with the generators involving w dropped."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(default_seed() + 15)
+    sig = ("x", "y", "z")
+    syms = sympy.symbols(sig)
+    w = sympy.Symbol("w")
+    proper = 0
+    for _ in range(12):
+        h = random_multipoly(rng, sig, max_degree=2, max_terms=2, allow_zero=False)
+        if h.is_constant():
+            continue
+        # multiples of h make the saturation differ from the ideal
+        gens = [
+            random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False) * h ** rng.randint(0, 1)
+            for _ in range(rng.randint(1, 2))
+        ]
+        sat = saturate(gens, h)
+        assert sat.order == LEX and sat.vars == sig
+        theirs = sympy.groebner(
+            [_to_sympy(sympy, syms, g) for g in gens] + [w * _to_sympy(sympy, syms, h) - 1],
+            w, *syms, order="lex", domain="QQ",
+        ).exprs
+        want = {_from_sympy(sympy, syms, g, sig).monic(LEX) for g in theirs if not g.has(w)}
+        assert len(sat) == len(want) and set(sat.generators) == want
+        assert all(g.leading(LEX)[1] == 1 for g in sat)
+        leads = [g.leading(LEX)[0] for g in sat]
+        assert leads == sorted(leads)
+        proper += not set(sat.generators) <= set(buchberger(gens, LEX).generators)
+    assert proper >= 3
 
 
 def _buchberger_no_criteria(gens, order):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from delta_kernel.prolongation import (
     prolong_generators,
     prolong_ideal,
 )
+
+from conftest import default_seed
 
 
 def corpus():
@@ -236,3 +239,51 @@ class TestDeterminedByLevel:
         _, gens_a, _ = prolong_generators(pres_a, 2)
         _, gens_c, _ = prolong_generators(pres_c, 2)
         assert set(buchberger(gens_a).generators) != set(buchberger(gens_c).generators)
+
+
+def _seeded_towers():
+    rng = random.Random(default_seed() + 21)
+    c = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in range(3)]
+    ctx1 = DiffContext(1, 1)
+    u = ctx1.u()
+    ctx2 = DiffContext(2, 1)
+    w = ctx2.u()
+    return [
+        (AutoreducedSet([ctx1.d(1, u) ** 2 - c[0] * u]), range(1, 9)),
+        (AutoreducedSet([ctx1.d(1, u) ** 3 - c[1] * u]), range(1, 7)),
+        (AutoreducedSet([ctx2.d(2, w) ** 2 - c[2] * ctx2.d(1, w)]), range(1, 4)),
+    ]
+
+
+class TestOneBasis:
+    def test_dimension_from_lex_basis_matches_grevlex(self):
+        from delta_kernel.groebner import GREVLEX, LEX, ideal_dimension
+
+        for aset, levels in _seeded_towers():
+            for t in levels:
+                pid = prolong_ideal(aset, t)
+                basis = pid.groebner_basis()
+                assert basis.order == LEX and pid.separants
+                assert pid.dimension() == ideal_dimension(buchberger(list(basis), GREVLEX))
+
+    def test_one_buchberger_run_per_ideal(self, monkeypatch):
+        import delta_kernel.groebner as groebner
+        import delta_kernel.prolongation as prolongation
+        from delta_kernel.groebner import GREVLEX, LEX
+
+        runs = []
+
+        def counting(gens, order=None):
+            runs.append(order)
+            return buchberger(gens, order)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(prolongation, "buchberger", counting)
+        # (d1 u)^2 - u has a nonconstant separant, d1 u - u none
+        for aset, order in ((corpus()[1], LEX), (corpus()[0], GREVLEX)):
+            runs.clear()
+            pid = prolong_ideal(aset, 3)
+            dim = pid.dimension()
+            basis = pid.groebner_basis()
+            assert pid.dimension() == dim and pid.groebner_basis() is basis
+            assert runs == [order] and basis.order == order
