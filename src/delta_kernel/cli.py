@@ -7,7 +7,8 @@ Output is deterministic for a fixed input and seed: the timings object is
 left empty unless --timings is passed.
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 mathematical precondition
-failure.
+failure, 4 internal error (an exact self-check or an internal consistency
+check failed).
 """
 
 from __future__ import annotations
@@ -642,7 +643,7 @@ def main(argv=None, stdout=None, stderr=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=stderr)
         return 2
-    except InternalError as exc:
+    except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=stderr)
         return 4
     except (MathError, ValueError, ZeroDivisionError) as exc:

@@ -7,13 +7,22 @@ degree bound, and provides the logarithmic-derivative test over Q(t).
 
 Two Darboux search paths exist.  When every field component has degree at
 most one the derivations act on each bounded-degree coefficient space, and
-the search is a simultaneous rational eigenproblem.  The general path sets
-up the bilinear system in the coefficients of the polynomial and its
-cofactors, enumerates candidate cofactor tuples branch-by-branch through
-the Groebner engine (pivot coefficient pinned to one, higher coefficients
-zeroed), and solves each candidate linearly.  Both paths emit the same
-canonical representatives: a reduced-echelon basis of each cofactor's
-solution space, constants quotiented out.
+the search is a simultaneous rational eigenproblem: each derivation's
+square action matrix is decomposed once, and each cofactor tuple's solution
+space is read from the stored eigenspaces (one derivation) or is the kernel
+of the stored matrices stacked with their diagonals shifted (several).  The
+general path sets up the bilinear system in the coefficients of the
+polynomial and its cofactors, enumerates candidate cofactor tuples
+branch-by-branch through the Groebner engine (pivot coefficient pinned to
+one, higher coefficients zeroed), and solves each candidate linearly.  Both
+paths emit the same canonical representatives: a reduced-echelon basis of
+each cofactor's solution space, constants quotiented out.
+
+First integrals are read from the same search: the polynomial ones span the
+zero-cofactor space, and the rational ones are ratios of Darboux products
+with equal cofactor sums (the Darboux-Jouanolou construction), built once
+per exponent difference over a pairwise coprime refinement of the Darboux
+list, so each is in lowest terms without a gcd.
 """
 
 from __future__ import annotations
@@ -21,11 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import sub
 
 from .factor import factor_univariate
 from .groebner import GREVLEX, buchberger, normal_form
-from .linalg import ExactMatrix, nullspace, rational_eigen, rref, stack
-from .multipoly import MultiPoly, coefficients, exponents_upto, order_key
+from .linalg import ExactMatrix, nullspace, rational_eigen, rref, shifted, stack
+from .multipoly import (
+    InexactDivisionError,
+    MultiPoly,
+    coefficients,
+    exponents_upto,
+    order_key,
+    poly_gcd,
+)
 from .ratfunc import RatFunc
 from .solve import sampled_rational_solutions
 
@@ -145,12 +162,9 @@ class DarbouxResult:
         )
 
 
-def _poly_from_vector(sig, monos, vec):
-    terms = {}
-    for e, c in zip(monos, vec):
-        if c:
-            terms[e] = c
-    return MultiPoly(sig, terms)
+def _monomials(nvars, d):
+    """Exponents of the monomials of degree <= d, grevlex-descending."""
+    return sorted(exponents_upto(nvars, d), key=order_key(GREVLEX), reverse=True)
 
 
 def _action_matrix(spec, k, monos, cofactor=None):
@@ -158,8 +172,7 @@ def _action_matrix(spec, k, monos, cofactor=None):
     extra = spec.max_field_degree(k) - 1
     if cofactor is not None and not cofactor.is_zero():
         extra = max(extra, cofactor.total_degree())
-    target_deg = max(e_total(monos) + max(extra, 0), e_total(monos))
-    target = sorted(exponents_upto(spec.nvars, target_deg), key=order_key(GREVLEX), reverse=True)
+    target = _monomials(spec.nvars, e_total(monos) + max(extra, 0))
     index = {e: i for i, e in enumerate(target)}
     rows = len(target)
     cols = len(monos)
@@ -196,67 +209,80 @@ def _annotate(spec, p, cofactors):
     )
 
 
+def _canonical_basis(sig, monos, vecs):
+    """Canonical representatives of the span of vecs, coefficient vectors on
+    monos: the nonconstant rows of its reduced echelon form, primitive.
+
+    Constants are quotiented out: monos ends with the constant monomial, so
+    when the span holds the constants (zero cofactors) the echelon form has
+    the row 1 and no other row has a constant term.
+    """
+    if not vecs:
+        return []
+    red, _ = rref(ExactMatrix(vecs))
+    basis = []
+    for row in red.entries:
+        p = MultiPoly(sig, {e: c for e, c in zip(monos, row) if c})
+        if not p.is_constant():
+            basis.append(p.primitive())
+    return basis
+
+
 def _solve_cofactor(spec, monos, cofactors):
     """Basis of {f in span(monos) : delta_k f = K_k f for all k}."""
     mats = [
         _action_matrix(spec, k, monos, cofactor=cofactors[k])
         for k in range(spec.nder)
     ]
-    big = stack(mats)
-    vecs = nullspace(big)
-    if not vecs:
-        return []
-    # quotient out constants when 1 is itself a solution (zero cofactors)
-    const_col = monos.index((0,) * spec.nvars) if (0,) * spec.nvars in monos else None
-    zero_cof = all(k.is_zero() for k in cofactors)
-    basis = []
-    mat = ExactMatrix([list(v) for v in vecs])
-    red, _ = rref(mat)
-    for row in red.entries:
-        if not any(row):
-            continue
-        p = _poly_from_vector(spec.sig, monos, row)
-        if p.is_constant():
-            continue
-        if zero_cof and const_col is not None and row[const_col]:
-            # representatives modulo constants: drop the constant term
-            q = dict(p.terms)
-            q.pop((0,) * spec.nvars, None)
-            p = MultiPoly(spec.sig, q)
-            if p.is_constant():
-                continue
-        basis.append(p.primitive())
-    return basis
+    return _canonical_basis(spec.sig, monos, nullspace(stack(mats)))
 
 
-def darboux_search_eigen(spec, d):
-    """Simultaneous rational-eigenproblem path; needs degree <= 1 fields."""
+def _eigen_spaces(spec, d):
+    """(monos, spaces) for fields of degree <= 1: monos are the monomials of
+    degree <= d, and spaces maps each tuple of rational eigenvalues, one per
+    derivation, to a basis of {f in span(monos) : delta_k f = lambda_k f}.
+
+    Each derivation's square action matrix is decomposed once.  With one
+    derivation the spaces are its eigenspaces; with several, each tuple's
+    space is the kernel of the stacked matrices A_k - lambda_k I.
+    """
     for k in range(spec.nder):
         if spec.max_field_degree(k) > 1:
             raise ValueError("eigenproblem path needs every field of degree <= 1")
-    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
-    candidate_lists = []
+    monos = _monomials(spec.nvars, d)
+    mats, eigenspaces = [], []
     for k in range(spec.nder):
         # the action maps the space to itself: square matrix
-        m = _action_matrix(spec, k, monos)
-        sq = ExactMatrix([row[: len(monos)] for row in m.entries[: len(monos)]])
-        if any(any(row[len(monos):]) for row in m.entries[: len(monos)]) or any(
-            any(row) for row in m.entries[len(monos):]
-        ):
+        a = _action_matrix(spec, k, monos)
+        if a.rows != a.cols:
             raise AssertionError("degree <= 1 field failed to preserve the space")
-        report = rational_eigen(sq)
-        candidate_lists.append(sorted({ev for ev, _ in report.pairs}))
+        mats.append(a)
+        eigenspaces.append(rational_eigen(a).pairs)
+    if spec.nder == 1:
+        return monos, {(ev,): vecs for ev, vecs in eigenspaces[0]}
+    spaces = {}
+    for combo in product(*([ev for ev, _ in pairs] for pairs in eigenspaces)):
+        shifts = [shifted(a, ev) for a, ev in zip(mats, combo)]
+        spaces[combo] = nullspace(stack(shifts))
+    return monos, spaces
+
+
+def _eigen_darboux(spec, monos, spaces):
     results = []
-    for combo in product(*candidate_lists):
+    for combo, vecs in spaces.items():
         cofs = [MultiPoly.const(spec.sig, ev) for ev in combo]
-        for p in _solve_cofactor(spec, monos, cofs):
+        for p in _canonical_basis(spec.sig, monos, vecs):
             results.append(_annotate(spec, p, cofs))
     return _dedup(results)
 
 
+def darboux_search_eigen(spec, d):
+    """Simultaneous rational-eigenproblem path; needs degree <= 1 fields."""
+    return _eigen_darboux(spec, *_eigen_spaces(spec, d))
+
+
 def _cofactor_monomials(spec, k):
-    bound = max(spec.max_field_degree(k) - 1, 0)
-    return sorted(exponents_upto(spec.nvars, bound), key=order_key(GREVLEX), reverse=True)
+    return _monomials(spec.nvars, max(spec.max_field_degree(k) - 1, 0))
 
 
 def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
@@ -268,7 +294,7 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
     ideal are collected.  Cofactor families (positive-dimensional cofactor
     components) are sampled and flagged.
     """
-    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
+    monos = _monomials(spec.nvars, d)
     cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
     avars = [f"a{i}" for i in range(len(monos))]
     bvars = [
@@ -344,9 +370,8 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
             record(full)
 
     results = []
-    monos_all = monos
     for cofs in candidates:
-        for p in _solve_cofactor(spec, monos_all, cofs):
+        for p in _solve_cofactor(spec, monos, cofs):
             results.append(_annotate(spec, p, cofs))
     return _dedup(results), warnings
 
@@ -360,21 +385,24 @@ def _dedup(results):
     return out
 
 
+def _eigen_applies(spec, d, method):
+    """Whether a search of degree d by the given method takes the eigen path."""
+    if d < 1:
+        raise ValueError("degree bound must be at least 1")
+    if method == "auto":
+        return all(spec.max_field_degree(k) <= 1 for k in range(spec.nder))
+    if method not in ("eigen", "groebner"):
+        raise ValueError(f"unknown method {method!r}")
+    return method == "eigen"
+
+
 def darboux_search(spec, d, method="auto", sample_values=(0, 1, -1, 2, -2, 3)):
     """All Darboux polynomials of degree <= d (canonical basis per cofactor).
 
     Cofactor degrees are bounded by max_j deg delta_k(x_j) - 1, the standard
     completeness bound from comparing top degrees.
     """
-    if d < 1:
-        raise ValueError("degree bound must be at least 1")
-    if method == "eigen":
-        return darboux_search_eigen(spec, d)
-    if method == "groebner":
-        return darboux_search_groebner(spec, d, sample_values)[0]
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if all(spec.max_field_degree(k) <= 1 for k in range(spec.nder)):
+    if _eigen_applies(spec, d, method):
         return darboux_search_eigen(spec, d)
     return darboux_search_groebner(spec, d, sample_values)[0]
 
@@ -383,82 +411,150 @@ def first_integral_search(spec, d, method="auto"):
     """Rational first integrals up to degree d.
 
     Polynomial ones come from the kernel of the stacked derivation action on
-    the bounded-degree space (constants quotiented out); rational ones from
-    ratios of Darboux products with matching cofactor sums.
+    the bounded-degree space (constants quotiented out); on the eigen path
+    that kernel is the space of the zero eigenvalues, read from the same
+    decomposition as the Darboux polynomials.  Rational ones are ratios of
+    Darboux products with matching cofactor sums.  The Darboux list is
+    refined to a pairwise coprime base and every product written as an
+    exponent vector over it, so a ratio depends only on the difference of
+    two vectors and comes out in lowest terms without a gcd; each difference
+    up to sign is built once.
     """
-    monos = sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
-    mats = [_action_matrix(spec, k, monos) for k in range(spec.nder)]
-    vecs = nullspace(stack(mats))
-    integrals = []
-    const_e = (0,) * spec.nvars
-    if vecs:
-        red, _ = rref(ExactMatrix([list(v) for v in vecs]))
-        for row in red.entries:
-            if not any(row):
-                continue
-            p = _poly_from_vector(spec.sig, monos, row)
-            q = dict(p.terms)
-            q.pop(const_e, None)
-            p = MultiPoly(spec.sig, q)
-            if not p.is_constant():
-                integrals.append(RatFunc(p.primitive()))
-    # ratios of Darboux products with equal cofactor sums
-    darboux = darboux_search(spec, d, method=method)
-    combos = _darboux_products(spec, darboux, d)
-    seen = {(f.num, f.den) for f in integrals}
-    for (cof_key_a, prod_a) in combos:
-        for (cof_key_b, prod_b) in combos:
-            if cof_key_a != cof_key_b or prod_a == prod_b:
-                continue
-            ratio = RatFunc(prod_a, prod_b)
-            if ratio.is_constant():
-                continue
-            ratio = _orient(ratio)
-            key = (ratio.num, ratio.den)
-            if key in seen:
-                continue
-            if is_dconstant(spec, ratio):
-                seen.add(key)
-                integrals.append(ratio)
+    if _eigen_applies(spec, d, method):
+        monos, spaces = _eigen_spaces(spec, d)
+        kernel = spaces.get((0,) * spec.nder, [])
+        darboux = _eigen_darboux(spec, monos, spaces)
+    else:
+        monos = _monomials(spec.nvars, d)
+        kernel = nullspace(stack([_action_matrix(spec, k, monos) for k in range(spec.nder)]))
+        darboux = darboux_search_groebner(spec, d)[0]
+    integrals = [RatFunc(p) for p in _canonical_basis(spec.sig, monos, kernel)]
+    seen = set(integrals)
+    base, exps = _coprime_base([r.polynomial for r in darboux])
+    # the distinct products of each cofactor sum, as exponent vectors over base
+    groups = {}
+    for cof_key, vec in _darboux_products(spec, darboux, d):
+        over_base = tuple(
+            sum(a * e[j] for a, e in zip(vec, exps) if a) for j in range(len(base))
+        )
+        groups.setdefault(cof_key, set()).add(over_base)
+    diffs = set()
+    for vecs in groups.values():
+        vecs = sorted(vecs)
+        for i, a in enumerate(vecs):
+            for b in vecs[i + 1 :]:
+                diffs.add(tuple(map(sub, b, a)))
+    for v in sorted(diffs):
+        up = _power_product(spec.sig, base, v)
+        down = _power_product(spec.sig, base, [-x for x in v])
+        ratio, inverse = _coprime_ratio(up, down), _coprime_ratio(down, up)
+        for r in (
+            inverse if _flips(ratio) else ratio,
+            ratio if _flips(inverse) else inverse,
+        ):
+            if r not in seen and is_dconstant(spec, r):
+                seen.add(r)
+                integrals.append(r)
     integrals.sort(key=lambda r: (r.num.total_degree() + r.den.total_degree(), r.to_str()))
     return integrals
 
 
 def _darboux_products(spec, darboux, d):
-    """Products of Darboux results with total degree <= d, with cofactor sums."""
+    """(cofactor-sum key, exponent vector over darboux) of every product of
+    Darboux results with total degree <= d, the empty product included."""
     out = []
     items = list(darboux)
+    vec = [0] * len(items)
 
-    def rec(i, deg_left, prod, cof_sum):
-        out.append(
-            (
-                tuple(frozenset(c.terms.items()) for c in cof_sum),
-                prod,
-            )
-        )
+    def rec(i, deg_left, cof_sum):
+        out.append((tuple(frozenset(c.terms.items()) for c in cof_sum), tuple(vec)))
         for j in range(i, len(items)):
             r = items[j]
             if r.degree <= deg_left:
-                rec(
-                    j,
-                    deg_left - r.degree,
-                    prod * r.polynomial,
-                    [a + b for a, b in zip(cof_sum, r.cofactors)],
-                )
+                vec[j] += 1
+                rec(j, deg_left - r.degree, [a + b for a, b in zip(cof_sum, r.cofactors)])
+                vec[j] -= 1
 
-    one = MultiPoly.const(spec.sig, 1)
-    zeros = [MultiPoly.zero(spec.sig) for _ in range(spec.nder)]
-    rec(0, d, one, zeros)
+    rec(0, d, [MultiPoly.zero(spec.sig) for _ in range(spec.nder)])
     return out
 
 
-def _orient(ratio):
-    """Deterministic orientation: the higher-degree side up, ties by text."""
+def _coprime_base(polys):
+    """(base, exps): pairwise coprime primitive polynomials of positive
+    degree, and for each of the given primitive polynomials its exponent
+    vector over them.
+
+    Factor refinement (Bach-Driscoll-Shallit, J. Algorithms 1993): a pair
+    (p, q) with a nonconstant gcd g is replaced by p/g, g, q/g until no such
+    pair is left; the total degree drops at every step.  The given
+    polynomials are taken lowest degree first, and each is divided by the
+    base found so far before any gcd, so a product of earlier factors costs
+    no gcd at all.  Primitive
+    factors with positive leading coefficients multiply to a primitive
+    polynomial with a positive leading coefficient, so each polynomial is
+    the product of its powers of the base exactly, with no scalar left over.
+    """
+    base = []
+    pending = sorted(polys, key=lambda p: p.total_degree(), reverse=True)
+    while pending:
+        p = pending.pop()
+        for q in base:
+            p = _divide_out(p, q)[0]
+        if p.is_constant():
+            continue
+        for i, q in enumerate(base):
+            g = poly_gcd(p, q)
+            if not g.is_constant():
+                del base[i]
+                pending += [q.exact_div(g), g, p.exact_div(g)]
+                break
+        else:
+            base.append(p.primitive())
+    exps = []
+    for f in polys:
+        vec = []
+        for q in base:
+            f, e = _divide_out(f, q)
+            vec.append(e)
+        exps.append(vec)
+    return base, exps
+
+
+def _divide_out(f, q):
+    """(f / q^e, e) for the largest e such that q^e divides f."""
+    e = 0
+    while True:
+        try:
+            f = f.exact_div(q)
+        except InexactDivisionError:
+            return f, e
+        e += 1
+
+
+def _power_product(sig, base, v):
+    """The product of base[j]^v[j] over the positive entries of v."""
+    out = MultiPoly.const(sig, 1)
+    for q, x in zip(base, v):
+        if x > 0:
+            out = out * q**x
+    return out
+
+
+def _coprime_ratio(num, den):
+    """num/den as a RatFunc for coprime num and den: no gcd, only the
+    denominator made monic."""
+    lc = den.leading()[1]
+    if lc != 1:
+        num, den = num.scale(1 / lc), den.scale(1 / lc)
+    return RatFunc(num, den, reduce=False)
+
+
+def _flips(ratio):
+    """Whether the deterministic orientation, the higher-degree side up and
+    ties by text, turns the ratio over."""
     num_deg = ratio.num.total_degree()
     den_deg = ratio.den.total_degree()
-    if den_deg > num_deg or (den_deg == num_deg and ratio.den.to_str() > ratio.num.to_str()):
-        return ratio.inverse()
-    return ratio
+    return den_deg > num_deg or (den_deg == num_deg and ratio.den.to_str() > ratio.num.to_str())
 
 
 def is_dconstant_on_fibers(f, data):

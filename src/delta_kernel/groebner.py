@@ -20,16 +20,20 @@ lowest terms, so every intermediate polynomial is a nonzero rational
 multiple of the one that reduction over Q would build: the leading
 monomials, the pairs, the criteria and each chosen divisor are the same.
 Only the final reduced basis is made monic over Q, and normal_form divides
-its remainder once by the multiplier the steps accumulated.
+its remainder once by the multiplier the steps accumulated.  The terms left
+to reduce sit in a heap with lazy deletion (Monagan-Pearce, JSC 2011), each
+key computed once when its monomial enters, and a basis lead is tested for
+divisibility only after its support bitmask passes (Singular's short
+exponent vectors, Bachmann-Schoenemann, ISSAC 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, ge, mul, sub
+from operator import add, ge, mul, neg, sub
 
 from .multipoly import GREVLEX, LEX, MultiPoly, integer_terms, order_key
 
@@ -44,6 +48,34 @@ def _divides(e1, e2):
 
 def _coprime(e1, e2):
     return not any(map(mul, e1, e2))
+
+
+def _mask(e):
+    """Support bitmask of an exponent tuple: bit i is set when x_i occurs.
+    A monomial l cannot divide e when mask(l) & ~mask(e) is nonzero."""
+    m = 0
+    for i, x in enumerate(e):
+        if x:
+            m |= 1 << i
+    return m
+
+
+def _grevlex_descending(e):
+    return (-sum(e), e[::-1])
+
+
+def _lex_descending(e):
+    return tuple(map(neg, e))
+
+
+def _descending_key(order):
+    """A key whose ascending order is the descending term order: the
+    reduction's min-heap pops the greatest monomial first."""
+    if order == GREVLEX:
+        return _grevlex_descending
+    if order == LEX:
+        return _lex_descending
+    raise ValueError(f"unknown term order {order!r}")
 
 
 @dataclass(frozen=True)
@@ -101,23 +133,38 @@ def normal_form(p, basis, order=None):
     key = order_key(order)
     ints = [_integral(g, key) for g in gens if not g.is_zero()]
     t, _, content = _integral(p, key)
-    rem, mult = _reduce(t, [g for g, _, _ in ints], [le for _, le, _ in ints], key)
+    leads = [le for _, le, _ in ints]
+    rem, mult = _reduce(
+        t, [g for g, _, _ in ints], leads, [_mask(le) for le in leads], _descending_key(order)
+    )
     return _from_ints(rem, content / mult, p.vars, order)
 
 
-def _reduce(t, gens, leads, key):
+def _reduce(t, gens, leads, masks, desc):
     """(r, m): the remainder r of m * t on division by the integer term dicts
-    gens, whose leading monomials are leads and leading coefficients
-    positive; m is the positive integer the cross-multiplications built up,
-    so r / m is the remainder of t over Q."""
+    gens, whose leading monomials are leads, with support bitmasks masks,
+    and leading coefficients positive; m is the positive integer the
+    cross-multiplications built up, so r / m is the remainder of t over Q.
+
+    The terms left to reduce sit in a heap keyed by desc, the descending
+    key of the term order: a monomial is pushed when it enters work, and an
+    entry whose term has cancelled since is skipped when popped.  Each step
+    takes the greatest term and divides by the first lead in basis order
+    that divides it.
+    """
     rem = {}
     work = dict(t)
+    heap = [(desc(e), e) for e in work]
+    heapify(heap)
     mult = 1
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for g, le in zip(gens, leads):
-            if _divides(le, e):
+    while heap:
+        e = heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        off = ~_mask(e)
+        for g, le, lm in zip(gens, leads, masks):
+            if not lm & off and _divides(le, e):
                 break
         else:
             rem[e] = c
@@ -136,10 +183,15 @@ def _reduce(t, gens, leads, key):
             ne = tuple(map(add, te, shift))
             if ne == e:
                 continue
-            acc = work.get(ne, 0) - b * tc
+            old = work.get(ne)
+            if old is None:
+                work[ne] = -b * tc
+                heappush(heap, (desc(ne), ne))
+                continue
+            acc = old - b * tc
             if acc:
                 work[ne] = acc
-            elif ne in work:
+            else:
                 del work[ne]
     return rem, mult
 
@@ -181,12 +233,14 @@ def buchberger(gens, order=None):
         return GroebnerBasis((), order, all_vars)
     vars = gens[0].vars
     key = order_key(order)
+    desc = _descending_key(order)
     basis, leads = [], []
     for g in gens:
         t, le, _ = _integral(g, key)
         if t not in basis:
             basis.append(t)
             leads.append(le)
+    masks = [_mask(le) for le in leads]
     # normal selection: a heap of (key(lcm), i, j, lcm), smallest lcm first,
     # ties broken on (i, j); each pair is pushed once, when it is formed
     pairs = []
@@ -218,14 +272,15 @@ def buchberger(gens, order=None):
         if chain_skip(i, j, lij):
             continue
         s = _s_poly(basis[i], leads[i], basis[j], leads[j], lij)
-        r, _ = _reduce(s, basis, leads, key)
+        r, _ = _reduce(s, basis, leads, masks, desc)
         if not r:
             continue
         le = max(r, key=key)
         basis.append(_primitive(r, le)[0])
         leads.append(le)
+        masks.append(_mask(le))
         form_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_reduced(basis, leads, key, vars, order)), order, vars)
+    return GroebnerBasis(tuple(_reduced(basis, leads, vars, order)), order, vars)
 
 
 def _interreduce(basis, order):
@@ -234,12 +289,14 @@ def _interreduce(basis, order):
     key = order_key(order)
     ints = [_integral(g, key) for g in basis if not g.is_zero()]
     vars = basis[0].vars if basis else ()
-    return _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], key, vars, order)
+    return _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], vars, order)
 
 
-def _reduced(basis, leads, key, vars, order):
+def _reduced(basis, leads, vars, order):
     """Reduced basis, smallest leading monomial first, as monic MultiPolys,
     from a Groebner basis of integer term dicts and their leading monomials."""
+    key = order_key(order)
+    desc = _descending_key(order)
     # drop generators whose leading monomial a kept one divides; smaller
     # monomials come first, and of equal ones the first is kept
     kept, kept_leads = [], []
@@ -249,10 +306,17 @@ def _reduced(basis, leads, key, vars, order):
             kept_leads.append(leads[idx])
     # tail-reduce each against the others: no kept leading monomial divides
     # another, so reduction keeps every leading term and one pass suffices
+    kept_masks = [_mask(le) for le in kept_leads]
     for idx, (g, le) in enumerate(zip(kept, kept_leads)):
         others = kept[:idx] + kept[idx + 1 :]
         if others:
-            g, _ = _reduce(g, others, kept_leads[:idx] + kept_leads[idx + 1 :], key)
+            g, _ = _reduce(
+                g,
+                others,
+                kept_leads[:idx] + kept_leads[idx + 1 :],
+                kept_masks[:idx] + kept_masks[idx + 1 :],
+                desc,
+            )
             kept[idx] = _primitive(g, le)[0]
     return [_from_ints(g, Fraction(1, g[le]), vars, order) for g, le in zip(kept, kept_leads)]
 

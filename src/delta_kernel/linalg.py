@@ -191,19 +191,21 @@ def rational_eigen(m):
     report = EigenReport()
     found_mult = 0
     for root, mult in rational_roots(cp):
-        shifted = ExactMatrix(
-            [
-                [m.entries[i][j] - (root if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        report.pairs.append((root, nullspace(shifted)))
+        report.pairs.append((root, nullspace(shifted(m, root))))
         found_mult += mult
     if found_mult < n:
         report.complete = False
         report.notes.append("non-rational spectrum present")
     report.pairs.sort(key=lambda p: p[0])
     return report
+
+
+def shifted(m, c):
+    """M - c*I for a square matrix: the rows copied, c taken off the diagonal."""
+    out = m.copy()
+    for i, row in enumerate(out.entries):
+        row[i] -= c
+    return out
 
 
 def stack(matrices):

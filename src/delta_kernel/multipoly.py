@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from operator import add, sub
+from operator import add, neg, sub
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -31,12 +31,20 @@ class InexactDivisionError(ArithmeticError):
     """exact_div called on a non-divisible pair; never a silent remainder."""
 
 
+def _grevlex_key(e):
+    return (sum(e), tuple(map(neg, reversed(e))))
+
+
+def _lex_key(e):
+    return e
+
+
 def order_key(order):
     """Return a sort key on exponent tuples for the given term order tag."""
     if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
+        return _grevlex_key
     if order == LEX:
-        return lambda e: e
+        return _lex_key
     raise ValueError(f"unknown term order {order!r}")
 
 

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from delta_kernel import cli
+from delta_kernel import cli, dvariety
 from delta_kernel.cli import build_parser, main, validate_report
 from delta_kernel.diffring import DiffContext, ReductionResult
 from delta_kernel.exterior import LemmaVerdict
+from delta_kernel.linalg import ExactMatrix
 from delta_kernel.parser import (
     ParseError,
     parse_diff_expression,
@@ -256,6 +257,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "factorization_implication_check", lambda *a: refuted)
         code, out, err = run(["wedge-check", "--count", "3", "--seed", "7"])
         assert code == 4 and "internal error" in err and out == ""
+
+    def test_failed_consistency_check_is_internal(self, problem_path, monkeypatch):
+        # an action matrix that leaves the space trips the eigen path's check
+        action = dvariety._action_matrix
+
+        def leaky(spec, k, monos, cofactor=None):
+            m = action(spec, k, monos, cofactor)
+            return ExactMatrix(m.entries + [[1] * m.cols])
+
+        monkeypatch.setattr(dvariety, "_action_matrix", leaky)
+        code, out, err = run(["darboux", problem_path, "--dspec", "rot", "--deg", "2"])
+        assert code == 4 and out == ""
+        assert "internal error: degree <= 1 field failed to preserve the space" in err
 
 
 class TestDeterminism:

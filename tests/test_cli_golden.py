@@ -1,12 +1,16 @@
 """Pinned --json output of the CLI commands that reach the rational solver
 and of the prolongation commands.
 
-The fixtures `data/solver_golden/search.dk` and `data/prolong_golden/*.dk`
-hold the coefficients of the benchmark's prolong-search problem files for
-seed 1.  Each solver `.json` file is the output recorded before the solver
-was rewritten around one lex basis per zero-dimensional system; each
-prolongation `.json` file is the output recorded while the dimension of a
-saturated prolonged ideal still came from a second, grevlex basis.  Any
+The fixtures `data/solver_golden/search.dk`, `data/solver_golden/fields.dk`
+and `data/prolong_golden/*.dk` hold the coefficients of the benchmark's
+prolong-search problem files for seed 1.  Each solver `.json` file on
+`search.dk` is the output recorded before the solver was rewritten around
+one lex basis per zero-dimensional system; each `.json` file on `fields.dk`
+is the output recorded while the eigen path still solved every cofactor
+combination anew and first integrals came from a loop over ordered pairs of
+Darboux products; each prolongation `.json` file is the output recorded
+while the dimension of a saturated prolonged ideal still came from a
+second, grevlex basis.  Any
 change to the set or the order of the points found, or to a generator,
 dimension or fiber datum printed, shows here as a byte difference.
 """
@@ -25,6 +29,11 @@ SOLVER_JOBS = {
     "solve_ode_square_d3": ["solve-ode", "search.dk", "--ode", "square", "--deg", "3"],
     "solve_ode_riccati_d2": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "2"],
     "darboux_lv_d2": ["darboux", "search.dk", "--dspec", "lv", "--deg", "2"],
+    **{
+        f"{cmd}_{field}_d4": [cmd, "fields.dk", "--dspec", field, "--deg", "4"]
+        for cmd in ("darboux", "integrals")
+        for field in ("rot", "shear", "euler")
+    },
 }
 
 PROLONG_JOBS = {

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from delta_kernel import dvariety
 from delta_kernel.dvariety import (
     DSpec,
     darboux_search,
@@ -13,8 +16,12 @@ from delta_kernel.dvariety import (
     is_dsubvariety,
     log_derivative,
 )
-from delta_kernel.multipoly import MultiPoly
+from delta_kernel.groebner import GREVLEX
+from delta_kernel.linalg import ExactMatrix, nullspace, rational_eigen, rref, stack
+from delta_kernel.multipoly import MultiPoly, exponents_upto, order_key
 from delta_kernel.ratfunc import RatFunc
+
+from conftest import default_seed, random_fraction
 
 SIG = ("x1", "x2")
 X = MultiPoly.var(SIG, "x1")
@@ -213,3 +220,243 @@ class TestLogDerivative:
         assert exponential_solvable_over_ratfield(Fraction(0))
         assert not exponential_solvable_over_ratfield(Fraction(3))
         assert not exponential_solvable_over_ratfield(RatFunc(self.t))
+
+
+# ---------- references: the searches as they were before the eigenspaces
+# were reused, one stacked solve per eigenvalue combination and one ratio
+# per ordered pair of Darboux products ----------
+
+
+def _monos(spec, d):
+    return sorted(exponents_upto(spec.nvars, d), key=order_key(GREVLEX), reverse=True)
+
+
+def reference_darboux_eigen(spec, d):
+    monos = _monos(spec, d)
+    candidate_lists = []
+    for k in range(spec.nder):
+        a = dvariety._action_matrix(spec, k, monos)
+        candidate_lists.append(sorted({ev for ev, _ in rational_eigen(a).pairs}))
+    results = []
+    for combo in product(*candidate_lists):
+        cofs = [MultiPoly.const(spec.sig, ev) for ev in combo]
+        for p in dvariety._solve_cofactor(spec, monos, cofs):
+            results.append(dvariety._annotate(spec, p, cofs))
+    return dvariety._dedup(results)
+
+
+def _reference_orient(ratio):
+    num_deg = ratio.num.total_degree()
+    den_deg = ratio.den.total_degree()
+    if den_deg > num_deg or (den_deg == num_deg and ratio.den.to_str() > ratio.num.to_str()):
+        return ratio.inverse()
+    return ratio
+
+
+def reference_first_integrals(spec, d, darboux):
+    monos = _monos(spec, d)
+    vecs = nullspace(stack([dvariety._action_matrix(spec, k, monos) for k in range(spec.nder)]))
+    integrals = []
+    const_e = (0,) * spec.nvars
+    if vecs:
+        red, _ = rref(ExactMatrix(vecs))
+        for row in red.entries:
+            terms = {e: c for e, c in zip(monos, row) if c and e != const_e}
+            p = MultiPoly(spec.sig, terms)
+            if not p.is_constant():
+                integrals.append(RatFunc(p.primitive()))
+    combos = []
+
+    def rec(i, deg_left, prod, cof_sum):
+        combos.append((tuple(frozenset(c.terms.items()) for c in cof_sum), prod))
+        for j in range(i, len(darboux)):
+            r = darboux[j]
+            if r.degree <= deg_left:
+                rec(
+                    j,
+                    deg_left - r.degree,
+                    prod * r.polynomial,
+                    [a + b for a, b in zip(cof_sum, r.cofactors)],
+                )
+
+    rec(0, d, MultiPoly.const(spec.sig, 1), [MultiPoly.zero(spec.sig)] * spec.nder)
+    seen = {(f.num, f.den) for f in integrals}
+    for cof_a, prod_a in combos:
+        for cof_b, prod_b in combos:
+            if cof_a != cof_b or prod_a == prod_b:
+                continue
+            ratio = RatFunc(prod_a, prod_b)
+            if ratio.is_constant():
+                continue
+            ratio = _reference_orient(ratio)
+            key = (ratio.num, ratio.den)
+            if key not in seen and is_dconstant(spec, ratio):
+                seen.add(key)
+                integrals.append(ratio)
+    integrals.sort(key=lambda r: (r.num.total_degree() + r.den.total_degree(), r.to_str()))
+    return integrals
+
+
+# ---------- seeded degree <= 1 fields ----------
+
+
+def _invertible(rng, n):
+    while True:
+        p = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if len(rref(ExactMatrix(p))[1]) == n:
+            return p
+
+
+def _inverse(p):
+    n = len(p)
+    red, _ = rref(ExactMatrix([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(p)]))
+    return [row[n:] for row in red.entries]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _affine_fields(sig, matrices, shift=None):
+    """The derivations x' = A x (+ shift), one per matrix."""
+    xs = [MultiPoly.var(sig, v) for v in sig]
+    fields = []
+    for a in matrices:
+        comps = []
+        for j, row in enumerate(a):
+            f = MultiPoly.const(sig, shift[j] if shift else 0)
+            for c, x in zip(row, xs):
+                f = f + x.scale(c) if c else f
+            comps.append(f)
+        fields.append(comps)
+    return fields
+
+
+def _conjugated(rng, diagonals, n=2, shift=False):
+    """Commuting fields P D_k P^-1 x for diagonal (or Jordan) blocks D_k,
+    with a random invertible P, and an optional random constant part (one
+    field only)."""
+    p = _invertible(rng, n)
+    q = _inverse(p)
+    mats = [_matmul(_matmul(p, dk), q) for dk in diagonals]
+    sig = tuple(f"x{j}" for j in range(1, n + 1))
+    const = [random_fraction(rng) for _ in range(n)] if shift else None
+    return DSpec(n, len(mats), _affine_fields(sig, mats, const))
+
+
+def _diag(*xs):
+    return [[Fraction(x) if i == j else Fraction(0) for j in range(len(xs))] for i, x in enumerate(xs)]
+
+
+def seeded_fields():
+    """(name, spec, degree) for degree <= 1 fields covering one and two
+    derivations, repeated and defective eigenvalues, resonances that give
+    first integrals, constant parts, and irrational spectra."""
+    rng = random.Random(default_seed() + 9)
+    cases = []
+    for i, ((a, b), d) in enumerate((((1, -1), 6), ((2, -3), 5), ((1, 2), 4), ((3, 1), 4))):
+        cases.append((f"resonant{i}", _conjugated(rng, [_diag(a, b)], shift=i % 2 == 1), d))
+    cases.append(("scalar", _conjugated(rng, [_diag(2, 2)]), 4))
+    cases.append(("jordan", _conjugated(rng, [[[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]]), 6))
+    cases.append(("nilpotent", _conjugated(rng, [[[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]]), 6))
+    sig = ("x1", "x2")
+    x1, x2 = MultiPoly.var(sig, "x1"), MultiPoly.var(sig, "x2")
+    # irrational spectra: eigenvalues +-sqrt(2) and +-i*sqrt(3/2) on the lines
+    cases.append(("saddle_sqrt2", DSpec(2, 1, [[x2, 2 * x1]]), 6))
+    cases.append(("rotation", DSpec(2, 1, [[x2.scale(Fraction(-3, 2)), x1]]), 6))
+    cases.append(("shear_const", DSpec(2, 1, [[MultiPoly.const(sig, Fraction(1, 2)), -3 * x2]]), 6))
+    cases.append(("pair", _conjugated(rng, [_diag(1, -1), _diag(2, 1)]), 4))
+    cases.append(("pair_scalar", _conjugated(rng, [_diag(1, 2), _diag(1, 1)]), 4))
+    cases.append(("pair_repeated", _conjugated(rng, [_diag(1, 1, -1), _diag(0, 0, 1)], n=3), 2))
+    return cases
+
+
+def _darboux_view(results):
+    return [
+        (r.polynomial, r.cofactors, r.degree, r.irreducible, r.irreducibility) for r in results
+    ]
+
+
+class TestEigenReuseMatchesReference:
+    @pytest.mark.parametrize(
+        "spec,d", [pytest.param(spec, d, id=name) for name, spec, d in seeded_fields()]
+    )
+    def test_darboux_and_integrals(self, spec, d):
+        for deg in range(1, d + 1):
+            want = reference_darboux_eigen(spec, deg)
+            got = darboux_search_eigen(spec, deg)
+            assert _darboux_view(got) == _darboux_view(want)
+            assert first_integral_search(spec, deg) == reference_first_integrals(spec, deg, want)
+
+    def test_cases_are_not_vacuous(self):
+        # the seeded fields reach first integrals, rational ratios among them,
+        # several derivations, and a spectrum that is not all rational
+        specs = {name: spec for name, spec, _ in seeded_fields()}
+        assert [f.is_polynomial() for f in first_integral_search(specs["resonant0"], 2)] == [True]
+        assert [f.is_polynomial() for f in first_integral_search(specs["resonant2"], 2)] == [False]
+        assert first_integral_search(specs["pair_repeated"], 1)
+        spec = specs["saddle_sqrt2"]
+        assert not rational_eigen(dvariety._action_matrix(spec, 0, _monos(spec, 1))).complete
+
+    def test_groebner_path_integrals(self):
+        sig = ("x1", "x2")
+        x1, x2 = MultiPoly.var(sig, "x1"), MultiPoly.var(sig, "x2")
+        spec = DSpec(2, 1, [[x1 - 2 * x1 * x2, 2 * x1 * x2 - x2]])
+        darboux, _ = darboux_search_groebner(spec, 2)
+        assert first_integral_search(spec, 2) == reference_first_integrals(spec, 2, darboux)
+
+
+class TestEigenOracles:
+    """nullspace and rational_eigen, on which the eigen path rests, against
+    sympy."""
+
+    @staticmethod
+    def _sym(sympy, rows):
+        return sympy.Matrix(
+            [[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows]
+        )
+
+    def test_nullspace_spans_sympy_kernel(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(default_seed() + 10)
+        for _ in range(30):
+            rows, cols, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 4)
+            left = [[random_fraction(rng) for _ in range(r)] for _ in range(rows)]
+            right = [[random_fraction(rng) for _ in range(cols)] for _ in range(r)]
+            m = [
+                [sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                for row in left
+            ]
+            got = nullspace(ExactMatrix(m))
+            want = self._sym(sympy, m).nullspace()
+            assert len(got) == len(want)
+            if got:
+                mine = self._sym(sympy, got).rref()[0]
+                theirs = sympy.Matrix.hstack(*want).T.rref()[0]
+                assert mine == theirs
+
+    def test_rational_eigen_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        matrices = []
+        for name, spec, _ in seeded_fields():
+            for k in range(spec.nder):
+                for deg in (1, 2, 3):
+                    matrices.append(dvariety._action_matrix(spec, k, _monos(spec, deg)).entries)
+        rng = random.Random(default_seed() + 11)
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            matrices.append([[random_fraction(rng) for _ in range(n)] for _ in range(n)])
+        for m in matrices:
+            report = rational_eigen(ExactMatrix(m))
+            sm = self._sym(sympy, m)
+            vals = sm.eigenvals()
+            rational = {ev: mult for ev, mult in vals.items() if ev.is_rational}
+            assert [sympy.Rational(ev.numerator, ev.denominator) for ev, _ in report.pairs] == sorted(
+                rational
+            )
+            assert report.complete == (sum(rational.values()) == len(m))
+            for ev, vecs in report.pairs:
+                shifted_m = sm - sympy.Rational(ev.numerator, ev.denominator) * sympy.eye(len(m))
+                assert len(vecs) == len(shifted_m.nullspace())
+                for v in vecs:
+                    assert shifted_m * self._sym(sympy, [v]).T == sympy.zeros(len(m), 1)
