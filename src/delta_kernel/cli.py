@@ -435,12 +435,12 @@ def _cmd_wedge_check(args, problem):
         for _ in range(rng.randint(1, ell)):
             v = ExtVector.zero(dim, 1)
             for a in alphas:
-                v = v + a.scaled(Fraction(rng.randint(-2, 2)))
+                v = v + a.scaled(rng.randint(-2, 2))
             parts.append(v)
         omega = wedge_all(parts)
         beta = ExtVector.zero(dim, 1)
         for a in alphas:
-            beta = beta + a.scaled(Fraction(rng.randint(-2, 2)))
+            beta = beta + a.scaled(rng.randint(-2, 2))
         verdict = factorization_implication_check(alphas, omega, beta)
         statuses[verdict.status] += 1
         if len(examples) < 3:
@@ -463,11 +463,12 @@ def _cmd_wedge_check(args, problem):
 
 
 def _random_vector(rng, dim):
+    # integer entries: every wedge of the battery multiplies Python ints
     coeffs = {}
     for i in range(1, dim + 1):
         c = rng.randint(-3, 3)
         if c:
-            coeffs[(i,)] = Fraction(c)
+            coeffs[(i,)] = c
     return ExtVector(dim, 1, coeffs)
 
 
@@ -520,6 +521,21 @@ def _render_value(value, out, indent, key=None):
 
 
 # ---------- argument wiring ----------
+
+
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low, else a usage error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 # built once per process: parsing never mutates the parser, and main runs
@@ -580,8 +596,8 @@ def build_parser():
     p.add_argument("--modulo", required=True)
 
     p = add("wedge-check", needs_file=False, help="exterior-algebra lemma instance battery")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--dim", type=_int_at_least(1), default=4)
+    p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument(
         "--seed",
         type=int,

@@ -12,8 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .multipoly import MultiPoly, SignatureMismatchError, coeff_of_power
+from .multipoly import (
+    MultiPoly,
+    SignatureMismatchError,
+    coeff_of_power,
+    from_integer_terms,
+    integer_terms,
+    mul_integer_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -319,22 +327,34 @@ def apply_derivation(f, k):
     indets = f.indets()
     sig = ctx._signature(indets + [v.derive(k) for v in indets])
     src = f.body.restrict(sig)
-    out = MultiPoly.zero(sig, src.order)
+    where = {v: j for j, v in enumerate(sig)}
+    # per column that can occur: the column its derivative raises, or the
+    # terms of the declared action; a constant generator has no image
+    images = {where[v]: where[v.derive(k)] for v in indets}
+    for gen in ctx.coeff_gens:
+        act = ctx.action(k, gen)
+        if act is not None and not act.is_zero():
+            images[where[gen]] = act.restrict(sig).terms
+    terms = {}
+    get = terms.get
     for e, c in src.terms.items():
         for i, exp in enumerate(e):
-            if not exp:
+            image = images.get(i) if exp else None
+            if image is None:
                 continue
-            v = sig[i]
-            if isinstance(v, CoeffGen):
-                act = ctx.action(k, v)
-                if act is None or act.is_zero():
-                    continue
-                dv = act.restrict(sig)
-            else:
-                dv = MultiPoly.var(sig, v.derive(k), src.order)
             ne = list(e)
             ne[i] -= 1
-            out = out + dv.mul_monomial(tuple(ne), c * exp)
+            c_exp = c * exp
+            if isinstance(image, int):
+                ne[image] += 1
+                x = tuple(ne)
+                terms[x] = get(x, 0) + c_exp
+            else:
+                for ae, ac in image.items():
+                    x = tuple(map(add, ae, ne))
+                    terms[x] = get(x, 0) + ac * c_exp
+    out = MultiPoly.zero(sig, src.order)
+    out.terms = {x: c for x, c in terms.items() if c}
     return DiffPoly(ctx, out)
 
 
@@ -477,12 +497,32 @@ class ReductionResult:
     def verify(self):
         lhs = self.multiplier() * self.input
         rhs = self.remainder
+        # derived anew from the set, not from the objects ritt_reduce used
+        derived = {}
         for step in self.steps:
-            f = self.aset.elements[step.element]
-            for k, times in enumerate(step.theta, start=1):
-                f = self.input.ctx.d(k, f, times)
+            f = _derived(self.aset.elements, step.element, step.theta, derived)
             rhs = rhs + step.quotient * f
         return lhs == rhs
+
+
+def _derived(elements, i, theta, memo):
+    """theta applied to elements[i], kept in memo by (i, theta).
+
+    Each derivative is one apply_derivation of its parent: theta less one
+    step in its last nonzero direction, so the derivations run in the
+    order that DiffContext.d follows (direction 1 first).
+    """
+    key = (i, theta)
+    h = memo.get(key)
+    if h is None:
+        if not any(theta):
+            h = elements[i]
+        else:
+            k = max(j for j, t in enumerate(theta) if t)
+            parent = theta[:k] + (theta[k] - 1,) + theta[k + 1 :]
+            h = apply_derivation(_derived(elements, i, parent, memo), k + 1)
+        memo[key] = h
+    return h
 
 
 def _pseudo_reduce_once(r, h, v, ctx):
@@ -490,26 +530,54 @@ def _pseudo_reduce_once(r, h, v, ctx):
 
     h must have positive degree d in v; returns (e, q, rem) with
     lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient
-    of v**d in h.  The loop runs on the bodies of r and h, restricted once
-    onto their merged signature.
+    of v**d in h.  The loop runs on integer term dicts over the merged
+    signature of r and h (pseudo-division over an integral domain, Knuth
+    TAOCP 4.6.1 Algorithm R): h is cleared once to H / den_h, with LC the
+    cleared coefficient of v**d, and q and the remainder are Q / D and R / D
+    over one shared denominator D.  A step takes the leading part M * v**d
+    off R, M / D the quotient's new term, and makes
+
+        Q' = LC*Q + den_h*M,   R' = LC*R - M*(H - LC * v**d),   D' = D*den_h;
+
+    the leading parts cancel exactly, so they are never formed, and Q and R
+    are scaled in place when LC is a constant.  One Fraction per surviving
+    term is built after the loop.
     """
     sig = ctx._signature(r.body.vars + h.body.vars)
-    rb, hb = r.body.restrict(sig), h.body.restrict(sig)
     i = sig.index(v)
-    d = hb.degree_in(i)
-    lc = coeff_of_power(hb, i, d)
-    q = MultiPoly.zero(sig, hb.order)
-    shift = [0] * len(sig)
+    den_h, H = integer_terms(h.body.restrict(sig).terms)
+    D, R = integer_terms(r.body.restrict(sig).terms)
+    d = max(x[i] for x in H)
+    LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in H.items() if x[i] == d}
+    tail = {x: c for x, c in H.items() if x[i] != d}
+    # LC as an integer when it is a constant, else None
+    lc = LC.get((0,) * len(sig)) if len(LC) == 1 else None
+    Q = {}
     e = 0
     while True:
-        dr = rb.degree_in(i)
+        dr = max((x[i] for x in R), default=-1)
         if dr < d:
-            return e, DiffPoly(ctx, q), DiffPoly(ctx, rb)
-        shift[i] = dr - d
-        m = coeff_of_power(rb, i, dr).mul_monomial(tuple(shift))
-        q = lc * q + m
-        rb = lc * rb - m * hb
+            break
+        s = dr - d
+        M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
+        if lc is None:
+            Q = mul_integer_terms({}, LC, Q)
+            R = mul_integer_terms({}, LC, R)
+        elif lc != 1:
+            for x in Q:
+                Q[x] *= lc
+            for x in R:
+                R[x] *= lc
+        for x, c in M.items():
+            Q[x] = Q.get(x, 0) + den_h * c
+        mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
+        for x in [x for x, c in R.items() if not c]:
+            del R[x]
+        D *= den_h
         e += 1
+    order = h.body.order
+    q, rem = from_integer_terms(sig, Q, D, order), from_integer_terms(sig, R, D, order)
+    return e, DiffPoly(ctx, q), DiffPoly(ctx, rem)
 
 
 def ritt_reduce(g, aset):
@@ -537,6 +605,7 @@ def ritt_reduce(g, aset):
 
     # (number of steps so far, base**e) for each step that scaled
     scales = []
+    derived = {}
     while True:
         target = _reduction_target(result.remainder, aset, leaders)
         if target is None:
@@ -544,9 +613,7 @@ def ritt_reduce(g, aset):
         v, i = target
         f = aset.elements[i]
         theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
-        h = f
-        for k, times in enumerate(theta, start=1):
-            h = ctx.d(k, h, times)
+        h = _derived(aset.elements, i, theta, derived)
         e, q, r = _pseudo_reduce_once(result.remainder, h, v, ctx)
         # drop the columns of the indeterminates this step eliminated
         result.remainder = DiffPoly(ctx, r.body.restrict(ctx._signature(r.indets())))

@@ -2,7 +2,8 @@
 two linear-algebra lemmas behind the finiteness arguments.
 
 Vectors are sparse maps from strictly increasing index subsets of {1..N} to
-field elements (Fraction or RatFunc); signs come from inversion counting.
+field elements (Fraction or RatFunc, or Python ints for vectors with integer
+entries, which then multiply as ints); signs come from inversion counting.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ supported: graded reverse lexicographic (the default) and lexicographic
 (for elimination).  All arithmetic is exact; there is no floating point
 anywhere in this package.
 
-Coefficients stay Fraction at every interface.  Products run over a common
-denominator: each operand is cleared to integer numerators over the lcm of
-its denominators, the term pairs multiply and accumulate as Python ints,
-and one Fraction is built per surviving output term.
+Coefficients are Fraction in every MultiPoly.  Loops that would make a
+Fraction per operation run on integer term dicts instead: integer_terms
+clears a polynomial to integer numerators over the lcm of its denominators,
+mul_integer_terms multiplies and accumulates such dicts as Python ints, and
+from_integer_terms builds one Fraction per surviving term at the end.
+Products (MultiPoly.__mul__) and the Ritt-Kolchin pseudo-division
+(diffring._pseudo_reduce_once) run this way.
 """
 
 from __future__ import annotations
@@ -243,19 +246,7 @@ class MultiPoly:
         db, b = integer_terms(other.terms)
         if len(a) < len(b):
             a, b = b, a
-        terms = {}
-        get = terms.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = get(e, 0) + c1 * c2
-        den = da * db
-        out = MultiPoly.zero(self.vars, self.order)
-        if den == 1:
-            out.terms = {e: Fraction(c) for e, c in terms.items() if c}
-        else:
-            out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
-        return out
+        return from_integer_terms(self.vars, mul_integer_terms({}, a, b), da * db, self.order)
 
     __rmul__ = __mul__
 
@@ -486,6 +477,28 @@ def integer_terms(terms):
     den the lcm of the denominators."""
     den = lcm(*[c.denominator for c in terms.values()])
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def mul_integer_terms(out, a, b):
+    """Add the product of the integer term dicts a and b into out and return
+    out; entries that cancel stay in it as 0."""
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def from_integer_terms(vars, terms, den, order=GREVLEX):
+    """The MultiPoly with coefficients terms[e] / den, its zero entries
+    dropped: one Fraction per surviving term."""
+    out = MultiPoly.zero(vars, order)
+    if den == 1:
+        out.terms = {e: Fraction(c) for e, c in terms.items() if c}
+    else:
+        out.terms = {e: Fraction(c, den) for e, c in terms.items() if c}
+    return out
 
 
 # ---------- monomials and dense univariate views ----------

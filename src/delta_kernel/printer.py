@@ -9,10 +9,6 @@ from __future__ import annotations
 from .diffring import CoeffGen
 
 
-def _frac_str(c):
-    return str(c)
-
-
 def _indet_factor(v, exp):
     base_parts = []
     for k, e in enumerate(v.theta, start=1):
@@ -58,16 +54,21 @@ def print_diffpoly(f):
                 factor_strs[(i, exp)] = s
             factors.append(s)
         mono = "*".join(factors)
-        size = abs(c)
+        # sign and size from the integer parts, with no Fraction arithmetic
+        num, den = c.numerator, c.denominator
+        negative = num < 0
+        if negative:
+            num = -num
+        size = str(num) if den == 1 else f"{num}/{den}"
         if not mono:
-            chunk = _frac_str(size)
-        elif size == 1:
+            chunk = size
+        elif num == 1 and den == 1:
             chunk = mono
         else:
-            chunk = f"{_frac_str(size)}*{mono}"
+            chunk = f"{size}*{mono}"
         if pieces:
-            pieces.append(" - " if c < 0 else " + ")
-        elif c < 0:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
             pieces.append("-")
         pieces.append(chunk)
     return "".join(pieces)

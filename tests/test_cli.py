@@ -224,6 +224,19 @@ class TestExitCodes:
         code, _, err = run(["no-such-command"])
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--dim", "0"], ["--dim", "-3"], ["--count", "-2"], ["--dim", "x"]]
+    )
+    def test_invalid_wedge_check_size(self, flags):
+        code, out, err = run(["--json", "wedge-check", *flags])
+        assert code == 1 and "usage error" in err and out == ""
+        assert flags[0] in err
+
+    def test_smallest_wedge_check_sizes(self):
+        code, out, _ = run(["--json", "wedge-check", "--dim", "1", "--count", "0"])
+        results = json.loads(out)["results"]
+        assert code == 0 and results["dimension"] == 1 and results["instances"] == 0
+
     def test_missing_command(self):
         code, _, err = run([])
         assert code == 1

@@ -1,5 +1,5 @@
-"""Pinned --json output of the CLI commands that reach the rational solver
-and of the prolongation commands.
+"""Pinned --json output of the CLI commands that reach the rational solver,
+of the prolongation commands and of the Ritt-Kolchin commands.
 
 The fixtures `data/solver_golden/search.dk`, `data/solver_golden/fields.dk`
 and `data/prolong_golden/*.dk` hold the coefficients of the benchmark's
@@ -13,6 +13,13 @@ while the dimension of a saturated prolonged ideal still came from a
 second, grevlex basis.  Any
 change to the set or the order of the points found, or to a generator,
 dimension or fiber datum printed, shows here as a byte difference.
+
+`data/reduce_golden/linear.dk` and `nonlinear.dk` are the benchmark's
+ring-reduce problem files for seed 1, with its costliest target on each;
+`rational.dk` is the nonlinear set with p = 1/2, q = -2/3, so that every
+pseudo-division carries denominators.  Each `.json` file there is the
+output recorded while pseudo-division still ran on Fraction coefficients
+and wedge-check on Fraction vectors.
 """
 
 import io
@@ -43,6 +50,19 @@ PROLONG_JOBS = {
     "extract_burgers": ["extract-dvariety", "burgers.dk", "--set", "S"],
 }
 
+REDUCE_JOBS = {
+    "reduce_linear_L6": [
+        "reduce", "linear.dk", "(2)*d1^16*d2^16*u1 + (-2)*(u1)^2*d2*u1", "--modulo", "L",
+    ],
+    "reduce_nonlinear_N5": [
+        "reduce", "nonlinear.dk", "(1)*d1^5*u1*d1^5*u2*(d1^4*u1)^3 + (1)*d1*u2", "--modulo", "N",
+    ],
+    "reduce_rational": [
+        "reduce", "rational.dk", "(1/3)*d1^5*u1*(d1^4*u2)^2 + (-5/7)*d1*u2*u1", "--modulo", "N",
+    ],
+    "wedge_check_d8": ["wedge-check", "--dim", "8", "--count", "40", "--seed", "159630"],
+}
+
 
 def _check(folder, name, argv, monkeypatch):
     # the report echoes the problem path, so run beside the fixture
@@ -60,3 +80,8 @@ def test_solver_output_is_byte_identical(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(PROLONG_JOBS))
 def test_prolongation_output_is_byte_identical(name, monkeypatch):
     _check(DATA / "prolong_golden", name, PROLONG_JOBS[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCE_JOBS))
+def test_reduction_output_is_byte_identical(name, monkeypatch):
+    _check(DATA / "reduce_golden", name, REDUCE_JOBS[name], monkeypatch)

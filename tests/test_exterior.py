@@ -1,8 +1,12 @@
+import io
+import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from delta_kernel.cli import main
 from delta_kernel.exterior import (
     ExtVector,
     factorization_implication_check,
@@ -74,6 +78,74 @@ class TestWedge:
             assert all(w.coeffs.values())
             nonzero += not w.is_zero()
         assert nonzero >= 30
+
+
+class TestIntegerCoefficients:
+    """wedge-check builds its vectors from Python ints; the products must be
+    the ones the same vectors give as Fractions."""
+
+    def test_wedge_on_ints_matches_fractions(self, rng):
+        for _ in range(100):
+            dim = rng.randint(2, 7)
+            ints = [
+                ExtVector.from_components(dim, [rng.randint(-3, 3) for _ in range(dim)])
+                for _ in range(rng.randint(2, dim))
+            ]
+            fracs = [
+                ExtVector(v.dim, 1, {s: Fraction(c) for s, c in v.coeffs.items()}) for v in ints
+            ]
+            w, wf = wedge_all(ints), wedge_all(fracs)
+            assert w.coeffs == wf.coeffs
+            assert all(type(c) is int for c in w.coeffs.values())
+            k = rng.randint(-2, 2)
+            a, af = ints[0].scaled(k) + ints[1], fracs[0].scaled(Fraction(k)) + fracs[1]
+            assert a.coeffs == af.coeffs
+            assert wedge(a, ints[-1]).coeffs == wedge(af, fracs[-1]).coeffs
+
+    def test_wedge_check_matches_fraction_reference(self):
+        count = 8
+        for seed in range(1, 21):
+            for dim in range(2, 9):
+                out = io.StringIO()
+                argv = ["--json", "wedge-check", "--dim", str(dim), "--count", str(count),
+                        "--seed", str(seed)]
+                assert main(argv, stdout=out, stderr=io.StringIO()) == 0
+                results = json.loads(out.getvalue())["results"]
+                statuses, examples = reference_wedge_check(dim, count, seed)
+                assert results["statuses"] == statuses
+                assert results["examples"] == examples
+
+
+def reference_wedge_check(dim, count, seed):
+    """The wedge-check battery on Fraction vectors: (statuses, examples)."""
+    rng = random.Random(seed)
+    statuses = dict.fromkeys(("confirmed", "vacuous", "trivial", "precondition_failed", "refuted"), 0)
+    examples = []
+    for i in range(count):
+        ell = rng.randint(2, max(2, dim - 1))
+        alphas = []
+        for _ in range(ell):
+            coeffs = {}
+            for j in range(1, dim + 1):
+                c = rng.randint(-3, 3)
+                if c:
+                    coeffs[(j,)] = Fraction(c)
+            alphas.append(ExtVector(dim, 1, coeffs))
+        parts = []
+        for _ in range(rng.randint(1, ell)):
+            v = ExtVector.zero(dim, 1)
+            for a in alphas:
+                v = v + a.scaled(Fraction(rng.randint(-2, 2)))
+            parts.append(v)
+        omega = wedge_all(parts)
+        beta = ExtVector.zero(dim, 1)
+        for a in alphas:
+            beta = beta + a.scaled(Fraction(rng.randint(-2, 2)))
+        verdict = factorization_implication_check(alphas, omega, beta)
+        statuses[verdict.status] += 1
+        if len(examples) < 3:
+            examples.append({"instance": i, "status": verdict.status, "detail": verdict.detail})
+    return statuses, examples
 
 
 class TestImplication:

@@ -75,7 +75,7 @@ def reference_ritt_reduce(g, aset):
 
 
 def reference_print_diffpoly(f):
-    from delta_kernel.printer import _coeff_factor, _frac_str, _indet_factor
+    from delta_kernel.printer import _coeff_factor, _indet_factor
 
     body = f.body
     if body.is_zero():
@@ -94,11 +94,11 @@ def reference_print_diffpoly(f):
                 factors.append(_indet_factor(v, exp))
         mono = "*".join(factors)
         if not mono:
-            chunk = _frac_str(abs(c))
+            chunk = str(abs(c))
         elif abs(c) == 1:
             chunk = mono
         else:
-            chunk = f"{_frac_str(abs(c))}*{mono}"
+            chunk = f"{abs(c)}*{mono}"
         pieces.append(("-" if c < 0 else "+", chunk))
     sign, chunk = pieces[0]
     out = ("-" if sign == "-" else "") + chunk
@@ -212,6 +212,48 @@ def test_pseudo_reduce_once_identity():
         ref = reference_pseudo_reduce_once(r, h, v, ctx)
         assert (e, q, rem) == ref
     assert different_signatures >= 30
+
+
+@pytest.mark.parametrize(
+    "m, n, h, r, v",
+    [
+        (
+            1, 2,
+            "2/3*(d1*u1)^2*u2 + 1/4*d1*u1*u1 - 5/7*u2",
+            "1/5*(d1*u1)^3*d1*u2 - 3/5*(d1*u1)^2*u1 + 1/5*u2^2*d1*u1 + 7/10",
+            ((1,), 1),
+        ),
+        (
+            1, 2,
+            "2/3*(d1*u1)^2 + 1/5*u1",
+            "1/5*(d1*u1)^5 - 2/5*(d1*u1)^4*u2 + 1/3*d1*u1 - 1/5",
+            ((1,), 1),
+        ),
+        (
+            2, 1,
+            "2/3*d1^2*u1 - 1/2*u1 + 3/4*d2*u1",
+            "1/5*(d1^2*u1)^2*d1*d2*u1 + 4/5*d1^2*u1*u1 - 1/5*(d2*u1)^2",
+            ((2, 0), 1),
+        ),
+    ],
+    ids=["lc-polynomial", "lc-constant", "linear-m2"],
+)
+def test_pseudo_reduce_once_with_denominators(m, n, h, r, v):
+    # the benchmark's sets have integer coefficients; here both the leading
+    # coefficient of h and the terms of r carry denominators, so each step
+    # must scale the quotient's new term by h's denominator
+    ctx = DiffContext(m, n)
+    h, r = parse_diff_expression(h, ctx), parse_diff_expression(r, ctx)
+    v = AlgIndet(*v)
+    d = h.degree_in(v)
+    lead = h.coeff_of_power(v, d)
+    assert any(c.denominator > 1 for c in lead.body.terms.values())
+    e, q, rem = _pseudo_reduce_once(r, h, v, ctx)
+    assert e >= 2
+    assert (e, q, rem) == reference_pseudo_reduce_once(r, h, v, ctx)
+    assert lead**e * r == q * h + rem
+    assert rem.degree_in(v) < d
+    assert any(c.denominator > 1 for c in q.body.terms.values())
 
 
 def test_print_diffpoly_matches_reference():
