@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 
 from .diffring import AutoreducedSet, is_autoreduced, ritt_reduce
-from .dvariety import darboux_search, darboux_search_groebner, first_integral_search
+from .dvariety import darboux_search, first_integral_search
 from .exterior import ExtVector, factorization_implication_check, wedge_all
 from .heights import height_ratfunc, rational_solution_search
 from .initialsets import dimension_function, leaders_to_exponents, prolongation_bound
@@ -35,6 +35,7 @@ from .parser import (
 )
 from .printer import print_diffpoly, print_ratfunc
 from .prolongation import extract_dvariety, prolong_ideal
+from .solve import SAMPLE_VALUES
 
 DEFAULT_SEED = 20260808
 
@@ -282,17 +283,7 @@ def _cmd_extract(args, problem):
 
 def _cmd_darboux(args, problem):
     spec = _need(problem, problem.dspecs, args.dspec, "dspec")
-    if args.deg < 1:
-        raise MathError("degree bound must be at least 1")
-    warnings = []
-    use_groebner = args.method == "groebner" or (
-        args.method == "auto"
-        and any(spec.max_field_degree(k) > 1 for k in range(spec.nder))
-    )
-    if use_groebner:
-        found, warnings = darboux_search_groebner(spec, args.deg)
-    else:
-        found = darboux_search(spec, args.deg, method=args.method)
+    found, warnings = darboux_search(spec, args.deg, method=args.method)
     results = {
         "warnings": warnings,
         "degree_bound": args.deg,
@@ -377,7 +368,7 @@ def _cmd_solve_ode(args, problem):
     }
     assumptions = [
         "rational solutions over Q only; algebraic solutions out of scope",
-        "positive-dimensional solution families sampled on 0,1,-1,2,-2,3",
+        f"positive-dimensional solution families sampled on {','.join(map(str, SAMPLE_VALUES))}",
     ]
     if rep.experimental:
         assumptions.append("multivariate coefficient field: experimental pipeline")

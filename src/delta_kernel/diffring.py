@@ -498,14 +498,14 @@ class ReductionResult:
         lhs = self.multiplier() * self.input
         rhs = self.remainder
         # derived anew from the set, not from the objects ritt_reduce used
-        derived = {}
+        memo = {}
         for step in self.steps:
-            f = _derived(self.aset.elements, step.element, step.theta, derived)
+            f = derived(self.aset.elements, step.element, step.theta, memo)
             rhs = rhs + step.quotient * f
         return lhs == rhs
 
 
-def _derived(elements, i, theta, memo):
+def derived(elements, i, theta, memo):
     """theta applied to elements[i], kept in memo by (i, theta).
 
     Each derivative is one apply_derivation of its parent: theta less one
@@ -520,7 +520,7 @@ def _derived(elements, i, theta, memo):
         else:
             k = max(j for j, t in enumerate(theta) if t)
             parent = theta[:k] + (theta[k] - 1,) + theta[k + 1 :]
-            h = apply_derivation(_derived(elements, i, parent, memo), k + 1)
+            h = apply_derivation(derived(elements, i, parent, memo), k + 1)
         memo[key] = h
     return h
 
@@ -605,7 +605,7 @@ def ritt_reduce(g, aset):
 
     # (number of steps so far, base**e) for each step that scaled
     scales = []
-    derived = {}
+    memo = {}
     while True:
         target = _reduction_target(result.remainder, aset, leaders)
         if target is None:
@@ -613,7 +613,7 @@ def ritt_reduce(g, aset):
         v, i = target
         f = aset.elements[i]
         theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
-        h = _derived(aset.elements, i, theta, derived)
+        h = derived(aset.elements, i, theta, memo)
         e, q, r = _pseudo_reduce_once(result.remainder, h, v, ctx)
         # drop the columns of the indeterminates this step eliminated
         result.remainder = DiffPoly(ctx, r.body.restrict(ctx._signature(r.indets())))

@@ -5,24 +5,26 @@ subvariety.  The module decides invariance of subvarieties, tests rational
 first integrals, searches Darboux polynomials and first integrals up to a
 degree bound, and provides the logarithmic-derivative test over Q(t).
 
-Two Darboux search paths exist.  When every field component has degree at
-most one the derivations act on each bounded-degree coefficient space, and
-the search is a simultaneous rational eigenproblem: each derivation's
-square action matrix is decomposed once, and each cofactor tuple's solution
-space is read from the stored eigenspaces (one derivation) or is the kernel
-of the stored matrices stacked with their diagonals shifted (several).  The
-general path sets up the bilinear system in the coefficients of the
-polynomial and its cofactors, enumerates candidate cofactor tuples
-branch-by-branch through the Groebner engine (pivot coefficient pinned to
-one, higher coefficients zeroed), and solves each candidate linearly.  Both
+Two Darboux search paths exist, and darboux_search is the one place that
+chooses between them.  When every field component has degree at most one
+the derivations act on each bounded-degree coefficient space, and the
+search is a simultaneous rational eigenproblem: each derivation's square
+action matrix is decomposed once, and each cofactor tuple's solution space
+is its eigenspace (one derivation) or the kernel of the matrices stacked
+with their diagonals shifted (several).  The general path sets up the
+bilinear system in the coefficients of the polynomial and its cofactors,
+enumerates candidate cofactor tuples branch-by-branch through the Groebner
+engine (pivot coefficient pinned to one, higher coefficients zeroed), the
+all-zero tuple always among them, and solves each candidate linearly.  Both
 paths emit the same canonical representatives: a reduced-echelon basis of
 each cofactor's solution space, constants quotiented out.
 
-First integrals are read from the same search: the polynomial ones span the
-zero-cofactor space, and the rational ones are ratios of Darboux products
-with equal cofactor sums (the Darboux-Jouanolou construction), built once
-per exponent difference over a pairwise coprime refinement of the Darboux
-list, so each is in lowest terms without a gcd.
+First integrals are read from the Darboux list alone: each is a ratio of
+Darboux products with equal cofactor sums (the Darboux-Jouanolou
+construction), and the polynomial ones are the ratios over the empty
+product.  Each ratio is built once per exponent difference over a pairwise
+coprime refinement of the Darboux list, so it is in lowest terms without a
+gcd.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .multipoly import (
     poly_gcd,
 )
 from .ratfunc import RatFunc
-from .solve import sampled_rational_solutions
+from .solve import SAMPLE_VALUES, sampled_rational_solutions
 
 
 class DSpec:
@@ -78,18 +80,16 @@ class DSpec:
         return normal_form(p, gb) if gb is not None else p
 
     def derive(self, k, p):
-        """The k-th derivation applied to a polynomial (0-based k)."""
-        out = MultiPoly.zero(self.sig)
+        """The k-th derivation applied to a polynomial (0-based k), on any
+        signature that starts with sig: the fields are restricted onto p's
+        signature, which on sig itself returns them unchanged."""
+        out = MultiPoly.zero(p.vars)
         for j in range(self.nvars):
             dj = p.partial(j)
             if dj.is_zero():
                 continue
-            out = out + dj * self.fields[k][j]
+            out = out + dj * self.fields[k][j].restrict(p.vars)
         return out
-
-    def derive_ratfunc(self, k, f):
-        n, d = f.num, f.den
-        return RatFunc(self.derive(k, n) * d - n * self.derive(k, d), d * d)
 
     def commuting_witness(self):
         """None when all derivation pairs commute modulo the ideal of V,
@@ -237,14 +237,13 @@ def _solve_cofactor(spec, monos, cofactors):
     return _canonical_basis(spec.sig, monos, nullspace(stack(mats)))
 
 
-def _eigen_spaces(spec, d):
-    """(monos, spaces) for fields of degree <= 1: monos are the monomials of
-    degree <= d, and spaces maps each tuple of rational eigenvalues, one per
-    derivation, to a basis of {f in span(monos) : delta_k f = lambda_k f}.
+def darboux_search_eigen(spec, d):
+    """Simultaneous rational-eigenproblem path; needs degree <= 1 fields.
 
-    Each derivation's square action matrix is decomposed once.  With one
-    derivation the spaces are its eigenspaces; with several, each tuple's
-    space is the kernel of the stacked matrices A_k - lambda_k I.
+    Each derivation's square action matrix on the monomials of degree <= d
+    is decomposed once.  With one derivation the solution space of each
+    cofactor lambda is its lambda-eigenspace; with several, each tuple of
+    eigenvalues gets the kernel of the stacked matrices A_k - lambda_k I.
     """
     for k in range(spec.nder):
         if spec.max_field_degree(k) > 1:
@@ -259,40 +258,34 @@ def _eigen_spaces(spec, d):
         mats.append(a)
         eigenspaces.append(rational_eigen(a).pairs)
     if spec.nder == 1:
-        return monos, {(ev,): vecs for ev, vecs in eigenspaces[0]}
-    spaces = {}
-    for combo in product(*([ev for ev, _ in pairs] for pairs in eigenspaces)):
-        shifts = [shifted(a, ev) for a, ev in zip(mats, combo)]
-        spaces[combo] = nullspace(stack(shifts))
-    return monos, spaces
-
-
-def _eigen_darboux(spec, monos, spaces):
+        spaces = [((ev,), vecs) for ev, vecs in eigenspaces[0]]
+    else:
+        spaces = [
+            (combo, nullspace(stack([shifted(a, ev) for a, ev in zip(mats, combo)])))
+            for combo in product(*([ev for ev, _ in pairs] for pairs in eigenspaces))
+        ]
     results = []
-    for combo, vecs in spaces.items():
+    for combo, vecs in spaces:
         cofs = [MultiPoly.const(spec.sig, ev) for ev in combo]
         for p in _canonical_basis(spec.sig, monos, vecs):
             results.append(_annotate(spec, p, cofs))
     return _dedup(results)
 
 
-def darboux_search_eigen(spec, d):
-    """Simultaneous rational-eigenproblem path; needs degree <= 1 fields."""
-    return _eigen_darboux(spec, *_eigen_spaces(spec, d))
-
-
 def _cofactor_monomials(spec, k):
     return _monomials(spec.nvars, max(spec.max_field_degree(k) - 1, 0))
 
 
-def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
+def darboux_search_groebner(spec, d):
     """Bilinear path: enumerate rational cofactor tuples, then solve linearly.
 
     Unknowns are the coefficients of f and of each cofactor K_k; for each
     pivot monomial of f (coefficient one, higher coefficients zero) the
     f-coefficients are eliminated and the rational points of the cofactor
     ideal are collected.  Cofactor families (positive-dimensional cofactor
-    components) are sampled and flagged.
+    components) are sampled on SAMPLE_VALUES and flagged.  The all-zero
+    cofactor tuple is always a candidate, so the polynomial first integrals
+    are found whether or not a sample hits it.
     """
     monos = _monomials(spec.nvars, d)
     cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
@@ -302,7 +295,7 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
     ]
     allvars = tuple(avars + bvars)
     warnings = []
-    candidates = []
+    candidates = [[MultiPoly.zero(spec.sig) for _ in range(spec.nder)]]
 
     def record(values):
         cofs = []
@@ -335,15 +328,7 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
             )
         cof_ext.append(kk)
 
-    def derive_ext(k, p):
-        out = MultiPoly.zero(ext)
-        for j in range(spec.nvars):
-            dj = p.partial(j)
-            if not dj.is_zero():
-                out = out + dj * lift(spec.fields[k][j])
-        return out
-
-    residual = [derive_ext(k, f_ext) - cof_ext[k] * f_ext for k in range(spec.nder)]
+    residual = [spec.derive(k, f_ext) - cof_ext[k] * f_ext for k in range(spec.nder)]
     # coefficients of the ambient monomials are the equations in a, b
     equations = [eq for r in residual for eq in coefficients(r, len(spec.sig))]
 
@@ -357,12 +342,10 @@ def darboux_search_groebner(spec, d, sample_values=(0, 1, -1, 2, -2, 3)):
         branch = [eq.restrict(keep) for eq in branch if not eq.is_zero()]
         if any(eq.is_constant() and not eq.is_zero() for eq in branch):
             continue
-        points, exact, free = sampled_rational_solutions(
-            branch, keep, sample_values=sample_values
-        )
+        points, exact, free = sampled_rational_solutions(branch, keep)
         if not exact:
             warnings.append(
-                f"solution family in pivot branch {pivot}; cofactors collected by sampling on {list(sample_values)}"
+                f"solution family in pivot branch {pivot}; cofactors collected by sampling on {list(SAMPLE_VALUES)}"
             )
         for pt in points:
             full = dict(pt)
@@ -385,51 +368,43 @@ def _dedup(results):
     return out
 
 
-def _eigen_applies(spec, d, method):
-    """Whether a search of degree d by the given method takes the eigen path."""
+def darboux_search(spec, d, method="auto"):
+    """(results, warnings): all Darboux polynomials of degree <= d, a
+    canonical basis per cofactor, and the Groebner path's sampling notes.
+
+    The one place a search path is chosen: "auto" takes the eigen path when
+    every field has degree <= 1, which returns no warnings.  Cofactor
+    degrees are bounded by max_j deg delta_k(x_j) - 1, the standard
+    completeness bound from comparing top degrees.
+    """
     if d < 1:
         raise ValueError("degree bound must be at least 1")
     if method == "auto":
-        return all(spec.max_field_degree(k) <= 1 for k in range(spec.nder))
-    if method not in ("eigen", "groebner"):
-        raise ValueError(f"unknown method {method!r}")
-    return method == "eigen"
-
-
-def darboux_search(spec, d, method="auto", sample_values=(0, 1, -1, 2, -2, 3)):
-    """All Darboux polynomials of degree <= d (canonical basis per cofactor).
-
-    Cofactor degrees are bounded by max_j deg delta_k(x_j) - 1, the standard
-    completeness bound from comparing top degrees.
-    """
-    if _eigen_applies(spec, d, method):
-        return darboux_search_eigen(spec, d)
-    return darboux_search_groebner(spec, d, sample_values)[0]
-
-
-def first_integral_search(spec, d, method="auto"):
-    """Rational first integrals up to degree d.
-
-    Polynomial ones come from the kernel of the stacked derivation action on
-    the bounded-degree space (constants quotiented out); on the eigen path
-    that kernel is the space of the zero eigenvalues, read from the same
-    decomposition as the Darboux polynomials.  Rational ones are ratios of
-    Darboux products with matching cofactor sums.  The Darboux list is
-    refined to a pairwise coprime base and every product written as an
-    exponent vector over it, so a ratio depends only on the difference of
-    two vectors and comes out in lowest terms without a gcd; each difference
-    up to sign is built once.
-    """
-    if _eigen_applies(spec, d, method):
-        monos, spaces = _eigen_spaces(spec, d)
-        kernel = spaces.get((0,) * spec.nder, [])
-        darboux = _eigen_darboux(spec, monos, spaces)
+        eigen = all(spec.max_field_degree(k) <= 1 for k in range(spec.nder))
+    elif method in ("eigen", "groebner"):
+        eigen = method == "eigen"
     else:
-        monos = _monomials(spec.nvars, d)
-        kernel = nullspace(stack([_action_matrix(spec, k, monos) for k in range(spec.nder)]))
-        darboux = darboux_search_groebner(spec, d)[0]
-    integrals = [RatFunc(p) for p in _canonical_basis(spec.sig, monos, kernel)]
-    seen = set(integrals)
+        raise ValueError(f"unknown method {method!r}")
+    if eigen:
+        return darboux_search_eigen(spec, d), []
+    return darboux_search_groebner(spec, d)
+
+
+def first_integral_search(spec, d):
+    """Rational first integrals up to degree d, from the Darboux list alone.
+
+    A first integral is a ratio of Darboux products with equal cofactor
+    sums (the Darboux-Jouanolou construction); the polynomial ones are the
+    ratios over the empty product, since the zero-cofactor Darboux basis is
+    a basis of the polynomial integrals.  The Darboux list is refined to a
+    pairwise coprime base and every product written as an exponent vector
+    over it, so a ratio depends only on the difference of two vectors and
+    comes out in lowest terms without a gcd; each difference up to sign is
+    built once.
+    """
+    darboux, _ = darboux_search(spec, d)
+    integrals = []
+    seen = set()
     base, exps = _coprime_base([r.polynomial for r in darboux])
     # the distinct products of each cofactor sum, as exponent vectors over base
     groups = {}

@@ -110,13 +110,13 @@ class HeightReport:
         return {(g.num, g.den) for g, _ in self.solutions}
 
 
-def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 3)):
+def rational_solution_search(ode, degree_bound):
     """Search x = p/q with deg p, deg q <= degree_bound, q monic.
 
     Strata run over every pair (max deg p, exact deg q); the union is
     monotone in the bound by construction.  Zero-dimensional coefficient
     systems are enumerated completely over Q; positive-dimensional ones are
-    reported symbolically and sampled on a fixed parameter list.  Every
+    reported symbolically and sampled on solve.SAMPLE_VALUES.  Every
     emitted solution is re-verified exactly.
     """
     if degree_bound < 0:
@@ -134,9 +134,7 @@ def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 
         for dq in range(pmax + 1):
             exponents = sorted(exponents_upto(s, dq), key=key, reverse=True)
             for pivot in (e for e in exponents if sum(e) == dq):
-                _run_stratum(
-                    ode, pmax, dq, pivot, sample_values, report, seen
-                )
+                _run_stratum(ode, pmax, dq, pivot, report, seen)
                 if s == 1:
                     break  # univariate: t^dq is the only monic choice
     report.solutions.sort(key=lambda pair: (pair[1], pair[0].to_str()))
@@ -147,7 +145,7 @@ def rational_solution_search(ode, degree_bound, sample_values=(0, 1, -1, 2, -2, 
     return report
 
 
-def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
+def _run_stratum(ode, pmax, dq, pivot, report, seen):
     tsig = ode.tvars
     s = len(tsig)
     key = order_key(GREVLEX)
@@ -201,9 +199,7 @@ def _run_stratum(ode, pmax, dq, pivot, sample_values, report, seen):
         )
         return
     dim = ideal_dimension(gb)
-    points, exact, free = sampled_rational_solutions(
-        gb, unknowns, sample_values=sample_values
-    )
+    points, exact, free = sampled_rational_solutions(gb, unknowns)
     report.strata.append(
         StratumReport(
             pmax,

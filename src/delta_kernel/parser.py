@@ -468,9 +468,7 @@ def parse_system(text):
     action_polys = {}
     for key, (_, toks) in actions.items():
         env = RatEnv(tgens) if tgens else RatEnv(("t1",))
-        sub = _Stream(toks + [Token("eof", "", 0, 0)])
-        value = ExprParser(sub, env).parse()
-        _expect_done(sub)
+        value = _parse_tokens(toks, env)
         if not value.is_polynomial():
             tok0 = toks[0] if toks else Token("eof", "", 0, 0)
             raise ParseError("derivation actions must be polynomial in the t-generators", tok0.line, tok0.col)
@@ -492,10 +490,7 @@ def parse_system(text):
         if name in set(problem.names()):
             raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
         if kind == "poly":
-            sub = _Stream(payload + [Token("eof", "", 0, 0)])
-            value = ExprParser(sub, DiffEnv(ctx)).parse()
-            _expect_done(sub)
-            problem.polys[name] = value
+            problem.polys[name] = _parse_tokens(payload, DiffEnv(ctx))
         elif kind == "set":
             members = []
             for tok in payload:
@@ -515,9 +510,7 @@ def parse_system(text):
             problem.dspecs[name] = _build_dspec(name_tok, payload)
         elif kind == "ode":
             env = OdeEnv(tgens if tgens else ("t",))
-            sub = _Stream(payload + [Token("eof", "", 0, 0)])
-            value = ExprParser(sub, env).parse()
-            _expect_done(sub)
+            value = _parse_tokens(payload, env)
             if value.is_zero():
                 raise ParseError("the differential-equation polynomial must be nonzero", name_tok.line, name_tok.col)
             problem.odes[name] = OdePoly(value, tvars=env.tvars)
@@ -564,10 +557,14 @@ def _take_statement(s):
     return (kind, name_tok, _take_line(s))
 
 
-def _expect_done(sub):
+def _parse_tokens(tokens, env):
+    """One expression spanning all of tokens, parsed in env."""
+    sub = _Stream(list(tokens) + [Token("eof", "", 0, 0)])
+    value = ExprParser(sub, env).parse()
     tok = sub.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return value
 
 
 def _build_dspec(name_tok, payload):
@@ -618,12 +615,6 @@ def _build_dspec(name_tok, payload):
         raise ParseError("dspec block must declare n=<int> and m=<int>", name_tok.line, name_tok.col)
     env = AmbientEnv(nvars)
 
-    def parse_expr(toks):
-        sub = _Stream(list(toks) + [Token("eof", "", 0, 0)])
-        value = ExprParser(sub, env).parse()
-        _expect_done(sub)
-        return value
-
     fields = []
     for k in range(1, nder + 1):
         row = []
@@ -633,7 +624,7 @@ def _build_dspec(name_tok, payload):
                 raise ParseError(
                     f"dspec is missing d{k} x{j}", name_tok.line, name_tok.col
                 )
-            row.append(parse_expr(toks))
+            row.append(_parse_tokens(toks, env))
         fields.append(row)
     ideal = []
     if ideal_tokens:
@@ -641,7 +632,7 @@ def _build_dspec(name_tok, payload):
         for tok in ideal_tokens + [Token("sym", ",", 0, 0)]:
             if tok.kind == "sym" and tok.text == ",":
                 if current:
-                    ideal.append(parse_expr(current))
+                    ideal.append(_parse_tokens(current, env))
                 current = []
             else:
                 current.append(tok)
@@ -654,15 +645,9 @@ def _build_dspec(name_tok, payload):
 def parse_diff_expression(text, ctx):
     """One differential-polynomial expression over an existing ring."""
     tokens = [t for t in tokenize(text) if t.kind != "newline"]
-    s = _Stream(tokens)
-    value = ExprParser(s, DiffEnv(ctx)).parse()
-    _expect_done(s)
-    return value
+    return _parse_tokens(tokens, DiffEnv(ctx))
 
 
 def parse_ratfunc_expression(text, tvars=("t",)):
     tokens = [t for t in tokenize(text) if t.kind != "newline"]
-    s = _Stream(tokens)
-    value = ExprParser(s, RatEnv(tvars)).parse()
-    _expect_done(s)
-    return value
+    return _parse_tokens(tokens, RatEnv(tvars))

@@ -6,21 +6,14 @@ terms by the descending term order of the body, so output is stable.
 
 from __future__ import annotations
 
-from .diffring import CoeffGen
+from .diffring import CoeffGen, indet_name
 
 
 def _indet_factor(v, exp):
-    base_parts = []
-    for k, e in enumerate(v.theta, start=1):
-        if e == 1:
-            base_parts.append(f"d{k}")
-        elif e > 1:
-            base_parts.append(f"d{k}^{e}")
-    base_parts.append(f"u{v.var}")
-    base = "*".join(base_parts)
+    base = indet_name(v)
     if exp == 1:
         return base
-    if len(base_parts) > 1:
+    if any(v.theta):
         return f"({base})^{exp}"
     return f"{base}^{exp}"
 

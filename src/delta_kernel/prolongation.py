@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diffring import AlgIndet, AutoreducedSet
+from .diffring import AlgIndet, AutoreducedSet, derived
 from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, normal_form, saturate
 from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
 from .multipoly import MultiPoly, exponents_upto
@@ -101,14 +101,13 @@ def prolong_generators(polys, t):
     _require_constant_field(ctx)
     frame = nabla_frame(ctx.m, ctx.n, t)
     gens, provenance = [], []
+    memo = {}
     for idx, f in enumerate(polys):
         room = t - f.order()
         if room < 0:
             continue
         for theta in exponents_upto(ctx.m, room):
-            g = f
-            for k, times in enumerate(theta, start=1):
-                g = ctx.d(k, g, times)
+            g = derived(polys, idx, theta, memo)
             gens.append(_as_frame_poly(g, frame))
             provenance.append((idx, theta))
     return frame, gens, provenance
@@ -225,6 +224,7 @@ def affine_fiber(aset, t):
     frame_t = _frame_sig(nabla_frame(ctx.m, ctx.n, t))
     expressions = {}
     separants_used = {}
+    memo = {}
     for v in order_t:
         if v in basis:
             continue
@@ -239,9 +239,7 @@ def affine_fiber(aset, t):
         f = aset.elements[i]
         u = leaders[i]
         theta = tuple(a - b for a, b in zip(v.theta, u.theta))
-        g = f
-        for k, times in enumerate(theta, start=1):
-            g = ctx.d(k, g, times)
+        g = derived(aset.elements, i, theta, memo)
         sep = f.separant()
         if sep.is_zero():
             raise ZeroDivisionError("identically zero separant: degenerate system")

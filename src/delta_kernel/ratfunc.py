@@ -44,10 +44,6 @@ class RatFunc:
         return cls(MultiPoly.const(vars, c, order), reduce=False)
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p, reduce=False)
-
-    @classmethod
     def var(cls, vars, v, order="grevlex"):
         return cls(MultiPoly.var(vars, v, order), reduce=False)
 
@@ -144,11 +140,6 @@ class RatFunc:
         """Quotient-rule derivative with respect to variable index i."""
         n, d = self.num, self.den
         return RatFunc(n.partial(i) * d - n * d.partial(i), d * d)
-
-    def derive_with(self, derive_poly):
-        """Quotient rule with a caller-supplied derivation on polynomials."""
-        n, d = self.num, self.den
-        return RatFunc(derive_poly(n) * d - n * derive_poly(d), d * d)
 
     # ---------- equality & printing ----------
 

@@ -11,8 +11,8 @@ coefficient in x_k does not vanish at a.  No basis is recomputed per root;
 irrational branches are dropped by design.
 
 Positive-dimensional systems are sampled: the first variable of a maximal
-staircase-independent set is specialized over a fixed parameter list and
-the solver recurses, so results are deterministic and every returned point
+staircase-independent set is specialized over SAMPLE_VALUES and the
+solver recurses, so results are deterministic and every returned point
 satisfies the system exactly.  When that variable occurs in no generator of
 the grevlex basis, every sample value gives the same fiber, whose reduced
 grevlex basis is the generators themselves, and the fiber is solved once.
@@ -27,6 +27,9 @@ from fractions import Fraction
 from .factor import rational_roots
 from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger, independent_variable_set
 from .multipoly import from_dense, order_key
+
+# The parameter values every positive-dimensional system is sampled on.
+SAMPLE_VALUES = (0, 1, -1, 2, -2, 3)
 
 
 def enumerate_rational_points(gens, vars):
@@ -104,12 +107,12 @@ def _lex_ready(gb):
     return GroebnerBasis(tuple(gens), LEX, gb.vars)
 
 
-def sampled_rational_solutions(gens, vars, sample_values=(0, 1, -1, 2, -2, 3)):
+def sampled_rational_solutions(gens, vars):
     """(points, exact, free_vars): rational solutions of an arbitrary system.
 
     exact is True when the system was zero-dimensional and the enumeration
     is complete; otherwise staircase-independent variables were specialized
-    over sample_values, recursively.  free_vars lists only the variable
+    over SAMPLE_VALUES, recursively.  free_vars lists only the variable
     specialized at this top level (or every variable, when there are no
     equations); the ones specialized in the fibers below are not added, so
     len(free_vars) can be less than the dimension.  gens may be a
@@ -140,15 +143,15 @@ def sampled_rational_solutions(gens, vars, sample_values=(0, 1, -1, 2, -2, 3)):
         # free of the pivot is grevlex on rest, so the restricted generators
         # are its reduced basis
         fiber = GroebnerBasis(tuple(g.restrict(rest) for g in gb.generators), GREVLEX, rest)
-        shared, _, _ = sampled_rational_solutions(fiber, rest, sample_values)
+        shared, _, _ = sampled_rational_solutions(fiber, rest)
     points = []
-    for value in sample_values:
+    for value in SAMPLE_VALUES:
         value = Fraction(value)
         sub_points = shared
         if sub_points is None:
             reduced = [g.substitute({pivot: value}) for g in gb.generators]
             reduced = [g.restrict(rest) for g in reduced if not g.is_zero()]
-            sub_points, _, _ = sampled_rational_solutions(reduced, rest, sample_values)
+            sub_points, _, _ = sampled_rational_solutions(reduced, rest)
         for p in sub_points:
             point = dict(p)
             point[pivot] = value

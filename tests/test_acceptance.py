@@ -158,7 +158,7 @@ def test_criterion_06_darboux_engine():
 
     started = time.monotonic()
     rotation = DSpec(2, 1, [[-y, x]])
-    res = darboux_search(rotation, 2)
+    res, _ = darboux_search(rotation, 2)
     assert len(res) == 1
     assert res[0].polynomial == x * x + y * y
     assert all(c.is_zero() for c in res[0].cofactors)
@@ -167,7 +167,7 @@ def test_criterion_06_darboux_engine():
     started = time.monotonic()
     shear = DSpec(2, 1, [[MultiPoly.const(sig, 1), y]])
     for d in range(1, 5):
-        res = darboux_search(shear, d)
+        res, _ = darboux_search(shear, d)
         assert [(r.polynomial.to_str(), r.cofactors[0].to_str()) for r in res] == [
             (f"x2^{k}" if k > 1 else "x2", str(k)) for k in range(1, d + 1)
         ]

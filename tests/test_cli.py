@@ -256,6 +256,27 @@ class TestExitCodes:
         code, _, err = run(["bound", str(path), "--set", "L"])
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["darboux", "--dspec", "rot", "--deg", "0"], "degree bound must be at least 1"),
+            (["integrals", "--dspec", "rot", "--deg", "0"], "degree bound must be at least 1"),
+            (
+                ["darboux", "--dspec", "q", "--deg", "2", "--method", "eigen"],
+                "eigenproblem path needs every field of degree <= 1",
+            ),
+        ],
+        ids=["darboux-deg-0", "integrals-deg-0", "eigen-on-quadratic"],
+    )
+    def test_darboux_search_errors(self, tmp_path, argv, message):
+        path = tmp_path / "fields.dk"
+        path.write_text(
+            PROBLEM + "dspec q {\n n = 1\n m = 1\n d1 x1 = x1^2\n}\n", encoding="utf-8"
+        )
+        command, *flags = argv
+        code, out, err = run([command, str(path), *flags])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_missing_file(self):
         code, _, err = run(["analyze", "/nonexistent/path.dk"])
         assert code == 1

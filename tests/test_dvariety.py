@@ -58,7 +58,7 @@ class TestInvariance:
     def test_darboux_zero_sets_are_invariant(self):
         for spec_f in (rotation, shear, euler):
             spec = spec_f()
-            for r in darboux_search(spec, 2):
+            for r in darboux_search(spec, 2)[0]:
                 ok, _ = is_dsubvariety(spec, [r.polynomial])
                 assert ok
 
@@ -104,14 +104,14 @@ class TestCommuting:
 
 class TestDarboux:
     def test_rotation_circle(self):
-        res = darboux_search(rotation(), 2)
+        res, _ = darboux_search(rotation(), 2)
         assert len(res) == 1
         assert res[0].polynomial == X * X + Y * Y
         assert all(c.is_zero() for c in res[0].cofactors)
         assert res[0].irreducibility == "not-checked"
 
     def test_shear_powers_of_y(self):
-        res = darboux_search(shear(), 3)
+        res, _ = darboux_search(shear(), 3)
         assert [(r.polynomial.to_str(), r.cofactors[0].to_str()) for r in res] == [
             ("x2", "1"),
             ("x2^2", "2"),
@@ -122,7 +122,7 @@ class TestDarboux:
         assert res[1].irreducible is False
 
     def test_euler_monomials(self):
-        res = darboux_search(euler(), 2)
+        res, _ = darboux_search(euler(), 2)
         got = {(r.polynomial.to_str(), r.cofactors[0].to_str()) for r in res}
         assert got == {
             ("x1", "1"),
@@ -143,14 +143,14 @@ class TestDarboux:
     def test_groebner_path_nonlinear_field(self):
         # delta x = x^2 needs the bilinear path; x is invariant with cofactor x
         spec = DSpec(1, 1, [[MultiPoly.var(("x1",), "x1") ** 2]])
-        res = darboux_search(spec, 2)
+        res, _ = darboux_search(spec, 2)
         got = {(r.polynomial.to_str(), r.cofactors[0].to_str()) for r in res}
         assert ("x1", "x1") in got
         assert ("x1^2", "2*x1") in got
 
     def test_multiplicativity(self):
         spec = euler()
-        res = darboux_search(spec, 2)
+        res, _ = darboux_search(spec, 2)
         for a in res:
             for b in res:
                 prod = a.polynomial * b.polynomial
@@ -162,9 +162,28 @@ class TestDarboux:
         with pytest.raises(ValueError):
             darboux_search(rotation(), 0)
 
+    def test_dispatcher_eigen_field_has_no_warnings(self):
+        results, warnings = darboux_search(euler(), 2)
+        assert warnings == []
+        assert _darboux_view(results) == _darboux_view(darboux_search_eigen(euler(), 2))
+
+    def test_dispatcher_passes_groebner_warnings(self):
+        # delta x1 = x1^2, delta x2 = 0: the cofactors of x2-free polynomials
+        # form families, which the Groebner path samples and reports
+        x1 = MultiPoly.var(SIG, "x1")
+        spec = DSpec(2, 1, [[x1 * x1, MultiPoly.zero(SIG)]])
+        results, warnings = darboux_search(spec, 2)
+        want, want_warnings = darboux_search_groebner(spec, 2)
+        assert warnings == want_warnings and warnings
+        assert all("[0, 1, -1, 2, -2, 3]" in w for w in warnings)
+        assert _darboux_view(results) == _darboux_view(want)
+        assert darboux_search(spec, 2, method="groebner") == (results, warnings)
+        with pytest.raises(ValueError, match="eigenproblem path needs every field of degree <= 1"):
+            darboux_search(spec, 2, method="eigen")
+
     def test_two_commuting_derivations(self):
         spec = DSpec(2, 2, [[X, 2 * Y], [X, Y]])
-        res = darboux_search(spec, 1)
+        res, _ = darboux_search(spec, 1)
         got = {
             (r.polynomial.to_str(), tuple(c.to_str() for c in r.cofactors))
             for r in res
@@ -404,6 +423,37 @@ class TestEigenReuseMatchesReference:
         spec = DSpec(2, 1, [[x1 - 2 * x1 * x2, 2 * x1 * x2 - x2]])
         darboux, _ = darboux_search_groebner(spec, 2)
         assert first_integral_search(spec, 2) == reference_first_integrals(spec, 2, darboux)
+
+    @pytest.mark.parametrize(
+        "fields,want",
+        [
+            # x1' = x2, x2' = -x1^2: the energy 2*x1^3 + 3*x2^2
+            (lambda x1, x2: [x2, -x1 * x1], lambda x1, x2: [2 * x1**3 + 3 * x2**2]),
+            # x1' = x1*x2, x2' = -x1*x2: x1 + x2 and its powers
+            (lambda x1, x2: [x1 * x2, -x1 * x2], lambda x1, x2: [(x1 + x2) ** k for k in (1, 2, 3)]),
+        ],
+        ids=["energy", "sum"],
+    )
+    def test_groebner_path_polynomial_integrals(self, fields, want):
+        # the polynomial integrals come from the Darboux list alone, checked
+        # against the kernel of the stacked derivation action
+        sig = ("x1", "x2")
+        x1, x2 = MultiPoly.var(sig, "x1"), MultiPoly.var(sig, "x2")
+        spec = DSpec(2, 1, [fields(x1, x2)])
+        darboux, _ = darboux_search_groebner(spec, 3)
+        got = first_integral_search(spec, 3)
+        assert got == reference_first_integrals(spec, 3, darboux)
+        polys = [f.num for f in got if f.is_polynomial()]
+        assert polys == want(x1, x2)
+
+    def test_zero_cofactor_needs_no_sample(self, monkeypatch):
+        # with the cofactor search finding nothing, the zero cofactor is still
+        # a candidate, so the polynomial integrals are still found
+        monkeypatch.setattr(dvariety, "sampled_rational_solutions", lambda gens, vars: ([], False, []))
+        sig = ("x1", "x2")
+        x1, x2 = MultiPoly.var(sig, "x1"), MultiPoly.var(sig, "x2")
+        spec = DSpec(2, 1, [[x2, -x1 * x1]])
+        assert first_integral_search(spec, 3) == [RatFunc(2 * x1**3 + 3 * x2**2)]
 
 
 class TestEigenOracles:
