@@ -22,7 +22,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .diffring import AutoreducedSet, is_autoreduced, ritt_reduce
+from .diffring import AutoreducedSet, indet_name, is_autoreduced, ritt_reduce
 from .dvariety import darboux_search, first_integral_search
 from .exterior import ExtVector, factorization_implication_check, wedge_all
 from .heights import height_ratfunc, rational_solution_search
@@ -153,7 +153,7 @@ def _cmd_analyze(args, problem):
             else:
                 entry.update(
                     {
-                        "leader": _indet_str(f.leader()),
+                        "leader": indet_name(f.leader()),
                         "order": f.order(),
                         "leading_degree": f.leading_degree(),
                         "separant": print_diffpoly(f.separant()),
@@ -228,7 +228,7 @@ def _cmd_prolong(args, problem):
     pid = prolong_ideal(aset, args.t)
     results = {
         "level": pid.level,
-        "frame": [_indet_str(v) for v in pid.frame],
+        "frame": [indet_name(v) for v in pid.frame],
         "generators": [
             {
                 "text": g.to_str(),
@@ -264,9 +264,9 @@ def _cmd_extract(args, problem):
         },
         "variety_generators": [g.to_str() for g in data.variety.generators],
         "fiber_dimension": data.fiber_dim,
-        "fiber_basis": [_indet_str(v) for v in data.fibers.basis_coords],
+        "fiber_basis": [indet_name(v) for v in data.fibers.basis_coords],
         "fiber_expressions": {
-            _indet_str(v): expr.to_str()
+            indet_name(v): expr.to_str()
             for v, expr in sorted(
                 data.fibers.expressions.items(), key=lambda kv: kv[0].rank_key()
             )
@@ -326,10 +326,7 @@ def _cmd_integrals(args, problem):
 
 
 def _cmd_height(args, problem):
-    try:
-        g = parse_ratfunc_expression(args.expr)
-    except ParseError:
-        raise
+    g = parse_ratfunc_expression(args.expr)
     results = {
         "expression": print_ratfunc(g),
         "height": height_ratfunc(g),
@@ -461,12 +458,6 @@ def _random_vector(rng, dim):
         if c:
             coeffs[(i,)] = c
     return ExtVector(dim, 1, coeffs)
-
-
-def _indet_str(v):
-    from .diffring import indet_name
-
-    return indet_name(v)
 
 
 def _inputs(args, **extra):

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .multipoly import (
-    MultiPoly,
-    SignatureMismatchError,
-    coeff_of_power,
-    from_integer_terms,
-    integer_terms,
-    mul_integer_terms,
-)
+from .multipoly import MultiPoly, SignatureMismatchError, coeff_of_power, pseudo_divide
 
 
 @dataclass(frozen=True)
@@ -530,53 +523,11 @@ def _pseudo_reduce_once(r, h, v, ctx):
 
     h must have positive degree d in v; returns (e, q, rem) with
     lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient
-    of v**d in h.  The loop runs on integer term dicts over the merged
-    signature of r and h (pseudo-division over an integral domain, Knuth
-    TAOCP 4.6.1 Algorithm R): h is cleared once to H / den_h, with LC the
-    cleared coefficient of v**d, and q and the remainder are Q / D and R / D
-    over one shared denominator D.  A step takes the leading part M * v**d
-    off R, M / D the quotient's new term, and makes
-
-        Q' = LC*Q + den_h*M,   R' = LC*R - M*(H - LC * v**d),   D' = D*den_h;
-
-    the leading parts cancel exactly, so they are never formed, and Q and R
-    are scaled in place when LC is a constant.  One Fraction per surviving
-    term is built after the loop.
+    of v**d in h: multipoly.pseudo_divide over the merged signature of r
+    and h.
     """
     sig = ctx._signature(r.body.vars + h.body.vars)
-    i = sig.index(v)
-    den_h, H = integer_terms(h.body.restrict(sig).terms)
-    D, R = integer_terms(r.body.restrict(sig).terms)
-    d = max(x[i] for x in H)
-    LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in H.items() if x[i] == d}
-    tail = {x: c for x, c in H.items() if x[i] != d}
-    # LC as an integer when it is a constant, else None
-    lc = LC.get((0,) * len(sig)) if len(LC) == 1 else None
-    Q = {}
-    e = 0
-    while True:
-        dr = max((x[i] for x in R), default=-1)
-        if dr < d:
-            break
-        s = dr - d
-        M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
-        if lc is None:
-            Q = mul_integer_terms({}, LC, Q)
-            R = mul_integer_terms({}, LC, R)
-        elif lc != 1:
-            for x in Q:
-                Q[x] *= lc
-            for x in R:
-                R[x] *= lc
-        for x, c in M.items():
-            Q[x] = Q.get(x, 0) + den_h * c
-        mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
-        for x in [x for x, c in R.items() if not c]:
-            del R[x]
-        D *= den_h
-        e += 1
-    order = h.body.order
-    q, rem = from_integer_terms(sig, Q, D, order), from_integer_terms(sig, R, D, order)
+    e, q, rem = pseudo_divide(r.body.restrict(sig), h.body.restrict(sig), sig.index(v))
     return e, DiffPoly(ctx, q), DiffPoly(ctx, rem)
 
 

@@ -11,10 +11,11 @@ the derivations act on each bounded-degree coefficient space, and the
 search is a simultaneous rational eigenproblem: each derivation's square
 action matrix is decomposed once, and each cofactor tuple's solution space
 is its eigenspace (one derivation) or the kernel of the matrices stacked
-with their diagonals shifted (several).  The general path sets up the
-bilinear system in the coefficients of the polynomial and its cofactors,
-enumerates candidate cofactor tuples branch-by-branch through the Groebner
-engine (pivot coefficient pinned to one, higher coefficients zeroed), the
+with their diagonals shifted (several).  The general path takes, for each
+pivot monomial, the ansatz monic there with only the smaller monomials
+free (solve.undetermined), reads the bilinear system in its coefficients
+and the cofactors' off the ambient monomials of delta_k f - K_k f,
+collects the rational cofactor tuples through the Groebner engine, the
 all-zero tuple always among them, and solves each candidate linearly.  Both
 paths emit the same canonical representatives: a reduced-echelon basis of
 each cofactor's solution space, constants quotiented out.
@@ -46,7 +47,7 @@ from .multipoly import (
     poly_gcd,
 )
 from .ratfunc import RatFunc
-from .solve import SAMPLE_VALUES, sampled_rational_solutions
+from .solve import SAMPLE_VALUES, sampled_rational_solutions, specialize, undetermined
 
 
 class DSpec:
@@ -172,7 +173,7 @@ def _action_matrix(spec, k, monos, cofactor=None):
     extra = spec.max_field_degree(k) - 1
     if cofactor is not None and not cofactor.is_zero():
         extra = max(extra, cofactor.total_degree())
-    target = _monomials(spec.nvars, e_total(monos) + max(extra, 0))
+    target = _monomials(spec.nvars, max(sum(e) for e in monos) + max(extra, 0))
     index = {e: i for i, e in enumerate(target)}
     rows = len(target)
     cols = len(monos)
@@ -185,10 +186,6 @@ def _action_matrix(spec, k, monos, cofactor=None):
         for ee, cc in img.terms.items():
             entries[index[ee]][c] += cc
     return ExactMatrix(entries)
-
-
-def e_total(monos):
-    return max(sum(e) for e in monos)
 
 
 def _annotate(spec, p, cofactors):
@@ -279,78 +276,41 @@ def _cofactor_monomials(spec, k):
 def darboux_search_groebner(spec, d):
     """Bilinear path: enumerate rational cofactor tuples, then solve linearly.
 
-    Unknowns are the coefficients of f and of each cofactor K_k; for each
-    pivot monomial of f (coefficient one, higher coefficients zero) the
-    f-coefficients are eliminated and the rational points of the cofactor
-    ideal are collected.  Cofactor families (positive-dimensional cofactor
+    Unknowns are the coefficients of f and of each cofactor K_k.  For each
+    pivot monomial of f the ansatz is monic there, with only the smaller
+    monomials free, and the rational points of the branch's system are
+    collected.  Cofactor families (positive-dimensional cofactor
     components) are sampled on SAMPLE_VALUES and flagged.  The all-zero
     cofactor tuple is always a candidate, so the polynomial first integrals
     are found whether or not a sample hits it.
     """
     monos = _monomials(spec.nvars, d)
     cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
-    avars = [f"a{i}" for i in range(len(monos))]
-    bvars = [
-        f"b{k}_{i}" for k in range(spec.nder) for i in range(len(cof_monos[k]))
-    ]
-    allvars = tuple(avars + bvars)
+    bvars = [[f"b{k}_{i}" for i in range(len(cof_monos[k]))] for k in range(spec.nder)]
     warnings = []
     candidates = [[MultiPoly.zero(spec.sig) for _ in range(spec.nder)]]
-
-    def record(values):
-        cofs = []
-        for k in range(spec.nder):
-            terms = {}
-            for i, e in enumerate(cof_monos[k]):
-                c = values[f"b{k}_{i}"]
-                if c:
-                    terms[e] = c
-            cofs.append(MultiPoly(spec.sig, terms))
-        if cofs not in candidates:
-            candidates.append(cofs)
-
-    # generic bilinear equations over the unknowns
-    ext = spec.sig + allvars
-
-    def lift(p):
-        return p.restrict(ext)
-
-    f_ext = MultiPoly.zero(ext)
-    for i, e in enumerate(monos):
-        coeff_var = MultiPoly.var(ext, avars[i])
-        f_ext = f_ext + coeff_var * lift(MultiPoly.monomial(spec.sig, e))
-    cof_ext = []
-    for k in range(spec.nder):
-        kk = MultiPoly.zero(ext)
-        for i, e in enumerate(cof_monos[k]):
-            kk = kk + MultiPoly.var(ext, f"b{k}_{i}") * lift(
-                MultiPoly.monomial(spec.sig, e)
-            )
-        cof_ext.append(kk)
-
-    residual = [spec.derive(k, f_ext) - cof_ext[k] * f_ext for k in range(spec.nder)]
-    # coefficients of the ambient monomials are the equations in a, b
-    equations = [eq for r in residual for eq in coefficients(r, len(spec.sig))]
-
     for pivot in range(len(monos)):
-        branch = [eq for eq in equations]
-        pin = {avars[pivot]: Fraction(1)}
-        for higher in range(pivot):
-            pin[avars[higher]] = Fraction(0)
-        branch = [eq.substitute(pin) for eq in branch]
-        keep = tuple(v for v in allvars if v not in pin)
-        branch = [eq.restrict(keep) for eq in branch if not eq.is_zero()]
-        if any(eq.is_constant() and not eq.is_zero() for eq in branch):
+        avars = [f"a{i}" for i in range(pivot + 1, len(monos))]
+        keep = tuple(avars) + tuple(b for names in bvars for b in names)
+        ext = spec.sig + keep
+        f = undetermined(spec.sig, monos[pivot + 1 :], avars, ext, lead=monos[pivot])
+        residuals = [
+            spec.derive(k, f) - undetermined(spec.sig, cof_monos[k], bvars[k], ext) * f
+            for k in range(spec.nder)
+        ]
+        # coefficients of the ambient monomials are the equations in a, b
+        branch = [eq for r in residuals for eq in coefficients(r, len(spec.sig)).values()]
+        if any(eq.is_constant() for eq in branch):
             continue
-        points, exact, free = sampled_rational_solutions(branch, keep)
+        points, exact, _ = sampled_rational_solutions(branch, keep)
         if not exact:
             warnings.append(
                 f"solution family in pivot branch {pivot}; cofactors collected by sampling on {list(SAMPLE_VALUES)}"
             )
         for pt in points:
-            full = dict(pt)
-            full.update(pin)
-            record(full)
+            cofs = [specialize(spec.sig, cof_monos[k], bvars[k], pt) for k in range(spec.nder)]
+            if cofs not in candidates:
+                candidates.append(cofs)
 
     results = []
     for cofs in candidates:
@@ -541,7 +501,7 @@ def is_dconstant_on_fibers(f, data):
     is a D-constant exactly when every coefficient of every such expression
     vanishes modulo the saturated variety ideal.
     """
-    from .prolongation import _frame_sig
+    from .prolongation import AffineExpr, _frame_sig
 
     ext = _frame_sig(data.variety.frame)
     if isinstance(f, MultiPoly):
@@ -553,25 +513,14 @@ def is_dconstant_on_fibers(f, data):
         raise ZeroDivisionError("denominator vanishes identically on the variety")
     section = data.tangent_section()
     m = len(data.variety.frame[0].theta)
-    partials = {
-        x: f.derivative(ext.index(x)) for x in ext
-    }
+    partials = [f.derivative(i) for i in range(len(ext))]
     for k in range(1, m + 1):
-        const = RatFunc(MultiPoly.zero(ext))
-        linear = {}
-        for x in ext:
-            df = partials[x]
-            if df.is_zero():
-                continue
-            expr = section[(x, k)]
-            const = const + df * expr.const
-            for b, coef in expr.linear.items():
-                cur = linear.get(b)
-                linear[b] = df * coef if cur is None else cur + df * coef
-        for value in [const] + list(linear.values()):
-            if value.is_zero():
-                continue
-            if not normal_form(value.num, gb).is_zero():
+        total = AffineExpr(RatFunc(MultiPoly.zero(ext)))
+        for x, df in zip(ext, partials):
+            if not df.is_zero():
+                total = total.plus(section[(x, k)].scaled(df))
+        for value in [total.const, *total.linear.values()]:
+            if not value.is_zero() and not normal_form(value.num, gb).is_zero():
                 return False
     return True
 

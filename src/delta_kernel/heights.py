@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .groebner import GREVLEX, buchberger, ideal_dimension
 from .multipoly import MultiPoly, coefficients, exponents_upto, order_key
 from .ratfunc import RatFunc
-from .solve import sampled_rational_solutions
+from .solve import sampled_rational_solutions, specialize, undetermined
 
 
 def height_ratfunc(g):
@@ -157,21 +157,11 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
     bvars = [f"b{i}" for i in range(len(q_free))]
     unknowns = tuple(avars + bvars)
     ext = tsig + unknowns
+    p_sym = undetermined(tsig, p_monos, avars, ext)
+    q_sym = undetermined(tsig, q_free, bvars, ext, lead=pivot)
 
-    def lift(p):
-        return p.restrict(ext)
-
-    p_sym = MultiPoly.zero(ext)
-    for name, e in zip(avars, p_monos):
-        p_sym = p_sym + MultiPoly.var(ext, name) * lift(MultiPoly.monomial(tsig, e))
-    q_sym = lift(MultiPoly.monomial(tsig, pivot))
-    for name, e in zip(bvars, q_free):
-        q_sym = q_sym + MultiPoly.var(ext, name) * lift(MultiPoly.monomial(tsig, e))
-
-    t_index = {v: i for i, v in enumerate(ext)}
-    p_parts = [p_sym.partial(t_index[v]) for v in tsig]
-    q_parts = [q_sym.partial(t_index[v]) for v in tsig]
-    numerators = [pp * q_sym - p_sym * qp for pp, qp in zip(p_parts, q_parts)]
+    # ext starts with tsig: the k-th t-variable sits at index k
+    numerators = [p_sym.partial(k) * q_sym - p_sym * q_sym.partial(k) for k in range(s)]
 
     max_pow = 0
     for e in ode.poly.terms:
@@ -182,7 +172,7 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
     for e, c in ode.poly.terms.items():
         xdeg = e[s]
         ydegs = [e[s + 1 + k] for k in range(s)]
-        factor = lift(MultiPoly.monomial(tsig, e[:s], c))
+        factor = MultiPoly.monomial(tsig, e[:s], c).restrict(ext)
         factor = factor * p_sym ** xdeg
         for k, yd in enumerate(ydegs):
             if yd:
@@ -191,7 +181,7 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
         residual = residual + factor
 
     # the coefficients of the t-monomials: the system in the unknowns
-    equations = coefficients(residual, len(tsig))
+    equations = list(coefficients(residual, len(tsig)).values())
     gb = buchberger(equations or [MultiPoly.zero(unknowns)], GREVLEX)
     if gb.is_unit_ideal():
         report.strata.append(
@@ -212,18 +202,8 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
         )
     )
     for pt in points:
-        p_val = MultiPoly.zero(tsig)
-        for name, e in zip(avars, p_monos):
-            c = pt[name]
-            if c:
-                p_val = p_val + MultiPoly.monomial(tsig, e, c)
-        q_val = MultiPoly.monomial(tsig, pivot)
-        for name, e in zip(bvars, q_free):
-            c = pt[name]
-            if c:
-                q_val = q_val + MultiPoly.monomial(tsig, e, c)
-        if q_val.is_zero():
-            continue
+        p_val = specialize(tsig, p_monos, avars, pt)
+        q_val = specialize(tsig, q_free, bvars, pt, lead=pivot)
         g = RatFunc(p_val, q_val)
         gkey = (g.num, g.den)
         if gkey in seen:

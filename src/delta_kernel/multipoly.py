@@ -11,8 +11,13 @@ Fraction per operation run on integer term dicts instead: integer_terms
 clears a polynomial to integer numerators over the lcm of its denominators,
 mul_integer_terms multiplies and accumulates such dicts as Python ints, and
 from_integer_terms builds one Fraction per surviving term at the end.
-Products (MultiPoly.__mul__) and the Ritt-Kolchin pseudo-division
-(diffring._pseudo_reduce_once) run this way.
+Products (MultiPoly.__mul__) and pseudo-division (pseudo_divide, Knuth's
+Algorithm R, which serves both the Ritt-Kolchin reduction and the
+remainder sequence of poly_gcd) run this way.
+
+coefficients splits a polynomial by the monomials in its leading
+variables; the searches read their equations in the unknowns off it, and
+the affine fiber solve its top-order linear parts.
 """
 
 from __future__ import annotations
@@ -624,32 +629,68 @@ def coeff_of_power(p, i, d):
 
 
 def coefficients(p, k):
-    """Coefficients of p as a polynomial in its first k variables: one
-    MultiPoly over p.vars[k:] per monomial in those variables that occurs,
-    in the order of the first term of p carrying it."""
+    """Coefficients of p as a polynomial in its first k variables: a dict
+    from each monomial in those variables that occurs (its exponent tuple)
+    to its coefficient, a MultiPoly over p.vars[k:], in the order of the
+    first term of p carrying it."""
     buckets = {}
     for e, c in p.terms.items():
         buckets.setdefault(e[:k], {})[e[k:]] = c
-    out = []
-    for terms in buckets.values():
-        q = MultiPoly.zero(p.vars[k:], p.order)
+    out = {}
+    for head, terms in buckets.items():
+        q = out[head] = MultiPoly.zero(p.vars[k:], p.order)
         q.terms = terms
-        out.append(q)
     return out
 
 
-def _pseudo_rem(a, b, i):
-    """Pseudo-remainder of a by b with respect to variable index i."""
-    db = b.degree_in(i)
-    lb = coeff_of_power(b, i, db)
-    r = a
-    while r.terms and r.degree_in(i) >= db:
-        dr = r.degree_in(i)
-        lr = coeff_of_power(r, i, dr)
-        shift = [0] * len(a.vars)
-        shift[i] = dr - db
-        r = r * lb - b * lr.mul_monomial(tuple(shift))
-    return r
+def pseudo_divide(a, b, i):
+    """(e, q, r) with lc^e * a == q*b + r and deg_i(r) < d, where x is the
+    variable at index i, d = deg_x(b) and lc is the coefficient of x**d in
+    b; a and b share one signature and b is nonzero.
+
+    Pseudo-division over an integral domain (Knuth, TAOCP 4.6.1, Algorithm
+    R) on integer term dicts: b is cleared once to B / den_b, with LC the
+    cleared coefficient of x**d, and q and r are Q / D and R / D over one
+    shared denominator D.  A step takes the leading part M * x**d off R,
+    M / D the quotient's new term, and makes
+
+        Q' = LC*Q + den_b*M,   R' = LC*R - M*(B - LC * x**d),   D' = D*den_b;
+
+    the leading parts cancel exactly, so they are never formed, and Q and R
+    are scaled in place when LC is a constant.  One Fraction per surviving
+    term is built after the loop.
+    """
+    den_b, B = integer_terms(b.terms)
+    D, R = integer_terms(a.terms)
+    d = max(x[i] for x in B)
+    LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in B.items() if x[i] == d}
+    tail = {x: c for x, c in B.items() if x[i] != d}
+    # LC as an integer when it is a constant, else None
+    lc = LC.get((0,) * len(b.vars)) if len(LC) == 1 else None
+    Q = {}
+    e = 0
+    while True:
+        dr = max((x[i] for x in R), default=-1)
+        if dr < d:
+            break
+        s = dr - d
+        M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
+        if lc is None:
+            Q = mul_integer_terms({}, LC, Q)
+            R = mul_integer_terms({}, LC, R)
+        elif lc != 1:
+            for x in Q:
+                Q[x] *= lc
+            for x in R:
+                R[x] *= lc
+        for x, c in M.items():
+            Q[x] = Q.get(x, 0) + den_b * c
+        mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
+        for x in [x for x, c in R.items() if not c]:
+            del R[x]
+        D *= den_b
+        e += 1
+    return e, from_integer_terms(b.vars, Q, D, b.order), from_integer_terms(b.vars, R, D, b.order)
 
 
 def poly_gcd(a, b):
@@ -691,7 +732,7 @@ def poly_gcd(a, b):
     if f.degree_in(i) < g.degree_in(i):
         f, g = g, f
     while True:
-        r = _pseudo_rem(f, g, i)
+        r = pseudo_divide(f, g, i)[2]
         if not r.terms:
             break
         _, r = content_pp(r)

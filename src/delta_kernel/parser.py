@@ -457,8 +457,7 @@ def parse_system(text):
             if not (1 <= i <= ngens):
                 raise ParseError(f"coefficient generator t{i} not declared", ttok.line, ttok.col)
             s.expect("sym", "=")
-            expr_tokens = _take_line(s)
-            actions[(k, i)] = ("expr", expr_tokens)
+            actions[(k, i)] = (dtok.line, _take_line(s))
             s.skip_newlines()
             continue
         stmts.append(_take_statement(s))
@@ -466,12 +465,11 @@ def parse_system(text):
 
     tgens = tuple(f"t{i}" for i in range(1, ngens + 1))
     action_polys = {}
-    for key, (_, toks) in actions.items():
+    for key, (line, toks) in actions.items():
         env = RatEnv(tgens) if tgens else RatEnv(("t1",))
-        value = _parse_tokens(toks, env)
+        value = _parse_tokens(toks, env, line)
         if not value.is_polynomial():
-            tok0 = toks[0] if toks else Token("eof", "", 0, 0)
-            raise ParseError("derivation actions must be polynomial in the t-generators", tok0.line, tok0.col)
+            raise ParseError("derivation actions must be polynomial in the t-generators", toks[0].line, toks[0].col)
         body = value.num.scale(1 / value.den.constant_value())
         from .diffring import CoeffGen
 
@@ -490,7 +488,7 @@ def parse_system(text):
         if name in set(problem.names()):
             raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
         if kind == "poly":
-            problem.polys[name] = _parse_tokens(payload, DiffEnv(ctx))
+            problem.polys[name] = _parse_tokens(payload, DiffEnv(ctx), name_tok.line)
         elif kind == "set":
             members = []
             for tok in payload:
@@ -510,7 +508,7 @@ def parse_system(text):
             problem.dspecs[name] = _build_dspec(name_tok, payload)
         elif kind == "ode":
             env = OdeEnv(tgens if tgens else ("t",))
-            value = _parse_tokens(payload, env)
+            value = _parse_tokens(payload, env, name_tok.line)
             if value.is_zero():
                 raise ParseError("the differential-equation polynomial must be nonzero", name_tok.line, name_tok.col)
             problem.odes[name] = OdePoly(value, tvars=env.tvars)
@@ -557,9 +555,10 @@ def _take_statement(s):
     return (kind, name_tok, _take_line(s))
 
 
-def _parse_tokens(tokens, env):
-    """One expression spanning all of tokens, parsed in env."""
-    sub = _Stream(list(tokens) + [Token("eof", "", 0, 0)])
+def _parse_tokens(tokens, env, line=None):
+    """One expression spanning all of tokens, parsed in env; an expression
+    cut short is reported at line, where its statement starts."""
+    sub = _Stream(list(tokens) + [Token("eof", "", line, None)])
     value = ExprParser(sub, env).parse()
     tok = sub.peek()
     if tok.kind != "eof":
@@ -580,7 +579,7 @@ def _build_dspec(name_tok, payload):
         clauses.pop()
     nvars = nder = None
     entries = {}
-    ideal_tokens = None
+    ideal_clause = None
     check = True
     for clause in clauses:
         head = clause[0]
@@ -596,43 +595,46 @@ def _build_dspec(name_tok, payload):
         elif head.text == "nocommute":
             check = False
         elif head.text == "ideal":
-            if clause[1].text != "=":
+            if len(clause) < 2 or clause[1].text != "=":
                 raise ParseError("expected ideal = <poly>, <poly>, ...", head.line, head.col)
-            ideal_tokens = clause[2:]
+            ideal_clause = clause
         elif _D_RE.match(head.text):
             k = int(_D_RE.match(head.text).group(1))
-            xtok = clause[1]
-            xm = _X_RE.match(xtok.text) if xtok.kind == "name" else None
-            if not xm:
-                raise ParseError("expected d<k> x<j> = <poly>", xtok.line, xtok.col)
+            xm = _X_RE.match(clause[1].text) if len(clause) > 1 and clause[1].kind == "name" else None
+            if not xm or len(clause) < 3 or clause[2].text != "=":
+                raise ParseError("expected d<k> x<j> = <poly>", head.line, head.col)
             j = int(xm.group(1)) if xm.group(1) else 1
-            if clause[2].text != "=":
-                raise ParseError("expected '='", clause[2].line, clause[2].col)
-            entries[(k, j)] = clause[3:]
+            if (k, j) in entries:
+                raise ParseError(f"repeated clause d{k} x{j}", head.line, head.col)
+            entries[(k, j)] = clause
         else:
             raise ParseError(f"unknown dspec clause {head.text!r}", head.line, head.col)
     if nvars is None or nder is None:
         raise ParseError("dspec block must declare n=<int> and m=<int>", name_tok.line, name_tok.col)
+    for (k, j), clause in entries.items():
+        if not (1 <= k <= nder and 1 <= j <= nvars):
+            raise ParseError(f"clause d{k} x{j} lies outside m={nder}, n={nvars}", clause[0].line, clause[0].col)
     env = AmbientEnv(nvars)
 
     fields = []
     for k in range(1, nder + 1):
         row = []
         for j in range(1, nvars + 1):
-            toks = entries.get((k, j))
-            if toks is None:
+            clause = entries.get((k, j))
+            if clause is None:
                 raise ParseError(
                     f"dspec is missing d{k} x{j}", name_tok.line, name_tok.col
                 )
-            row.append(_parse_tokens(toks, env))
+            row.append(_parse_tokens(clause[3:], env, clause[0].line))
         fields.append(row)
     ideal = []
-    if ideal_tokens:
+    if ideal_clause:
+        line = ideal_clause[0].line
         current = []
-        for tok in ideal_tokens + [Token("sym", ",", 0, 0)]:
+        for tok in ideal_clause[2:] + [Token("sym", ",", 0, 0)]:
             if tok.kind == "sym" and tok.text == ",":
                 if current:
-                    ideal.append(_parse_tokens(current, env))
+                    ideal.append(_parse_tokens(current, env, line))
                 current = []
             else:
                 current.append(tok)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .diffring import AlgIndet, AutoreducedSet, derived
 from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, normal_form, saturate
 from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
-from .multipoly import MultiPoly, exponents_upto
+from .multipoly import MultiPoly, coefficients, exponents_upto
 from .ratfunc import RatFunc
 
 
@@ -217,11 +217,11 @@ def affine_fiber(aset, t):
     order_t.sort(key=lambda v: v.rank_key())
     basis = tuple(v for v in order_t if rep.contains(ExpPoint(v.theta, v.var)))
     leaders = aset.leaders()
-
-    def low_ratfunc(poly_body):
-        return RatFunc(poly_body.restrict(low_sig))
-
+    # the order-t coordinates come first in frame_t, so the coefficients of
+    # a polynomial in them are polynomials over low_sig
     frame_t = _frame_sig(nabla_frame(ctx.m, ctx.n, t))
+    top = frame_t[: len(order_t)]
+    units = [tuple(int(j == i) for j in range(len(top))) for i in range(len(top))]
     expressions = {}
     separants_used = {}
     memo = {}
@@ -243,45 +243,22 @@ def affine_fiber(aset, t):
         sep = f.separant()
         if sep.is_zero():
             raise ZeroDivisionError("identically zero separant: degenerate system")
-        sep_rf = low_ratfunc(sep.body)
+        sep_rf = RatFunc(sep.body.restrict(low_sig))
         # split g = sep*v + (linear part in other order-t coords) + constant
-        expr = AffineExpr(RatFunc(MultiPoly.zero(low_sig)))
+        parts = coefficients(g.body.restrict(frame_t), len(top))
+        if any(sum(e) > 1 for e in parts):
+            raise AssertionError("derived polynomial is not degree one at top order")
+        const = parts.get((0,) * len(top), MultiPoly.zero(low_sig))
+        expr = AffineExpr((-RatFunc(const)) / sep_rf)
         used = [i]
-        gb = g.body.restrict(frame_t)
-        top = [w for w in gb.vars if isinstance(w, AlgIndet) and w.order == t]
-        const_terms = {}
-        coeff_terms = {w: {} for w in top}
-        for e, c in gb.terms.items():
-            hits = [
-                (idx, w)
-                for idx, w in enumerate(gb.vars)
-                if w in coeff_terms and e[idx]
-            ]
-            if not hits:
-                const_terms[e] = c
+        for w, unit in zip(top, units):
+            if w == v or unit not in parts:
                 continue
-            if len(hits) > 1 or e[hits[0][0]] > 1:
-                raise AssertionError("derived polynomial is not degree one at top order")
-            idx, w = hits[0]
-            ne = list(e)
-            ne[idx] = 0
-            coeff_terms[w][tuple(ne)] = c
-        def low(poly_terms):
-            return low_ratfunc(MultiPoly(gb.vars, poly_terms, gb.order))
-
-        expr = expr.plus(AffineExpr((-low(const_terms)) / sep_rf))
-        for w in top:
-            if w == v:
-                continue
-            cw = coeff_terms[w]
-            if not cw:
-                continue
-            coef = (-low(cw)) / sep_rf
+            coef = (-RatFunc(parts[unit])) / sep_rf
             if w in basis:
                 expr = expr.plus(AffineExpr(RatFunc(MultiPoly.zero(low_sig)), {w: coef}))
             else:
-                sub = expressions[w]
-                expr = expr.plus(sub.scaled(coef))
+                expr = expr.plus(expressions[w].scaled(coef))
                 used.extend(separants_used[w])
         expressions[v] = expr
         separants_used[v] = tuple(sorted(set(used)))

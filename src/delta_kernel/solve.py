@@ -18,6 +18,11 @@ the grevlex basis, every sample value gives the same fiber, whose reduced
 grevlex basis is the generators themselves, and the fiber is solved once.
 A zero-dimensional fiber whose grevlex basis has the same leading monomials
 under lex already is its reduced lex basis, and is enumerated from it.
+
+Both searches by undetermined coefficients, for Darboux polynomials
+(dvariety) and for rational solutions of first-order equations (heights),
+write their ansatz with undetermined and read each solution point back
+into a polynomial with specialize.
 """
 
 from __future__ import annotations
@@ -26,10 +31,33 @@ from fractions import Fraction
 
 from .factor import rational_roots
 from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger, independent_variable_set
-from .multipoly import from_dense, order_key
+from .multipoly import MultiPoly, from_dense, order_key
 
 # The parameter values every positive-dimensional system is sampled on.
 SAMPLE_VALUES = (0, 1, -1, 2, -2, 3)
+
+
+def undetermined(sig, monos, names, ext, lead=None):
+    """The ansatz x^lead + sum of names[i] * x^monos[i] over ext.
+
+    monos and lead are exponent tuples over sig; ext starts with sig and
+    carries every name.  Without lead there is no fixed term.
+    """
+    pad = (0,) * (len(ext) - len(sig))
+    terms = {} if lead is None else {tuple(lead) + pad: 1}
+    for name, e in zip(names, monos):
+        x = list(e) + list(pad)
+        x[ext.index(name)] = 1
+        terms[tuple(x)] = 1
+    return MultiPoly(ext, terms)
+
+
+def specialize(sig, monos, names, point, lead=None):
+    """undetermined(...) at a rational point {name: value}, over sig."""
+    terms = {} if lead is None else {tuple(lead): 1}
+    for name, e in zip(names, monos):
+        terms[tuple(e)] = point[name]
+    return MultiPoly(sig, terms)
 
 
 def enumerate_rational_points(gens, vars):

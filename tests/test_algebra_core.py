@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import delta_kernel.multipoly as multipoly
 from delta_kernel.linalg import (
     ExactMatrix,
     charpoly,
@@ -15,12 +16,14 @@ from delta_kernel.multipoly import (
     InexactDivisionError,
     MultiPoly,
     SignatureMismatchError,
+    coeff_of_power,
     dense_coeffs,
     exponents_upto,
     from_dense,
     horner,
     interpolate,
     poly_gcd,
+    pseudo_divide,
 )
 from delta_kernel.ratfunc import RatFunc
 
@@ -127,6 +130,84 @@ class TestPolyArith:
 
     def test_gcd_coprime(self):
         assert poly_gcd(X + 1, Y + 1).is_constant()
+
+
+def reference_pseudo_rem(a, b, i):
+    """Pseudo-remainder of a by b in variable index i, on Fraction
+    coefficients: the remainder sequence of poly_gcd before pseudo-division
+    moved onto integer term dicts."""
+    db = b.degree_in(i)
+    lb = coeff_of_power(b, i, db)
+    r = a
+    while r.terms and r.degree_in(i) >= db:
+        dr = r.degree_in(i)
+        lr = coeff_of_power(r, i, dr)
+        shift = [0] * len(a.vars)
+        shift[i] = dr - db
+        r = r * lb - b * lr.mul_monomial(tuple(shift))
+    return r
+
+
+def _to_sympy(sympy, p):
+    gens = sympy.symbols(p.vars)
+    total = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, x in zip(gens, e):
+            term *= g**x
+        total += term
+    return total
+
+
+class TestPseudoDivisionAndGcd:
+    SIG3 = ("x", "y", "z")
+
+    def test_pseudo_divide_identity_and_reference(self):
+        rng = random.Random(default_seed() + 11)
+        steps = 0
+        for _ in range(60):
+            i = rng.randrange(3)
+            a = random_multipoly(rng, self.SIG3, max_degree=5, max_terms=5)
+            b = random_multipoly(rng, self.SIG3, max_degree=3, max_terms=3, allow_zero=False)
+            if b.is_zero():
+                continue
+            e, q, r = pseudo_divide(a, b, i)
+            d = b.degree_in(i)
+            lc = coeff_of_power(b, i, d)
+            assert lc**e * a == q * b + r
+            assert r.degree_in(i) < d
+            assert r == reference_pseudo_rem(a, b, i)
+            steps += e
+        assert steps >= 60
+
+    def test_poly_gcd_matches_sympy(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        calls = []
+
+        def counting(a, b, i):
+            calls.append(i)
+            return pseudo_divide(a, b, i)
+
+        # poly_gcd's remainder sequence looks the name up in its module
+        monkeypatch.setattr(multipoly, "pseudo_divide", counting)
+        rng = random.Random(default_seed() + 12)
+        nontrivial = 0
+        for _ in range(25):
+            g, p, q = (
+                random_multipoly(rng, self.SIG3, max_degree=2, max_terms=3, allow_zero=False)
+                for _ in range(3)
+            )
+            a, b = g * p, g * q
+            if a.is_zero() or b.is_zero():
+                continue
+            got = poly_gcd(a, b)
+            assert got.is_zero() or got.leading()[1] == 1
+            want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b))
+            ratio = sympy.cancel(want / _to_sympy(sympy, got))
+            assert ratio != 0 and not ratio.free_symbols, (a, b, got, want)
+            nontrivial += not got.is_constant()
+        assert nontrivial >= 10
+        assert len(calls) >= 10
 
 
 class TestRatFunc:

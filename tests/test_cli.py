@@ -247,6 +247,45 @@ class TestExitCodes:
         code, _, err = run(["analyze", str(path)])
         assert code == 2 and "parse error" in err
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (["d1 x1 = x1", "ideal"], 6),
+            (["d1"], 5),
+            (["d1 x1"], 5),
+            (["d1 x1 = x1", "d2 x1 = x1"], 6),
+            (["d1 x1 = x1", "d1 x7 = x1"], 6),
+            (["d1 x1 = x1", "d1 x1 = 2*x1"], 6),
+            (["d1 x1 ="], 5),
+        ],
+        ids=[
+            "truncated-ideal",
+            "truncated-d",
+            "truncated-dx",
+            "derivation-outside-m",
+            "variable-outside-n",
+            "repeated-clause",
+            "empty-field",
+        ],
+    )
+    def test_bad_dspec_clause_names_its_line(self, tmp_path, body, line):
+        text = "m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n"
+        text += "".join(f" {clause}\n" for clause in body) + "}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert exc.value.line == line
+        path = tmp_path / "bad.dk"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and f"at line {line}" in err
+
+    @pytest.mark.parametrize("statement", ["poly f =", "ode E =", "poly f = (u1"])
+    def test_expression_cut_short_names_its_line(self, statement):
+        with pytest.raises(ParseError) as exc:
+            parse_system(f"m=1 n=1 coeffs=Q\n\n{statement}\n")
+        assert exc.value.line == 3
+
     def test_math_precondition_error(self, tmp_path):
         path = tmp_path / "notauto.dk"
         path.write_text(

@@ -14,6 +14,13 @@ second, grevlex basis.  Any
 change to the set or the order of the points found, or to a generator,
 dimension or fiber datum printed, shows here as a byte difference.
 
+`solver_golden/groebner.dk` holds a field with two derivations and the
+energy field x1' = x2, x2' = -x1^2, whose degree-3 search samples a
+cofactor family; `prolong_golden/pair.dk` holds two sets with n = 2,
+m = 2, in the first of which fiber expressions substitute one another.
+Their `.json` files are the output recorded while each undetermined-
+coefficient search still built its ansatz and read its points its own way.
+
 `data/reduce_golden/linear.dk` and `nonlinear.dk` are the benchmark's
 ring-reduce problem files for seed 1, with its costliest target on each;
 `rational.dk` is the nonlinear set with p = 1/2, q = -2/3, so that every
@@ -41,6 +48,12 @@ SOLVER_JOBS = {
         for cmd in ("darboux", "integrals")
         for field in ("rot", "shear", "euler")
     },
+    "darboux_groebner_pair_d2": [
+        "darboux", "groebner.dk", "--dspec", "pair", "--deg", "2", "--method", "groebner",
+    ],
+    "darboux_groebner_energy_d3": [
+        "darboux", "groebner.dk", "--dspec", "energy", "--deg", "3", "--method", "groebner",
+    ],
 }
 
 PROLONG_JOBS = {
@@ -48,6 +61,8 @@ PROLONG_JOBS = {
     "dimfn_burgers_t4": ["dimfn", "burgers.dk", "--set", "S", "--max-t", "4"],
     "extract_sqrt": ["extract-dvariety", "sqrt.dk", "--set", "S"],
     "extract_burgers": ["extract-dvariety", "burgers.dk", "--set", "S"],
+    "extract_pair_S": ["extract-dvariety", "pair.dk", "--set", "S"],
+    "extract_pair_T": ["extract-dvariety", "pair.dk", "--set", "T"],
 }
 
 REDUCE_JOBS = {

@@ -21,7 +21,13 @@ from delta_kernel.groebner import (
 )
 from delta_kernel.multipoly import MultiPoly, poly_gcd
 from delta_kernel.factor import rational_roots
-from delta_kernel.solve import enumerate_rational_points, sampled_rational_solutions
+from delta_kernel.multipoly import exponents_upto
+from delta_kernel.solve import (
+    enumerate_rational_points,
+    sampled_rational_solutions,
+    specialize,
+    undetermined,
+)
 
 from conftest import default_seed
 
@@ -304,3 +310,20 @@ def test_sampled_solutions_match_the_unshared_loop(gens):
     assert (as_items(points), exact, free) == (as_items(want[0]), want[1], want[2])
     for point in points:
         assert all(g.evaluate(point) == 0 for g in gens)
+
+
+@pytest.mark.parametrize("with_lead", [False, True])
+def test_specialize_is_the_ansatz_at_the_point(with_lead):
+    rng = random.Random(default_seed() + 21)
+    for _ in range(20):
+        sig = ("t1", "t2")[: rng.randint(1, 2)]
+        monos = list(exponents_upto(len(sig), rng.randint(0, 3)))
+        lead = monos.pop(rng.randrange(len(monos))) if with_lead else None
+        names = [f"c{i}" for i in range(len(monos))]
+        ext = sig + tuple(names)
+        point = {n: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for n in names}
+        ansatz = undetermined(sig, monos, names, ext, lead=lead)
+        assert len(ansatz.terms) == len(monos) + with_lead
+        assert set(ansatz.terms.values()) <= {1}
+        got = specialize(sig, monos, names, point, lead=lead)
+        assert got == ansatz.substitute(point).restrict(sig)
