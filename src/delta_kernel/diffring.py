@@ -12,25 +12,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
-from .multipoly import MultiPoly, SignatureMismatchError, coeff_of_power, pseudo_divide
+from .multipoly import (
+    MultiPoly,
+    SignatureMismatchError,
+    coeff_of_power,
+    from_integer_terms,
+    integer_terms,
+    mul_integer_terms,
+    pseudo_divide_terms,
+    reindexer,
+    restrict_terms,
+)
 
 
-@dataclass(frozen=True)
 class AlgIndet:
     """The algebraic indeterminate with derivative exponents theta = (e1..em)
-    applied to dependent variable u_var."""
+    applied to dependent variable u_var.
 
-    theta: tuple
-    var: int
+    Immutable, equal and hashed on (theta, var); the hash and the rank key
+    are computed once, since signatures sort and look up indeterminates
+    again and again.
+    """
+
+    __slots__ = ("theta", "var", "_rank_key", "_hash")
+
+    def __init__(self, theta, var):
+        init = object.__setattr__
+        init(self, "theta", theta)
+        init(self, "var", var)
+        init(self, "_rank_key", (sum(theta), var, *reversed(theta)))
+        init(self, "_hash", hash((theta, var)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AlgIndet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an AlgIndet")
+
+    def __reduce__(self):
+        return AlgIndet, (self.theta, self.var)
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgIndet:
+            return NotImplemented
+        return self.theta == other.theta and self.var == other.var
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self):
-        return sum(self.theta)
+        return self._rank_key[0]
 
     def rank_key(self):
-        return (self.order, self.var, *reversed(self.theta))
+        return self._rank_key
 
     def derive(self, k):
         """The indeterminate one derivation step further in direction k (1-based)."""
@@ -318,12 +356,13 @@ def apply_derivation(f, k):
     # from the occurring indeterminates only: the body's unused columns
     # would otherwise pile up along chains of derivatives
     indets = f.indets()
-    sig = ctx._signature(indets + [v.derive(k) for v in indets])
+    raised = [v.derive(k) for v in indets]
+    sig = ctx._signature(indets + raised)
     src = f.body.restrict(sig)
     where = {v: j for j, v in enumerate(sig)}
     # per column that can occur: the column its derivative raises, or the
     # terms of the declared action; a constant generator has no image
-    images = {where[v]: where[v.derive(k)] for v in indets}
+    images = {where[v]: where[w] for v, w in zip(indets, raised)}
     for gen in ctx.coeff_gens:
         act = ctx.action(k, gen)
         if act is not None and not act.is_zero():
@@ -488,14 +527,58 @@ class ReductionResult:
         return total
 
     def verify(self):
-        lhs = self.multiplier() * self.input
-        rhs = self.remainder
-        # derived anew from the set, not from the objects ritt_reduce used
+        """Whether the certificate re-expands exactly: True when
+
+            multiplier * input - remainder - sum_nu q_nu * theta_nu f_nu
+
+        is zero over Q.  Each theta_nu f_nu is derived anew from the set
+        through verify's own memo, not taken from ritt_reduce.  The sum is
+        one integer term dict over one signature and one common
+        denominator, rescaled only when a part's denominator does not
+        divide the common one.  Each product is added as it is formed: the
+        smaller factor is cleared, restricted onto the signature and scaled
+        once, the larger one is read a term at a time, and an entry is
+        dropped the moment it cancels, so the dict holds just what the
+        parts added so far leave over.
+        """
+        ctx = self.input.ctx
         memo = {}
+        # (factor, factor, sign): the product of the two enters with the sign
+        parts = [(self.multiplier(), self.input, 1), (self.remainder, ctx.const(1), -1)]
         for step in self.steps:
             f = derived(self.aset.elements, step.element, step.theta, memo)
-            rhs = rhs + step.quotient * f
-        return lhs == rhs
+            parts.append((step.quotient, f, -1))
+        sig = ctx._signature([v for a, b, _ in parts for p in (a, b) for v in p.body.vars])
+        acc = {}
+        den = 1
+        get = acc.get
+        for a, b, sign in parts:
+            a, b = a.body, b.body
+            if len(a.terms) < len(b.terms):
+                a, b = b, a
+            da = lcm(*[c.denominator for c in a.terms.values()])
+            db, B = integer_terms(b.terms)
+            part_den = da * db
+            if den % part_den:
+                common = lcm(den, part_den)
+                k = common // den
+                for x in acc:
+                    acc[x] *= k
+                den = common
+            k = sign * (den // part_den)
+            B = {x: k * c for x, c in restrict_terms(B, b.vars, sig).items()}
+            pick = reindexer(a.vars, sig)[0]
+            for x1, c1 in a.terms.items():
+                x1 = pick(x1)
+                c1 = c1.numerator * (da // c1.denominator)
+                for x2, c2 in B.items():
+                    x = tuple(map(add, x1, x2))
+                    c = get(x, 0) + c1 * c2
+                    if c:
+                        acc[x] = c
+                    else:
+                        del acc[x]
+        return not acc
 
 
 def derived(elements, i, theta, memo):
@@ -519,16 +602,22 @@ def derived(elements, i, theta, memo):
 
 
 def _pseudo_reduce_once(r, h, v, ctx):
-    """One full pseudo-division of r by h in the indeterminate v.
+    """One full pseudo-division of r by h in the indeterminate v, on ints.
 
-    h must have positive degree d in v; returns (e, q, rem) with
-    lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient
-    of v**d in h: multipoly.pseudo_divide over the merged signature of r
-    and h.
+    r is (sig, R, D), the polynomial R / D with R an integer term dict over
+    the signature sig; its dict is consumed.  h must have positive degree d
+    in v.  Returns (e, (sig, Q, D), (sig, R, D)), quotient q and remainder
+    rem in the same form over the merged signature of r and h, with
+    lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient of
+    v**d in h: multipoly.pseudo_divide_terms.
     """
-    sig = ctx._signature(r.body.vars + h.body.vars)
-    e, q, rem = pseudo_divide(r.body.restrict(sig), h.body.restrict(sig), sig.index(v))
-    return e, DiffPoly(ctx, q), DiffPoly(ctx, rem)
+    rsig, R, D = r
+    sig = ctx._signature(rsig + h.body.vars)
+    den_h, H = integer_terms(h.body.terms)
+    a = D, restrict_terms(R, rsig, sig)
+    b = den_h, restrict_terms(H, h.body.vars, sig)
+    e, Q, R, D = pseudo_divide_terms(a, b, sig.index(v))
+    return e, (sig, Q, D), (sig, R, D)
 
 
 def ritt_reduce(g, aset):
@@ -538,6 +627,10 @@ def ritt_reduce(g, aset):
     each leader with degree below its leading degree; the returned
     certificate is an exact identity.  When several elements apply, the
     lowest-ranked applicable element is used first.
+
+    Remainder and quotients stay integer term dicts over a denominator
+    from one pseudo-division to the next; each becomes a DiffPoly, one
+    Fraction per term, only at the end.
     """
     if isinstance(aset, (list, tuple)):
         aset = AutoreducedSet(aset)
@@ -545,69 +638,100 @@ def ritt_reduce(g, aset):
     if ctx != aset.ctx:
         raise SignatureMismatchError("reduction across different rings")
     leaders = aset.leaders()
-    result = ReductionResult(
-        input=g,
-        aset=aset,
-        remainder=g,
-        sep_powers={},
-        init_powers={},
-        steps=[],
-    )
+    sep_powers, init_powers = {}, {}
 
-    # (number of steps so far, base**e) for each step that scaled
+    # the remainder R / D over the signature rsig; (element, theta, qsig,
+    # Q, qden) for each step with a nonzero quotient Q / qden; and (number
+    # of such steps so far, base**e) for each step that scaled by base != 1
+    rsig, (D, R) = g.body.vars, integer_terms(g.body.terms)
+    quotients = []
     scales = []
     memo = {}
     while True:
-        target = _reduction_target(result.remainder, aset, leaders)
+        target = _reduction_target(rsig, R, aset, leaders)
         if target is None:
             break
         v, i = target
         f = aset.elements[i]
         theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
         h = derived(aset.elements, i, theta, memo)
-        e, q, r = _pseudo_reduce_once(result.remainder, h, v, ctx)
-        # drop the columns of the indeterminates this step eliminated
-        result.remainder = DiffPoly(ctx, r.body.restrict(ctx._signature(r.indets())))
+        e, (qsig, Q, qden), (sig, R, D) = _pseudo_reduce_once((rsig, R, D), h, v, ctx)
+        # drop the columns of the indeterminates this step eliminated, and
+        # the factor that R and D share (as a Fraction would)
+        rsig = ctx._signature([x for x, column in zip(sig, zip(*R)) if any(column)])
+        R = restrict_terms(R, sig, rsig)
+        if D > 1:
+            common = gcd(D, *R.values())
+            if common > 1:
+                R = {x: c // common for x, c in R.items()}
+                D //= common
         if e:
             # the leading coefficient of a proper derivative of f is f's
             # separant; of f itself, f's initial
             if any(theta):
-                book, base = result.sep_powers, f.separant()
+                book, base = sep_powers, f.separant()
             else:
-                book, base = result.init_powers, f.initial()
+                book, base = init_powers, f.initial()
             book[i] = book.get(i, 0) + e
-            scales.append((len(result.steps), base ** e))
-        if not q.is_zero():
-            result.steps.append(ReductionStep(i, theta, q))
+            if base != 1:
+                scales.append((len(quotients), base ** e))
+        if Q:
+            quotients.append((i, theta, qsig, Q, qden))
+    remainder = DiffPoly(ctx, from_integer_terms(rsig, R, D))
     # every scaling multiplies the quotients recorded before it: walk from
     # the last step back, each quotient taking the product of the scales
-    # met after it
+    # met after it, multiplied on ints; one Fraction per term at the end,
+    # and each integer quotient let go once it is built
     acc = None
-    for j in range(len(result.steps) - 1, -1, -1):
+    steps = []
+    while quotients:
+        j = len(quotients) - 1
+        i, theta, qsig, Q, qden = quotients.pop()
         while scales and scales[-1][0] > j:
             scale = scales.pop()[1]
             acc = scale if acc is None else acc * scale
+            acc_den, acc_terms = integer_terms(acc.body.terms)
         if acc is not None:
-            result.steps[j].quotient = result.steps[j].quotient * acc
-    return result
+            merged = ctx._signature(qsig + acc.body.vars)
+            A = restrict_terms(acc_terms, acc.body.vars, merged)
+            Q = restrict_terms(Q, qsig, merged)
+            if len(Q) < len(A):
+                Q, A = A, Q
+            qsig, Q, qden = merged, mul_integer_terms(None, Q, A), qden * acc_den
+        steps.append(ReductionStep(i, theta, DiffPoly(ctx, from_integer_terms(qsig, Q, qden))))
+    steps.reverse()
+    return ReductionResult(
+        input=g,
+        aset=aset,
+        remainder=remainder,
+        sep_powers=sep_powers,
+        init_powers=init_powers,
+        steps=steps,
+    )
 
 
-def _reduction_target(r, aset, leaders):
+def _reduction_target(vars, exponents, aset, leaders):
     """The (indeterminate, element index) that the next step of ritt_reduce
-    eliminates from r, or None when r is partially reduced.
+    eliminates from the polynomial with the exponent tuples exponents over
+    the signature vars, or None when it is partially reduced.
 
     The highest-ranking proper derivative of a leader comes first, taken
     with the lowest-ranked element it derives from; then a leader occurring
     with degree at least its element's leading degree.
     """
-    indets = r.indets()
-    for v in indets:
+    # the occurring indeterminates, highest rank first, with their degrees
+    degree = {
+        v: max(column)
+        for v, column in zip(vars, zip(*exponents))
+        if isinstance(v, AlgIndet) and any(column)
+    }
+    for v in degree:
         hits = [i for i, u in enumerate(leaders) if v.is_proper_derivative_of(u)]
         if hits:
             return v, min(hits, key=lambda i: _rank_sort_key(aset.elements[i]))
-    for v in indets:
+    for v, dv in degree.items():
         for i, u in enumerate(leaders):
-            if v == u and r.degree_in(v) >= aset.elements[i].leading_degree():
+            if v == u and dv >= aset.elements[i].leading_degree():
                 return v, i
     return None
 

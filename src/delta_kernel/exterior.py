@@ -3,7 +3,8 @@ two linear-algebra lemmas behind the finiteness arguments.
 
 Vectors are sparse maps from strictly increasing index subsets of {1..N} to
 field elements (Fraction or RatFunc, or Python ints for vectors with integer
-entries, which then multiply as ints); signs come from inversion counting.
+entries, which then multiply as ints); wedge finds collisions and
+permutation signs on the subsets' bitmasks.
 """
 
 from __future__ import annotations
@@ -15,26 +16,6 @@ from itertools import combinations
 from .linalg import ExactMatrix, rank
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
-
-
-def _merge_sign(a, b):
-    """Merged sorted tuple and the permutation parity; None on collision."""
-    out = []
-    i = j = 0
-    inversions = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            inversions += len(a) - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1) ** inversions
 
 
 class ExtVector:
@@ -127,27 +108,67 @@ def _nonzero(c):
 
 
 def wedge(a, b):
-    """Graded-anticommutative product with exact permutation signs."""
+    """Graded-anticommutative product with exact permutation signs.
+
+    Index subsets become bitmasks, bit i for index i.  Two subsets share an
+    index when ma & mb is nonzero.  The sign of merging them is the parity
+    of the inversions, sum over y in b of popcount(ma >> y) (the indices of
+    a above y); that parity is popcount(pa & mb), pa the mask of the
+    positions with an odd number of indices of a above them, built once per
+    subset of a.  The products are summed by ma | mb, each mask turned back
+    into its index tuple once, in first-seen order.
+    """
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch in wedge")
+    bs = [(_mask(sb), cb) for sb, cb in b.coeffs.items()]
     out = {}
     get = out.get
     for sa, ca in a.coeffs.items():
-        for sb, cb in b.coeffs.items():
-            merged, sign = _merge_sign(sa, sb)
-            if merged is None:
+        ma = _mask(sa)
+        pa = _odd_above(ma)
+        for mb, cb in bs:
+            if ma & mb:
                 continue
             c = ca * cb
-            if sign < 0:
+            if (pa & mb).bit_count() & 1:
                 c = -c
-            cur = get(merged)
-            out[merged] = c if cur is None else cur + c
+            m = ma | mb
+            cur = get(m)
+            out[m] = c if cur is None else cur + c
     # merged subsets are valid by construction: skip the constructor's checks
     result = ExtVector.__new__(ExtVector)
     result.dim = a.dim
     result.grade = a.grade + b.grade
-    result.coeffs = {s: c for s, c in out.items() if _nonzero(c)}
+    result.coeffs = {_subset(m): c for m, c in out.items() if _nonzero(c)}
     return result
+
+
+def _mask(subset):
+    m = 0
+    for i in subset:
+        m |= 1 << i
+    return m
+
+
+def _odd_above(mask):
+    """The mask with bit y set when an odd number of bits of mask lie above
+    bit y: a suffix xor by doubling shifts."""
+    p = mask >> 1
+    shift = 1
+    while p >> shift:
+        p ^= p >> shift
+        shift <<= 1
+    return p
+
+
+def _subset(mask):
+    """The increasing index tuple of a mask, lowest set bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def wedge_all(vectors):

@@ -10,10 +10,12 @@ Coefficients are Fraction in every MultiPoly.  Loops that would make a
 Fraction per operation run on integer term dicts instead: integer_terms
 clears a polynomial to integer numerators over the lcm of its denominators,
 mul_integer_terms multiplies and accumulates such dicts as Python ints, and
-from_integer_terms builds one Fraction per surviving term at the end.
-Products (MultiPoly.__mul__) and pseudo-division (pseudo_divide, Knuth's
-Algorithm R, which serves both the Ritt-Kolchin reduction and the
-remainder sequence of poly_gcd) run this way.
+from_integer_terms builds one Fraction per surviving term at the end, and
+restrict_terms reindexes such a dict onto another signature (reindexer
+gives its per-tuple map).  Products (MultiPoly.__mul__) and
+pseudo-division (pseudo_divide_terms, Knuth's Algorithm R, which serves
+both the Ritt-Kolchin reduction and, through pseudo_divide, the remainder
+sequence of poly_gcd) run this way.
 
 coefficients splits a polynomial by the monomials in its leading
 variables; the searches read their equations in the unknowns off it, and
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm
-from operator import add, neg, sub
+from operator import add, itemgetter, neg, sub
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -54,6 +56,24 @@ def order_key(order):
     if order == LEX:
         return _lex_key
     raise ValueError(f"unknown term order {order!r}")
+
+
+_reversed_tuple = itemgetter(slice(None, None, -1))
+
+
+def sorted_exponents(terms, order, reverse=True):
+    """The exponent tuples of terms sorted by the term order, largest first
+    unless reverse is False.
+
+    Under grevlex two stable sorts with C-level keys do it: by the reversed
+    tuple (ascending for largest first), then by degree; so no Python key
+    function runs per term.
+    """
+    if order != GREVLEX:
+        return sorted(terms, key=order_key(order), reverse=reverse)
+    out = sorted(terms, key=_reversed_tuple, reverse=not reverse)
+    out.sort(key=sum, reverse=reverse)
+    return out
 
 
 def _as_fraction(c):
@@ -151,12 +171,8 @@ class MultiPoly:
 
     def support_indices(self):
         """Indices of variables that actually occur."""
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
+        # one column of exponents at a time, transposed and tested in C
+        return {i for i, column in enumerate(zip(*self.terms)) if any(column)}
 
     def leading(self, order=None):
         """(exponent, coefficient) of the leading term under the active order."""
@@ -167,8 +183,8 @@ class MultiPoly:
         return e, self.terms[e]
 
     def sorted_terms(self, order=None, reverse=True):
-        key = order_key(order or self.order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
+        terms = self.terms
+        return [(e, terms[e]) for e in sorted_exponents(terms, order or self.order, reverse)]
 
     def with_order(self, order):
         if order == self.order:
@@ -251,7 +267,7 @@ class MultiPoly:
         db, b = integer_terms(other.terms)
         if len(a) < len(b):
             a, b = b, a
-        return from_integer_terms(self.vars, mul_integer_terms({}, a, b), da * db, self.order)
+        return from_integer_terms(self.vars, mul_integer_terms(None, a, b), da * db, self.order)
 
     __rmul__ = __mul__
 
@@ -400,20 +416,9 @@ class MultiPoly:
         vars = tuple(vars)
         if vars == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(vars)}
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(vars)
-            for i, x in enumerate(e):
-                if x:
-                    j = pos.get(self.vars[i])
-                    if j is None:
-                        raise ValueError(f"variable {self.vars[i]!r} in use, cannot drop")
-                    ne[j] = x
-            terms[tuple(ne)] = c
         # distinct terms stay distinct: only zero columns are dropped
         out = MultiPoly.zero(vars, self.order)
-        out.terms = terms
+        out.terms = restrict_terms(self.terms, self.vars, vars)
         return out
 
     # ---------- normal forms ----------
@@ -477,6 +482,41 @@ class MultiPoly:
         return f"MultiPoly({self.to_str()})"
 
 
+def restrict_terms(terms, vars, new_vars):
+    """The term dict terms over the signature vars, reindexed onto new_vars;
+    a variable left out of new_vars must not occur.  Onto vars itself,
+    terms is returned as it is."""
+    if vars == new_vars:
+        return terms
+    pick, dropped = reindexer(vars, new_vars)
+    for e in terms:
+        for i in dropped:
+            if e[i]:
+                raise ValueError(f"variable {vars[i]!r} in use, cannot drop")
+    return {pick(e): c for e, c in terms.items()}
+
+
+def reindexer(vars, new_vars):
+    """(pick, dropped): pick maps an exponent tuple over the signature vars
+    to the one over new_vars, and dropped lists the columns of vars that
+    new_vars leaves out, which must be zero in every tuple picked.
+
+    Each column is looked up once, here: pick is one itemgetter over the
+    columns, with a 0 appended for the columns that new_vars adds.
+    """
+    n = len(vars)
+    pos = {v: i for i, v in enumerate(vars)}
+    src = [pos.pop(v, n) for v in new_vars]
+    dropped = sorted(pos.values())
+    if len(src) < 2:
+        # itemgetter returns a bare item, not a tuple, for fewer than two
+        return (lambda e: tuple((e + (0,))[j] for j in src)), dropped
+    get = itemgetter(*src)
+    if n in src:
+        return (lambda e: get(e + (0,))), dropped
+    return get, dropped
+
+
 def integer_terms(terms):
     """(den, {exponent: int}) with every coefficient equal to int / den,
     den the lcm of the denominators."""
@@ -485,8 +525,17 @@ def integer_terms(terms):
 
 
 def mul_integer_terms(out, a, b):
-    """Add the product of the integer term dicts a and b into out and return
-    out; entries that cancel stay in it as 0."""
+    """Add the product of the integer term dicts a and b into the dict out
+    and return out; with out None, return the product as a new dict.
+    Entries that cancel stay in it as 0."""
+    if out is None:
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # times a single term: a shift, which keeps distinct terms distinct
+            ((e2, c2),) = b.items()
+            return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+        out = {}
     get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -648,25 +697,39 @@ def pseudo_divide(a, b, i):
     variable at index i, d = deg_x(b) and lc is the coefficient of x**d in
     b; a and b share one signature and b is nonzero.
 
+    The MultiPoly face of pseudo_divide_terms, for poly_gcd's remainder
+    sequence: it builds one Fraction per surviving term of q and r.
+    """
+    e, Q, R, D = pseudo_divide_terms(integer_terms(a.terms), integer_terms(b.terms), i)
+    return e, from_integer_terms(b.vars, Q, D, b.order), from_integer_terms(b.vars, R, D, b.order)
+
+
+def pseudo_divide_terms(a, b, i):
+    """Pseudo-division of a by b in the variable x at index i, on integer
+    term dicts: a and b are (den, terms) pairs as integer_terms returns
+    them, over one signature, b nonzero; a's dict is consumed.  Returns
+    (e, Q, R, D) with q = Q / D and r = R / D the quotient and remainder
+    of pseudo_divide, lc^e * a == q*b + r; Q and R hold no zero entry.
+
     Pseudo-division over an integral domain (Knuth, TAOCP 4.6.1, Algorithm
-    R) on integer term dicts: b is cleared once to B / den_b, with LC the
-    cleared coefficient of x**d, and q and r are Q / D and R / D over one
-    shared denominator D.  A step takes the leading part M * x**d off R,
-    M / D the quotient's new term, and makes
+    R): b is B / den_b, with LC the integer coefficient of x**d in B, and q
+    and r are Q / D and R / D over one shared denominator D.  A step takes
+    the leading part M * x**d off R, M / D the quotient's new term, and
+    makes
 
         Q' = LC*Q + den_b*M,   R' = LC*R - M*(B - LC * x**d),   D' = D*den_b;
 
     the leading parts cancel exactly, so they are never formed, and Q and R
-    are scaled in place when LC is a constant.  One Fraction per surviving
-    term is built after the loop.
+    are scaled in place when LC is a constant.  Callers that go on computing
+    with q and r (ritt_reduce scales q by later multipliers and divides r
+    again) keep them on ints.
     """
-    den_b, B = integer_terms(b.terms)
-    D, R = integer_terms(a.terms)
+    (D, R), (den_b, B) = a, b
     d = max(x[i] for x in B)
     LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in B.items() if x[i] == d}
     tail = {x: c for x, c in B.items() if x[i] != d}
     # LC as an integer when it is a constant, else None
-    lc = LC.get((0,) * len(b.vars)) if len(LC) == 1 else None
+    lc = LC.get((0,) * len(next(iter(B)))) if len(LC) == 1 else None
     Q = {}
     e = 0
     while True:
@@ -676,8 +739,8 @@ def pseudo_divide(a, b, i):
         s = dr - d
         M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
         if lc is None:
-            Q = mul_integer_terms({}, LC, Q)
-            R = mul_integer_terms({}, LC, R)
+            Q = mul_integer_terms(None, LC, Q)
+            R = mul_integer_terms(None, LC, R)
         elif lc != 1:
             for x in Q:
                 Q[x] *= lc
@@ -690,7 +753,7 @@ def pseudo_divide(a, b, i):
             del R[x]
         D *= den_b
         e += 1
-    return e, from_integer_terms(b.vars, Q, D, b.order), from_integer_terms(b.vars, R, D, b.order)
+    return e, {x: c for x, c in Q.items() if c}, R, D
 
 
 def poly_gcd(a, b):

@@ -581,10 +581,15 @@ def _build_dspec(name_tok, payload):
     entries = {}
     ideal_clause = None
     check = True
+    seen = set()
     for clause in clauses:
         head = clause[0]
         if head.kind != "name":
             raise ParseError("bad clause in dspec block", head.line, head.col)
+        if head.text in ("n", "m", "ideal"):
+            if head.text in seen:
+                raise ParseError(f"repeated clause {head.text}", head.line, head.col)
+            seen.add(head.text)
         if head.text == "n" or head.text == "m":
             if len(clause) != 3 or clause[1].text != "=" or clause[2].kind != "number":
                 raise ParseError(f"expected {head.text}=<int>", head.line, head.col)
@@ -628,13 +633,14 @@ def _build_dspec(name_tok, payload):
             row.append(_parse_tokens(clause[3:], env, clause[0].line))
         fields.append(row)
     ideal = []
-    if ideal_clause:
-        line = ideal_clause[0].line
+    if ideal_clause and ideal_clause[2:]:
+        head = ideal_clause[0]
         current = []
         for tok in ideal_clause[2:] + [Token("sym", ",", 0, 0)]:
             if tok.kind == "sym" and tok.text == ",":
-                if current:
-                    ideal.append(_parse_tokens(current, env, line))
+                if not current:
+                    raise ParseError("empty member in ideal", head.line, head.col)
+                ideal.append(_parse_tokens(current, env, head.line))
                 current = []
             else:
                 current.append(tok)

@@ -7,6 +7,7 @@ terms by the descending term order of the body, so output is stable.
 from __future__ import annotations
 
 from .diffring import CoeffGen, indet_name
+from .multipoly import sorted_exponents
 
 
 def _indet_factor(v, exp):
@@ -31,7 +32,9 @@ def print_diffpoly(f):
     columns = range(len(vars) - 1, -1, -1)
     factor_strs = {}
     pieces = []
-    for e, c in body.sorted_terms():
+    terms = body.terms
+    for e in sorted_exponents(terms, body.order):
+        c = terms[e]
         factors = []
         for i in columns:
             exp = e[i]

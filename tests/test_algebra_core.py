@@ -22,8 +22,13 @@ from delta_kernel.multipoly import (
     from_dense,
     horner,
     interpolate,
+    mul_integer_terms,
+    order_key,
     poly_gcd,
     pseudo_divide,
+    pseudo_divide_terms,
+    restrict_terms,
+    sorted_exponents,
 )
 from delta_kernel.ratfunc import RatFunc
 
@@ -157,6 +162,104 @@ def _to_sympy(sympy, p):
             term *= g**x
         total += term
     return total
+
+
+def reference_restrict(terms, vars, new_vars):
+    """restrict with one lookup per nonzero exponent of every term."""
+    out = {}
+    for e, c in terms.items():
+        ne = [0] * len(new_vars)
+        for i, x in enumerate(e):
+            if x:
+                if vars[i] not in new_vars:
+                    raise ValueError(f"variable {vars[i]!r} in use, cannot drop")
+                ne[new_vars.index(vars[i])] = x
+        out[tuple(ne)] = c
+    return out
+
+
+class TestTermDictHelpers:
+    """The integer-dict helpers under MultiPoly against plain references."""
+
+    def test_restrict_terms_matches_reference(self):
+        rng = random.Random(default_seed() + 21)
+        pool = ("a", "b", "c", "d", "e")
+        kinds = {"superset": 0, "subset": 0, "error": 0, "short": 0}
+        for _ in range(300):
+            vars = tuple(rng.sample(pool, rng.randint(0, 4)))
+            p = random_multipoly(rng, vars, max_degree=3, max_terms=4) if vars else MultiPoly.const((), 3)
+            new_vars = tuple(rng.sample(pool, rng.randint(0, 5)))
+            try:
+                want = reference_restrict(p.terms, vars, new_vars)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    restrict_terms(p.terms, vars, new_vars)
+                with pytest.raises(ValueError):
+                    p.restrict(new_vars)
+                kinds["error"] += 1
+                continue
+            got = restrict_terms(p.terms, vars, new_vars)
+            assert list(got.items()) == list(want.items())
+            assert p.restrict(new_vars).terms == want
+            kinds["superset"] += set(vars) < set(new_vars)
+            kinds["subset"] += set(new_vars) < set(vars)
+            kinds["short"] += len(new_vars) < 2
+        assert min(kinds.values()) >= 10
+
+    def test_sorted_exponents_is_the_term_order(self):
+        rng = random.Random(default_seed() + 22)
+        for order in (multipoly.GREVLEX, multipoly.LEX):
+            for _ in range(40):
+                p = random_multipoly(rng, ("x", "y", "z"), max_degree=4, max_terms=8)
+                for reverse in (True, False):
+                    want = sorted(p.terms, key=order_key(order), reverse=reverse)
+                    assert sorted_exponents(p.terms, order, reverse) == want
+                assert [e for e, _ in p.with_order(order).sorted_terms()] == sorted(
+                    p.terms, key=order_key(order), reverse=True
+                )
+
+    def test_mul_integer_terms_new_or_accumulated(self):
+        a = {(1, 0): 2, (0, 1): -3}
+        one = {(2, 1): 5}
+        two = {(0, 0): 1, (1, 1): 1}
+        for x, y in ((a, one), (one, a), (a, two), (two, a)):
+            want = {}
+            for e1, c1 in x.items():
+                for e2, c2 in y.items():
+                    e = (e1[0] + e2[0], e1[1] + e2[1])
+                    want[e] = want.get(e, 0) + c1 * c2
+            assert mul_integer_terms(None, x, y) == want
+            # into a dict the product is added, and entries that cancel stay as 0
+            out = {e: -c for e, c in want.items()}
+            out[(9, 9)] = 1
+            assert mul_integer_terms(out, x, y) is out
+            assert out == {**{e: 0 for e in want}, (9, 9): 1}
+        assert mul_integer_terms(None, a, {}) == {} and mul_integer_terms(None, {}, one) == {}
+
+    def test_support_indices(self):
+        rng = random.Random(default_seed() + 23)
+        for _ in range(60):
+            p = random_multipoly(rng, ("x", "y", "z", "w"), max_degree=2, max_terms=3)
+            want = {i for e in p.terms for i, x in enumerate(e) if x}
+            assert p.support_indices() == want
+
+    def test_pseudo_divide_terms_is_pseudo_divide_on_ints(self):
+        rng = random.Random(default_seed() + 24)
+        sig = ("x", "y", "z")
+        for _ in range(40):
+            i = rng.randrange(3)
+            a = random_multipoly(rng, sig, max_degree=4, max_terms=5)
+            b = random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False)
+            if b.is_zero():
+                continue
+            den_a, A = multipoly.integer_terms(a.terms)
+            e, Q, R, D = pseudo_divide_terms((den_a, A), multipoly.integer_terms(b.terms), i)
+            assert D % den_a == 0
+            assert all(type(c) is int and c for c in (*Q.values(), *R.values()))
+            e2, q, r = pseudo_divide(a, b, i)
+            assert e == e2
+            assert q.terms == {x: Fraction(c, D) for x, c in Q.items()}
+            assert r.terms == {x: Fraction(c, D) for x, c in R.items()}
 
 
 class TestPseudoDivisionAndGcd:

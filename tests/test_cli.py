@@ -257,6 +257,12 @@ class TestExitCodes:
             (["d1 x1 = x1", "d1 x7 = x1"], 6),
             (["d1 x1 = x1", "d1 x1 = 2*x1"], 6),
             (["d1 x1 ="], 5),
+            (["n = 3", "d1 x1 = x1"], 5),
+            (["d1 x1 = x1", "m = 1"], 6),
+            (["d1 x1 = x1", "ideal = x1", "ideal = x1^2"], 7),
+            (["d1 x1 = x1", "ideal = ,"], 6),
+            (["d1 x1 = x1", "ideal = x1,,x1^2"], 6),
+            (["d1 x1 = x1", "ideal = x1,"], 6),
         ],
         ids=[
             "truncated-ideal",
@@ -266,6 +272,12 @@ class TestExitCodes:
             "variable-outside-n",
             "repeated-clause",
             "empty-field",
+            "repeated-n",
+            "repeated-m",
+            "repeated-ideal",
+            "ideal-of-a-comma",
+            "ideal-with-a-gap",
+            "ideal-with-a-trailing-comma",
         ],
     )
     def test_bad_dspec_clause_names_its_line(self, tmp_path, body, line):

@@ -39,6 +39,41 @@ class TestRanking:
             assert len(mins) == 1
 
 
+class TestAlgIndetValue:
+    """AlgIndet caches its hash and rank key, so it must stay immutable."""
+
+    def test_immutable(self):
+        v = AlgIndet((1, 2), 1)
+        for name, value in [("theta", (0, 0)), ("var", 2), ("order", 5), ("_hash", 0), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        with pytest.raises(AttributeError):
+            del v.theta
+        assert (v.theta, v.var, v.order) == ((1, 2), 1, 3)
+
+    def test_equality_and_hash_on_theta_and_var(self):
+        v = AlgIndet((1, 2), 1)
+        assert v == AlgIndet((1, 2), 1) and hash(v) == hash(AlgIndet((1, 2), 1))
+        assert hash(v) == hash(((1, 2), 1))
+        assert v != AlgIndet((2, 1), 1) and v != AlgIndet((1, 2), 2)
+        assert v != ((1, 2), 1) and v != "d1*d2^2*u1"
+        assert len({v, AlgIndet((1, 2), 1), AlgIndet((1, 2), 2)}) == 2
+
+    def test_rank_key(self, rng):
+        for _ in range(50):
+            theta = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
+            v = AlgIndet(theta, rng.randint(1, 3))
+            assert v.rank_key() == (sum(theta), v.var, *reversed(theta))
+            assert v.order == sum(theta)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        v = AlgIndet((0, 3), 2)
+        w = pickle.loads(pickle.dumps(v))
+        assert w == v and hash(w) == hash(v) and w.rank_key() == v.rank_key()
+
+
 class TestLeaderSeparantInitial:
     def setup_method(self):
         self.ctx = DiffContext(2, 1)

@@ -80,6 +80,83 @@ class TestWedge:
         assert nonzero >= 30
 
 
+def _merge_sign(a, b):
+    """Merged sorted tuple and the permutation parity; None on collision."""
+    out = []
+    i = j = 0
+    inversions = 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            return None, 0
+        if a[i] < b[j]:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            inversions += len(a) - i
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out), (-1) ** inversions
+
+
+def reference_wedge(a, b):
+    """wedge by merging the index tuples of every pair of terms."""
+    out = {}
+    for sa, ca in a.coeffs.items():
+        for sb, cb in b.coeffs.items():
+            merged, sign = _merge_sign(sa, sb)
+            if merged is None:
+                continue
+            c = ca * cb if sign > 0 else -(ca * cb)
+            out[merged] = out[merged] + c if merged in out else c
+    nonzero = {s: c for s, c in out.items() if not (c.is_zero() if isinstance(c, RatFunc) else c == 0)}
+    return ExtVector(a.dim, a.grade + b.grade, nonzero)
+
+
+def _random_vector(rng, dim, grade, kind):
+    t = RatFunc(MultiPoly.var(("t",), "t"))
+    coeffs = {}
+    for s in combinations(range(1, dim + 1), grade):
+        if rng.random() < 0.6:
+            n = rng.randint(-4, 4)
+            if kind == "int":
+                coeffs[s] = n
+            elif kind == "fraction":
+                coeffs[s] = Fraction(n, rng.randint(1, 3))
+            else:
+                coeffs[s] = (t * n + rng.randint(-2, 2)) / (t + rng.randint(1, 3))
+    return ExtVector(dim, grade, coeffs)
+
+
+class TestBitmaskWedge:
+    """wedge keys its sums by support bitmasks; the merged-tuple version
+    kept here is the reference, term for term and in output order."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "ratfunc"])
+    def test_matches_merge_reference_on_every_grade(self, rng, kind):
+        checked = 0
+        for dim in range(1, 8 if kind != "ratfunc" else 6):
+            for ga in range(dim + 1):
+                for gb in range(dim + 1 - ga):
+                    a = _random_vector(rng, dim, ga, kind)
+                    b = _random_vector(rng, dim, gb, kind)
+                    got, want = wedge(a, b), reference_wedge(a, b)
+                    assert (got.dim, got.grade) == (want.dim, want.grade)
+                    assert list(got.coeffs.items()) == list(want.coeffs.items())
+                    checked += bool(want.coeffs)
+        assert checked >= 20
+
+    def test_collisions_and_signs(self):
+        e = {i: ExtVector.basis(9, (i,)) for i in range(1, 10)}
+        assert wedge(ExtVector.basis(9, (2, 5, 9)), e[5]).is_zero()
+        for sa, sb in [((1, 4, 9), (2, 3)), ((8,), (1, 2, 3)), ((2, 4, 6), (1, 3, 5, 7))]:
+            merged, sign = _merge_sign(sa, sb)
+            assert wedge(ExtVector.basis(9, sa), ExtVector.basis(9, sb)) == ExtVector.basis(
+                9, merged, Fraction(sign)
+            )
+
+
 class TestIntegerCoefficients:
     """wedge-check builds its vectors from Python ints; the products must be
     the ones the same vectors give as Fractions."""

@@ -20,13 +20,22 @@ from delta_kernel.diffring import (
     _reduction_target,
     ritt_reduce,
 )
-from delta_kernel.multipoly import MultiPoly
+from delta_kernel.multipoly import MultiPoly, from_integer_terms, integer_terms, order_key
 from delta_kernel.parser import parse_diff_expression, parse_system
 from delta_kernel.printer import print_diffpoly
 
 from conftest import default_seed, random_diffpoly
 
 # ---------- references ----------
+
+
+def pseudo_reduce_once(r, h, v, ctx):
+    """_pseudo_reduce_once on DiffPolys: r goes in, and the quotient and
+    remainder come out, as DiffPolys rather than integer term dicts."""
+    D, R = integer_terms(r.body.terms)
+    e, q, rem = _pseudo_reduce_once((r.body.vars, R, D), h, v, ctx)
+    q, rem = (DiffPoly(ctx, from_integer_terms(sig, T, D)) for sig, T, D in (q, rem))
+    return e, q, rem
 
 
 def reference_pseudo_reduce_once(r, h, v, ctx):
@@ -51,7 +60,7 @@ def reference_ritt_reduce(g, aset):
     leaders = aset.leaders()
     remainder, sep, init, steps = g, {}, {}, []
     while True:
-        target = _reduction_target(remainder, aset, leaders)
+        target = _reduction_target(remainder.body.vars, remainder.body.terms, aset, leaders)
         if target is None:
             return remainder, sep, init, steps
         v, i = target
@@ -81,7 +90,8 @@ def reference_print_diffpoly(f):
     if body.is_zero():
         return "0"
     pieces = []
-    for e, c in body.sorted_terms():
+    key = order_key(body.order)
+    for e, c in sorted(body.terms.items(), key=lambda t: key(t[0]), reverse=True):
         factors = []
         for i in range(len(body.vars) - 1, -1, -1):
             exp = e[i]
@@ -204,7 +214,7 @@ def test_pseudo_reduce_once_identity():
         dead = AlgIndet((4,), 2)
         r = DiffPoly(ctx, r.body.restrict(ctx._signature(r.body.vars + (dead,))))
         different_signatures += r.body.vars != h.body.vars
-        e, q, rem = _pseudo_reduce_once(r, h, v, ctx)
+        e, q, rem = pseudo_reduce_once(r, h, v, ctx)
         lead = h.coeff_of_power(v, d)
         assert lead**e * r == q * h + rem
         assert rem.degree_in(v) < d
@@ -248,7 +258,7 @@ def test_pseudo_reduce_once_with_denominators(m, n, h, r, v):
     d = h.degree_in(v)
     lead = h.coeff_of_power(v, d)
     assert any(c.denominator > 1 for c in lead.body.terms.values())
-    e, q, rem = _pseudo_reduce_once(r, h, v, ctx)
+    e, q, rem = pseudo_reduce_once(r, h, v, ctx)
     assert e >= 2
     assert (e, q, rem) == reference_pseudo_reduce_once(r, h, v, ctx)
     assert lead**e * r == q * h + rem
@@ -280,3 +290,152 @@ def test_print_diffpoly_matches_reference():
         kinds["generator"] += any(isinstance(sig[i], CoeffGen) for i in used)
         kinds["repeated"] += any(x > 1 for e in f.body.terms for x in e)
     assert min(kinds.values()) >= 20
+
+
+# ---------- verify: exact re-expansion, rejecting tampered certificates ----------
+
+
+def reference_verify(res):
+    """The certificate re-expanded with DiffPoly operations over Fractions,
+    each derived element rebuilt through DiffContext.d."""
+    ctx = res.input.ctx
+    lhs = res.multiplier() * res.input
+    rhs = res.remainder
+    for step in res.steps:
+        h = res.aset.elements[step.element]
+        for k, times in enumerate(step.theta, start=1):
+            h = ctx.d(k, h, times)
+        rhs = rhs + step.quotient * h
+    return lhs == rhs
+
+
+def _nonlinear_certificate():
+    problem, name = parse_system(
+        "m=1 n=2 coeffs=Q\n"
+        "poly f1 = (d1*u1)^2 - 3*u2\n"
+        "poly f2 = d1*u2 - 2*u1*u2 + 1\n"
+        "set N = f1, f2\n"
+    ), "N"
+    g = parse_diff_expression("(d1^3*u1)^2*d1^2*u2 - 1/2*d1^2*u1*u1 + 5", problem.ctx)
+    return ritt_reduce(g, problem.autoreduced(name))
+
+
+def test_verify_rejects_a_tampered_nonlinear_certificate():
+    res = _nonlinear_certificate()
+    ctx = res.input.ctx
+    assert res.verify() and res.sep_powers and len(res.steps) >= 2
+    # the separant 2*d1*u1 of (d1*u1)^2 - 3*u2 is not 1
+    assert res.aset.elements[0].separant() != ctx.const(1)
+    u1 = ctx.u(1)
+    for step in res.steps:
+        q = step.quotient
+        for bad in (q + 1, q * 2, q + u1 * q, -q):
+            step.quotient = bad
+            assert not res.verify()
+        step.quotient = q
+        assert res.verify()
+    r = res.remainder
+    for bad in (r + 1, r - u1, r * 3, ctx.const(0)):
+        res.remainder = bad
+        assert not res.verify()
+    res.remainder = r
+    assert res.verify()
+    for book, base in ((res.sep_powers, "separant"), (res.init_powers, "initial")):
+        for i, f in enumerate(res.aset.elements):
+            saved = dict(book)
+            book[i] = book.get(i, 0) + 1
+            # only the separant of the first element differs from 1
+            assert res.verify() == (getattr(f, base)() == ctx.const(1))
+            assert res.verify() == ((base, i) != ("separant", 0))
+            book.clear()
+            book.update(saved)
+            assert res.verify()
+    res.steps.append(res.steps.pop(0))
+    assert res.verify()  # the sum does not depend on the order of its terms
+    step = res.steps[0]
+    step.theta, theta = tuple(t + 1 for t in step.theta), step.theta
+    assert not res.verify()
+    step.theta = theta
+    assert res.verify()
+
+
+def test_verify_accepts_a_higher_power_of_one():
+    # the linear elements have separant and initial 1: any power of them is
+    # still a valid multiplier, and verify must say so
+    problem = parse_system(
+        "m=2 n=1 coeffs=Q\npoly f1 = d1^2*u1 - 2*u1\npoly f2 = d2^2*u1 + 1/3*u1\nset L = f1, f2\n"
+    )
+    ctx = problem.ctx
+    g = parse_diff_expression("d1^5*d2^4*u1 + 2*(d1^3*u1)^2", ctx)
+    res = ritt_reduce(g, problem.autoreduced("L"))
+    assert res.verify() and len(res.steps) >= 3
+    for f in res.aset.elements:
+        assert f.separant() == ctx.const(1) and f.initial() == ctx.const(1)
+    res.sep_powers[0] = res.sep_powers.get(0, 0) + 3
+    res.init_powers[1] = res.init_powers.get(1, 0) + 2
+    assert res.verify() and reference_verify(res)
+    res.steps[0].quotient = res.steps[0].quotient + ctx.u(1)
+    assert not res.verify() and not reference_verify(res)
+
+
+def _tamper(rng, res):
+    """res with one part changed at random, in place; returns a function
+    that puts it back."""
+    ctx = res.input.ctx
+    kind = rng.choice(["quotient", "remainder", "powers", "theta"])
+    if kind == "quotient" and res.steps:
+        step = rng.choice(res.steps)
+        q = step.quotient
+        step.quotient = q + Fraction(rng.choice([-1, 1]), rng.choice([1, 3])) * ctx.u(1) ** rng.randint(0, 2)
+
+        def restore():
+            step.quotient = q
+    elif kind == "theta" and res.steps:
+        step = rng.choice(res.steps)
+        theta = step.theta
+        k = rng.randrange(ctx.m)
+        step.theta = theta[:k] + (theta[k] + 1,) + theta[k + 1 :]
+
+        def restore():
+            step.theta = theta
+    elif kind == "powers":
+        book = rng.choice([res.sep_powers, res.init_powers])
+        saved = dict(book)
+        i = rng.randrange(len(res.aset))
+        book[i] = book.get(i, 0) + rng.randint(1, 2)
+
+        def restore():
+            book.clear()
+            book.update(saved)
+    else:
+        r = res.remainder
+        res.remainder = r + Fraction(rng.choice([-2, 1, 5]), rng.choice([1, 2])) * ctx.u(1)
+
+        def restore():
+            res.remainder = r
+    return restore
+
+
+@pytest.mark.parametrize(
+    "make, max_order, count",
+    [(_linear_problem, 8, 20), (_nonlinear_problem, 4, 12)],
+    ids=["linear-m2", "nonlinear-m1n2"],
+)
+def test_verify_agrees_with_fraction_reference(make, max_order, count):
+    rng = random.Random(f"{default_seed()}:verify:{make.__name__}")
+    verdicts = {True: 0, False: 0}
+    for _ in range(count):
+        problem, name = make(rng)
+        res = ritt_reduce(_target(rng, problem, max_order), problem.autoreduced(name))
+        assert res.verify() and reference_verify(res)
+        for _ in range(4):
+            restore = _tamper(rng, res)
+            verdict = res.verify()
+            assert verdict == reference_verify(res)
+            verdicts[verdict] += 1
+            restore()
+        assert res.verify()
+    assert verdicts[False] >= count
+    if make is _linear_problem:
+        # raising a power of a separant or initial equal to 1 keeps it valid
+        assert verdicts[True] >= 2
