@@ -10,7 +10,7 @@ reduction with exact certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -18,6 +18,7 @@ from operator import add
 from .multipoly import (
     MultiPoly,
     SignatureMismatchError,
+    add_integer_products,
     coeff_of_power,
     from_integer_terms,
     integer_terms,
@@ -28,6 +29,9 @@ from .multipoly import (
 )
 
 
+# not slots=True: before Python 3.12 setting a name other than a field on
+# a frozen slotted dataclass raises TypeError, not FrozenInstanceError
+@dataclass(frozen=True)
 class AlgIndet:
     """The algebraic indeterminate with derivative exponents theta = (e1..em)
     applied to dependent variable u_var.
@@ -37,28 +41,15 @@ class AlgIndet:
     again and again.
     """
 
-    __slots__ = ("theta", "var", "_rank_key", "_hash")
+    theta: tuple
+    var: int
+    _rank_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, theta, var):
-        init = object.__setattr__
-        init(self, "theta", theta)
-        init(self, "var", var)
-        init(self, "_rank_key", (sum(theta), var, *reversed(theta)))
-        init(self, "_hash", hash((theta, var)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an AlgIndet")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an AlgIndet")
-
-    def __reduce__(self):
-        return AlgIndet, (self.theta, self.var)
-
-    def __eq__(self, other):
-        if other.__class__ is not AlgIndet:
-            return NotImplemented
-        return self.theta == other.theta and self.var == other.var
+    def __post_init__(self):
+        key = (sum(self.theta), self.var, *reversed(self.theta))
+        object.__setattr__(self, "_rank_key", key)
+        object.__setattr__(self, "_hash", hash((self.theta, self.var)))
 
     def __hash__(self):
         return self._hash
@@ -537,9 +528,9 @@ class ReductionResult:
         denominator, rescaled only when a part's denominator does not
         divide the common one.  Each product is added as it is formed: the
         smaller factor is cleared, restricted onto the signature and scaled
-        once, the larger one is read a term at a time, and an entry is
-        dropped the moment it cancels, so the dict holds just what the
-        parts added so far leave over.
+        once, the larger one is streamed a term at a time, never copied,
+        and add_integer_products drops an entry the moment it cancels, so
+        the dict holds just what the parts added so far leave over.
         """
         ctx = self.input.ctx
         memo = {}
@@ -551,7 +542,6 @@ class ReductionResult:
         sig = ctx._signature([v for a, b, _ in parts for p in (a, b) for v in p.body.vars])
         acc = {}
         den = 1
-        get = acc.get
         for a, b, sign in parts:
             a, b = a.body, b.body
             if len(a.terms) < len(b.terms):
@@ -568,16 +558,8 @@ class ReductionResult:
             k = sign * (den // part_den)
             B = {x: k * c for x, c in restrict_terms(B, b.vars, sig).items()}
             pick = reindexer(a.vars, sig)[0]
-            for x1, c1 in a.terms.items():
-                x1 = pick(x1)
-                c1 = c1.numerator * (da // c1.denominator)
-                for x2, c2 in B.items():
-                    x = tuple(map(add, x1, x2))
-                    c = get(x, 0) + c1 * c2
-                    if c:
-                        acc[x] = c
-                    else:
-                        del acc[x]
+            A = ((pick(x), c.numerator * (da // c.denominator)) for x, c in a.terms.items())
+            add_integer_products(acc, A, B)
         return not acc
 
 

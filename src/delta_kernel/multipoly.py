@@ -9,13 +9,13 @@ anywhere in this package.
 Coefficients are Fraction in every MultiPoly.  Loops that would make a
 Fraction per operation run on integer term dicts instead: integer_terms
 clears a polynomial to integer numerators over the lcm of its denominators,
-mul_integer_terms multiplies and accumulates such dicts as Python ints, and
-from_integer_terms builds one Fraction per surviving term at the end, and
-restrict_terms reindexes such a dict onto another signature (reindexer
-gives its per-tuple map).  Products (MultiPoly.__mul__) and
-pseudo-division (pseudo_divide_terms, Knuth's Algorithm R, which serves
-both the Ritt-Kolchin reduction and, through pseudo_divide, the remainder
-sequence of poly_gcd) run this way.
+mul_integer_terms multiplies and accumulates such dicts as Python ints
+(add_integer_products, a term at a time), from_integer_terms builds one
+Fraction per surviving term at the end, and restrict_terms reindexes such
+a dict onto another signature (reindexer gives its per-tuple map).
+Products (MultiPoly.__mul__) and pseudo-division (pseudo_divide_terms,
+Knuth's Algorithm R, which serves both the Ritt-Kolchin reduction and,
+through pseudo_divide, the remainder sequence of poly_gcd) run this way.
 
 coefficients splits a polynomial by the monomials in its leading
 variables; the searches read their equations in the unknowns off it, and
@@ -171,8 +171,12 @@ class MultiPoly:
 
     def support_indices(self):
         """Indices of variables that actually occur."""
-        # one column of exponents at a time, transposed and tested in C
-        return {i for i, column in enumerate(zip(*self.terms)) if any(column)}
+        used = set()
+        for e in self.terms:
+            for i, x in enumerate(e):
+                if x:
+                    used.add(i)
+        return used
 
     def leading(self, order=None):
         """(exponent, coefficient) of the leading term under the active order."""
@@ -485,9 +489,28 @@ class MultiPoly:
 def restrict_terms(terms, vars, new_vars):
     """The term dict terms over the signature vars, reindexed onto new_vars;
     a variable left out of new_vars must not occur.  Onto vars itself,
-    terms is returned as it is."""
+    terms is returned as it is.
+
+    A dict of a few terms is reindexed a term at a time, looking up the
+    variable of each nonzero exponent; a larger one through reindexer,
+    which looks each column up once.  Below about six terms reindexer's
+    set-up costs more than the lookups it saves.
+    """
     if vars == new_vars:
         return terms
+    if len(terms) < 6:
+        pos = {v: j for j, v in enumerate(new_vars)}
+        out = {}
+        for e, c in terms.items():
+            ne = [0] * len(new_vars)
+            for i, x in enumerate(e):
+                if x:
+                    j = pos.get(vars[i])
+                    if j is None:
+                        raise ValueError(f"variable {vars[i]!r} in use, cannot drop")
+                    ne[j] = x
+            out[tuple(ne)] = c
+        return out
     pick, dropped = reindexer(vars, new_vars)
     for e in terms:
         for i in dropped:
@@ -526,8 +549,8 @@ def integer_terms(terms):
 
 def mul_integer_terms(out, a, b):
     """Add the product of the integer term dicts a and b into the dict out
-    and return out; with out None, return the product as a new dict.
-    Entries that cancel stay in it as 0."""
+    and return out; with out None, return the product as a new dict.  An
+    entry is dropped the moment it cancels (add_integer_products)."""
     if out is None:
         if len(a) == 1:
             a, b = b, a
@@ -536,11 +559,25 @@ def mul_integer_terms(out, a, b):
             ((e2, c2),) = b.items()
             return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
         out = {}
+    return add_integer_products(out, a.items(), b)
+
+
+def add_integer_products(out, pairs, b):
+    """Add c * x**e * b into the dict out for each (e, c) of pairs, with b
+    an integer term dict and pairs read once, and return out.  An entry is
+    dropped the moment it cancels, so out keeps no 0 entry that it did not
+    have before.  A caller that clears or reindexes a factor term by term
+    streams it through pairs and never holds it whole."""
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
+    b = b.items()
+    for e1, c1 in pairs:
+        for e2, c2 in b:
             e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
+            c = get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
     return out
 
 
@@ -749,8 +786,6 @@ def pseudo_divide_terms(a, b, i):
         for x, c in M.items():
             Q[x] = Q.get(x, 0) + den_b * c
         mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
-        for x in [x for x, c in R.items() if not c]:
-            del R[x]
         D *= den_b
         e += 1
     return e, {x: c for x, c in Q.items() if c}, R, D

@@ -16,6 +16,7 @@ from delta_kernel.multipoly import (
     InexactDivisionError,
     MultiPoly,
     SignatureMismatchError,
+    add_integer_products,
     coeff_of_power,
     dense_coeffs,
     exponents_upto,
@@ -184,10 +185,12 @@ class TestTermDictHelpers:
     def test_restrict_terms_matches_reference(self):
         rng = random.Random(default_seed() + 21)
         pool = ("a", "b", "c", "d", "e")
-        kinds = {"superset": 0, "subset": 0, "error": 0, "short": 0}
-        for _ in range(300):
+        kinds = {"superset": 0, "subset": 0, "error": 0, "short": 0, "many terms": 0}
+        for _ in range(400):
             vars = tuple(rng.sample(pool, rng.randint(0, 4)))
-            p = random_multipoly(rng, vars, max_degree=3, max_terms=4) if vars else MultiPoly.const((), 3)
+            # a few terms go term by term, six or more through reindexer
+            size = rng.choice((4, 16))
+            p = random_multipoly(rng, vars, max_degree=3, max_terms=size) if vars else MultiPoly.const((), 3)
             new_vars = tuple(rng.sample(pool, rng.randint(0, 5)))
             try:
                 want = reference_restrict(p.terms, vars, new_vars)
@@ -204,6 +207,7 @@ class TestTermDictHelpers:
             kinds["superset"] += set(vars) < set(new_vars)
             kinds["subset"] += set(new_vars) < set(vars)
             kinds["short"] += len(new_vars) < 2
+            kinds["many terms"] += len(p.terms) >= 6
         assert min(kinds.values()) >= 10
 
     def test_sorted_exponents_is_the_term_order(self):
@@ -229,12 +233,28 @@ class TestTermDictHelpers:
                     e = (e1[0] + e2[0], e1[1] + e2[1])
                     want[e] = want.get(e, 0) + c1 * c2
             assert mul_integer_terms(None, x, y) == want
-            # into a dict the product is added, and entries that cancel stay as 0
+            # into a dict the product is added, and entries that cancel are dropped
             out = {e: -c for e, c in want.items()}
             out[(9, 9)] = 1
             assert mul_integer_terms(out, x, y) is out
-            assert out == {**{e: 0 for e in want}, (9, 9): 1}
+            assert out == {(9, 9): 1}
+        # a product whose own terms cancel: (x + y)(x - y) = x^2 - y^2
+        assert mul_integer_terms(None, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}) == {
+            (2, 0): 1,
+            (0, 2): -1,
+        }
         assert mul_integer_terms(None, a, {}) == {} and mul_integer_terms(None, {}, one) == {}
+
+    def test_add_integer_products_reads_pairs_once(self):
+        a = {(1, 0): 2, (0, 1): -3}
+        b = {(0, 0): 1, (1, 1): 1}
+        out = {(9, 9): 1}
+        pairs = iter(list(a.items()))  # an iterator: a second pass would see nothing
+        assert add_integer_products(out, pairs, b) is out
+        assert out == {**mul_integer_terms(None, a, b), (9, 9): 1}
+        # adding the negated product leaves only what was there before
+        add_integer_products(out, ((e, -c) for e, c in a.items()), b)
+        assert out == {(9, 9): 1}
 
     def test_support_indices(self):
         rng = random.Random(default_seed() + 23)

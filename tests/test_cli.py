@@ -307,6 +307,27 @@ class TestExitCodes:
         code, _, err = run(["bound", str(path), "--set", "L"])
         assert code == 3 and "error" in err
 
+    def test_not_autoreduced_names_indeterminates(self, tmp_path):
+        # the violation text names indeterminates as the printer does, the
+        # same on every run: in analyze's JSON and in the error of a command
+        # that loads the set
+        path = tmp_path / "notauto.dk"
+        path.write_text(
+            "m=1 n=2 coeffs=Q\npoly g = d1^3*u1\n"
+            "poly a = d1*u1 - u2\npoly b = d1^2*u1\nset S = a, b\n"
+            "poly c = (d1*u1)^2 - u2\npoly e = d1*u1 - 3\nset T = c, e\n",
+            encoding="utf-8",
+        )
+        derivative = "proper derivative d1^2*u1 of leader d1*u1 occurs"
+        degree = "leader d1*u1 occurs with degree 2 >= 1"
+        code, out, _ = run(["--json", "analyze", str(path)])
+        sets = json.loads(out)["results"]["sets"]
+        assert code == 0 and [s["violation"] for s in sets] == [derivative, degree]
+        for name, text in (("S", derivative), ("T", degree)):
+            want = f"error: not autoreduced: {text} (elements 0, 1)\n"
+            assert run(["reduce", str(path), "g", "--modulo", name]) == (3, "", want)
+            assert run(["bound", str(path), "--set", name]) == (3, "", want)
+
     @pytest.mark.parametrize(
         "argv,message",
         [
