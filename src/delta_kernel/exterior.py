@@ -59,9 +59,12 @@ class ExtVector:
         return not self.coeffs
 
     def scaled(self, c):
-        return ExtVector(
-            self.dim, self.grade, {s: v * c for s, v in self.coeffs.items()}
-        )
+        coeffs = {}
+        for s, v in self.coeffs.items():
+            v = v * c
+            if _nonzero(v):
+                coeffs[s] = v
+        return _unchecked(self.dim, self.grade, coeffs)
 
     def __add__(self, other):
         if self.dim != other.dim or self.grade != other.grade:
@@ -74,7 +77,7 @@ class ExtVector:
                 coeffs[s] = total
             elif s in coeffs:
                 del coeffs[s]
-        return ExtVector(self.dim, self.grade, coeffs)
+        return _unchecked(self.dim, self.grade, coeffs)
 
     def __neg__(self):
         return self.scaled(Fraction(-1))
@@ -99,6 +102,16 @@ class ExtVector:
             name = "^".join(f"e{i}" for i in s) if s else "1"
             bits.append(f"({self.coeffs[s]!r})*{name}")
         return "ExtVector(" + " + ".join(bits) + ")"
+
+
+def _unchecked(dim, grade, coeffs):
+    """The ExtVector with the nonzero coefficients coeffs on index subsets
+    that are valid by construction: the constructor's checks are skipped."""
+    out = ExtVector.__new__(ExtVector)
+    out.dim = dim
+    out.grade = grade
+    out.coeffs = coeffs
+    return out
 
 
 def _nonzero(c):
@@ -135,12 +148,8 @@ def wedge(a, b):
             m = ma | mb
             cur = get(m)
             out[m] = c if cur is None else cur + c
-    # merged subsets are valid by construction: skip the constructor's checks
-    result = ExtVector.__new__(ExtVector)
-    result.dim = a.dim
-    result.grade = a.grade + b.grade
-    result.coeffs = {_subset(m): c for m, c in out.items() if _nonzero(c)}
-    return result
+    coeffs = {_subset(m): c for m, c in out.items() if _nonzero(c)}
+    return _unchecked(a.dim, a.grade + b.grade, coeffs)
 
 
 def _mask(subset):

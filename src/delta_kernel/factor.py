@@ -55,7 +55,15 @@ def rational_roots(p):
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
     i = _main_index(p)
-    coeffs = [c.numerator for c in dense_coeffs(p.primitive(), i)]
+    return integer_rational_roots([c.numerator for c in dense_coeffs(p.primitive(), i)])
+
+
+def integer_rational_roots(coeffs):
+    """rational_roots of the polynomial with the integer coefficients coeffs,
+    constant term first, the last one nonzero; the content is divided out."""
+    g = gcd(*coeffs)
+    if g != 1:
+        coeffs = [c // g for c in coeffs]
     roots = []
     # strip powers of the variable: root 0
     shift = 0

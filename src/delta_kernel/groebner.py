@@ -20,7 +20,12 @@ lowest terms, so every intermediate polynomial is a nonzero rational
 multiple of the one that reduction over Q would build: the leading
 monomials, the pairs, the criteria and each chosen divisor are the same.
 Only the final reduced basis is made monic over Q, and normal_form divides
-its remainder once by the multiplier the steps accumulated.  The terms left
+its remainder once by the multiplier the steps accumulated.  The algorithm
+itself is buchberger_terms, which takes and returns integer term dicts with
+their leading monomials; buchberger is its MultiPoly face, and the searches
+that build their systems on integers (solve, heights) call it directly.
+The independent sets behind the staircase dimension are read off leading
+monomials alone, so one routine serves both faces.  The terms left
 to reduce sit in a heap with lazy deletion (Monagan-Pearce, JSC 2011), each
 key computed once when its monomial enters, and a basis lead is tested for
 divisibility only after its support bitmask passes (Singular's short
@@ -224,7 +229,8 @@ def _s_poly(f, ef, g, eg, lij):
 
 
 def buchberger(gens, order=None):
-    """Reduced Groebner basis of the ideal generated by gens."""
+    """Reduced Groebner basis of the ideal generated by gens: the MultiPoly
+    face of buchberger_terms, monic over Q."""
     all_vars = gens[0].vars if gens else ()
     gens = [g for g in gens if not g.is_zero()]
     if order is None:
@@ -233,10 +239,23 @@ def buchberger(gens, order=None):
         return GroebnerBasis((), order, all_vars)
     vars = gens[0].vars
     key = order_key(order)
+    ints = [_integral(g, key) for g in gens]
+    basis, leads = buchberger_terms([t for t, _, _ in ints], [le for _, le, _ in ints], order)
+    return GroebnerBasis(tuple(_monic(basis, leads, vars, order)), order, vars)
+
+
+def buchberger_terms(gens, gen_leads, order):
+    """(basis, leads): the reduced Groebner basis, smallest leading monomial
+    first, of the ideal generated by the nonzero integer term dicts gens
+    with leading monomials gen_leads, each element primitive with a
+    positive leading coefficient, as integer term dicts and their leading
+    monomials.  The integer core of buchberger: the searches that build
+    their systems on integers call it directly."""
+    key = order_key(order)
     desc = _descending_key(order)
     basis, leads = [], []
-    for g in gens:
-        t, le, _ = _integral(g, key)
+    for g, le in zip(gens, gen_leads):
+        t = _primitive(g, le)[0]
         if t not in basis:
             basis.append(t)
             leads.append(le)
@@ -280,7 +299,7 @@ def buchberger(gens, order=None):
         leads.append(le)
         masks.append(_mask(le))
         form_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_reduced(basis, leads, vars, order)), order, vars)
+    return _reduced(basis, leads, order)
 
 
 def _interreduce(basis, order):
@@ -289,12 +308,15 @@ def _interreduce(basis, order):
     key = order_key(order)
     ints = [_integral(g, key) for g in basis if not g.is_zero()]
     vars = basis[0].vars if basis else ()
-    return _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], vars, order)
+    kept, leads = _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], order)
+    return _monic(kept, leads, vars, order)
 
 
-def _reduced(basis, leads, vars, order):
-    """Reduced basis, smallest leading monomial first, as monic MultiPolys,
-    from a Groebner basis of integer term dicts and their leading monomials."""
+def _reduced(basis, leads, order):
+    """(kept, kept_leads): the reduced basis, smallest leading monomial
+    first, as primitive integer term dicts with positive leading
+    coefficients, from a Groebner basis of integer term dicts and their
+    leading monomials."""
     key = order_key(order)
     desc = _descending_key(order)
     # drop generators whose leading monomial a kept one divides; smaller
@@ -318,12 +340,18 @@ def _reduced(basis, leads, vars, order):
                 desc,
             )
             kept[idx] = _primitive(g, le)[0]
-    return [_from_ints(g, Fraction(1, g[le]), vars, order) for g, le in zip(kept, kept_leads)]
+    return kept, kept_leads
 
 
-def _max_independent_set(basis):
-    """Lexicographically first maximum set of variable indices containing the
-    support of no leading monomial; None for the unit ideal.
+def _monic(basis, leads, vars, order):
+    """The integer term dicts of a basis as monic MultiPolys."""
+    return [_from_ints(g, Fraction(1, g[le]), vars, order) for g, le in zip(basis, leads)]
+
+
+def _max_independent_set(leads, nvars):
+    """Lexicographically first maximum set of variable indices, out of
+    range(nvars), containing the support of no leading monomial in leads;
+    None for the unit ideal.
 
     Include-first branch and bound over the variables on the minimal
     supports (Kredel-Weispfenning, JSC 1988): the first maximum set the
@@ -331,14 +359,9 @@ def _max_independent_set(basis):
     once each of a family of pairwise disjoint live supports, needing an
     excluded variable of its own, leaves no room to beat the best set.
     """
-    key = order_key(basis.order)
-    supports = {
-        frozenset(i for i, x in enumerate(max(g.terms, key=key)) if x)
-        for g in basis.generators
-    }
+    supports = {frozenset(i for i, x in enumerate(le) if x) for le in leads}
     if frozenset() in supports:
         return None
-    nvars = len(basis.vars)
     chosen, best = [], []
 
     def search(v, live):
@@ -373,17 +396,26 @@ def ideal_dimension(basis):
     involves only variables from S; -1 for the unit ideal, the full variable
     count for the zero ideal.
     """
-    indep = _max_independent_set(basis)
+    indep = _max_independent_set(_leading_monomials(basis), len(basis.vars))
     return -1 if indep is None else len(indep)
 
 
-def independent_variable_set(gb):
+def independent_variable_set(gb, nvars=None):
     """A maximum-cardinality variable subset met by no leading monomial.
 
-    The lexicographically first such subset; empty for the unit ideal.
+    The lexicographically first such subset; empty for the unit ideal.  gb
+    is a reduced Groebner basis or, with nvars given, the leading monomials
+    of one in nvars variables, as buchberger_terms returns them.
     """
-    indep = _max_independent_set(gb)
+    if nvars is None:
+        gb, nvars = _leading_monomials(gb), len(gb.vars)
+    indep = _max_independent_set(gb, nvars)
     return set() if indep is None else indep
+
+
+def _leading_monomials(basis):
+    key = order_key(basis.order)
+    return [max(g.terms, key=key) for g in basis.generators]
 
 
 def eliminate_first(gens):

@@ -6,7 +6,9 @@ polar divisor on the projective line, poles at infinity included.  The
 search side substitutes a rational-function ansatz into P, clears
 denominators, and hands the resulting coefficient system to the Groebner
 engine; every emitted solution is re-verified exactly and the observed
-height bound is reported.
+height bound is reported.  The residual is built on integer term dicts and
+its coefficient equations go to the integer Groebner core and the integer
+solver as they are; a MultiPoly is made only for the printed basis.
 
 The multivariate extension (coefficients in Q(t1..ts), one derivation per
 variable) rides the same pipeline and is flagged experimental.
@@ -15,10 +17,11 @@ variable) rides the same pipeline and is flagged experimental.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .groebner import GREVLEX, buchberger, ideal_dimension
-from .multipoly import MultiPoly, coefficients, exponents_upto, order_key
+
+from .groebner import GREVLEX, buchberger_terms, independent_variable_set
+from .multipoly import MultiPoly, exponents_upto, integer_terms, mul_integer_terms, order_key
 from .ratfunc import RatFunc
-from .solve import sampled_rational_solutions, specialize, undetermined
+from .solve import solve_terms, specialize, undetermined
 
 
 def height_ratfunc(g):
@@ -156,46 +159,22 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
     avars = [f"a{i}" for i in range(len(p_monos))]
     bvars = [f"b{i}" for i in range(len(q_free))]
     unknowns = tuple(avars + bvars)
-    ext = tsig + unknowns
-    p_sym = undetermined(tsig, p_monos, avars, ext)
-    q_sym = undetermined(tsig, q_free, bvars, ext, lead=pivot)
-
-    # ext starts with tsig: the k-th t-variable sits at index k
-    numerators = [p_sym.partial(k) * q_sym - p_sym * q_sym.partial(k) for k in range(s)]
-
-    max_pow = 0
-    for e in ode.poly.terms:
-        xdeg = e[s]
-        ydeg = sum(e[s + 1 + k] for k in range(s))
-        max_pow = max(max_pow, xdeg + 2 * ydeg)
-    residual = MultiPoly.zero(ext)
-    for e, c in ode.poly.terms.items():
-        xdeg = e[s]
-        ydegs = [e[s + 1 + k] for k in range(s)]
-        factor = MultiPoly.monomial(tsig, e[:s], c).restrict(ext)
-        factor = factor * p_sym ** xdeg
-        for k, yd in enumerate(ydegs):
-            if yd:
-                factor = factor * numerators[k] ** yd
-        factor = factor * q_sym ** (max_pow - xdeg - 2 * sum(ydegs))
-        residual = residual + factor
-
-    # the coefficients of the t-monomials: the system in the unknowns
-    equations = list(coefficients(residual, len(tsig)).values())
-    gb = buchberger(equations or [MultiPoly.zero(unknowns)], GREVLEX)
-    if gb.is_unit_ideal():
+    equations = list(_coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot).values())
+    leads = [max(t, key=key) for t in equations]
+    basis, leads = buchberger_terms(equations, leads, GREVLEX)
+    if any(not any(le) for le in leads):
         report.strata.append(
             StratumReport(pmax, dq, pivot, ["1"], -1, True, 0)
         )
         return
-    dim = ideal_dimension(gb)
-    points, exact, free = sampled_rational_solutions(gb, unknowns)
+    dim = len(independent_variable_set(leads, len(unknowns)))
+    points, exact, free = solve_terms(basis, leads, unknowns, reduced=True)
     report.strata.append(
         StratumReport(
             pmax,
             dq,
             pivot,
-            [g.to_str() for g in gb.generators],
+            [MultiPoly(unknowns, g).monic().to_str() for g in basis],
             dim,
             exact,
             len(free),
@@ -213,6 +192,69 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
             continue
         seen.add(gkey)
         report.solutions.append((g, height_ratfunc(g)))
+
+
+def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
+    """The system in the unknowns avars + bvars of x = p/q: a dict from each
+    t-monomial of the cleared residual to its coefficient, an integer term
+    dict over the unknowns.
+
+    p is the sum of avars[i] * t^p_monos[i], q is t^pivot plus the sum of
+    bvars[i] * t^q_free[i], and the residual is q^D * P(p/q, partials of
+    p/q), D the least power that clears it.  Every coefficient of the
+    ansatz is 1 and P is primitive, so the residual is built on integer term
+    dicts (mul_integer_terms), with no Fraction.
+    """
+    tsig = ode.tvars
+    s = len(tsig)
+    unknowns = tuple(avars) + tuple(bvars)
+    ext = tsig + unknowns
+    p_sym = integer_terms(undetermined(tsig, p_monos, avars, ext).terms)[1]
+    q_sym = integer_terms(undetermined(tsig, q_free, bvars, ext, lead=pivot).terms)[1]
+
+    # ext starts with tsig: the k-th t-variable sits at index k
+    numerators = []
+    for k in range(s):
+        num = mul_integer_terms(None, _partial_terms(p_sym, k), q_sym)
+        minus_dq = {e: -c for e, c in _partial_terms(q_sym, k).items()}
+        numerators.append(mul_integer_terms(num, p_sym, minus_dq))
+
+    _, ode_terms = integer_terms(ode.poly.terms)
+    max_pow = 0
+    for e in ode_terms:
+        max_pow = max(max_pow, e[s] + 2 * sum(e[s + 1 :]))
+    one = {(0,) * len(ext): 1}
+    p_pows, q_pows = [one, p_sym], [one, q_sym]
+    n_pows = [[one, num] for num in numerators]
+    pad = (0,) * len(unknowns)
+    residual = {}
+    for e, c in ode_terms.items():
+        xdeg, ydegs = e[s], e[s + 1 :]
+        acc = mul_integer_terms(None, {e[:s] + pad: c}, _power(p_pows, xdeg))
+        for k, yd in enumerate(ydegs):
+            if yd:
+                acc = mul_integer_terms(None, acc, _power(n_pows[k], yd))
+        mul_integer_terms(residual, acc, _power(q_pows, max_pow - xdeg - 2 * sum(ydegs)))
+
+    # the coefficients of the t-monomials: the system in the unknowns
+    buckets = {}
+    for e, c in residual.items():
+        buckets.setdefault(e[:s], {})[e[s:]] = c
+    return buckets
+
+
+def _power(pows, n):
+    """pows[n], for the list pows = [1, f, f^2, ...] of powers of an integer
+    term dict f, extended as far as n first."""
+    while len(pows) <= n:
+        pows.append(mul_integer_terms(None, pows[-1], pows[1]))
+    return pows[n]
+
+
+def _partial_terms(t, k):
+    """The partial derivative in the variable at index k of the integer
+    term dict t."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in t.items() if e[k]}
 
 
 @dataclass

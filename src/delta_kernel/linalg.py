@@ -1,8 +1,9 @@
 """Exact linear algebra over Q or over rational-function fields.
 
 Entries only need field arithmetic (+, -, *, /) and truthiness for the zero
-test, so Fraction and RatFunc both work.  Eigen computations are restricted
-to Fraction matrices and report rational eigenvalues only.
+test, so Fraction and RatFunc both work.  Row reduction keeps each row as a
+dict of its nonzero entries and touches only those.  Eigen computations are
+restricted to Fraction matrices and report rational eigenvalues only.
 """
 
 from __future__ import annotations
@@ -57,36 +58,52 @@ class ExactMatrix:
 
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = [row[:] for row in m.entries]
+    rows, pivots = _echelon(m)
     zero = m.one - m.one
+    return ExactMatrix([[row.get(j, zero) for j in range(m.cols)] for row in rows], m.one), pivots
+
+
+def _echelon(m):
+    """(rows, pivots): the rows of the reduced row echelon form of m as dicts
+    from column to nonzero entry, and the pivot columns.
+
+    Gauss-Jordan on sparse rows: the pivot of column c is the first row at
+    or below the current one that holds c, a row is scaled on its own
+    entries, and clearing c from another row touches only the columns of
+    the pivot row.  The reduced echelon form of a matrix is unique and every
+    entry is an exact field element, so the result is the dense
+    elimination's, entry for entry.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
     pivots = []
     r = 0
     for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, m.rows) if c in rows[i]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = m.one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = m.one / rows[r][c]
+        top = rows[r] = {j: x * inv for j, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, y in top.items():
+                x = row.get(j)
+                x = -(f * y) if x is None else x - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
         if r == m.rows:
             break
-    out = ExactMatrix.zero(m.rows, m.cols, m.one)
-    out.entries = a
-    return out, pivots
+    return rows, pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    return len(_echelon(m)[1])
 
 
 def nullspace(m):
@@ -95,15 +112,17 @@ def nullspace(m):
     Each vector v satisfies m.mul_vec(v) == 0 exactly, and the basis size is
     cols - rank(m).
     """
-    red, pivots = rref(m)
+    rows, pivots = _echelon(m)
     zero = m.one - m.one
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
         v = [zero] * m.cols
         v[fc] = m.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row.get(fc, zero)
         basis.append(v)
     return basis
 

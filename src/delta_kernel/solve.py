@@ -19,6 +19,14 @@ grevlex basis is the generators themselves, and the fiber is solved once.
 A zero-dimensional fiber whose grevlex basis has the same leading monomials
 under lex already is its reduced lex basis, and is enumerated from it.
 
+The search runs on integers from the system to the point: both public
+entries turn their generators into integer term dicts once, and the
+recursion (solve_terms) passes (terms, leading monomials) pairs.  A sample
+value is substituted on the integers, the shared-fiber and lex-ready tests
+read exponents, every Groebner run goes through groebner.buchberger_terms,
+back substitution reads integer coefficients, and one Fraction is made per
+coordinate of a point.
+
 Both searches by undetermined coefficients, for Darboux polynomials
 (dvariety) and for rational solutions of first-order equations (heights),
 write their ansatz with undetermined and read each solution point back
@@ -29,9 +37,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .factor import rational_roots
-from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger, independent_variable_set
-from .multipoly import MultiPoly, from_dense, order_key
+from .factor import integer_rational_roots
+from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger_terms, independent_variable_set
+from .multipoly import MultiPoly, integer_terms, order_key
 
 # The parameter values every positive-dimensional system is sampled on.
 SAMPLE_VALUES = (0, 1, -1, 2, -2, 3)
@@ -69,70 +77,75 @@ def enumerate_rational_points(gens, vars):
     system is not zero-dimensional.
     """
     vars = tuple(vars)
-    gb = gens if isinstance(gens, GroebnerBasis) and gens.order == LEX else None
-    gens = [g for g in gens if not g.is_zero()]
+    reduced = isinstance(gens, GroebnerBasis) and gens.order == LEX
+    gens, leads = _integer_generators(gens, LEX)
     if not vars:
         return [{}] if not gens else []
     if not gens:
         raise ValueError("system is not zero-dimensional")
-    if gb is None:
-        gb = buchberger(gens, LEX)
-    if gb.is_unit_ideal():
+    if not reduced:
+        gens, leads = buchberger_terms(gens, leads, LEX)
+    return _back_substitute(gens, leads, vars)
+
+
+def _integer_generators(gens, order):
+    """The nonzero MultiPolys of gens as integer term dicts, each a positive
+    multiple of its polynomial, and their leading monomials."""
+    key = order_key(order)
+    terms = [integer_terms(g.terms)[1] for g in gens if not g.is_zero()]
+    return terms, [max(t, key=key) for t in terms]
+
+
+def _back_substitute(basis, leads, vars):
+    """enumerate_rational_points of the reduced lex basis of integer term
+    dicts basis, with leading monomials leads, over vars.
+
+    Over a partial point a the coordinates are rational, p_i / q_i in lowest
+    terms; a generator whose later variables x_i occur to degree at most M_i
+    is read at a times the product of q_i^M_i, so its coefficients in x_k
+    stay integers, and one Fraction is made per coordinate, by the roots.
+    """
+    if any(not any(le) for le in leads):
         return []
-    # groups[k]: (leading degree in x_k, terms as (power of x_k, coefficient,
-    # later variables' (index, exponent))) in ascending lex leading monomial
+    # groups[k]: (leading degree in x_k, the later variables i that occur,
+    # their top degrees M_i, terms as (power of x_k, coefficient, powers of
+    # those variables)) in ascending lex leading monomial
     groups = [[] for _ in vars]
     pure = [False] * len(vars)
-    for g in sorted(gb.generators, key=lambda g: max(g.terms)):
-        lead = max(g.terms)
+    for idx in sorted(range(len(basis)), key=leads.__getitem__):
+        g, lead = basis[idx], leads[idx]
         k = next(i for i, x in enumerate(lead) if x)
         pure[k] = pure[k] or sum(lead) == lead[k]
-        rows = [
-            (e[k], c, [(i, x) for i, x in enumerate(e) if x and i > k])
-            for e, c in g.terms.items()
-        ]
-        groups[k].append((lead[k], rows))
+        later = [i for i in range(k + 1, len(vars)) if any(e[i] for e in g)]
+        tops = [max(e[i] for e in g) for i in later]
+        rows = [(e[k], c, [e[i] for i in later]) for e, c in g.items()]
+        groups[k].append((lead[k], later, tops, rows))
     # zero-dimensional iff some leading monomial is a pure power of each
     # variable; that generator's leading coefficient is a nonzero constant,
-    # so the search in descend always stops at a generator
+    # so the search below for a generator to read always stops
     if not all(pure):
         raise ValueError("system is not zero-dimensional")
-    points = []
-    values = [None] * len(vars)
-
-    def descend(k):
-        if k < 0:
-            points.append(dict(zip(vars, values)))
-            return
-        for degree, rows in groups[k]:
-            coeffs = [0] * (degree + 1)
-            for j, c, tail in rows:
-                for i, x in tail:
-                    c *= values[i] ** x
-                coeffs[j] += c
-            if coeffs[degree]:
-                break
-        for root, _ in rational_roots(from_dense(coeffs, (vars[k],))):
-            values[k] = root
-            descend(k - 1)
-
-    descend(len(vars) - 1)
-    return points
-
-
-def _lex_ready(gb):
-    """gb re-tagged as the reduced lex basis of its ideal, or None.
-
-    gb is a reduced grevlex basis of a zero-dimensional ideal I.  When every
-    generator has the same leading monomial under lex as under grevlex,
-    <LT_lex(gb)> = in_grevlex(I) lies in in_lex(I), and both have colength
-    dim Q[x]/I, so gb already is the reduced lex basis.
-    """
-    grevlex = order_key(GREVLEX)
-    if any(max(g.terms) != max(g.terms, key=grevlex) for g in gb.generators):
-        return None
-    gens = sorted((g.with_order(LEX) for g in gb.generators), key=lambda g: max(g.terms))
-    return GroebnerBasis(tuple(gens), LEX, gb.vars)
+    # extend every partial point by one coordinate, last variable first; a
+    # partial point's extensions stay together, in ascending root order
+    partials = [[None] * len(vars)]
+    for k in reversed(range(len(vars))):
+        extended = []
+        for values in partials:
+            for degree, later, tops, rows in groups[k]:
+                at = [(values[i].numerator, values[i].denominator) for i in later]
+                coeffs = [0] * (degree + 1)
+                for j, c, powers in rows:
+                    for (num, den), top, x in zip(at, tops, powers):
+                        c *= num**x * den ** (top - x)
+                    coeffs[j] += c
+                if coeffs[degree]:
+                    break
+            for root, _ in integer_rational_roots(coeffs):
+                point = values[:]
+                point[k] = root
+                extended.append(point)
+        partials = extended
+    return [dict(zip(vars, values)) for values in partials]
 
 
 def sampled_rational_solutions(gens, vars):
@@ -146,42 +159,88 @@ def sampled_rational_solutions(gens, vars):
     len(free_vars) can be less than the dimension.  gens may be a
     GroebnerBasis; a grevlex one is used as it is.
     """
-    vars = tuple(vars)
-    gb = gens if isinstance(gens, GroebnerBasis) and gens.order == GREVLEX else None
-    gens = [g for g in gens if not g.is_zero()]
+    reduced = isinstance(gens, GroebnerBasis) and gens.order == GREVLEX
+    return solve_terms(*_integer_generators(gens, GREVLEX), tuple(vars), reduced)
+
+
+def solve_terms(gens, leads, vars, reduced=False):
+    """sampled_rational_solutions of the nonzero integer term dicts gens,
+    with grevlex leading monomials leads, over the tuple vars; with reduced
+    set, gens is the reduced grevlex basis of its ideal.
+
+    A fiber is solved on integers too: an integer sample value v is put in
+    as c * v**e[p] for the pivot's column p, which is dropped, and the
+    fiber's generators go to buchberger_terms, which divides out their
+    content.
+    """
     if not vars:
         return ([{}] if not gens else []), True, []
     if not gens:
         point = {v: Fraction(0) for v in vars}
         return [point], False, list(vars)
-    if gb is None:
-        gb = buchberger(gens, GREVLEX)
-    if gb.is_unit_ideal():
+    if not reduced:
+        gens, leads = buchberger_terms(gens, leads, GREVLEX)
+    if any(not any(le) for le in leads):
         return [], True, []
-    indep = independent_variable_set(gb)
+    indep = independent_variable_set(leads, len(vars))
     if not indep:
-        lex = _lex_ready(gb)
-        return enumerate_rational_points(gb if lex is None else lex, vars), True, []
-    pivot_index = min(indep)
-    pivot = vars[pivot_index]
-    rest = vars[:pivot_index] + vars[pivot_index + 1 :]
+        if not _lex_ready(gens, leads):
+            gens, leads = buchberger_terms(gens, list(map(max, gens)), LEX)
+        return _back_substitute(gens, leads, vars), True, []
+    p = min(indep)
+    pivot = vars[p]
+    rest = vars[:p] + vars[p + 1 :]
     shared = None
-    if not any(e[pivot_index] for g in gb.generators for e in g.terms):
+    if not any(e[p] for g in gens for e in g):
         # the fiber does not depend on the value: grevlex on the monomials
-        # free of the pivot is grevlex on rest, so the restricted generators
-        # are its reduced basis
-        fiber = GroebnerBasis(tuple(g.restrict(rest) for g in gb.generators), GREVLEX, rest)
-        shared, _, _ = sampled_rational_solutions(fiber, rest)
+        # free of the pivot is grevlex on rest, so the generators without
+        # the pivot's column are its reduced basis
+        fiber = [{e[:p] + e[p + 1 :]: c for e, c in g.items()} for g in gens]
+        shared, _, _ = solve_terms(fiber, [le[:p] + le[p + 1 :] for le in leads], rest, True)
     points = []
     for value in SAMPLE_VALUES:
-        value = Fraction(value)
         sub_points = shared
         if sub_points is None:
-            reduced = [g.substitute({pivot: value}) for g in gb.generators]
-            reduced = [g.restrict(rest) for g in reduced if not g.is_zero()]
-            sub_points, _, _ = sampled_rational_solutions(reduced, rest)
-        for p in sub_points:
-            point = dict(p)
-            point[pivot] = value
+            sub_points, _, _ = solve_terms(*_specialize_terms(gens, p, value), rest)
+        coordinate = Fraction(value)
+        for q in sub_points:
+            point = dict(q)
+            point[pivot] = coordinate
             points.append(point)
     return points, False, [pivot]
+
+
+def _lex_ready(gens, leads):
+    """Whether the reduced grevlex basis gens, with leading monomials leads,
+    of a zero-dimensional ideal I is its reduced lex basis too.
+
+    It is when every generator has the same leading monomial under lex as
+    under grevlex: then <LT_lex(gens)> = in_grevlex(I) lies in in_lex(I),
+    and both have colength dim Q[x]/I.
+    """
+    return all(max(g) == le for g, le in zip(gens, leads))
+
+
+def _specialize_terms(gens, p, value):
+    """The nonzero images of the integer term dicts gens at x_p = value, an
+    integer, with the column p dropped, and their grevlex leading monomials."""
+    key = order_key(GREVLEX)
+    out, leads = [], []
+    for g in gens:
+        t = {}
+        for e, c in g.items():
+            x = e[p]
+            if x:
+                if not value:
+                    continue
+                c *= value**x
+            e = e[:p] + e[p + 1 :]
+            acc = t.get(e, 0) + c
+            if acc:
+                t[e] = acc
+            else:
+                del t[e]
+        if t:
+            out.append(t)
+            leads.append(max(t, key=key))
+    return out, leads

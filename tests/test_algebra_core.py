@@ -527,6 +527,47 @@ class TestFactor:
         unit, factors = factor_univariate(p)
         assert len(factors) == 1 and factors[0][1] == 1
 
+    def test_factor_univariate_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from delta_kernel.factor import factor_univariate
+
+        rng = random.Random(default_seed() + 8)
+        sig = ("t",)
+        t = MultiPoly.var(sig, "t")
+        T = sympy.Symbol("t")
+        seen = {"repeated": 0, "nonlinear factor": 0, "several factors": 0}
+        for _ in range(30):
+            # a unit times random factors of degree 1 to 3 with multiplicities
+            p = MultiPoly.const(sig, Fraction(rng.choice([1, -1, 2, 3, -6]), rng.choice([1, 2, 5])))
+            while p.total_degree() < 6:
+                deg = rng.choice([1, 1, 2, 2, 3])
+                f = t**deg + random_multipoly(rng, sig, max_degree=deg - 1, max_terms=3)
+                if rng.random() < 0.3:
+                    f = f.scale(rng.choice([2, 3, Fraction(1, 2)]))
+                p = p * f ** rng.choice([1, 1, 2])
+            if p.total_degree() > 8:
+                continue
+            unit, factors = factor_univariate(p)
+            expr = sum(
+                (sympy.Rational(c.numerator, c.denominator) * T ** e[0] for e, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+            coeff, want = sympy.factor_list(expr, T)
+            want_monic = sorted(
+                (tuple(Fraction(int(c.p), int(c.q)) for c in sympy.Poly(f, T).monic().all_coeffs()), m)
+                for f, m in want
+            )
+            got = sorted(
+                (tuple(reversed(dense_coeffs(f))), m) for f, m in factors
+            )
+            assert got == want_monic
+            assert unit == p.leading()[1]
+            assert all(f.leading()[1] == 1 for f, _ in factors)
+            seen["repeated"] += any(m > 1 for _, m in factors)
+            seen["nonlinear factor"] += any(f.total_degree() > 1 for f, _ in factors)
+            seen["several factors"] += len(factors) > 1
+        assert min(seen.values()) >= 5, seen
+
 
 def _simplex_reference(m, t):
     """The recursive simplex enumerator exponents_upto replaced; its order

@@ -14,6 +14,11 @@ second, grevlex basis.  Any
 change to the set or the order of the points found, or to a generator,
 dimension or fiber datum printed, shows here as a byte difference.
 
+`solver_golden/solve_ode_riccati_d3.json`, one degree above the benchmark's
+Riccati ladder, was recorded while every fiber of a sampled family was still
+substituted and solved through MultiPoly and Fraction; many of its fibers
+have a pivot that occurs in the basis.
+
 `solver_golden/groebner.dk` holds a field with two derivations and the
 energy field x1' = x2, x2' = -x1^2, whose degree-3 search samples a
 cofactor family; `prolong_golden/pair.dk` holds two sets with n = 2,
@@ -42,6 +47,7 @@ SOLVER_JOBS = {
     "solve_ode_growth_d3": ["solve-ode", "search.dk", "--ode", "growth", "--deg", "3"],
     "solve_ode_square_d3": ["solve-ode", "search.dk", "--ode", "square", "--deg", "3"],
     "solve_ode_riccati_d2": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "2"],
+    "solve_ode_riccati_d3": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "3"],
     "darboux_lv_d2": ["darboux", "search.dk", "--dspec", "lv", "--deg", "2"],
     **{
         f"{cmd}_{field}_d4": [cmd, "fields.dk", "--dspec", field, "--deg", "4"]

@@ -157,6 +157,46 @@ class TestBitmaskWedge:
             )
 
 
+class TestUncheckedResults:
+    """scaled and + build their results without the constructor's subset
+    checks; the public constructor keeps them."""
+
+    @pytest.mark.parametrize(
+        "grade, subset",
+        [(2, (2, 1)), (2, (1, 1)), (2, (1,)), (1, (0,)), (1, (5,)), (2, (3, 9))],
+    )
+    def test_bad_subsets_still_raise(self, grade, subset):
+        with pytest.raises(ValueError):
+            ExtVector(4, grade, {subset: Fraction(1)})
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "ratfunc"])
+    def test_scaled_and_sum_match_the_checked_constructor(self, rng, kind):
+        t = RatFunc(MultiPoly.var(("t",), "t"))
+        scalars = {"int": [0, 1, -2, 3], "fraction": [Fraction(0), Fraction(-3, 2), Fraction(5)],
+                   "ratfunc": [t - t, t, (t + 1) / (t - 2)]}[kind]
+        for _ in range(40):
+            dim = rng.randint(1, 6)
+            grade = rng.randint(0, dim)
+            a = _random_vector(rng, dim, grade, kind)
+            b = _random_vector(rng, dim, grade, kind)
+            for c in scalars:
+                got = a.scaled(c)
+                want = ExtVector(dim, grade, {s: v * c for s, v in a.coeffs.items()})
+                assert (got.dim, got.grade) == (want.dim, want.grade)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+            total = {}
+            for v in (a, b, -b):
+                for s, c in v.coeffs.items():
+                    total[s] = total[s] + c if s in total else c
+            for got, want in (
+                (a + b, ExtVector(dim, grade, {s: a.coeffs.get(s, 0) + b.coeffs.get(s, 0)
+                                               for s in {**a.coeffs, **b.coeffs}})),
+                (a + b - b, ExtVector(dim, grade, total)),
+            ):
+                assert (got.dim, got.grade) == (want.dim, want.grade)
+                assert got.coeffs == want.coeffs
+
+
 class TestIntegerCoefficients:
     """wedge-check builds its vectors from Python ints; the products must be
     the ones the same vectors give as Fractions."""

@@ -1,5 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
+from delta_kernel import heights
+from delta_kernel.groebner import GREVLEX
 from delta_kernel.heights import (
     OdePoly,
     height_axioms_check,
@@ -7,8 +11,9 @@ from delta_kernel.heights import (
     rational_solution_search,
     verify_ode_solution,
 )
-from delta_kernel.multipoly import MultiPoly
+from delta_kernel.multipoly import MultiPoly, coefficients, exponents_upto, order_key
 from delta_kernel.ratfunc import RatFunc
+from delta_kernel.solve import undetermined
 
 TSIG = ("t",)
 T = MultiPoly.var(TSIG, "t")
@@ -132,3 +137,85 @@ class TestAxioms:
         chk = height_axioms_check(samples, powers=(2, 3))
         assert chk.ok
         assert chk.checked == 100
+
+
+# ---------- the residual on integer term dicts against MultiPoly ----------
+
+
+def reference_equations(ode, p_monos, avars, q_free, bvars, pivot):
+    """The coefficient system as it was built on MultiPoly: the residual's
+    coefficients of the t-monomials, keyed by t-monomial."""
+    tsig = ode.tvars
+    s = len(tsig)
+    ext = tsig + tuple(avars) + tuple(bvars)
+    p_sym = undetermined(tsig, p_monos, avars, ext)
+    q_sym = undetermined(tsig, q_free, bvars, ext, lead=pivot)
+    numerators = [p_sym.partial(k) * q_sym - p_sym * q_sym.partial(k) for k in range(s)]
+    max_pow = 0
+    for e in ode.poly.terms:
+        max_pow = max(max_pow, e[s] + 2 * sum(e[s + 1 + k] for k in range(s)))
+    residual = MultiPoly.zero(ext)
+    for e, c in ode.poly.terms.items():
+        xdeg = e[s]
+        ydegs = [e[s + 1 + k] for k in range(s)]
+        factor = MultiPoly.monomial(tsig, e[:s], c).restrict(ext)
+        factor = factor * p_sym ** xdeg
+        for k, yd in enumerate(ydegs):
+            if yd:
+                factor = factor * numerators[k] ** yd
+        factor = factor * q_sym ** (max_pow - xdeg - 2 * sum(ydegs))
+        residual = residual + factor
+    return coefficients(residual, s)
+
+
+def _strata(s, bound):
+    """(p_monos, avars, q_free, bvars, pivot) of every stratum the search
+    runs up to the degree bound, pivots over every monomial of top degree."""
+    key = order_key(GREVLEX)
+    for pmax in range(bound + 1):
+        for dq in range(pmax + 1):
+            p_monos = sorted(exponents_upto(s, pmax), key=key, reverse=True)
+            q_monos = sorted(exponents_upto(s, dq), key=key, reverse=True)
+            for pivot in (e for e in q_monos if sum(e) == dq):
+                q_free = [e for e in q_monos if key(e) < key(pivot)]
+                avars = [f"a{i}" for i in range(len(p_monos))]
+                bvars = [f"b{i}" for i in range(len(q_free))]
+                yield p_monos, avars, q_free, bvars, pivot
+
+
+TSIG2 = ("t1", "t2")
+SIG2 = TSIG2 + ("x", "y1", "y2")
+X2, Y21, Y22 = (MultiPoly.var(SIG2, v) for v in ("x", "y1", "y2"))
+T21 = MultiPoly.var(SIG2, "t1")
+
+ODES = {
+    # the benchmark's three first-order equations
+    "riccati": (lambda: OdePoly(Y + Fraction(3, 2) * X * X), 3),
+    "square": (lambda: OdePoly(Y * Y - 2 * X), 3),
+    "growth": (lambda: OdePoly(Y - X), 3),
+    # a two-t equation of the experimental pipeline
+    "two_t": (lambda: OdePoly(Y21 * Y22 - T21 * X2 * X2 + Fraction(1, 3) * X2, tvars=TSIG2), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODES))
+def test_integer_residual_matches_the_multipoly_residual(name):
+    make, bound = ODES[name]
+    ode = make()
+    checked = 0
+    for p_monos, avars, q_free, bvars, pivot in _strata(len(ode.tvars), bound):
+        got = heights._coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot)
+        want = reference_equations(ode, p_monos, avars, q_free, bvars, pivot)
+        assert set(got) == set(want)
+        unknown_sig = tuple(avars) + tuple(bvars)
+        scale = None
+        for head, eq in want.items():
+            ints = got[head]
+            assert all(type(c) is int for c in ints.values())
+            # one positive scalar for the whole system
+            e, c = next(iter(eq.terms.items()))
+            scale = scale or Fraction(ints[e]) / c
+            assert scale > 0
+            assert MultiPoly(unknown_sig, ints) == eq.scale(scale)
+        checked += 1
+    assert checked >= 10

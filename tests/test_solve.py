@@ -8,6 +8,7 @@ value.  The point lists, order included, must not change.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,12 +17,13 @@ from delta_kernel.groebner import (
     GREVLEX,
     LEX,
     buchberger,
+    buchberger_terms,
     ideal_dimension,
     independent_variable_set,
 )
 from delta_kernel.multipoly import MultiPoly, poly_gcd
 from delta_kernel.factor import rational_roots
-from delta_kernel.multipoly import exponents_upto
+from delta_kernel.multipoly import exponents_upto, order_key
 from delta_kernel.solve import (
     enumerate_rational_points,
     sampled_rational_solutions,
@@ -101,14 +103,21 @@ def as_items(points):
 
 
 def count_buchberger(monkeypatch):
+    """The order of every Groebner run the solver makes: each one, at the
+    top and in the fibers, goes through buchberger_terms."""
     runs = []
 
-    def counting(gens, order=None):
+    def counting(gens, leads, order):
         runs.append(order)
-        return buchberger(gens, order)
+        return buchberger_terms(gens, leads, order)
 
-    monkeypatch.setattr(solve, "buchberger", counting)
+    monkeypatch.setattr(solve, "buchberger_terms", counting)
     return runs
+
+
+def by_lex_lead(gb):
+    """The generators of a basis sorted by their lex leading monomial."""
+    return sorted(gb.generators, key=lambda g: max(g.terms))
 
 
 XY = ("x", "y")
@@ -148,9 +157,8 @@ def test_lex_ready_basis_is_resorted(monkeypatch):
     gb = buchberger(gens, GREVLEX)
     leads = [g.leading(GREVLEX)[0] for g in gb.generators]
     assert leads.index((2, 0)) < leads.index((1, 3))
-    lex = solve._lex_ready(gb)
-    assert lex is not None and lex.order == LEX
-    assert lex.generators == buchberger(gens, LEX).generators
+    assert solve._lex_ready(*solve._integer_generators(gb, GREVLEX))
+    assert by_lex_lead(gb) == list(buchberger(gens, LEX).generators)
     want = points_of([(-1, 0), (1, 0), (1, 1)])
     runs = count_buchberger(monkeypatch)
     points, exact, _ = sampled_rational_solutions(gb, XY)
@@ -162,7 +170,7 @@ def test_lex_ready_basis_is_resorted(monkeypatch):
 def test_not_lex_ready_gets_one_lex_run(monkeypatch):
     gens = [X * X - Y, Y * Y - X]  # y^2 - x leads with y^2 under grevlex, x under lex
     gb = buchberger(gens, GREVLEX)
-    assert solve._lex_ready(gb) is None
+    assert not solve._lex_ready(*solve._integer_generators(gb, GREVLEX))
     runs = count_buchberger(monkeypatch)
     points, exact, _ = sampled_rational_solutions(gb, XY)
     assert runs == [LEX]
@@ -242,12 +250,25 @@ def test_seeded_systems_match_the_per_root_recursion(systems):
         assert as_items(sampled_rational_solutions(gb, vars)[0]) == as_items(want)
         found = {tuple(p[v] for v in vars) for p in want}
         assert set(pts) <= found
-        lex = solve._lex_ready(gb)
-        if lex is not None:
+        if solve._lex_ready(*solve._integer_generators(gb, GREVLEX)):
             lex_ready += 1
-            assert lex.generators == buchberger(gens, LEX).generators
+            assert by_lex_lead(gb) == list(buchberger(gens, LEX).generators)
     # both paths of the zero-dimensional leaf are exercised
     assert 0 < lex_ready < len(systems)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_integer_core_matches_buchberger(systems, order):
+    key = order_key(order)
+    for gens, _, vars, _ in systems:
+        terms, leads = solve._integer_generators(gens, order)
+        basis, basis_leads = buchberger_terms(terms, leads, order)
+        assert basis_leads == sorted(basis_leads, key=key)
+        for g, le in zip(basis, basis_leads):
+            assert le == max(g, key=key) and g[le] > 0
+            assert all(type(c) is int for c in g.values()) and gcd(*g.values()) == 1
+        want = buchberger(gens, order).generators
+        assert [MultiPoly(vars, g).monic(order) for g in basis] == list(want)
 
 
 def test_seeded_systems_against_sympy(systems):
