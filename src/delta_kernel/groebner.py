@@ -6,11 +6,24 @@ independent sets, elimination, and saturation through a single Rabinowitsch
 variable.  Saturation returns the reduced lex basis of the saturated ideal
 that its elimination computes; the dimension and the normal forms of a
 saturated ideal are read from that one basis, since the staircase dimension
-does not depend on the term order.  Normal pair selection pops S-pairs from
-a heap keyed on each pair's lcm, stored when the pair is formed (ties broken
-on the pair's indices); the coprimality and chain criteria skip pairs, and
-every basis element's leading monomial is computed once and reused by the
-pairs, the S-polynomials, the reductions and the final interreduction.
+does not depend on the term order.
+
+Buchberger's algorithm starts from interreduced inputs: they enter smallest
+leading monomial first, each reduced by the ones kept before it, and the
+ones that reduce to zero (duplicates, scalar multiples, members of the
+ideal the earlier inputs generate) are dropped before they form a pair.
+Pairs are kept by the Gebauer-Moeller update (JSC 1988): when h joins the
+basis, a queued pair (i, j) is dropped when lead(h) divides its lcm and
+that lcm differs from lcm(i, h) and lcm(j, h) (criterion B_k); of h's new
+pairs only one per minimal lcm is kept (criterion M), none whose lcm a
+coprime pair has (criterion F), and a coprime pair is never queued.  An
+element whose leading monomial a later one divides takes no new pairs but
+stays a reducer.  Normal selection pops the live pairs from a heap keyed
+on each pair's lcm, stored when the pair is formed (ties broken on the
+pair's indices), and skips the entries of dropped pairs.  Every basis
+element's leading monomial is computed once and reused by the pairs, the
+S-polynomials, the reductions and the final interreduction.  The reduced
+basis is unique, so none of this changes it.
 
 Reduction is fraction-free: basis elements, S-polynomials and remainders
 are dicts from exponent tuples to Python ints, each basis element primitive
@@ -29,7 +42,8 @@ monomials alone, so one routine serves both faces.  The terms left
 to reduce sit in a heap with lazy deletion (Monagan-Pearce, JSC 2011), each
 key computed once when its monomial enters, and a basis lead is tested for
 divisibility only after its support bitmask passes (Singular's short
-exponent vectors, Bachmann-Schoenemann, ISSAC 1998).
+exponent vectors, Bachmann-Schoenemann, ISSAC 1998); the same bitmasks
+decide coprimality and screen the pair criteria's divisibility tests.
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, ge, mul, neg, sub
+from operator import add, ge, neg, sub
 
 from .multipoly import GREVLEX, LEX, MultiPoly, integer_terms, order_key
 
@@ -49,10 +63,6 @@ def _lcm(e1, e2):
 
 def _divides(e1, e2):
     return all(map(ge, e2, e1))
-
-
-def _coprime(e1, e2):
-    return not any(map(mul, e1, e2))
 
 
 def _mask(e):
@@ -250,55 +260,78 @@ def buchberger_terms(gens, gen_leads, order):
     with leading monomials gen_leads, each element primitive with a
     positive leading coefficient, as integer term dicts and their leading
     monomials.  The integer core of buchberger: the searches that build
-    their systems on integers call it directly."""
+    their systems on integers call it directly.
+
+    The inputs go in smallest lead first, each reduced by the ones kept
+    before it; those that reduce to zero are dropped.  Every element that
+    joins the basis updates the pairs by Gebauer-Moeller (JSC 1988).
+    """
     key = order_key(order)
     desc = _descending_key(order)
-    basis, leads = [], []
-    for g, le in zip(gens, gen_leads):
-        t = _primitive(g, le)[0]
-        if t not in basis:
-            basis.append(t)
-            leads.append(le)
-    masks = [_mask(le) for le in leads]
-    # normal selection: a heap of (key(lcm), i, j, lcm), smallest lcm first,
-    # ties broken on (i, j); each pair is pushed once, when it is formed
+    basis, leads, masks = [], [], []
+    # active: the elements whose lead no later lead divides; only they take
+    # new pairs, the others stay in the basis as reducers
+    active = []
+    # live pairs (i, j) -> lcm; normal selection pops the heap of
+    # (key(lcm), i, j, lcm), smallest lcm first, ties broken on (i, j), and
+    # skips the entries of pairs that a later element made redundant
+    live = {}
     pairs = []
-    handled = set()
 
-    def form_pairs(new):
-        for k in range(new):
-            lij = _lcm(leads[k], leads[new])
-            heappush(pairs, (key(lij), k, new, lij))
-
-    def chain_skip(i, j, lij):
-        for k in range(len(basis)):
-            if k in (i, j):
+    def insert(t, le):
+        """Add t, with leading monomial le, to the basis as h and update
+        the pairs."""
+        n = len(basis)
+        lm = _mask(le)
+        basis.append(t)
+        leads.append(le)
+        masks.append(lm)
+        # criterion B_k: lead(h) divides lcm(i, j), and both lcm(i, h) and
+        # lcm(j, h) differ from it, so (i, j) follows from (i, h) and (j, h)
+        for (i, j), lij in list(live.items()):
+            if (
+                not lm & ~(masks[i] | masks[j])
+                and _divides(le, lij)
+                and lij != _lcm(leads[i], le)
+                and lij != _lcm(leads[j], le)
+            ):
+                del live[i, j]
+        # the new pairs by lcm, each lcm with its first active partner, or
+        # None once a coprime pair (disjoint supports) has it
+        firsts = {}
+        for k in active:
+            lkn = _lcm(leads[k], le)
+            if lm & masks[k]:
+                firsts.setdefault(lkn, k)
+            else:
+                firsts[lkn] = None
+        # criterion M keeps one pair per minimal lcm; criterion F drops an
+        # lcm that a coprime pair has, and coprime pairs are never pushed
+        for lkn, k in firsts.items():
+            if k is None or any(m != lkn and _divides(m, lkn) for m in firsts):
                 continue
-            if _divides(leads[k], lij):
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (a, b) in handled and (c, d) in handled:
-                    return True
-        return False
+            live[k, n] = lkn
+            heappush(pairs, (key(lkn), k, n, lkn))
+        active[:] = [k for k in active if lm & ~masks[k] or not _divides(le, leads[k])]
+        active.append(n)
 
-    for new in range(1, len(basis)):
-        form_pairs(new)
+    for idx in sorted(range(len(gens)), key=lambda i: key(gen_leads[i])):
+        t, le = gens[idx], gen_leads[idx]
+        if basis:
+            t, _ = _reduce(t, basis, leads, masks, desc)
+            if not t:
+                continue
+            le = max(t, key=key)
+        insert(_primitive(t, le)[0], le)
     while pairs:
         _, i, j, lij = heappop(pairs)
-        handled.add((i, j))
-        if _coprime(leads[i], leads[j]):
-            continue
-        if chain_skip(i, j, lij):
+        if live.pop((i, j), None) is None:
             continue
         s = _s_poly(basis[i], leads[i], basis[j], leads[j], lij)
         r, _ = _reduce(s, basis, leads, masks, desc)
-        if not r:
-            continue
-        le = max(r, key=key)
-        basis.append(_primitive(r, le)[0])
-        leads.append(le)
-        masks.append(_mask(le))
-        form_pairs(len(basis) - 1)
+        if r:
+            le = max(r, key=key)
+            insert(_primitive(r, le)[0], le)
     return _reduced(basis, leads, order)
 
 

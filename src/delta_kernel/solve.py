@@ -16,8 +16,16 @@ solver recurses, so results are deterministic and every returned point
 satisfies the system exactly.  When that variable occurs in no generator of
 the grevlex basis, every sample value gives the same fiber, whose reduced
 grevlex basis is the generators themselves, and the fiber is solved once.
-A zero-dimensional fiber whose grevlex basis has the same leading monomials
+A zero-dimensional system whose grevlex basis has the same leading monomials
 under lex already is its reduced lex basis, and is enumerated from it.
+
+When the independent set has exactly one variable, the ideal has dimension
+one and its generic fiber is zero-dimensional, so each fiber goes lex
+first: one lex run on the specialized generators, and back substitution
+from that basis when it is zero-dimensional (the unit ideal included).  A
+special value whose fiber is positive-dimensional falls back to the grevlex
+recursion, whose basis picks the next pivot.  Either way the points come
+from the unique reduced lex basis of the fiber, as before.
 
 The search runs on integers from the system to the point: both public
 entries turn their generators into integer term dicts once, and the
@@ -81,11 +89,12 @@ def enumerate_rational_points(gens, vars):
     gens, leads = _integer_generators(gens, LEX)
     if not vars:
         return [{}] if not gens else []
-    if not gens:
-        raise ValueError("system is not zero-dimensional")
     if not reduced:
         gens, leads = buchberger_terms(gens, leads, LEX)
-    return _back_substitute(gens, leads, vars)
+    points = _back_substitute(gens, leads, vars)
+    if points is None:
+        raise ValueError("system is not zero-dimensional")
+    return points
 
 
 def _integer_generators(gens, order):
@@ -98,7 +107,8 @@ def _integer_generators(gens, order):
 
 def _back_substitute(basis, leads, vars):
     """enumerate_rational_points of the reduced lex basis of integer term
-    dicts basis, with leading monomials leads, over vars.
+    dicts basis, with leading monomials leads, over vars; None when the
+    ideal is not zero-dimensional.
 
     Over a partial point a the coordinates are rational, p_i / q_i in lowest
     terms; a generator whose later variables x_i occur to degree at most M_i
@@ -124,7 +134,7 @@ def _back_substitute(basis, leads, vars):
     # variable; that generator's leading coefficient is a nonzero constant,
     # so the search below for a generator to read always stops
     if not all(pure):
-        raise ValueError("system is not zero-dimensional")
+        return None
     # extend every partial point by one coordinate, last variable first; a
     # partial point's extensions stay together, in ascending root order
     partials = [[None] * len(vars)]
@@ -201,7 +211,14 @@ def solve_terms(gens, leads, vars, reduced=False):
     for value in SAMPLE_VALUES:
         sub_points = shared
         if sub_points is None:
-            sub_points, _, _ = solve_terms(*_specialize_terms(gens, p, value), rest)
+            fiber, fiber_leads = _specialize_terms(gens, p, value)
+            if len(indep) == 1 and fiber:
+                # the generic fiber is zero-dimensional: one lex run, unless
+                # the value is special and its fiber positive-dimensional
+                basis, basis_leads = buchberger_terms(fiber, list(map(max, fiber)), LEX)
+                sub_points = _back_substitute(basis, basis_leads, rest)
+            if sub_points is None:
+                sub_points, _, _ = solve_terms(fiber, fiber_leads, rest)
         coordinate = Fraction(value)
         for q in sub_points:
             point = dict(q)

@@ -26,6 +26,12 @@ m = 2, in the first of which fiber expressions substitute one another.
 Their `.json` files are the output recorded while each undetermined-
 coefficient search still built its ansatz and read its points its own way.
 
+`prolong_golden/sqrt2.dk` holds (d1 u1)^2 - 2 u1, whose prolongation at
+t = 10 is one lex saturation in twelve variables.  Its `.json` file is the
+output recorded while Buchberger's algorithm still skipped pairs by the
+coprime and chain criteria alone, with neither the Gebauer-Moeller update
+nor interreduced inputs.
+
 `data/reduce_golden/linear.dk` and `nonlinear.dk` are the benchmark's
 ring-reduce problem files for seed 1, with its costliest target on each;
 `rational.dk` is the nonlinear set with p = 1/2, q = -2/3, so that every
@@ -69,6 +75,7 @@ PROLONG_JOBS = {
     "extract_burgers": ["extract-dvariety", "burgers.dk", "--set", "S"],
     "extract_pair_S": ["extract-dvariety", "pair.dk", "--set", "S"],
     "extract_pair_T": ["extract-dvariety", "pair.dk", "--set", "T"],
+    "prolong_sqrt2_t10": ["prolong", "sqrt2.dk", "--set", "S", "--t", "10"],
 }
 
 REDUCE_JOBS = {

@@ -397,3 +397,95 @@ def test_sampled_solutions_reuse_a_given_basis(monkeypatch):
             assert len(runs) == from_gens - saved
         for point in want[0]:
             assert all(g.evaluate(point) == 0 for g in gens)
+
+
+def _redundant_inputs(rng, gens, sig):
+    """gens with redundant inputs added: a duplicate, a scalar multiple and
+    a member of the ideal the others generate, in a shuffled order."""
+    out = list(gens)
+    out.append(rng.choice(gens))
+    out.append(rng.choice(gens).scale(_nonzero_fraction(rng)))
+    member = MultiPoly.zero(sig)
+    for g in gens:
+        member = member + random_multipoly(rng, sig, max_degree=1, max_terms=2) * g
+    if not member.is_zero():
+        out.append(member)
+    rng.shuffle(out)
+    return out
+
+
+def test_redundant_inputs_match_sympy_and_plain_buchberger():
+    """Inputs are interreduced before any pair is formed: duplicates,
+    scalar multiples, ideal members, an input that is already its reduced
+    basis and the unit ideal must give the reduced basis of the ideal."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(default_seed() + 16)
+    sig = ("x", "y", "z")
+    syms = sympy.symbols(sig)
+    x, y, z = (MultiPoly.var(sig, v) for v in sig)
+    systems = []
+    for _ in range(6):
+        gens = [
+            random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False)
+            for _ in range(rng.randint(2, 3))
+        ]
+        systems.append(_redundant_inputs(rng, gens, sig))
+    systems.append([x * y - z, x * y - z, (x * y - z).scale(3), x * x - 1])
+    systems.append(_redundant_inputs(rng, [x * x - y, y * y - z, x * z - 1], sig))
+    systems.append([x * y - 1, x, x + y])  # the unit ideal
+    systems.append(_redundant_inputs(rng, [x - 1, y + 2, z], sig) + [MultiPoly.const(sig, 5)])
+    for gens in systems:
+        for order in (GREVLEX, LEX):
+            ours = buchberger(list(gens), order)
+            theirs = {
+                _from_sympy(sympy, syms, g, sig).monic(order)
+                for g in sympy.groebner(
+                    [_to_sympy(sympy, syms, g) for g in gens], *syms, order=order, domain="QQ"
+                ).exprs
+            }
+            assert set(ours.generators) == theirs
+            assert set(_buchberger_no_criteria(list(gens), order).generators) == theirs
+            # a reduced basis given as the input comes back unchanged
+            again = list(ours.generators)
+            rng.shuffle(again)
+            assert buchberger(again, order).generators == ours.generators
+    assert buchberger(systems[-2], LEX).is_unit_ideal()
+
+
+def _work_guard_systems():
+    """A fixed set of systems, not drawn from the suite's seed: the counts in
+    test_pair_criteria_work_guard were recorded on exactly these."""
+    rng = random.Random(1515)
+    sig = ("x", "y", "z")
+    systems = [
+        [random_multipoly(rng, sig, max_degree=3, max_terms=4, allow_zero=False) for _ in range(3)]
+        for _ in range(12)
+    ]
+    systems += [_tie_heavy_system(rng, ("a", "b", "c", "d")) for _ in range(8)]
+    x, y, z = (MultiPoly.var(sig, v) for v in sig)
+    systems.append([x + y + z, x * y + y * z + z * x, x * y * z - 1])  # cyclic-3
+    systems.append(  # katsura-3
+        [x + 2 * y + 2 * z - 1, x * x + 2 * y * y + 2 * z * z - x, 2 * x * y + 2 * y * z - y]
+    )
+    return systems
+
+
+@pytest.mark.parametrize("order, at_most", [(GREVLEX, 173), (LEX, 299)])
+def test_pair_criteria_work_guard(order, at_most, monkeypatch):
+    """The number of S-polynomials over the fixed systems may not rise above
+    the count of the chain-criterion engine (coprime and chain criteria,
+    no interreduction of the inputs): 173 under grevlex and 299 under lex.
+    The Gebauer-Moeller update with interreduced inputs forms 128 and 205."""
+    import delta_kernel.groebner as groebner
+
+    calls = []
+    s_poly = groebner._s_poly
+
+    def counting(*args):
+        calls.append(args)
+        return s_poly(*args)
+
+    monkeypatch.setattr(groebner, "_s_poly", counting)
+    for gens in _work_guard_systems():
+        buchberger(gens, order)
+    assert 0 < len(calls) <= at_most

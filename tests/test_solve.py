@@ -333,6 +333,37 @@ def test_sampled_solutions_match_the_unshared_loop(gens):
         assert all(g.evaluate(point) == 0 for g in gens)
 
 
+# ---------- sampled families: lex-first fibers ----------
+
+
+def test_positive_dimensional_fiber_takes_the_grevlex_fallback(monkeypatch):
+    # three coordinate axes: the pivot is x, and x = 0 leaves the y-z axes
+    gens = [X3 * Y3, X3 * Z3, Y3 * Z3]
+    gb = buchberger(gens, GREVLEX)
+    assert independent_variable_set(gb) == {0}
+    runs = count_buchberger(monkeypatch)
+    points, exact, free = sampled_rational_solutions(gb, XYZ)
+    # x = 0: the lex run finds a positive-dimensional fiber, and the grevlex
+    # recursion takes over, pivoting on y with one lex run per nonzero y (y = 0
+    # leaves no equation); every other value of x gives y = z = 0 at once
+    assert runs == [LEX, GREVLEX] + [LEX] * 5 + [LEX] * 5
+    want = reference_sampled(gens, XYZ)
+    assert (as_items(points), exact, free) == (as_items(want[0]), want[1], want[2])
+    assert len(points) == 6 + 5
+
+
+def test_zero_dimensional_fibers_cost_one_lex_run_each(monkeypatch):
+    # the twisted cubic: every fiber over z is a point, the one over z = 0
+    # a multiple one, and z has a rational cube root at 0 and +-1 only
+    gens = [Y3 - X3**2, Z3 - X3**3]
+    runs = count_buchberger(monkeypatch)
+    points, exact, free = sampled_rational_solutions(gens, XYZ)
+    assert runs == [GREVLEX] + [LEX] * len(solve.SAMPLE_VALUES)
+    want = reference_sampled(gens, XYZ)
+    assert (as_items(points), exact, free) == (as_items(want[0]), want[1], want[2])
+    assert sorted(tuple(p[v] for v in XYZ) for p in points) == [(-1, 1, -1), (0, 0, 0), (1, 1, 1)]
+
+
 @pytest.mark.parametrize("with_lead", [False, True])
 def test_specialize_is_the_ansatz_at_the_point(with_lead):
     rng = random.Random(default_seed() + 21)
