@@ -1,18 +1,23 @@
 """Univariate polynomial factorization over Q.
 
-Rational roots come from the rational root theorem on the integer-primitive
-form; the remaining squarefree parts (Yun decomposition) are factored by
-Kronecker interpolation, which is exact and entirely adequate at the degrees
-this package meets.  Multivariate factorization is deliberately absent.
+Everything runs on one dense list of integer coefficients, constant term
+first: the integer-primitive form of the polynomial.  Rational roots come
+from the rational root theorem; factor_univariate takes the root 0 off
+first, splits the rest into squarefree parts (Yun's algorithm on a
+primitive remainder sequence), divides out each part's rational roots and
+factors what is left by Kronecker interpolation, which is exact and
+entirely adequate at the degrees this package meets.  MultiPoly factors
+are built once, at the end.  Multivariate factorization is deliberately
+absent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import gcd
 
-from .multipoly import dense_coeffs, from_dense, interpolate, poly_gcd
+from .multipoly import dense_coeffs, from_dense, interpolate
 
 
 def _main_index(p):
@@ -44,6 +49,11 @@ def _int_divisors(n):
     return sorted(out)
 
 
+def _integer_coeffs(p, i):
+    """The integer-primitive form of the univariate p as a dense list."""
+    return [c.numerator for c in dense_coeffs(p.primitive(), i)]
+
+
 def rational_roots(p):
     """All rational roots of a univariate polynomial, with multiplicities.
 
@@ -54,16 +64,20 @@ def rational_roots(p):
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    i = _main_index(p)
-    return integer_rational_roots([c.numerator for c in dense_coeffs(p.primitive(), i)])
+    return integer_rational_roots(_integer_coeffs(p, _main_index(p)))
 
 
 def integer_rational_roots(coeffs):
     """rational_roots of the polynomial with the integer coefficients coeffs,
     constant term first, the last one nonzero; the content is divided out."""
-    g = gcd(*coeffs)
-    if g != 1:
-        coeffs = [c // g for c in coeffs]
+    return _split_rational_roots(coeffs)[0]
+
+
+def _split_rational_roots(coeffs):
+    """(roots, rest): the rational roots of the integer polynomial coeffs as
+    integer_rational_roots gives them, and the primitive integer cofactor
+    left once each root's linear factor is divided out to its multiplicity."""
+    coeffs = _primitive(coeffs)
     roots = []
     # strip powers of the variable: root 0
     shift = 0
@@ -73,7 +87,7 @@ def integer_rational_roots(coeffs):
     if shift:
         roots.append((Fraction(0), shift))
     if len(coeffs) == 1:
-        return roots
+        return roots, coeffs
 
     def vanishes(f, num, den):
         # den^n f(num/den), by Horner's rule on the homogenised form
@@ -82,19 +96,6 @@ def integer_rational_roots(coeffs):
             scale *= den
             acc = acc * num + c * scale
         return not acc
-
-    def deflate(f, num, den):
-        # exact quotient of f by (den X - num), from the top coefficient down
-        out = [0] * (len(f) - 1)
-        carry, exact = 0, True
-        for k in range(len(f) - 1, 0, -1):
-            q, r = divmod(f[k] + carry, den)
-            exact = exact and not r
-            out[k - 1] = q
-            carry = num * q
-        if not exact or f[0] + carry:
-            raise ArithmeticError(f"{den}X - {num} leaves a remainder on a polynomial it annuls")
-        return out
 
     # each candidate num/den in lowest terms once; the order found does not
     # matter, since every root is divided out to its full multiplicity
@@ -106,71 +107,140 @@ def integer_rational_roots(coeffs):
             for signed in (num, -num):
                 mult = 0
                 while len(coeffs) > 1 and vanishes(coeffs, signed, den):
-                    coeffs = deflate(coeffs, signed, den)
+                    coeffs = _exact_quotient(coeffs, [-signed, den])
+                    if coeffs is None:
+                        raise ArithmeticError(
+                            f"{den}X - {signed} leaves a remainder on a polynomial it annuls"
+                        )
                     mult += 1
                 if mult:
                     roots.append((Fraction(signed, den), mult))
-    return sorted(roots)
+    return sorted(roots), coeffs
 
 
-def squarefree_decomposition(p):
-    """Yun's algorithm: list of (squarefree monic factor, multiplicity)."""
-    i = _main_index(p)
-    f = p.monic()
+# ---------- dense integer polynomials, constant term first ----------
+
+
+def _strip(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _primitive(f):
+    """f divided by its content, leading coefficient positive; [] stays []."""
+    g = gcd(*f)
+    if not g:
+        return []
+    if f[-1] < 0:
+        g = -g
+    return f if g == 1 else [c // g for c in f]
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _exact_quotient(f, g):
+    """f / g when g divides f in Z[X], else None; g has no trailing zero."""
+    if not f:
+        return []
+    f = f[:]
+    lead, dg = g[-1], len(g) - 1
+    out = [0] * (len(f) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(f[k + dg], lead)
+        if r:
+            return None
+        out[k] = q
+        if q:
+            for j, c in enumerate(g):
+                f[k + j] -= q * c
+    return None if any(f[:dg]) else out
+
+
+def _pseudo_remainder(a, b):
+    """lc(b)^e a mod b for the least e that keeps it in Z[X]."""
+    r = a[:]
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
+        r = [x * lead for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y
+        _strip(r)
+    return r
+
+
+def _poly_gcd(a, b):
+    """Primitive gcd, leading coefficient positive, of two integer
+    polynomials (primitive remainder sequence); gcd(a, 0) = primitive(a)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _squarefree_parts(f):
+    """Yun's algorithm on a primitive integer polynomial: [(part,
+    multiplicity)], each part primitive, squarefree and of positive degree,
+    the parts pairwise coprime.  b and c are always divided by the same
+    polynomial, so the scalars that Q would normalise away cancel."""
+    d = _derivative(f)
+    a = _poly_gcd(f, d)
+    b, c = _exact_quotient(f, a), _exact_quotient(d, a)
     out = []
-    d = f.partial(i)
-    a = poly_gcd(f, d)
-    b = f.exact_div(a)
-    c = d.exact_div(a)
     k = 1
-    while b.degree_in(i) > 0:
-        w = poly_gcd(b, c - b.partial(i))
-        if w.degree_in(i) > 0:
-            out.append((w.monic(), k))
-        b2 = b.exact_div(w)
-        c = (c - b.partial(i)).exact_div(w)
-        b = b2
+    while len(b) > 1:
+        db = _derivative(b)
+        e = _strip([x - y for x, y in zip_longest(c, db, fillvalue=0)])
+        w = _poly_gcd(b, e)
+        if len(w) > 1:
+            out.append((w, k))
+        b, c = _exact_quotient(b, w), _exact_quotient(e, w)
         k += 1
     return out
 
 
-def _kronecker_factor(p, i):
-    """One nontrivial monic factor of a squarefree primitive p, or None."""
-    deg = p.degree_in(i)
+def _kronecker_factor(f):
+    """One nontrivial primitive factor of the squarefree primitive integer
+    polynomial f, which has no rational root, or None when f is irreducible.
+
+    A factor g of degree d in Z[X] takes at each integer point s a divisor
+    of f(s), so ±g is the interpolant of one choice of divisors at d + 1
+    points; interpolants that are not of degree d in Z[X] are skipped.
+    """
+    deg = len(f) - 1
     if deg <= 3:
-        # no rational roots were left in p, so low degrees are irreducible
+        # no rational roots were left in f, so low degrees are irreducible
         return None
-    prim = p.primitive()
-    samples = []
+    pts = [0]
     x = 0
-    seq = [0]
-    while len(seq) < deg:
+    while len(pts) < deg // 2 + 1:
         x += 1
-        seq.extend([x, -x])
+        pts.extend([x, -x])
+    divisor_lists = []
+    for s in pts[: deg // 2 + 1]:
+        v = 0
+        for c in reversed(f):
+            v = v * s + c
+        if not v:
+            return None  # primitive integer poly: cannot happen off roots
+        divisor_lists.append([sd for d0 in _int_divisors(v) for sd in (d0, -d0)])
+    # fix the first value's sign to halve the search
+    divisor_lists[0] = [d0 for d0 in divisor_lists[0] if d0 > 0]
     for d in range(2, deg // 2 + 1):
-        pts = seq[: d + 1]
-        values = []
-        for s in pts:
-            v = prim.evaluate({prim.vars[i]: Fraction(s)})
-            values.append(int(v) if v.denominator == 1 else None)
-            if values[-1] is None or values[-1] == 0:
-                return None  # primitive integer poly: cannot happen off roots
-        divisor_lists = []
-        for v in values:
-            ds = _int_divisors(v)
-            divisor_lists.append([x for d0 in ds for x in (d0, -d0)])
-        # fix the first value's sign to halve the search
-        divisor_lists[0] = [d0 for d0 in divisor_lists[0] if d0 > 0]
-        for combo in product(*divisor_lists):
+        for combo in product(*divisor_lists[: d + 1]):
             coeffs = interpolate(list(zip(pts, combo)))
-            if len(coeffs) - 1 != d:
+            if len(coeffs) - 1 != d or any(c.denominator != 1 for c in coeffs):
                 continue
-            cand = from_dense(coeffs, prim.vars, i, prim.order)
-            try:
-                prim.exact_div(cand)
-            except ArithmeticError:
-                continue
-            return cand.monic()
+            g = _primitive([int(c) for c in coeffs])
+            if _exact_quotient(f, g) is not None:
+                return g
     return None
 
 
@@ -186,34 +256,25 @@ def factor_univariate(p):
     unit = p.leading()[1]
     if p.degree_in(i) <= 0:
         return unit, []
-    factors = {}
-
-    def add(f, mult):
-        key = (f.vars, frozenset(f.terms.items()))
-        if key in factors:
-            factors[key] = (f, factors[key][1] + mult)
-        else:
-            factors[key] = (f, mult)
-
-    for sqf, mult in squarefree_decomposition(p):
-        stack = [sqf]
+    f = _integer_coeffs(p, i)
+    found = []  # (integer coefficients of an irreducible factor, multiplicity)
+    zeros = next(k for k, c in enumerate(f) if c)
+    if zeros:
+        found.append(([0, 1], zeros))
+        f = f[zeros:]
+    for part, mult in _squarefree_parts(f):
+        roots, rest = _split_rational_roots(part)
+        found += [([-r.numerator, r.denominator], mult) for r, _ in roots]
+        stack = [rest] if len(rest) > 1 else []
         while stack:
             g = stack.pop()
-            # peel rational roots first
-            for root, rmult in rational_roots(g):
-                lin = from_dense([-root, Fraction(1)], g.vars, i, g.order)
-                for _ in range(rmult):
-                    g = g.exact_div(lin)
-                add(lin, mult * rmult)
-            if g.degree_in(i) <= 0:
-                continue
-            piece = _kronecker_factor(g, i)
+            piece = _kronecker_factor(g)
             if piece is None:
-                add(g.monic(), mult)
+                found.append((g, mult))
             else:
-                stack.append(piece)
-                stack.append(g.exact_div(piece).monic())
-    ordered = sorted(
-        factors.values(), key=lambda fm: (fm[0].total_degree(), fm[0].to_str())
-    )
-    return unit, ordered
+                stack += [piece, _exact_quotient(g, piece)]
+    factors = [
+        (from_dense([Fraction(c, g[-1]) for c in g], p.vars, i, p.order), mult)
+        for g, mult in found
+    ]
+    return unit, sorted(factors, key=lambda fm: (fm[0].total_degree(), fm[0].to_str()))

@@ -3,7 +3,11 @@
 Entries only need field arithmetic (+, -, *, /) and truthiness for the zero
 test, so Fraction and RatFunc both work.  Row reduction keeps each row as a
 dict of its nonzero entries and touches only those.  Eigen computations are
-restricted to Fraction matrices and report rational eigenvalues only.
+restricted to Fraction matrices and report rational eigenvalues only; they
+split the matrix into the diagonal blocks of its strongly connected
+components first, so a triangular or block-diagonal matrix (the action of
+a field of degree <= 1 on a degree filtration) never meets a large
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -197,7 +201,27 @@ class EigenReport:
 def rational_eigen(m):
     """All rational eigenvalues with nullspace bases of M - lambda*I.
 
-    Non-rational spectrum is flagged in the report, never approximated.
+    Each distinct eigenvalue of rational_spectrum gets the nullspace of the
+    whole M - lambda*I.  Non-rational spectrum is flagged in the report,
+    never approximated.
+    """
+    mults = rational_spectrum(m)
+    report = EigenReport()
+    for root in sorted(mults):
+        report.pairs.append((root, nullspace(shifted(m, root))))
+    if sum(mults.values()) < m.rows:
+        report.complete = False
+        report.notes.append("non-rational spectrum present")
+    return report
+
+
+def rational_spectrum(m):
+    """{eigenvalue: algebraic multiplicity} for the rational eigenvalues of
+    a square matrix over Q.
+
+    The eigenvalues are those of the diagonal blocks (see _diagonal_blocks):
+    a 1 x 1 block's is its entry, a larger block's are the rational roots of
+    its characteristic polynomial, and multiplicities add up over the blocks.
     """
     if m.rows != m.cols:
         raise ValueError("eigenvalues of a non-square matrix")
@@ -205,18 +229,71 @@ def rational_eigen(m):
         for x in row:
             if not isinstance(x, (Fraction, int)):
                 raise TypeError("rational_eigen expects a matrix over Q")
+    mults = {}
+    for block in _diagonal_blocks(m):
+        if len(block) == 1:
+            (i,) = block
+            roots = [(Fraction(m.entries[i][i]), 1)]
+        else:
+            sub = ExactMatrix([[m.entries[i][j] for j in block] for i in block])
+            roots = rational_roots(charpoly(sub))
+        for root, mult in roots:
+            mults[root] = mults.get(root, 0) + mult
+    return mults
+
+
+def _diagonal_blocks(m):
+    """Index lists of the strongly connected components of the graph on the
+    rows of the square matrix m with an edge i -> j for each nonzero
+    off-diagonal m[i][j], in the order Tarjan's algorithm (SIAM J. Comput.
+    1972) closes them; here it runs on an explicit stack.
+
+    The components' graph is acyclic, so listing the indices component by
+    component, in that order, permutes m (rows and columns alike) to block
+    triangular form: the spectrum of m is the union of the spectra of the
+    blocks m[b][b], with multiplicities.
+    """
     n = m.rows
-    cp = charpoly(m)
-    report = EigenReport()
-    found_mult = 0
-    for root, mult in rational_roots(cp):
-        report.pairs.append((root, nullspace(shifted(m, root))))
-        found_mult += mult
-    if found_mult < n:
-        report.complete = False
-        report.notes.append("non-rational spectrum present")
-    report.pairs.sort(key=lambda p: p[0])
-    return report
+    succ = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(m.entries)]
+    index, low = [None] * n, [0] * n
+    on_stack = [False] * n
+    stack, blocks = [], []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]  # (vertex, next successor to look at)
+        while work:
+            v, pos = work.pop()
+            if pos == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            edges = succ[v]
+            while pos < len(edges):
+                w = edges[pos]
+                pos += 1
+                if index[w] is None:
+                    work.append((v, pos))
+                    work.append((w, 0))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every successor of v is done: close its component if v is the root
+                if low[v] == index[v]:
+                    block = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        block.append(w)
+                        if w == v:
+                            break
+                    blocks.append(sorted(block))
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return blocks
 
 
 def shifted(m, c):

@@ -158,9 +158,6 @@ class AffineExpr:
             linear[b] = v if cur is None else cur + v
         return AffineExpr(self.const + other.const, {b: v for b, v in linear.items() if v})
 
-    def free_coordinates(self):
-        return [b for b, v in self.linear.items() if v]
-
     def to_str(self):
         bits = []
         if self.const:

@@ -19,6 +19,11 @@ Riccati ladder, was recorded while every fiber of a sampled family was still
 substituted and solved through MultiPoly and Fraction; many of its fibers
 have a pivot that occurs in the basis.
 
+`solver_golden/integrals_euler_d8.json` and `darboux_rot_d8.json`, at twice
+the degree of the other `fields.dk` jobs, were recorded while the eigen path
+took the rational roots of one characteristic polynomial of the whole action
+matrix (degree 45) and factored through MultiPoly.
+
 `solver_golden/groebner.dk` holds a field with two derivations and the
 energy field x1' = x2, x2' = -x1^2, whose degree-3 search samples a
 cofactor family; `prolong_golden/pair.dk` holds two sets with n = 2,
@@ -60,6 +65,8 @@ SOLVER_JOBS = {
         for cmd in ("darboux", "integrals")
         for field in ("rot", "shear", "euler")
     },
+    "integrals_euler_d8": ["integrals", "fields.dk", "--dspec", "euler", "--deg", "8"],
+    "darboux_rot_d8": ["darboux", "fields.dk", "--dspec", "rot", "--deg", "8"],
     "darboux_groebner_pair_d2": [
         "darboux", "groebner.dk", "--dspec", "pair", "--deg", "2", "--method", "groebner",
     ],
