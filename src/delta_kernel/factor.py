@@ -9,6 +9,10 @@ factors what is left by Kronecker interpolation, which is exact and
 entirely adequate at the degrees this package meets.  MultiPoly factors
 are built once, at the end.  Multivariate factorization is deliberately
 absent.
+
+The dense integer kernel (content, derivative, exact quotient and the
+primitive remainder sequence gcd) lives in multipoly, next to the dense
+views, and poly_gcd's univariate case runs on it too.
 """
 
 from __future__ import annotations
@@ -17,14 +21,25 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import gcd
 
-from .multipoly import dense_coeffs, from_dense, interpolate
+from .multipoly import (
+    _derivative,
+    _exact_quotient,
+    _integer_coeffs,
+    _poly_gcd,
+    _primitive,
+    _strip,
+    from_dense,
+    horner,
+    interpolate,
+)
 
 
 def _main_index(p):
+    """Index of the one variable of the nonconstant p."""
     support = p.support_indices()
     if len(support) > 1:
         raise ValueError("polynomial is not univariate")
-    return min(support) if support else 0
+    return min(support)
 
 
 def _int_divisors(n):
@@ -49,11 +64,6 @@ def _int_divisors(n):
     return sorted(out)
 
 
-def _integer_coeffs(p, i):
-    """The integer-primitive form of the univariate p as a dense list."""
-    return [c.numerator for c in dense_coeffs(p.primitive(), i)]
-
-
 def rational_roots(p):
     """All rational roots of a univariate polynomial, with multiplicities.
 
@@ -64,6 +74,8 @@ def rational_roots(p):
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
+    if p.is_constant():
+        return []
     return integer_rational_roots(_integer_coeffs(p, _main_index(p)))
 
 
@@ -118,73 +130,6 @@ def _split_rational_roots(coeffs):
     return sorted(roots), coeffs
 
 
-# ---------- dense integer polynomials, constant term first ----------
-
-
-def _strip(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _primitive(f):
-    """f divided by its content, leading coefficient positive; [] stays []."""
-    g = gcd(*f)
-    if not g:
-        return []
-    if f[-1] < 0:
-        g = -g
-    return f if g == 1 else [c // g for c in f]
-
-
-def _derivative(f):
-    return [k * c for k, c in enumerate(f)][1:]
-
-
-def _exact_quotient(f, g):
-    """f / g when g divides f in Z[X], else None; g has no trailing zero."""
-    if not f:
-        return []
-    f = f[:]
-    lead, dg = g[-1], len(g) - 1
-    out = [0] * (len(f) - dg)
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(f[k + dg], lead)
-        if r:
-            return None
-        out[k] = q
-        if q:
-            for j, c in enumerate(g):
-                f[k + j] -= q * c
-    return None if any(f[:dg]) else out
-
-
-def _pseudo_remainder(a, b):
-    """lc(b)^e a mod b for the least e that keeps it in Z[X]."""
-    r = a[:]
-    lead, db = b[-1], len(b) - 1
-    while len(r) > db:
-        c, shift = r[-1], len(r) - 1 - db
-        r = [x * lead for x in r]
-        for j, y in enumerate(b):
-            r[shift + j] -= c * y
-        _strip(r)
-    return r
-
-
-def _poly_gcd(a, b):
-    """Primitive gcd, leading coefficient positive, of two integer
-    polynomials (primitive remainder sequence); gcd(a, 0) = primitive(a)."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return [1]
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return a
-
-
 def _squarefree_parts(f):
     """Yun's algorithm on a primitive integer polynomial: [(part,
     multiplicity)], each part primitive, squarefree and of positive degree,
@@ -225,9 +170,7 @@ def _kronecker_factor(f):
         pts.extend([x, -x])
     divisor_lists = []
     for s in pts[: deg // 2 + 1]:
-        v = 0
-        for c in reversed(f):
-            v = v * s + c
+        v = horner(f, s)
         if not v:
             return None  # primitive integer poly: cannot happen off roots
         divisor_lists.append([sd for d0 in _int_divisors(v) for sd in (d0, -d0)])
@@ -252,10 +195,10 @@ def factor_univariate(p):
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    i = _main_index(p)
     unit = p.leading()[1]
-    if p.degree_in(i) <= 0:
+    if p.is_constant():
         return unit, []
+    i = _main_index(p)
     f = _integer_coeffs(p, i)
     found = []  # (integer coefficients of an irreducible factor, multiplicity)
     zeros = next(k for k, c in enumerate(f) if c)

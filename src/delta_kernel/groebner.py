@@ -335,16 +335,6 @@ def buchberger_terms(gens, gen_leads, order):
     return _reduced(basis, leads, order)
 
 
-def _interreduce(basis, order):
-    """Reduced basis, smallest leading monomial first, of a Groebner basis
-    given as MultiPolys."""
-    key = order_key(order)
-    ints = [_integral(g, key) for g in basis if not g.is_zero()]
-    vars = basis[0].vars if basis else ()
-    kept, leads = _reduced([t for t, _, _ in ints], [le for _, le, _ in ints], order)
-    return _monic(kept, leads, vars, order)
-
-
 def _reduced(basis, leads, order):
     """(kept, kept_leads): the reduced basis, smallest leading monomial
     first, as primitive integer term dicts with positive leading

@@ -17,6 +17,12 @@ Products (MultiPoly.__mul__) and pseudo-division (pseudo_divide_terms,
 Knuth's Algorithm R, which serves both the Ritt-Kolchin reduction and,
 through pseudo_divide, the remainder sequence of poly_gcd) run this way.
 
+Dense univariate views sit beside them: dense_coeffs and from_dense, and
+on dense integer lists, constant term first, the one univariate gcd
+(_poly_gcd, a primitive remainder sequence over int) with its helpers.
+poly_gcd's univariate case and the factor module both run on that kernel;
+so do the contents of a bivariate gcd, which are univariate gcds.
+
 coefficients splits a polynomial by the monomials in its leading
 variables; the searches read their equations in the unknowns off it, and
 the affine fiber solve its top-order linear parts.
@@ -630,7 +636,7 @@ def from_dense(coeffs, vars, i=0, order=GREVLEX):
 
 def horner(coeffs, x):
     """Value at x of the dense polynomial c0 + c1 X + ... ."""
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -663,47 +669,81 @@ def interpolate(points):
     return coeffs
 
 
+# dense integer polynomials, constant term first: the kernel of poly_gcd's
+# univariate case and of the factor module
+
+
+def _integer_coeffs(p, i):
+    """The integer-primitive form of the univariate p as a dense list."""
+    return [c.numerator for c in dense_coeffs(p.primitive(), i)]
+
+
+def _strip(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _primitive(f):
+    """f divided by its content, leading coefficient positive; [] stays []."""
+    g = int_gcd(*f)
+    if not g:
+        return []
+    if f[-1] < 0:
+        g = -g
+    return f if g == 1 else [c // g for c in f]
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _exact_quotient(f, g):
+    """f / g when g divides f in Z[X], else None; g has no trailing zero."""
+    if not f:
+        return []
+    f = f[:]
+    lead, dg = g[-1], len(g) - 1
+    out = [0] * (len(f) - dg)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(f[k + dg], lead)
+        if r:
+            return None
+        out[k] = q
+        if q:
+            for j, c in enumerate(g):
+                f[k + j] -= q * c
+    return None if any(f[:dg]) else out
+
+
+def _pseudo_remainder(a, b):
+    """lc(b)^e a mod b for the least e that keeps it in Z[X]."""
+    r = a[:]
+    lead, db = b[-1], len(b) - 1
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
+        r = [x * lead for x in r]
+        for j, y in enumerate(b):
+            r[shift + j] -= c * y
+        _strip(r)
+    return r
+
+
+def _poly_gcd(a, b):
+    """Primitive gcd, leading coefficient positive, of two integer
+    polynomials (primitive remainder sequence, Knuth, TAOCP 4.6.1);
+    gcd(a, 0) = primitive(a)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return [1]
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
 # ---------- gcd machinery ----------
-
-
-def _univariate_gcd(a, b, i):
-    """Monic gcd of polynomials effectively univariate in variable index i."""
-
-    def strip(f):
-        while f and not f[-1]:
-            f.pop()
-        return f
-
-    def dense_mod(f, g):
-        f = f[:]
-        while True:
-            strip(f)
-            if len(f) < len(g):
-                return f
-            q = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for k in range(len(g)):
-                f[shift + k] -= q * g[k]
-            f.pop()
-
-    fa, fb = strip(dense_coeffs(a, i)), strip(dense_coeffs(b, i))
-    while fb:
-        fa, fb = fb, dense_mod(fa, fb)
-    lead = fa[-1]
-    return from_dense([c / lead for c in fa], a.vars, i, a.order)
-
-
-def _to_univariate(p, i):
-    """View p as {exp in var i: coefficient MultiPoly free of var i}."""
-    buckets = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        ne = list(e)
-        ne[i] = 0
-        buckets.setdefault(k, {})[tuple(ne)] = c
-    return {
-        k: MultiPoly(p.vars, terms, p.order) for k, terms in buckets.items()
-    }
 
 
 def coeff_of_power(p, i, d):
@@ -799,23 +839,21 @@ def poly_gcd(a, b):
         return b.monic()
     if not b.terms:
         return a.monic()
-    support = a.support_indices() | b.support_indices()
-    if not support:
-        return MultiPoly.const(a.vars, 1, a.order)
     sa, sb = a.support_indices(), b.support_indices()
     if not (sa & sb):
         return MultiPoly.const(a.vars, 1, a.order)
-    # effectively univariate: dense Euclid is much faster
+    support = sa | sb
     if len(support) == 1:
         (i,) = support
-        return _univariate_gcd(a, b, i)
+        g = _poly_gcd(_integer_coeffs(a, i), _integer_coeffs(b, i))
+        return from_dense([Fraction(c, g[-1]) for c in g], a.vars, i, a.order)
     i = min(support)
 
     def content_pp(p):
-        cu = _to_univariate(p, i)
         cont = None
-        for poly in cu.values():
-            cont = poly.monic() if cont is None else poly_gcd(cont, poly)
+        for d in sorted({e[i] for e in p.terms}):
+            c = coeff_of_power(p, i, d)
+            cont = c.monic() if cont is None else poly_gcd(cont, c)
             if cont.is_constant():
                 cont = MultiPoly.const(p.vars, 1, p.order)
                 break

@@ -5,8 +5,10 @@ blocks of the strongly connected components of a matrix; the oracle is the
 characteristic polynomial of the whole matrix, factored by sympy, on block
 triangular matrices hidden by a random simultaneous permutation of rows and
 columns.  `factor_univariate` runs on dense integer coefficient lists; the
-oracle is sympy's `factor_list`.  The work guards pin the block sizes that
-the Darboux action matrices of degree <= 1 fields hand to `charpoly`.
+oracle is sympy's `factor_list`.  The gcd on those lists, which
+`poly_gcd`'s univariate case shares, is checked against sympy's `gcd`.  The
+work guards pin the block sizes that the Darboux action matrices of degree
+<= 1 fields hand to `charpoly`.
 """
 
 import random
@@ -16,11 +18,11 @@ import pytest
 
 from delta_kernel import linalg
 from delta_kernel.dvariety import DSpec, darboux_search_eigen
-from delta_kernel.factor import factor_univariate
+from delta_kernel.factor import factor_univariate, rational_roots
 from delta_kernel.linalg import ExactMatrix, _diagonal_blocks, rational_eigen, rational_spectrum
-from delta_kernel.multipoly import MultiPoly, dense_coeffs
+from delta_kernel.multipoly import MultiPoly, _poly_gcd, dense_coeffs, poly_gcd
 
-from conftest import default_seed, random_fraction
+from conftest import default_seed, random_fraction, random_multipoly
 
 # 2 x 2 blocks with no rational eigenvalue: +-i*sqrt(2), +-sqrt(2), the
 # golden ratio and its conjugate
@@ -222,6 +224,76 @@ def test_factor_univariate_edge_inputs():
     assert unit == 1 and [(f.to_str(), m) for f, m in factors] == [("t^4 - 10*t^2 + 1", 1)]
     unit, factors = factor_univariate((t**2 - 2) * (t**2 - 3) * t)
     assert [f.to_str() for f, _ in factors] == ["t", "t^2 - 2", "t^2 - 3"]
+    # a constant has no root and no factor, over the empty signature too
+    for sig in ((), ("t",)):
+        for c in (3, Fraction(-1, 2)):
+            assert rational_roots(MultiPoly.const(sig, c)) == []
+            assert factor_univariate(MultiPoly.const(sig, c)) == (c, [])
+
+
+def _integer_list(poly):
+    """A sympy Poly over ZZ as a dense list, constant term first; 0 is []."""
+    return [] if poly.is_zero else [int(c) for c in reversed(poly.all_coeffs())]
+
+
+def test_dense_integer_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    rng = random.Random(default_seed() + 43)
+
+    def random_poly(degree):
+        # any sign on every coefficient, the leading one included
+        coeffs = [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 4])]
+        return sympy.Poly(list(reversed(coeffs)), X, domain="ZZ")
+
+    zero = sympy.Poly(0, X, domain="ZZ")
+    pairs = [(zero, zero), (zero, random_poly(2)), (random_poly(0), zero), (random_poly(0), random_poly(0))]
+    pairs += [(random_poly(0), random_poly(3)) for _ in range(5)]
+    for _ in range(40):
+        g = random_poly(rng.randint(0, 3))
+        scale = sympy.Poly(rng.choice([1, 2, -3, 6]), X, domain="ZZ")
+        pairs.append((g * random_poly(rng.randint(0, 3)) * scale, g * random_poly(rng.randint(0, 3))))
+    for _ in range(15):
+        pairs.append((random_poly(rng.randint(1, 4)), random_poly(rng.randint(1, 4))))
+    nontrivial = 0
+    for a, b in pairs:
+        got = _poly_gcd(_integer_list(a), _integer_list(b))
+        want = a.gcd(b)
+        if not want.is_zero:
+            # the primitive part, leading coefficient positive
+            want = want.primitive()[1]
+            want = -want if want.LC() < 0 else want
+        assert got == _integer_list(want), (a, b)
+        nontrivial += len(got) > 1
+    assert nontrivial >= 20
+
+
+def test_univariate_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = MultiPoly.var(("x",), "x")
+    assert poly_gcd(2 * x + 4, 3 * x + 6) == x + 2
+    assert poly_gcd(Fraction(1, 2) * x**2 - 2, Fraction(-3, 4) * x - Fraction(3, 2)) == x + 2
+    X = sympy.Symbol("x")
+    sig = ("w", "x")  # univariate in the second variable
+    rng = random.Random(default_seed() + 44)
+    nontrivial = 0
+    for _ in range(40):
+        g, p, q = (
+            random_multipoly(rng, ("x",), max_degree=4, max_terms=4, allow_zero=False)
+            for _ in range(3)
+        )
+        a, b = g * p * random_fraction(rng, 4), g * q * random_fraction(rng, 4)
+        if a.is_zero() or b.is_zero() or a.is_constant() or b.is_constant():
+            continue
+        got = poly_gcd(a.restrict(sig), b.restrict(sig))
+        assert got.vars == sig and got.leading()[1] == 1
+        A, B = (sympy.Poly(list(reversed(dense_coeffs(f))), X, domain="QQ") for f in (a, b))
+        want = A.gcd(B).monic()
+        assert tuple(reversed(dense_coeffs(got, 1))) == tuple(
+            Fraction(int(c.p), int(c.q)) for c in want.all_coeffs()
+        ), (a, b)
+        nontrivial += not got.is_constant()
+    assert nontrivial >= 10
 
 
 def _charpoly_sizes(monkeypatch):

@@ -209,11 +209,26 @@ def test_saturation_matches_sympy():
     assert proper >= 3
 
 
+def _interreduce(basis, order):
+    """Reduced basis, smallest leading monomial first, of a Groebner basis
+    given as MultiPolys: keep the generators whose leading monomial no kept
+    one divides, then reduce each by the others and make it monic.  No other
+    kept leading monomial divides a kept one's, so every term but the
+    leading one ends outside the leading ideal, whatever the reduction path;
+    that makes the result the unique reduced basis."""
+    key = order_key(order)
+    kept = []
+    for g in sorted((g for g in basis if not g.is_zero()), key=lambda g: key(g.leading(order)[0])):
+        le = g.leading(order)[0]
+        if not any(all(a <= b for a, b in zip(h.leading(order)[0], le)) for h in kept):
+            kept.append(g)
+    return [
+        normal_form(g, kept[:i] + kept[i + 1 :], order).monic(order) for i, g in enumerate(kept)
+    ]
+
+
 def _buchberger_no_criteria(gens, order):
     """Textbook Buchberger without pair-skipping criteria; test oracle."""
-    from delta_kernel.groebner import _interreduce
-    from delta_kernel.multipoly import order_key
-
     key = order_key(order)
     basis = [g.with_order(order).monic(order) for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -228,8 +243,6 @@ def _buchberger_no_criteria(gens, order):
         basis.append(r.monic(order))
         new = len(basis) - 1
         pairs.extend((k, new) for k in range(new))
-    from delta_kernel.groebner import GroebnerBasis
-
     return GroebnerBasis(tuple(_interreduce(basis, order)), order, gens[0].vars)
 
 
