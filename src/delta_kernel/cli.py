@@ -590,23 +590,23 @@ def build_parser():
 
 
 _HANDLERS = {
-    "analyze": (_cmd_analyze, True),
-    "bound": (_cmd_bound, True),
-    "dimfn": (_cmd_dimfn, True),
-    "prolong": (_cmd_prolong, True),
-    "extract-dvariety": (_cmd_extract, True),
-    "darboux": (_cmd_darboux, True),
-    "integrals": (_cmd_integrals, True),
-    "height": (_cmd_height, False),
-    "solve-ode": (_cmd_solve_ode, True),
-    "reduce": (_cmd_reduce, True),
-    "wedge-check": (_cmd_wedge_check, False),
+    "analyze": _cmd_analyze,
+    "bound": _cmd_bound,
+    "dimfn": _cmd_dimfn,
+    "prolong": _cmd_prolong,
+    "extract-dvariety": _cmd_extract,
+    "darboux": _cmd_darboux,
+    "integrals": _cmd_integrals,
+    "height": _cmd_height,
+    "solve-ode": _cmd_solve_ode,
+    "reduce": _cmd_reduce,
+    "wedge-check": _cmd_wedge_check,
 }
 
 
 def run_command(command, args, problem):
     """Dispatch one parsed command; returns the report document."""
-    handler, _ = _HANDLERS[command]
+    handler = _HANDLERS[command]
     started = time.monotonic()
     doc = handler(args, problem)
     if getattr(args, "timings", False):
@@ -625,9 +625,8 @@ def main(argv=None, stdout=None, stderr=None):
             raise UsageError("a command is required (try --help)")
         if args.command == "wedge-check" and args.seed is None:
             args.seed = int(os.environ.get("DELTA_KERNEL_SEED", DEFAULT_SEED))
-        handler, needs_file = _HANDLERS[args.command]
         problem = None
-        if needs_file:
+        if getattr(args, "file", None) is not None:
             text = (
                 sys.stdin.read()
                 if args.file == "-"

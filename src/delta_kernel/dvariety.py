@@ -50,13 +50,20 @@ from .ratfunc import RatFunc
 from .solve import SAMPLE_VALUES, sampled_rational_solutions, specialize, undetermined
 
 
+def _ambient_sig(nvars):
+    """The signature x1..xn of the affine n-space the fields act on."""
+    return tuple(f"x{j}" for j in range(1, nvars + 1))
+
+
 class DSpec:
     """m polynomial derivations delta_k(x_j) on n-space, optional ideal of V."""
 
     def __init__(self, nvars, nder, fields, ideal_gens=(), check_commuting=True):
+        if nvars < 1 or nder < 1:
+            raise ValueError("need at least one derivation and one variable")
         self.nvars = nvars
         self.nder = nder
-        self.sig = tuple(f"x{j}" for j in range(1, nvars + 1))
+        self.sig = _ambient_sig(nvars)
         self.fields = [
             [fields[k][j].restrict(self.sig) for j in range(nvars)] for k in range(nder)
         ]

@@ -36,6 +36,13 @@ def height_ratfunc(g):
     return max(g.num.total_degree(), g.den.total_degree())
 
 
+def _ode_sig(tvars):
+    """The ring of P: the t-variables, x, then y (s = 1) or y1..ys."""
+    s = len(tvars)
+    yvars = ("y",) if s == 1 else tuple(f"y{k}" for k in range(1, s + 1))
+    return tuple(tvars) + ("x",) + yvars
+
+
 class OdePoly:
     """Nonzero P in Q(t1..ts)[x, y1..ys], denominators cleared, content out.
 
@@ -45,9 +52,7 @@ class OdePoly:
 
     def __init__(self, poly, tvars=("t",)):
         self.tvars = tuple(tvars)
-        s = len(self.tvars)
-        self.yvars = ("y",) if s == 1 else tuple(f"y{k}" for k in range(1, s + 1))
-        self.sig = self.tvars + ("x",) + self.yvars
+        self.sig = _ode_sig(self.tvars)
         poly = poly.restrict(self.sig)
         if poly.is_zero():
             raise ValueError("the defining polynomial must be nonzero")

@@ -11,18 +11,30 @@ File grammar (whitespace-insensitive inside lines, '#' comments):
     dspec     := 'dspec' NAME '{' clause* '}'         # polynomial vector fields
     clause    := 'n' '=' INT | 'm' '=' INT | 'nocommute'
                | d<k> x<j> '=' expr | 'ideal' '=' expr (',' expr)*
-    ode       := 'ode' NAME '=' expr                  # in t, x, y (or y1..ym)
+    ode       := 'ode' NAME '=' expr                  # in t, x, y (or y1..ys)
 
     expr      := term (('+'|'-') term)*
     term      := factor (('*'|'/') factor)*
     factor    := '-' factor | power
     power     := atom ('^' INT)?
-    atom      := NUMBER | var | derivative | '(' expr ')'
-    derivative:= d<k>('^'INT)? '*' derivative | u<j>
+    atom      := NUMBER | NAME | derivative | '(' expr ')'
+    derivative:= d<k>('^'INT)? '*' derivative | u<j>  # poly and reduce only
 
-'*' is mandatory between factors.  Division is general in rational-function
-contexts and restricted to constant divisors elsewhere.  `t` abbreviates
-`t1`.  Errors carry line and column positions.
+Every expression is read in one environment, which differs between contexts
+only in its name table, its constants and its divisors.  A NAME atom is a
+letter plus an optional index, read as an integer, looked up in the table:
+
+    poly, reduce  u<j> (1 <= j <= n), t and t<i> (1 <= i <= s)
+    action        t and t<i>
+    dspec         x and x<j> (1 <= j <= the block's n)
+    ode           t and t<i>, x, and y (s <= 1) or y1..ys (s > 1)
+    height        t and t1
+
+where s counts the header's generators; a bare `t` or `x` stands for `t1` or
+`x1`.  The signatures come from the objects the values belong to: the ring's
+DiffContext, DSpec's ambient space, OdePoly's ring.  '*' is mandatory between
+factors.  Division is general for rational functions (height) and by nonzero
+constants elsewhere.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -30,10 +42,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from .diffring import AutoreducedSet, DiffContext, DiffPoly
-from .dvariety import DSpec
-from .heights import OdePoly
+from .diffring import AutoreducedSet, DiffContext
+from .dvariety import DSpec, _ambient_sig
+from .heights import OdePoly, _ode_sig
 from .multipoly import MultiPoly
 from .ratfunc import RatFunc
 
@@ -123,26 +136,29 @@ class _Stream:
 
 _D_RE = re.compile(r"^d(\d+)$")
 _U_RE = re.compile(r"^u(\d+)$")
-_T_RE = re.compile(r"^t(\d+)?$")
 _X_RE = re.compile(r"^x(\d+)?$")
-_Y_RE = re.compile(r"^y(\d+)?$")
+_INDEXED_RE = re.compile(r"^(\D+)(\d+)$")
+
+
+def _lookup(names, text):
+    """The entry of names for text, an index read as an integer (t01 is t1)."""
+    entry = names.get(text)
+    m = None if entry is not None else _INDEXED_RE.match(text)
+    return names.get(f"{m.group(1)}{int(m.group(2))}") if m else entry
 
 
 class ExprParser:
     """Recursive-descent expression parser over one token stream.
 
-    The environment decides what NAME atoms mean and whether division by a
-    nonconstant value is allowed (rational-function contexts only).
+    The environment decides what NAME atoms mean, whether derivative chains
+    are read, and whether division by a nonconstant value is allowed.
     """
 
     def __init__(self, stream, env):
         self.s = stream
         self.env = env
 
-    def parse(self):
-        return self._expr()
-
-    def _expr(self):
+    def expr(self):
         value = self._term()
         while True:
             tok = self.s.peek()
@@ -187,20 +203,21 @@ class ExprParser:
         tok = self.s.peek()
         if tok.kind == "number":
             self.s.next()
-            return self.env.constant(Fraction(int(tok.text)))
+            return self.env.const(Fraction(int(tok.text)))
         if tok.kind == "sym" and tok.text == "(":
             self.s.next()
-            value = self._expr()
+            value = self.expr()
             self.s.expect("sym", ")")
             return value
         if tok.kind == "name":
-            if _D_RE.match(tok.text):
+            if self.env.ctx is not None and _D_RE.match(tok.text):
                 return self._derivative_chain()
             self.s.next()
             return self.env.atom(tok)
         raise ParseError(f"expected an expression, found {tok.text or tok.kind!r}", tok.line, tok.col)
 
     def _derivative_chain(self):
+        ctx = self.env.ctx
         exponents = {}
         start = self.s.peek()
         while True:
@@ -209,6 +226,8 @@ class ExprParser:
             if dm:
                 self.s.next()
                 k = int(dm.group(1))
+                if not (1 <= k <= ctx.m):
+                    raise ParseError(f"derivation index {k} exceeds m={ctx.m}", start.line, start.col)
                 e = 1
                 if self.s.peek().kind == "sym" and self.s.peek().text == "^":
                     self.s.next()
@@ -219,7 +238,10 @@ class ExprParser:
             um = _U_RE.match(tok.text) if tok.kind == "name" else None
             if um:
                 self.s.next()
-                return self.env.derivative(exponents, int(um.group(1)), start)
+                j = int(um.group(1))
+                if not (1 <= j <= ctx.n):
+                    raise ParseError(f"variable index {j} exceeds n={ctx.n}", start.line, start.col)
+                return ctx.indet([exponents.get(k, 0) for k in range(1, ctx.m + 1)], j)
             raise ParseError(
                 f"a derivative chain must end in u<j>, found {tok.text or tok.kind!r}",
                 tok.line,
@@ -227,160 +249,68 @@ class ExprParser:
             )
 
 
-class DiffEnv:
-    """Differential polynomials over the header's ring."""
+class _Env:
+    """One expression context.
 
-    def __init__(self, ctx):
+    names maps every name the context accepts, a letter plus an optional
+    index, to a function that makes its value, and const makes the
+    constants.  Rational functions divide by any nonzero value, the other
+    contexts by nonzero constants only.  The differential context alone,
+    the one with a ring ctx, reads derivative chains d<k>*...*u<j>.
+    """
+
+    def __init__(self, names, const, what, ctx=None):
+        self.names = names
+        self.const = const
+        self.what = what
         self.ctx = ctx
 
-    def constant(self, c):
-        return self.ctx.const(c)
-
     def atom(self, tok):
-        um = _U_RE.match(tok.text)
-        if um:
-            j = int(um.group(1))
-            if not (1 <= j <= self.ctx.n):
-                raise ParseError(f"variable index {j} exceeds n={self.ctx.n}", tok.line, tok.col)
-            return self.ctx.u(j)
-        tm = _T_RE.match(tok.text)
-        if tm:
-            i = int(tm.group(1)) if tm.group(1) else 1
-            if i > len(self.ctx.coeff_gens):
-                raise ParseError(
-                    f"coefficient generator t{i} not declared (coeffs=Q"
-                    + (f"(t1..t{len(self.ctx.coeff_gens)})" if self.ctx.coeff_gens else "")
-                    + ")",
-                    tok.line,
-                    tok.col,
-                )
-            return self.ctx.t(i)
-        raise ParseError(f"unknown symbol {tok.text!r} in a differential expression", tok.line, tok.col)
-
-    def derivative(self, exponents, j, tok):
-        for k in exponents:
-            if not (1 <= k <= self.ctx.m):
-                raise ParseError(f"derivation index {k} exceeds m={self.ctx.m}", tok.line, tok.col)
-        if not (1 <= j <= self.ctx.n):
-            raise ParseError(f"variable index {j} exceeds n={self.ctx.n}", tok.line, tok.col)
-        theta = tuple(exponents.get(k, 0) for k in range(1, self.ctx.m + 1))
-        return self.ctx.indet(theta, j)
+        make = _lookup(self.names, tok.text)
+        if make is None:
+            known = ", ".join(self.names) or "none"
+            raise ParseError(f"unknown symbol {tok.text!r} in {self.what} (names: {known})", tok.line, tok.col)
+        return make()
 
     def divide(self, a, b, tok):
-        if isinstance(b, DiffPoly) and b.is_in_coeff_field() and b.body.is_constant():
-            c = b.body.constant_value()
-            if not c:
+        if isinstance(b, RatFunc):
+            if b.is_zero():
                 raise ParseError("division by zero", tok.line, tok.col)
-            return a * self.ctx.const(1 / c)
-        raise ParseError(
-            "division by a nonconstant expression is not allowed here", tok.line, tok.col
-        )
-
-
-class AmbientEnv:
-    """Polynomials in x1..xn for vector-field specifications."""
-
-    def __init__(self, nvars):
-        self.sig = tuple(f"x{j}" for j in range(1, nvars + 1))
-        self.nvars = nvars
-
-    def constant(self, c):
-        return MultiPoly.const(self.sig, c)
-
-    def atom(self, tok):
-        xm = _X_RE.match(tok.text)
-        if xm:
-            j = int(xm.group(1)) if xm.group(1) else 1
-            if not (1 <= j <= self.nvars):
-                raise ParseError(f"ambient variable x{j} exceeds n={self.nvars}", tok.line, tok.col)
-            return MultiPoly.var(self.sig, f"x{j}")
-        raise ParseError(f"unknown symbol {tok.text!r} in an ambient polynomial", tok.line, tok.col)
-
-    def derivative(self, exponents, j, tok):
-        raise ParseError("derivative terms make no sense in an ambient polynomial", tok.line, tok.col)
-
-    def divide(self, a, b, tok):
-        if b.is_constant():
-            c = b.constant_value()
-            if not c:
-                raise ParseError("division by zero", tok.line, tok.col)
-            return a.scale(1 / c)
-        raise ParseError(
-            "division by a nonconstant expression is not allowed here", tok.line, tok.col
-        )
-
-
-class RatEnv:
-    """Rational functions of the t-variables (height expressions)."""
-
-    def __init__(self, tvars=("t",)):
-        self.sig = tuple(tvars)
-
-    def constant(self, c):
-        return RatFunc.from_const(self.sig, c)
-
-    def atom(self, tok):
-        tm = _T_RE.match(tok.text)
-        if tm:
-            i = int(tm.group(1)) if tm.group(1) else 1
-            if not (1 <= i <= len(self.sig)):
-                raise ParseError(f"variable t{i} exceeds the declared t-variables", tok.line, tok.col)
-            return RatFunc.var(self.sig, self.sig[i - 1])
-        raise ParseError(f"unknown symbol {tok.text!r} in a rational function", tok.line, tok.col)
-
-    def derivative(self, exponents, j, tok):
-        raise ParseError("derivative terms make no sense in a rational function", tok.line, tok.col)
-
-    def divide(self, a, b, tok):
-        if b.is_zero():
+            return a / b
+        body = b if self.ctx is None else b.body
+        if not body.is_constant():
+            raise ParseError("division by a nonconstant expression is not allowed here", tok.line, tok.col)
+        if body.is_zero():
             raise ParseError("division by zero", tok.line, tok.col)
-        return a / b
+        c = 1 / body.constant_value()
+        return a.scale(c) if self.ctx is None else a * c
 
 
-class OdeEnv:
-    """Polynomials in t-variables, x, and y (or y1..ym)."""
+def _indexed(letter, items):
+    """letter<i> for the i-th item, and the bare letter for the first."""
+    names = {f"{letter}{i}": v for i, v in enumerate(items, 1)}
+    if items:
+        names[letter] = items[0]
+    return names
 
-    def __init__(self, tvars=("t",)):
-        self.tvars = tuple(tvars)
-        s = len(self.tvars)
-        self.yvars = ("y",) if s == 1 else tuple(f"y{k}" for k in range(1, s + 1))
-        self.sig = self.tvars + ("x",) + self.yvars
 
-    def constant(self, c):
-        return MultiPoly.const(self.sig, c)
+def _poly_env(sig, names, what):
+    """Polynomials over sig; names maps each accepted name to a variable."""
+    makers = {a: partial(MultiPoly.var, sig, v) for a, v in names.items()}
+    return _Env(makers, partial(MultiPoly.const, sig), what)
 
-    def atom(self, tok):
-        if tok.text == "x":
-            return MultiPoly.var(self.sig, "x")
-        ym = _Y_RE.match(tok.text)
-        if ym and (tok.text in self.yvars):
-            return MultiPoly.var(self.sig, tok.text)
-        tm = _T_RE.match(tok.text)
-        if tm:
-            i = int(tm.group(1)) if tm.group(1) else 1
-            if not (1 <= i <= len(self.tvars)):
-                raise ParseError(f"variable t{i} exceeds the declared t-variables", tok.line, tok.col)
-            return MultiPoly.var(self.sig, self.tvars[i - 1])
-        raise ParseError(
-            f"unknown symbol {tok.text!r} in a differential-equation polynomial",
-            tok.line,
-            tok.col,
-        )
 
-    def derivative(self, exponents, j, tok):
-        raise ParseError("use y (or y1..ym) for the derivative indeterminates", tok.line, tok.col)
+def _ode_env(tvars):
+    sig = _ode_sig(tvars)
+    names = _indexed("t", tvars)
+    names.update((v, v) for v in sig[len(tvars) :])
+    return _poly_env(sig, names, "a differential equation")
 
-    def divide(self, a, b, tok):
-        if b.is_constant():
-            c = b.constant_value()
-            if not c:
-                raise ParseError("division by zero", tok.line, tok.col)
-            return a.scale(1 / c)
-        raise ParseError(
-            "clear denominators: division by a nonconstant expression is not allowed here",
-            tok.line,
-            tok.col,
-        )
+
+def _diff_env(ctx):
+    names = {f"u{j}": partial(ctx.u, j) for j in range(1, ctx.n + 1)}
+    names.update((a, partial(ctx.t, g.index)) for a, g in _indexed("t", ctx.coeff_gens).items())
+    return _Env(names, ctx.const, "a differential polynomial", ctx)
 
 
 @dataclass
@@ -400,7 +330,7 @@ class ProblemFile:
         return AutoreducedSet(self.sets[name])
 
 
-_COEFFS_RE = re.compile(r"^Q(\(t1(\.\.t(\d+))?\))?$")
+_COEFFS_RE = re.compile(r"^Q(\(t1(\.\.t(0*[1-9]\d*))?\))?$")
 
 
 def parse_system(text):
@@ -444,51 +374,33 @@ def parse_system(text):
             s.next()
             dtok = s.expect("name")
             dm = _D_RE.match(dtok.text)
-            if not dm:
-                raise ParseError("action needs d<k>", dtok.line, dtok.col)
-            k = int(dm.group(1))
+            if not dm or not (1 <= int(dm.group(1)) <= header["m"]):
+                raise ParseError(f"action needs d<k> with 1 <= k <= m={header['m']}", dtok.line, dtok.col)
             ttok = s.expect("name")
-            tm = _T_RE.match(ttok.text)
-            if not tm:
-                raise ParseError("action needs t<i>", ttok.line, ttok.col)
-            i = int(tm.group(1)) if tm.group(1) else 1
-            if not (1 <= k <= header["m"]):
-                raise ParseError(f"derivation index {k} exceeds m={header['m']}", dtok.line, dtok.col)
-            if not (1 <= i <= ngens):
-                raise ParseError(f"coefficient generator t{i} not declared", ttok.line, ttok.col)
+            i = _lookup(_indexed("t", range(1, ngens + 1)), ttok.text)
+            if i is None:
+                raise ParseError(f"action needs a declared t<i>, found {ttok.text!r}", ttok.line, ttok.col)
             s.expect("sym", "=")
-            actions[(k, i)] = (dtok.line, _take_line(s))
+            actions[(int(dm.group(1)), i)] = (dtok.line, _take_line(s))
             s.skip_newlines()
             continue
         stmts.append(_take_statement(s))
         s.skip_newlines()
 
-    tgens = tuple(f"t{i}" for i in range(1, ngens + 1))
-    action_polys = {}
-    for key, (line, toks) in actions.items():
-        env = RatEnv(tgens) if tgens else RatEnv(("t1",))
-        value = _parse_tokens(toks, env, line)
-        if not value.is_polynomial():
-            raise ParseError("derivation actions must be polynomial in the t-generators", toks[0].line, toks[0].col)
-        body = value.num.scale(1 / value.den.constant_value())
-        from .diffring import CoeffGen
-
-        gens_sig = tuple(CoeffGen(i) for i in range(1, ngens + 1))
-        renamed = MultiPoly(
-            gens_sig,
-            {e: c for e, c in body.terms.items()},
-        )
-        action_polys[key] = renamed
-
-    ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens, actions=action_polys)
+    # the actions are polynomials in the generators of a ring without them
+    gens = DiffContext(header["m"], header["n"], coeff_gens=ngens).coeff_gens
+    env = _poly_env(gens, _indexed("t", gens), "a derivation action")
+    actions = {key: _parse_tokens(toks, env, line) for key, (line, toks) in actions.items()}
+    ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens, actions=actions)
     problem = ProblemFile(ctx=ctx)
+    tvars = tuple(map(str, gens)) or ("t",)  # an equation over Q is in t
 
     for kind, name_tok, payload in stmts:
         name = name_tok.text
         if name in set(problem.names()):
             raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
         if kind == "poly":
-            problem.polys[name] = _parse_tokens(payload, DiffEnv(ctx), name_tok.line)
+            problem.polys[name] = _parse_tokens(payload, _diff_env(ctx), name_tok.line)
         elif kind == "set":
             members = []
             for tok in payload:
@@ -507,11 +419,11 @@ def parse_system(text):
         elif kind == "dspec":
             problem.dspecs[name] = _build_dspec(name_tok, payload)
         elif kind == "ode":
-            env = OdeEnv(tgens if tgens else ("t",))
-            value = _parse_tokens(payload, env, name_tok.line)
-            if value.is_zero():
-                raise ParseError("the differential-equation polynomial must be nonzero", name_tok.line, name_tok.col)
-            problem.odes[name] = OdePoly(value, tvars=env.tvars)
+            value = _parse_tokens(payload, _ode_env(tvars), name_tok.line)
+            try:
+                problem.odes[name] = OdePoly(value, tvars=tvars)
+            except ValueError as exc:
+                raise ParseError(str(exc), name_tok.line, name_tok.col)
         else:
             raise ParseError(f"unknown statement {kind!r}", name_tok.line, name_tok.col)
         problem.order.append((kind, name))
@@ -559,7 +471,7 @@ def _parse_tokens(tokens, env, line=None):
     """One expression spanning all of tokens, parsed in env; an expression
     cut short is reported at line, where its statement starts."""
     sub = _Stream(list(tokens) + [Token("eof", "", line, None)])
-    value = ExprParser(sub, env).parse()
+    value = ExprParser(sub, env).expr()
     tok = sub.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
@@ -619,7 +531,8 @@ def _build_dspec(name_tok, payload):
     for (k, j), clause in entries.items():
         if not (1 <= k <= nder and 1 <= j <= nvars):
             raise ParseError(f"clause d{k} x{j} lies outside m={nder}, n={nvars}", clause[0].line, clause[0].col)
-    env = AmbientEnv(nvars)
+    sig = _ambient_sig(nvars)
+    env = _poly_env(sig, _indexed("x", sig), "a vector field")
 
     fields = []
     for k in range(1, nder + 1):
@@ -653,9 +566,10 @@ def _build_dspec(name_tok, payload):
 def parse_diff_expression(text, ctx):
     """One differential-polynomial expression over an existing ring."""
     tokens = [t for t in tokenize(text) if t.kind != "newline"]
-    return _parse_tokens(tokens, DiffEnv(ctx))
+    return _parse_tokens(tokens, _diff_env(ctx))
 
 
 def parse_ratfunc_expression(text, tvars=("t",)):
     tokens = [t for t in tokenize(text) if t.kind != "newline"]
-    return _parse_tokens(tokens, RatEnv(tvars))
+    names = {a: partial(RatFunc.var, tvars, v) for a, v in _indexed("t", tvars).items()}
+    return _parse_tokens(tokens, _Env(names, partial(RatFunc.from_const, tvars), "a rational function"))

@@ -70,17 +70,11 @@ def print_diffpoly(f):
     return "".join(pieces)
 
 
-def print_named_poly(p, rename=None):
-    """Polynomial over plain string variable ids (ambient or ODE rings)."""
-    names = [rename.get(v, str(v)) if rename else str(v) for v in p.vars]
-    return p.to_str(names)
-
-
-def print_ratfunc(r, rename=None):
+def print_ratfunc(r):
+    ns = r.num.to_str()
     if r.den.is_constant() and r.den.constant_value() == 1:
-        return print_named_poly(r.num, rename)
-    ns = print_named_poly(r.num, rename)
-    ds = print_named_poly(r.den, rename)
+        return ns
+    ds = r.den.to_str()
     if len(r.num.terms) > 1 or _needs_parens(ns):
         ns = f"({ns})"
     if len(r.den.terms) > 1 or "*" in ds or "^" in ds:

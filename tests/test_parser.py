@@ -179,7 +179,8 @@ class TestActions:
     @pytest.mark.parametrize(
         "text, line, col",
         [
-            ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = 1/t1\n", 2, None),
+            ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = 1/t1\n", 2, 17),
+            ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = t1^2/t1\n", 2, 20),
             ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = t1/0\n", 2, 18),
             ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = u1\n", 2, 16),
             ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = t3\n", 2, 16),
@@ -191,6 +192,7 @@ class TestActions:
         ],
         ids=[
             "divides-by-t1",
+            "divides-by-t1-exactly",
             "divides-by-zero",
             "u1",
             "t3",
@@ -204,5 +206,50 @@ class TestActions:
     def test_bad_action_lines(self, text, line, col):
         with pytest.raises(ParseError) as exc:
             parse_system(text)
-        assert exc.value.line == line
-        assert col is None or exc.value.col == col
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "m=1 n=2 coeffs=Q(t1..t2)\npoly f = u02*t02 - t01\n",
+        "m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 1\n d1 x01 = x02\n d1 x2 = x01\n}\n",
+        "m=1 n=1 coeffs=Q(t1..t2)\naction d1 t01 = t02\node E = y1 - t01*y2\n",
+    ],
+    ids=["poly", "dspec", "action-and-ode"],
+)
+def test_indices_read_as_integers(text):
+    same = parse_system(text.replace("0", ""))
+    prob = parse_system(text)
+    assert (prob.polys, prob.ctx) == (same.polys, same.ctx)
+    assert [s.fields for s in prob.dspecs.values()] == [s.fields for s in same.dspecs.values()]
+    assert [e.poly for e in prob.odes.values()] == [e.poly for e in same.odes.values()]
+
+
+class TestNewRejections:
+    @pytest.mark.parametrize("clauses", ["n = 0\n m = 1\n", "n = 1\n m = 0\n"], ids=["n0", "m0"])
+    @pytest.mark.parametrize("command", ["darboux", "integrals"])
+    def test_dspec_without_variables_or_derivations(self, tmp_path, clauses, command):
+        text = f"m=1 n=1 coeffs=Q\n\ndspec q {{\n {clauses}}}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert exc.value.line == 3
+        assert "need at least one derivation and one variable" in exc.value.message
+        path = tmp_path / "empty.dk"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["--json", command, str(path), "--dspec", "q", "--deg", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("coeffs", ["Q(t1..t0)", "Q(t1..t00)"])
+    def test_no_coefficient_generators_in_a_range(self, coeffs):
+        with pytest.raises(ParseError) as exc:
+            parse_system(f"m=1 n=1 coeffs={coeffs}\npoly f = u1 + t1\n")
+        assert exc.value.line == 1
+        assert exc.value.message == f"bad coefficient field {coeffs!r}"
+
+    def test_t0_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "t0.dk"
+        path.write_text("m=1 n=1 coeffs=Q(t1)\npoly f = u1 + t0\n", encoding="utf-8")
+        code, _, err = run(["analyze", str(path)])
+        assert code == 2 and "at line 2, column 15" in err
