@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .multipoly import (
     MultiPoly,
@@ -118,7 +117,7 @@ class DiffContext:
     derivation (zero action means a constant coefficient field).
     """
 
-    __slots__ = ("m", "n", "coeff_gens", "actions")
+    __slots__ = ("m", "n", "coeff_gens", "actions", "action_terms")
 
     def __init__(self, m, n, coeff_gens=0, actions=None):
         if m < 1 or n < 1:
@@ -134,6 +133,15 @@ class DiffContext:
             if not isinstance(poly, MultiPoly):
                 raise TypeError("actions must be MultiPoly over the t-generators")
             self.actions[(k, i)] = poly.restrict(base_sig)
+        # per direction, the nonzero actions on sparse monomials over one
+        # denominator: (den, {generator index: integer term dict})
+        self.action_terms = []
+        for k in range(1, m + 1):
+            acts = {i: sparse_terms(p) for (j, i), p in self.actions.items() if j == k and p}
+            den = lcm(*[d for d, _ in acts.values()])
+            self.action_terms.append(
+                (den, {i: {x: c * (den // d) for x, c in T.items()} for i, (d, T) in acts.items()})
+            )
 
     def is_constant_field(self):
         return all(p.is_zero() for p in self.actions.values())
@@ -335,50 +343,90 @@ class DiffPoly:
 
 
 def apply_derivation(f, k):
-    """Formal total derivative of f in direction k (1-based).
+    """Formal total derivative of f in direction k (1-based), as a DiffPoly.
 
-    Acts on coefficient generators through the declared action, on each
-    algebraic indeterminate by raising its k-th derivative exponent, and
-    extends by the Leibniz rule.
+    The one-step face of derive_terms: f goes to sparse monomials, takes
+    one derivation and comes back over the signature of the indeterminates
+    that occur in the result.
     """
     ctx = f.ctx
     if not (1 <= k <= ctx.m):
         raise ValueError(f"derivation index {k} outside 1..{ctx.m}")
-    # from the occurring indeterminates only: the body's unused columns
-    # would otherwise pile up along chains of derivatives
-    indets = f.indets()
-    raised = [v.derive(k) for v in indets]
-    sig = ctx._signature(indets + raised)
-    src = f.body.restrict(sig)
-    where = {v: j for j, v in enumerate(sig)}
-    # per column that can occur: the column its derivative raises, or the
-    # terms of the declared action; a constant generator has no image
-    images = {where[v]: where[w] for v, w in zip(indets, raised)}
-    for gen in ctx.coeff_gens:
-        act = ctx.action(k, gen)
-        if act is not None and not act.is_zero():
-            images[where[gen]] = act.restrict(sig).terms
-    terms = {}
-    get = terms.get
-    for e, c in src.terms.items():
-        for i, exp in enumerate(e):
-            image = images.get(i) if exp else None
-            if image is None:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            c_exp = c * exp
-            if isinstance(image, int):
-                ne[image] += 1
-                x = tuple(ne)
-                terms[x] = get(x, 0) + c_exp
-            else:
-                for ae, ac in image.items():
-                    x = tuple(map(add, ae, ne))
-                    terms[x] = get(x, 0) + ac * c_exp
-    out = MultiPoly.zero(sig, src.order)
-    out.terms = {x: c for x, c in terms.items() if c}
-    return DiffPoly(ctx, out)
+    return sparse_poly(ctx, *derive_terms(*sparse_terms(f.body), k - 1, ctx))
+
+
+# ---------- derivations on sparse monomials ----------
+#
+# A sparse monomial is a sorted tuple of factors (theta, var, exponent):
+# the algebraic indeterminate with derivative exponents theta applied to
+# u_var, or, with theta == (), the coefficient generator t_var.  A sparse
+# polynomial is (den, terms), terms a dict from sparse monomials to ints,
+# each coefficient terms[x] / den.  Along a chain of derivatives no
+# signature is built: a factor is raised or replaced where it sits.
+
+
+def sparse_terms(p):
+    """The MultiPoly p as a sparse polynomial (den, terms)."""
+    keys = [(v.theta, v.var) if isinstance(v, AlgIndet) else ((), v.index) for v in p.vars]
+    den, terms = integer_terms(p.terms)
+    return den, {
+        tuple(sorted((*keys[i], x) for i, x in enumerate(e) if x)): c for e, c in terms.items()
+    }
+
+
+def sparse_poly(ctx, den, terms):
+    """The DiffPoly of the sparse polynomial (den, terms), over the
+    signature of the indeterminates that occur."""
+    indets = {(theta, var) for x in terms for theta, var, _ in x if theta}
+    sig = ctx._signature([AlgIndet(theta, var) for theta, var in indets])
+    where = {
+        (v.theta, v.var) if isinstance(v, AlgIndet) else ((), v.index): j
+        for j, v in enumerate(sig)
+    }
+    out = {}
+    for x, c in terms.items():
+        e = [0] * len(sig)
+        for theta, var, exp in x:
+            e[where[theta, var]] = exp
+        out[tuple(e)] = c
+    return DiffPoly(ctx, from_integer_terms(sig, out, den))
+
+
+def _times(x, theta, var, exp):
+    """The sparse monomial x times the factor (theta, var, exp)."""
+    for p, (t, v, e) in enumerate(x):
+        if t == theta and v == var:
+            return x[:p] + ((theta, var, e + exp),) + x[p + 1 :]
+    return tuple(sorted(x + ((theta, var, exp),)))
+
+
+def derive_terms(den, terms, k, ctx):
+    """The derivative in direction k (0-based) of the sparse polynomial
+    (den, terms), as a new sparse polynomial.
+
+    By the Leibniz rule each factor of a monomial is derived in turn: an
+    algebraic indeterminate raises its k-th derivative exponent, and a
+    coefficient generator is replaced by the terms of its declared action
+    (ctx.action_terms, over their own denominator, which the result's
+    denominator takes on); a constant generator has no image.
+    """
+    aden, acts = ctx.action_terms[k]
+    out = {}
+    get = out.get
+    for x, c in terms.items():
+        for p, (theta, var, exp) in enumerate(x):
+            rest = x[:p] + x[p + 1 :] if exp == 1 else x[:p] + ((theta, var, exp - 1),) + x[p + 1 :]
+            if theta:
+                raised = theta[:k] + (theta[k] + 1,) + theta[k + 1 :]
+                y = _times(rest, raised, var, 1)
+                out[y] = get(y, 0) + c * exp * aden
+            elif var in acts:
+                for ax, ac in acts[var].items():
+                    y = rest
+                    for factor in ax:
+                        y = _times(y, *factor)
+                    out[y] = get(y, 0) + c * exp * ac
+    return den * aden, {y: c for y, c in out.items() if c}
 
 
 def poly_rank_compare(f, g):
@@ -564,23 +612,37 @@ class ReductionResult:
 
 
 def derived(elements, i, theta, memo):
-    """theta applied to elements[i], kept in memo by (i, theta).
+    """theta applied to elements[i], as a DiffPoly.
 
-    Each derivative is one apply_derivation of its parent: theta less one
-    step in its last nonzero direction, so the derivations run in the
-    order that DiffContext.d follows (direction 1 first).
+    memo maps (i, theta) to [den, terms, poly]: the derivative as a sparse
+    polynomial, and its DiffPoly once one was asked for.  A derivative is
+    derive_terms of its parent, theta less one step in its last nonzero
+    direction, so the derivations run in the order that DiffContext.d
+    follows (direction 1 first).  The links of a chain stay sparse; only
+    the theta asked for becomes a DiffPoly, and theta = 0 is elements[i]
+    itself.
     """
+    entry = _derived_terms(elements, i, theta, memo)
+    if entry[2] is None:
+        entry[2] = sparse_poly(elements[i].ctx, entry[0], entry[1])
+    return entry[2]
+
+
+def _derived_terms(elements, i, theta, memo):
+    """The memo entry [den, terms, poly] of theta applied to elements[i]."""
     key = (i, theta)
-    h = memo.get(key)
-    if h is None:
+    entry = memo.get(key)
+    if entry is None:
+        f = elements[i]
         if not any(theta):
-            h = elements[i]
+            entry = [*sparse_terms(f.body), f]
         else:
             k = max(j for j, t in enumerate(theta) if t)
             parent = theta[:k] + (theta[k] - 1,) + theta[k + 1 :]
-            h = apply_derivation(derived(elements, i, parent, memo), k + 1)
-        memo[key] = h
-    return h
+            den, terms, _ = _derived_terms(elements, i, parent, memo)
+            entry = [*derive_terms(den, terms, k, f.ctx), None]
+        memo[key] = entry
+    return entry
 
 
 def _pseudo_reduce_once(r, h, v, ctx):

@@ -340,6 +340,7 @@ def parse_system(text):
     s = _Stream(tokens)
     s.skip_newlines()
     header = {}
+    head = s.peek()
     for key in ("m", "n"):
         tok = s.expect("name")
         if tok.text != key:
@@ -363,6 +364,11 @@ def parse_system(text):
         ngens = 1
     else:
         ngens = int(m_coeffs.group(3))
+    # the actions are polynomials in the generators of a ring without them
+    try:
+        gens = DiffContext(header["m"], header["n"], coeff_gens=ngens).coeff_gens
+    except ValueError as exc:
+        raise ParseError(str(exc), head.line, head.col)
 
     actions = {}
     stmts = []
@@ -387,8 +393,6 @@ def parse_system(text):
         stmts.append(_take_statement(s))
         s.skip_newlines()
 
-    # the actions are polynomials in the generators of a ring without them
-    gens = DiffContext(header["m"], header["n"], coeff_gens=ngens).coeff_gens
     env = _poly_env(gens, _indexed("t", gens), "a derivation action")
     actions = {key: _parse_tokens(toks, env, line) for key, (line, toks) in actions.items()}
     ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens, actions=actions)

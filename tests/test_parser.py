@@ -241,6 +241,21 @@ class TestNewRejections:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("header", ["m=0 n=1", "m=2 n=0"], ids=["m0", "n0"])
+    def test_header_without_variables_or_derivations(self, tmp_path, header):
+        # a parse error at the header's line, not a precondition failure (exit 3)
+        text = f"\n\n{header} coeffs=Q\npoly f = 1\n"
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert (exc.value.line, exc.value.col) == (3, 1)
+        assert exc.value.message == "need at least one derivation and one variable"
+        path = tmp_path / "empty.dk"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["analyze", str(path)])
+        assert (code, out) == (2, "")
+        message = "need at least one derivation and one variable at line 3, column 1"
+        assert err == f"parse error: {message}\n"
+
     @pytest.mark.parametrize("coeffs", ["Q(t1..t0)", "Q(t1..t00)"])
     def test_no_coefficient_generators_in_a_range(self, coeffs):
         with pytest.raises(ParseError) as exc:
