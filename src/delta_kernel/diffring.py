@@ -12,19 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm
+from operator import or_
 
 from .multipoly import (
     MultiPoly,
     SignatureMismatchError,
-    add_integer_products,
+    add_packed_products,
     coeff_of_power,
     from_integer_terms,
     integer_terms,
-    mul_integer_terms,
+    mul_packed_terms,
+    packed_width,
+    packer,
     pseudo_divide_terms,
     reindexer,
-    restrict_terms,
+    widen,
 )
 
 
@@ -572,13 +577,17 @@ class ReductionResult:
 
         is zero over Q.  Each theta_nu f_nu is derived anew from the set
         through verify's own memo, not taken from ritt_reduce.  The sum is
-        one integer term dict over one signature and one common
-        denominator, rescaled only when a part's denominator does not
-        divide the common one.  Each product is added as it is formed: the
-        smaller factor is cleared, restricted onto the signature and scaled
-        once, the larger one is streamed a term at a time, never copied,
-        and add_integer_products drops an entry the moment it cancels, so
-        the dict holds just what the parts added so far leave over.
+        one integer term dict on packed exponent vectors over the union of
+        the parts' signatures, at one field width that holds every part's
+        exponents below the guard bit, so no product carries out of a
+        field; and over one common denominator, rescaled only when a
+        part's denominator does not divide the common one.  Each part is
+        packed from its own signature; each product is added as it is
+        formed: the smaller factor is cleared, packed and scaled once, the
+        larger one is streamed a term at a time, never copied, and
+        add_packed_products drops an entry the moment it cancels, so the
+        dict holds just what the parts added so far leave over.  Nothing is
+        unpacked.
         """
         ctx = self.input.ctx
         memo = {}
@@ -587,7 +596,10 @@ class ReductionResult:
         for step in self.steps:
             f = derived(self.aset.elements, step.element, step.theta, memo)
             parts.append((step.quotient, f, -1))
-        sig = ctx._signature([v for a, b, _ in parts for p in (a, b) for v in p.body.vars])
+        bodies = [p.body for a, b, _ in parts for p in (a, b)]
+        sig = ctx._signature([v for p in bodies for v in p.vars])
+        top = max(chain.from_iterable(chain.from_iterable(p.terms for p in bodies)), default=0)
+        pack = packer(len(sig), packed_width(top))[0]
         acc = {}
         den = 1
         for a, b, sign in parts:
@@ -604,10 +616,11 @@ class ReductionResult:
                     acc[x] *= k
                 den = common
             k = sign * (den // part_den)
-            B = {x: k * c for x, c in restrict_terms(B, b.vars, sig).items()}
+            pick = reindexer(b.vars, sig)[0]
+            B = {pack(pick(x)): k * c for x, c in B.items()}
             pick = reindexer(a.vars, sig)[0]
-            A = ((pick(x), c.numerator * (da // c.denominator)) for x, c in a.terms.items())
-            add_integer_products(acc, A, B)
+            A = ((pack(pick(x)), c.numerator * (da // c.denominator)) for x, c in a.terms.items())
+            add_packed_products(acc, A, B)
         return not acc
 
 
@@ -645,23 +658,132 @@ def _derived_terms(elements, i, theta, memo):
     return entry
 
 
-def _pseudo_reduce_once(r, h, v, ctx):
-    """One full pseudo-division of r by h in the indeterminate v, on ints.
+class _Columns:
+    """The column table of one reduction's packed exponent vectors.
 
-    r is (sig, R, D), the polynomial R / D with R an integer term dict over
-    the signature sig; its dict is consumed.  h must have positive degree d
-    in v.  Returns (e, (sig, Q, D), (sig, R, D)), quotient q and remainder
-    rem in the same form over the merged signature of r and h, with
-    lc^e * r == q*h + rem and deg_v(rem) < d, where lc is the coefficient of
-    v**d in h: multipoly.pseudo_divide_terms.
+    Each key (theta, var) of an algebraic indeterminate, or ((), index) of
+    the coefficient generator t_index, takes the next column the first
+    time it is seen, so a key packed earlier stays valid as the table
+    grows.  With each column of an algebraic indeterminate the table
+    records what the choice of the next reduction step asks of it.
     """
-    rsig, R, D = r
-    sig = ctx._signature(rsig + h.body.vars)
-    den_h, H = integer_terms(h.body.terms)
-    a = D, restrict_terms(R, rsig, sig)
-    b = den_h, restrict_terms(H, h.body.vars, sig)
-    e, Q, R, D = pseudo_divide_terms(a, b, sig.index(v))
-    return e, (sig, Q, D), (sig, R, D)
+
+    __slots__ = ("ctx", "leaders", "at", "vars", "ranked", "derives", "leads")
+
+    def __init__(self, ctx, aset):
+        self.ctx = ctx
+        # (leader, leading degree, rank sort key) of each element
+        self.leaders = [(f.leader(), f.leading_degree(), _rank_sort_key(f)) for f in aset]
+        self.at = {}  # key -> column
+        self.vars = []  # column -> AlgIndet or CoeffGen
+        self.ranked = []  # columns of algebraic indeterminates, highest rank first
+        # column -> the lowest-ranked element whose leader it is a proper
+        # derivative of, or None; and the elements whose leader it is
+        self.derives = []
+        self.leads = []
+
+    def column(self, key):
+        c = self.at.get(key)
+        if c is None:
+            c = self.at[key] = len(self.vars)
+            theta, var = key
+            if not theta:
+                self.vars.append(self.ctx.coeff_gens[var - 1])
+                self.derives.append(None)
+                self.leads.append(())
+                return c
+            v = AlgIndet(theta, var)
+            hits = [i for i, (u, _, _) in enumerate(self.leaders) if v.is_proper_derivative_of(u)]
+            self.vars.append(v)
+            self.derives.append(min(hits, key=lambda i: self.leaders[i][2]) if hits else None)
+            self.leads.append([i for i, (u, _, _) in enumerate(self.leaders) if u == v])
+            self.ranked.append(c)
+            self.ranked.sort(key=lambda j: self.vars[j].rank_key(), reverse=True)
+        return c
+
+    def pack_poly(self, p):
+        """The MultiPoly p as (width, den, terms), terms packed over this
+        table at the least width that holds its exponents."""
+        for v in p.vars:
+            self.column((v.theta, v.var) if isinstance(v, AlgIndet) else ((), v.index))
+        width = packed_width(max(chain.from_iterable(p.terms), default=0))
+        pick = reindexer(p.vars, self.vars)[0]
+        pack = packer(len(self.vars), width)[0]
+        den, terms = integer_terms(p.terms)
+        return width, den, {pack(pick(x)): c for x, c in terms.items()}
+
+    def pack_sparse(self, terms, width):
+        """The sparse polynomial terms (see derive_terms) packed over this
+        table in width-bit fields, which must hold its exponents."""
+        at = self.at
+        for x in terms:
+            for theta, var, _ in x:
+                if (theta, var) not in at:
+                    self.column((theta, var))
+        return {
+            sum([exp << width * at[theta, var] for theta, var, exp in x]): c
+            for x, c in terms.items()
+        }
+
+    def target(self, terms, width):
+        """The (column, element index) of the indeterminate that the next
+        step of ritt_reduce eliminates from the packed terms, or None when
+        they are partially reduced.
+
+        The highest-ranking proper derivative of a leader comes first,
+        taken with the lowest-ranked element it derives from; then a leader
+        occurring with degree at least its element's leading degree.  A
+        column occurs when its field of the OR of the keys is nonzero.
+        """
+        occurs = reduce(or_, terms, 0)
+        mask = (1 << width) - 1
+        live = [c for c in self.ranked if occurs >> width * c & mask]
+        for c in live:
+            if self.derives[c] is not None:
+                return c, self.derives[c]
+        for c in live:
+            if self.leads[c]:
+                shift = width * c
+                degree = max([k >> shift & mask for k in terms])
+                for i in self.leads[c]:
+                    if degree >= self.leaders[i][1]:
+                        return c, i
+        return None
+
+    def product(self, p, q):
+        """The product of two packed polynomials (width, den, terms), at the
+        wider of their widths, doubled when a guard bit of either is set."""
+        ncols = len(self.vars)
+        width = max(p[0], q[0])
+        P, Q = widen(p[2], ncols, p[0], width), widen(q[2], ncols, q[0], width)
+        if (reduce(or_, P, 0) | reduce(or_, Q, 0)) & packer(ncols, width)[2]:
+            P, Q = widen(P, ncols, width, 2 * width), widen(Q, ncols, width, 2 * width)
+            width *= 2
+        return width, p[1] * q[1], mul_packed_terms(P, Q)
+
+    def power(self, p, e):
+        """The packed polynomial p to the power e >= 1, by squaring."""
+        out = None
+        while True:
+            if e & 1:
+                out = p if out is None else self.product(out, p)
+            e >>= 1
+            if not e:
+                return out
+            p = self.product(p, p)
+
+    def poly(self, width, den, terms):
+        """The DiffPoly of the packed polynomial (width, den, terms), over
+        the signature of the indeterminates that occur."""
+        occurs = reduce(or_, terms, 0)
+        mask = (1 << width) - 1
+        sig = self.ctx._signature(
+            [v for c, v in enumerate(self.vars) if occurs >> width * c & mask]
+        )
+        pick = reindexer(self.vars, sig)[0]
+        unpack = packer(len(self.vars), width)[1]
+        body = from_integer_terms(sig, {pick(unpack(k)): c for k, c in terms.items()}, den)
+        return DiffPoly(self.ctx, body)
 
 
 def ritt_reduce(g, aset):
@@ -672,77 +794,87 @@ def ritt_reduce(g, aset):
     certificate is an exact identity.  When several elements apply, the
     lowest-ranked applicable element is used first.
 
-    Remainder and quotients stay integer term dicts over a denominator
-    from one pseudo-division to the next; each becomes a DiffPoly, one
-    Fraction per term, only at the end.
+    One column table (_Columns) serves the whole call: the remainder, the
+    quotients, the scales and each derived theta(f) are integer term dicts
+    on packed exponent vectors over it, from the first step to the last.
+    theta(f) is packed straight from its sparse derivation chain
+    (_derived_terms); the degree in an indeterminate is a shift and a
+    mask, and a column that no longer occurs costs nothing, so no step
+    builds or restricts a signature.  Each result is unpacked once, at the
+    end, into a DiffPoly over the signature of the indeterminates that
+    occur, one Fraction per term.  The remainder is kept at one field
+    width, which a pseudo-division or a wider theta(f) may double; each
+    stored quotient and scale keeps the width it was made at.
     """
     if isinstance(aset, (list, tuple)):
         aset = AutoreducedSet(aset)
     ctx = g.ctx
     if ctx != aset.ctx:
         raise SignatureMismatchError("reduction across different rings")
-    leaders = aset.leaders()
+    elements = aset.elements
+    table = _Columns(ctx, elements)
     sep_powers, init_powers = {}, {}
 
-    # the remainder R / D over the signature rsig; (element, theta, qsig,
-    # Q, qden) for each step with a nonzero quotient Q / qden; and (number
-    # of such steps so far, base**e) for each step that scaled by base != 1
-    rsig, (D, R) = g.body.vars, integer_terms(g.body.terms)
+    # the remainder R / D at the field width W; (element, theta, quotient)
+    # for each step with a nonzero quotient, and (number of such steps so
+    # far, base**e) for each step that scaled by a base other than 1, each
+    # quotient and scale a packed polynomial (width, den, terms)
+    W, D, R = table.pack_poly(g.body)
     quotients = []
     scales = []
+    bases = {}
     memo = {}
     while True:
-        target = _reduction_target(rsig, R, aset, leaders)
+        target = table.target(R, W)
         if target is None:
             break
-        v, i = target
-        f = aset.elements[i]
-        theta = tuple(a - b for a, b in zip(v.theta, leaders[i].theta))
-        h = derived(aset.elements, i, theta, memo)
-        e, (qsig, Q, qden), (sig, R, D) = _pseudo_reduce_once((rsig, R, D), h, v, ctx)
-        # drop the columns of the indeterminates this step eliminated, and
-        # the factor that R and D share (as a Fraction would)
-        rsig = ctx._signature([x for x, column in zip(sig, zip(*R)) if any(column)])
-        R = restrict_terms(R, sig, rsig)
-        if D > 1:
-            common = gcd(D, *R.values())
-            if common > 1:
-                R = {x: c // common for x, c in R.items()}
-                D //= common
+        c, i = target
+        theta = tuple(a - b for a, b in zip(table.vars[c].theta, table.leaders[i][0].theta))
+        den_h, H, _ = _derived_terms(elements, i, theta, memo)
+        top = max([exp for x in H for _, _, exp in x], default=0)
+        if top >> (W - 1):
+            wider = packed_width(top)
+            R, W = widen(R, len(table.vars), W, wider), wider
+        H = table.pack_sparse(H, W)
+        e, Q, R, D, W = pseudo_divide_terms((D, R), (den_h, H), c, len(table.vars), W)
         if e:
             # the leading coefficient of a proper derivative of f is f's
             # separant; of f itself, f's initial
-            if any(theta):
-                book, base = sep_powers, f.separant()
-            else:
-                book, base = init_powers, f.initial()
+            f = elements[i]
+            kind = any(theta)
+            book = sep_powers if kind else init_powers
             book[i] = book.get(i, 0) + e
-            if base != 1:
-                scales.append((len(quotients), base ** e))
+            if (kind, i) not in bases:
+                base = table.pack_poly((f.separant() if kind else f.initial()).body)
+                # None stands for a base equal to 1, which scales nothing
+                bases[kind, i] = None if base[2] == {0: base[1]} else base
+            base = bases[kind, i]
+            if base is not None:
+                scales.append((len(quotients), table.power(base, e)))
         if Q:
-            quotients.append((i, theta, qsig, Q, qden))
-    remainder = DiffPoly(ctx, from_integer_terms(rsig, R, D))
+            quotients.append((i, theta, (W, D, Q)))
+        # the factor that R and D share (as a Fraction would)
+        if D > 1:
+            common = gcd(D, *R.values())
+            if common > 1:
+                R = {k: x // common for k, x in R.items()}
+                D //= common
+    remainder = table.poly(W, D, R)
     # every scaling multiplies the quotients recorded before it: walk from
     # the last step back, each quotient taking the product of the scales
-    # met after it, multiplied on ints; one Fraction per term at the end,
-    # and each integer quotient let go once it is built
+    # met after it; one Fraction per term at the end, and each packed
+    # quotient let go once it is built
     acc = None
     steps = []
     while quotients:
         j = len(quotients) - 1
-        i, theta, qsig, Q, qden = quotients.pop()
+        i, theta, q = quotients.pop()
         while scales and scales[-1][0] > j:
             scale = scales.pop()[1]
-            acc = scale if acc is None else acc * scale
-            acc_den, acc_terms = integer_terms(acc.body.terms)
+            acc = scale if acc is None else table.product(acc, scale)
         if acc is not None:
-            merged = ctx._signature(qsig + acc.body.vars)
-            A = restrict_terms(acc_terms, acc.body.vars, merged)
-            Q = restrict_terms(Q, qsig, merged)
-            if len(Q) < len(A):
-                Q, A = A, Q
-            qsig, Q, qden = merged, mul_integer_terms(None, Q, A), qden * acc_den
-        steps.append(ReductionStep(i, theta, DiffPoly(ctx, from_integer_terms(qsig, Q, qden))))
+            q = table.product(q, acc)
+        steps.append(ReductionStep(i, theta, table.poly(*q)))
     steps.reverse()
     return ReductionResult(
         input=g,
@@ -752,32 +884,6 @@ def ritt_reduce(g, aset):
         init_powers=init_powers,
         steps=steps,
     )
-
-
-def _reduction_target(vars, exponents, aset, leaders):
-    """The (indeterminate, element index) that the next step of ritt_reduce
-    eliminates from the polynomial with the exponent tuples exponents over
-    the signature vars, or None when it is partially reduced.
-
-    The highest-ranking proper derivative of a leader comes first, taken
-    with the lowest-ranked element it derives from; then a leader occurring
-    with degree at least its element's leading degree.
-    """
-    # the occurring indeterminates, highest rank first, with their degrees
-    degree = {
-        v: max(column)
-        for v, column in zip(vars, zip(*exponents))
-        if isinstance(v, AlgIndet) and any(column)
-    }
-    for v in degree:
-        hits = [i for i, u in enumerate(leaders) if v.is_proper_derivative_of(u)]
-        if hits:
-            return v, min(hits, key=lambda i: _rank_sort_key(aset.elements[i]))
-    for v, dv in degree.items():
-        for i, u in enumerate(leaders):
-            if v == u and dv >= aset.elements[i].leading_degree():
-                return v, i
-    return None
 
 
 def is_partially_reduced(g, aset):

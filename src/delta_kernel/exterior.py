@@ -46,15 +46,6 @@ class ExtVector:
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
 
-    @classmethod
-    def from_components(cls, dim, components):
-        """Grade-1 vector from a length-N component list."""
-        coeffs = {}
-        for i, c in enumerate(components, start=1):
-            if _nonzero(c):
-                coeffs[(i,)] = c
-        return cls(dim, 1, coeffs)
-
     def is_zero(self):
         return not self.coeffs
 

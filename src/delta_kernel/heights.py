@@ -114,9 +114,6 @@ class HeightReport:
     experimental: bool = False
     notes: list = field(default_factory=list)
 
-    def solution_set(self):
-        return {(g.num, g.den) for g, _ in self.solutions}
-
 
 def rational_solution_search(ode, degree_bound):
     """Search x = p/q with deg p, deg q <= degree_bound, q monic.

@@ -13,9 +13,25 @@ mul_integer_terms multiplies and accumulates such dicts as Python ints
 (add_integer_products, a term at a time), from_integer_terms builds one
 Fraction per surviving term at the end, and restrict_terms reindexes such
 a dict onto another signature (reindexer gives its per-tuple map).
-Products (MultiPoly.__mul__) and pseudo-division (pseudo_divide_terms,
-Knuth's Algorithm R, which serves both the Ritt-Kolchin reduction and,
-through pseudo_divide, the remainder sequence of poly_gcd) run this way.
+Products (MultiPoly.__mul__) run this way.
+
+Packed keys.  The Ritt-Kolchin reduction and its check key their integer
+term dicts by packed exponent vectors, one int each (Monagan-Pearce, JSC
+2011): column k of a vector takes the bits [W*k, W*(k+1)) of the int, so
+the product of two monomials is one int add, a degree is a shift and a
+mask, and a column that no term uses costs nothing.  packer gives the
+pack, unpack and guard of ncols columns at a field width W of 8, 16, 32
+or 64 bits (struct items, in C) or wider (for exponents of 2**63 and
+more).  The top bit of each field is a guard: an operand's exponents stay
+below 2**(W-1), so the sum of two keys never carries into the next field.
+Before a product the OR of the operands' keys is tested against the guard
+bits; when one is set, the dicts are repacked at twice the width (widen).
+No exponent is ever wrapped, and none is refused.  pseudo_divide_terms
+(Knuth's Algorithm R) is the one pseudo-division, on packed keys, with
+mul_packed_terms and add_packed_products as its product loops; the
+Ritt-Kolchin reduction runs it on one column table per call, and
+pseudo_divide, the face that poly_gcd's remainder sequence uses, packs its
+MultiPolys at the boundary.
 
 Dense univariate views sit beside them: dense_coeffs and from_dense, and
 on dense integer lists, constant term first, the one univariate gcd
@@ -31,9 +47,12 @@ the affine fiber solve its top-order linear parts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import chain
 from math import gcd as int_gcd
 from math import lcm
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, neg, or_, sub
+from struct import Struct
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -598,6 +617,98 @@ def from_integer_terms(vars, terms, den, order=GREVLEX):
     return out
 
 
+# ---------- packed exponent vectors ----------
+
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def packed_width(top):
+    """The least field width, 8 doubled as often as needed, whose fields
+    hold exponents up to top below their guard bit."""
+    width = 8
+    while top >> (width - 1):
+        width *= 2
+    return width
+
+
+@lru_cache(maxsize=64)
+def packer(ncols, width):
+    """(pack, unpack, guard) for exponent vectors of ncols columns packed
+    into ints, column k in the bits [width*k, width*(k+1)): pack maps an
+    exponent tuple to its int, unpack an int back to the tuple, and guard
+    is the int with the top bit of every field set.
+
+    Up to 64 bits a field is one struct item, so both directions run in C,
+    little-endian on every platform; wider fields, for exponents of 2**63
+    and more, go through bytes a column at a time.  pack raises
+    struct.error on an exponent that does not fit its field, so a value is
+    never wrapped.  The cache holds these functions only, no polynomial.
+    """
+    size, step = ncols * width // 8, width // 8
+    code = _STRUCT_CODES.get(width)
+    if code:
+        layout = Struct(f"<{ncols}{code}")
+        spack, sunpack = layout.pack, layout.unpack
+
+        def pack(e):
+            return int.from_bytes(spack(*e), "little")
+
+        def unpack(k):
+            return sunpack(k.to_bytes(size, "little"))
+
+    else:
+
+        def pack(e):
+            if len(e) != ncols:
+                raise ValueError(f"exponent vector of {len(e)} columns, not {ncols}")
+            return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in e]), "little")
+
+        def unpack(k):
+            b = k.to_bytes(size, "little")
+            return tuple([int.from_bytes(b[j : j + step], "little") for j in range(0, size, step)])
+
+    guard = int.from_bytes((1 << (width - 1)).to_bytes(step, "little") * ncols, "little")
+    return pack, unpack, guard
+
+
+def widen(terms, ncols, width, new_width):
+    """The dict terms, keyed by exponent vectors of ncols columns packed in
+    width-bit fields, rekeyed in new_width-bit fields (terms itself when
+    the widths agree)."""
+    if new_width == width:
+        return terms
+    unpack, pack = packer(ncols, width)[1], packer(ncols, new_width)[0]
+    return {pack(unpack(k)): c for k, c in terms.items()}
+
+
+def mul_packed_terms(a, b):
+    """The product of the integer term dicts a and b on packed keys, as a
+    new dict; the caller has checked that no guard bit is set in either.
+    Times a single term it is a shift, one int add per key."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        ((k2, c2),) = b.items()
+        return {k1 + k2: c1 * c2 for k1, c1 in a.items()}
+    return add_packed_products({}, a.items(), b)
+
+
+def add_packed_products(out, pairs, b):
+    """add_integer_products on packed keys: c * x**k * b added into out for
+    each (k, c) of pairs, a product of monomials one int add."""
+    get = out.get
+    b = b.items()
+    for k1, c1 in pairs:
+        for k2, c2 in b:
+            k = k1 + k2
+            c = get(k, 0) + c1 * c2
+            if c:
+                out[k] = c
+            else:
+                out.pop(k, None)
+    return out
+
+
 # ---------- monomials and dense univariate views ----------
 
 
@@ -775,18 +886,31 @@ def pseudo_divide(a, b, i):
     b; a and b share one signature and b is nonzero.
 
     The MultiPoly face of pseudo_divide_terms, for poly_gcd's remainder
-    sequence: it builds one Fraction per surviving term of q and r.
+    sequence: a and b are packed over their signature at its boundary, and
+    q and r unpacked with one Fraction per surviving term.
     """
-    e, Q, R, D = pseudo_divide_terms(integer_terms(a.terms), integer_terms(b.terms), i)
-    return e, from_integer_terms(b.vars, Q, D, b.order), from_integer_terms(b.vars, R, D, b.order)
+    ncols = len(b.vars)
+    width = packed_width(max(chain.from_iterable(chain(a.terms, b.terms))))
+    pack = packer(ncols, width)[0]
+    (den_a, A), (den_b, B) = integer_terms(a.terms), integer_terms(b.terms)
+    A = den_a, {pack(x): c for x, c in A.items()}
+    B = den_b, {pack(x): c for x, c in B.items()}
+    e, Q, R, D, width = pseudo_divide_terms(A, B, i, ncols, width)
+    unpack = packer(ncols, width)[1]
+    q = from_integer_terms(b.vars, {unpack(k): c for k, c in Q.items()}, D, b.order)
+    r = from_integer_terms(b.vars, {unpack(k): c for k, c in R.items()}, D, b.order)
+    return e, q, r
 
 
-def pseudo_divide_terms(a, b, i):
-    """Pseudo-division of a by b in the variable x at index i, on integer
-    term dicts: a and b are (den, terms) pairs as integer_terms returns
-    them, over one signature, b nonzero; a's dict is consumed.  Returns
-    (e, Q, R, D) with q = Q / D and r = R / D the quotient and remainder
-    of pseudo_divide, lc^e * a == q*b + r; Q and R hold no zero entry.
+def pseudo_divide_terms(a, b, col, ncols, width):
+    """Pseudo-division of a by b in the variable x at column col, on packed
+    integer term dicts: a and b are (den, terms) pairs, each coefficient
+    terms[k] / den, keyed by exponent vectors of ncols columns packed in
+    width-bit fields (packer); b is nonzero and a's dict is consumed.
+    Returns (e, Q, R, D, width) with q = Q / D and r = R / D the quotient
+    and remainder of pseudo_divide, lc^e * a == q*b + r, keyed at the
+    returned width: the one given, or a multiple of it when a product would
+    have carried out of a field.  Q and R hold no zero entry.
 
     Pseudo-division over an integral domain (Knuth, TAOCP 4.6.1, Algorithm
     R): b is B / den_b, with LC the integer coefficient of x**d in B, and q
@@ -797,38 +921,53 @@ def pseudo_divide_terms(a, b, i):
         Q' = LC*Q + den_b*M,   R' = LC*R - M*(B - LC * x**d),   D' = D*den_b;
 
     the leading parts cancel exactly, so they are never formed, and Q and R
-    are scaled in place when LC is a constant.  Callers that go on computing
-    with q and r (ritt_reduce scales q by later multipliers and divides r
-    again) keep them on ints.
+    are scaled in place when LC is a constant.  The degree in x is a shift
+    and a mask of a key, and a product of monomials one int add, so a
+    monomial LC shifts every key by one add.  Before each step the OR of
+    the keys that its products read is tested against the guard bits; when
+    one is set, Q, R and b are repacked at twice the width and the step
+    runs there.  Callers that go on computing with q and r (ritt_reduce
+    scales q by later multipliers and divides r again) keep them packed.
     """
     (D, R), (den_b, B) = a, b
-    d = max(x[i] for x in B)
-    LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in B.items() if x[i] == d}
-    tail = {x: c for x, c in B.items() if x[i] != d}
-    # LC as an integer when it is a constant, else None
-    lc = LC.get((0,) * len(next(iter(B)))) if len(LC) == 1 else None
     Q = {}
     e = 0
     while True:
-        dr = max((x[i] for x in R), default=-1)
-        if dr < d:
-            break
-        s = dr - d
-        M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
-        if lc is None:
-            Q = mul_integer_terms(None, LC, Q)
-            R = mul_integer_terms(None, LC, R)
-        elif lc != 1:
-            for x in Q:
-                Q[x] *= lc
-            for x in R:
-                R[x] *= lc
-        for x, c in M.items():
-            Q[x] = Q.get(x, 0) + den_b * c
-        mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
-        D *= den_b
-        e += 1
-    return e, {x: c for x, c in Q.items() if c}, R, D
+        shift, mask = col * width, (1 << width) - 1
+        guard = packer(ncols, width)[2]
+        d = max([k >> shift & mask for k in B])
+        lead = d << shift
+        LC = {k - lead: c for k, c in B.items() if k >> shift & mask == d}
+        tail = {k: c for k, c in B.items() if k >> shift & mask != d}
+        # LC as an integer when it is a constant, else None
+        lc = LC.get(0) if len(LC) == 1 else None
+        top_b = reduce(or_, B)
+        while True:
+            degrees = [k >> shift & mask for k in R]
+            dr = max(degrees, default=-1)
+            if dr < d:
+                return e, {k: c for k, c in Q.items() if c}, R, D, width
+            top = reduce(or_, R, top_b)
+            if lc is None:
+                top = reduce(or_, Q, top)
+            if top & guard:
+                break
+            M = {k - lead: R.pop(k) for k in [k for k, x in zip(R, degrees) if x == dr]}
+            if lc is None:
+                Q = mul_packed_terms(LC, Q)
+                R = mul_packed_terms(LC, R)
+            elif lc != 1:
+                for k in Q:
+                    Q[k] *= lc
+                for k in R:
+                    R[k] *= lc
+            for k, c in M.items():
+                Q[k] = Q.get(k, 0) + den_b * c
+            add_packed_products(R, ((k, -c) for k, c in M.items()), tail)
+            D *= den_b
+            e += 1
+        Q, R, B = (widen(T, ncols, width, 2 * width) for T in (Q, R, B))
+        width *= 2
 
 
 def poly_gcd(a, b):

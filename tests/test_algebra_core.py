@@ -266,6 +266,7 @@ class TestTermDictHelpers:
     def test_pseudo_divide_terms_is_pseudo_divide_on_ints(self):
         rng = random.Random(default_seed() + 24)
         sig = ("x", "y", "z")
+        pack, unpack, _ = multipoly.packer(3, 8)
         for _ in range(40):
             i = rng.randrange(3)
             a = random_multipoly(rng, sig, max_degree=4, max_terms=5)
@@ -273,13 +274,16 @@ class TestTermDictHelpers:
             if b.is_zero():
                 continue
             den_a, A = multipoly.integer_terms(a.terms)
-            e, Q, R, D = pseudo_divide_terms((den_a, A), multipoly.integer_terms(b.terms), i)
-            assert D % den_a == 0
+            den_b, B = multipoly.integer_terms(b.terms)
+            A = {pack(x): c for x, c in A.items()}
+            B = {pack(x): c for x, c in B.items()}
+            e, Q, R, D, width = pseudo_divide_terms((den_a, A), (den_b, B), i, 3, 8)
+            assert width == 8 and D % den_a == 0
             assert all(type(c) is int and c for c in (*Q.values(), *R.values()))
             e2, q, r = pseudo_divide(a, b, i)
             assert e == e2
-            assert q.terms == {x: Fraction(c, D) for x, c in Q.items()}
-            assert r.terms == {x: Fraction(c, D) for x, c in R.items()}
+            assert q.terms == {unpack(k): Fraction(c, D) for k, c in Q.items()}
+            assert r.terms == {unpack(k): Fraction(c, D) for k, c in R.items()}
 
 
 class TestPseudoDivisionAndGcd:

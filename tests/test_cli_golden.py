@@ -42,7 +42,10 @@ ring-reduce problem files for seed 1, with its costliest target on each;
 `rational.dk` is the nonlinear set with p = 1/2, q = -2/3, so that every
 pseudo-division carries denominators.  Each `.json` file there is the
 output recorded while pseudo-division still ran on Fraction coefficients
-and wedge-check on Fraction vectors.
+and wedge-check on Fraction vectors.  `reduce_nonlinear_wide.json` reduces
+(d1 u1)^300 u2 on `nonlinear.dk`; its degrees pass 255, so no exponent
+fits 8 bits.  It was recorded while the reduction still keyed its terms by
+exponent tuples.
 """
 
 import io
@@ -94,6 +97,9 @@ REDUCE_JOBS = {
     ],
     "reduce_rational": [
         "reduce", "rational.dk", "(1/3)*d1^5*u1*(d1^4*u2)^2 + (-5/7)*d1*u2*u1", "--modulo", "N",
+    ],
+    "reduce_nonlinear_wide": [
+        "reduce", "nonlinear.dk", "(d1*u1)^300*u2 + d1^2*u1", "--modulo", "N",
     ],
     "wedge_check_d8": ["wedge-check", "--dim", "8", "--count", "40", "--seed", "159630"],
 }

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from delta_kernel import diffring
+from delta_kernel import diffring, multipoly
 from delta_kernel.diffring import AlgIndet, CoeffGen, DiffContext, derived, ritt_reduce
 from delta_kernel.multipoly import MultiPoly, exponents_upto
 from delta_kernel.parser import parse_diff_expression, parse_system
@@ -169,10 +169,13 @@ def test_derived_of_theta_zero_is_the_element():
 
 def test_reduction_builds_one_diffpoly_per_derivative_a_step_uses(monkeypatch):
     """On d1^16*d2^16*u1 modulo d1^2 u1 - a u1, d2^2 u1 - b u1 the 16
-    steps use 16 distinct (element, theta): 15 derivatives become
-    DiffPolys and the last step uses f2 itself.  ritt_reduce and verify
-    each build them through their own memo; the 156 links of the chains
-    stay sparse (the chain of apply_derivation calls built all 156)."""
+    steps use 16 distinct (element, theta), 15 of them derivatives, whose
+    156 links stay sparse in each memo.  ritt_reduce packs each derivative
+    straight from its sparse terms: it builds no DiffPoly for one and
+    restricts no term dict (on exponent tuples it built 15 and called
+    restrict_terms 48 times).  verify derives them again through its own
+    memo and builds its 15 DiffPolys (one per derivative used), so there
+    are two memos."""
     problem = parse_system(
         "m=2 n=1 coeffs=Q\n"
         "poly f1 = d1^2*u1 - 3/2*u1\n"
@@ -180,26 +183,35 @@ def test_reduction_builds_one_diffpoly_per_derivative_a_step_uses(monkeypatch):
         "set L = f1, f2\n"
     )
     g = parse_diff_expression("d1^16*d2^16*u1", problem.ctx)
-    built, memos = [], []
-    sparse_poly, derived_ = diffring.sparse_poly, diffring.derived
+    built, restricted, memos = [], [], []
+    sparse_poly, derived_terms = diffring.sparse_poly, diffring._derived_terms
+    restrict_terms = multipoly.restrict_terms
 
     def counting(*args):
         built.append(args)
         return sparse_poly(*args)
 
+    def counting_restricts(*args):
+        restricted.append(args)
+        return restrict_terms(*args)
+
     def recording(elements, i, theta, memo):
         memos.append(memo)
-        return derived_(elements, i, theta, memo)
+        return derived_terms(elements, i, theta, memo)
 
     monkeypatch.setattr(diffring, "sparse_poly", counting)
-    monkeypatch.setattr(diffring, "derived", recording)
+    monkeypatch.setattr(diffring, "_derived_terms", recording)
+    # every restrict in the package goes through multipoly's name; a
+    # binding of it in diffring would be counted too
+    monkeypatch.setattr(multipoly, "restrict_terms", counting_restricts)
+    monkeypatch.setattr(diffring, "restrict_terms", counting_restricts, raising=False)
     res = ritt_reduce(g, problem.autoreduced("L"))
     used = {(step.element, step.theta) for step in res.steps}
     assert len(res.steps) == len(used) == 16
-    assert len(built) == len({key for key in used if any(key[1])}) == 15
+    assert len({key for key in used if any(key[1])}) == 15
+    assert built == [] and restricted == []
     (memo,) = {id(m): m for m in memos}.values()
     assert len(memo) == 156 + 2  # the links and the two elements
-    built.clear()
     assert res.verify()
     assert len(built) == 15
     assert len({id(m) for m in memos}) == 2

@@ -20,6 +20,11 @@ from delta_kernel.multipoly import MultiPoly
 from delta_kernel.ratfunc import RatFunc
 
 
+def from_components(dim, components):
+    """The grade-1 vector with the i-th component at index i (1-based)."""
+    return ExtVector(dim, 1, {(i,): c for i, c in enumerate(components, start=1)})
+
+
 def random_one_form(rng, dim, span=3):
     coeffs = {}
     for i in range(1, dim + 1):
@@ -68,7 +73,7 @@ class TestWedge:
             n = rng.randint(1, 6)
             k = rng.randint(1, n)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-            w = wedge_all([ExtVector.from_components(n, [Fraction(x) for x in r]) for r in rows])
+            w = wedge_all([from_components(n, [Fraction(x) for x in r]) for r in rows])
             assert (w.dim, w.grade) == (n, k)
             for cols in combinations(range(1, n + 1), k):
                 minor = sympy.Matrix([[r[j - 1] for j in cols] for r in rows]).det()
@@ -205,7 +210,7 @@ class TestIntegerCoefficients:
         for _ in range(100):
             dim = rng.randint(2, 7)
             ints = [
-                ExtVector.from_components(dim, [rng.randint(-3, 3) for _ in range(dim)])
+                from_components(dim, [rng.randint(-3, 3) for _ in range(dim)])
                 for _ in range(rng.randint(2, dim))
             ]
             fracs = [

@@ -1,26 +1,33 @@
-"""Ritt-Kolchin certificates and the differential-polynomial printer against
-reference implementations kept here.
+"""Ritt-Kolchin certificates, the packed pseudo-division kernel and the
+differential-polynomial printer against reference implementations kept
+here.
 
 The references are the straightforward versions: pseudo-division written
-with DiffPoly operations, a reduction loop that rescales every earlier
-quotient at each step, and a printer that rebuilds every factor string.
+with DiffPoly operations, pseudo-division on exponent-tuple keys, a
+reduction loop that rescales every earlier quotient at each step and picks
+its target from a signature, and a printer that rebuilds every factor
+string.
 """
 
 import random
+import struct
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 import pytest
 
-from delta_kernel.diffring import (
-    AlgIndet,
-    CoeffGen,
-    DiffContext,
-    DiffPoly,
-    _pseudo_reduce_once,
-    _reduction_target,
-    ritt_reduce,
+from delta_kernel import diffring, multipoly
+from delta_kernel.diffring import AlgIndet, CoeffGen, DiffContext, DiffPoly, ritt_reduce
+from delta_kernel.multipoly import (
+    MultiPoly,
+    mul_integer_terms,
+    order_key,
+    packed_width,
+    packer,
+    pseudo_divide,
+    pseudo_divide_terms,
 )
-from delta_kernel.multipoly import MultiPoly, from_integer_terms, integer_terms, order_key
 from delta_kernel.parser import parse_diff_expression, parse_system
 from delta_kernel.printer import print_diffpoly
 
@@ -30,12 +37,68 @@ from conftest import default_seed, random_diffpoly
 
 
 def pseudo_reduce_once(r, h, v, ctx):
-    """_pseudo_reduce_once on DiffPolys: r goes in, and the quotient and
-    remainder come out, as DiffPolys rather than integer term dicts."""
-    D, R = integer_terms(r.body.terms)
-    e, q, rem = _pseudo_reduce_once((r.body.vars, R, D), h, v, ctx)
-    q, rem = (DiffPoly(ctx, from_integer_terms(sig, T, D)) for sig, T, D in (q, rem))
-    return e, q, rem
+    """One pseudo-division of r by h in v through the packed kernel, with r
+    and h over their merged signature: multipoly.pseudo_divide packs them
+    at its boundary, and the quotient and remainder come back as
+    DiffPolys."""
+    sig = ctx._signature(r.body.vars + h.body.vars)
+    e, q, rem = pseudo_divide(r.body.restrict(sig), h.body.restrict(sig), sig.index(v))
+    return e, DiffPoly(ctx, q), DiffPoly(ctx, rem)
+
+
+def reference_pseudo_divide_terms(a, b, i):
+    """The pseudo-division kernel on exponent-tuple keys: a and b are
+    (den, terms) integer term dicts over one signature, a's dict consumed;
+    returns (e, Q, R, D) as multipoly.pseudo_divide_terms does, unpacked."""
+    (D, R), (den_b, B) = a, b
+    d = max(x[i] for x in B)
+    LC = {x[:i] + (0,) + x[i + 1 :]: c for x, c in B.items() if x[i] == d}
+    tail = {x: c for x, c in B.items() if x[i] != d}
+    lc = LC.get((0,) * len(next(iter(B)))) if len(LC) == 1 else None
+    Q = {}
+    e = 0
+    while True:
+        dr = max((x[i] for x in R), default=-1)
+        if dr < d:
+            break
+        s = dr - d
+        M = {x[:i] + (s,) + x[i + 1 :]: R.pop(x) for x in [x for x in R if x[i] == dr]}
+        if lc is None:
+            Q = mul_integer_terms(None, LC, Q)
+            R = mul_integer_terms(None, LC, R)
+        elif lc != 1:
+            for x in Q:
+                Q[x] *= lc
+            for x in R:
+                R[x] *= lc
+        for x, c in M.items():
+            Q[x] = Q.get(x, 0) + den_b * c
+        mul_integer_terms(R, {x: -c for x, c in M.items()}, tail)
+        D *= den_b
+        e += 1
+    return e, {x: c for x, c in Q.items() if c}, R, D
+
+
+def reference_reduction_target(vars, exponents, aset, leaders):
+    """The (indeterminate, element index) that the next reduction step
+    eliminates from the polynomial with the exponent tuples exponents over
+    the signature vars, or None when it is partially reduced: the highest-
+    ranking proper derivative of a leader, with the lowest-ranked element it
+    derives from; then a leader with degree at least its leading degree."""
+    degree = {
+        v: max(column)
+        for v, column in zip(vars, zip(*exponents))
+        if isinstance(v, AlgIndet) and any(column)
+    }
+    for v in degree:
+        hits = [i for i, u in enumerate(leaders) if v.is_proper_derivative_of(u)]
+        if hits:
+            return v, min(hits, key=lambda i: aset.elements[i].rank())
+    for v, dv in degree.items():
+        for i, u in enumerate(leaders):
+            if v == u and dv >= aset.elements[i].leading_degree():
+                return v, i
+    return None
 
 
 def reference_pseudo_reduce_once(r, h, v, ctx):
@@ -60,7 +123,9 @@ def reference_ritt_reduce(g, aset):
     leaders = aset.leaders()
     remainder, sep, init, steps = g, {}, {}, []
     while True:
-        target = _reduction_target(remainder.body.vars, remainder.body.terms, aset, leaders)
+        target = reference_reduction_target(
+            remainder.body.vars, remainder.body.terms, aset, leaders
+        )
         if target is None:
             return remainder, sep, init, steps
         v, i = target
@@ -194,6 +259,46 @@ def test_certificates_match_eager_scaling(make, max_order, count):
         assert seen_scaled >= 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # starts at 8-bit fields; u2's degree passes 127 midway
+        "d1^2*u1*(d1*u1)^120*u2^100 + u1",
+        # past 64 bits: u2's field is 128 bits wide from the start
+        "u2^1180591620717411303424*d1^2*u1 + (d1*u1)^3",
+        "5",
+        "0",
+    ],
+    ids=["widens-midway", "past-64-bits", "constant", "zero"],
+)
+def test_reduction_across_field_widths_matches_reference(text, monkeypatch):
+    problem = parse_system(
+        "m=1 n=2 coeffs=Q\n"
+        "poly f1 = (d1*u1)^2 - 2*u2\n"
+        "poly f2 = d1*u2 - u1*u2 + 1\n"
+        "set N = f1, f2\n"
+    )
+    aset = problem.autoreduced("N")
+    g = parse_diff_expression(text, problem.ctx)
+    widths = []
+    widen = multipoly.widen
+
+    def recording(terms, ncols, width, new_width):
+        widths.append((width, new_width))
+        return widen(terms, ncols, width, new_width)
+
+    monkeypatch.setattr(multipoly, "widen", recording)
+    monkeypatch.setattr(diffring, "widen", recording)
+    res = ritt_reduce(g, aset)
+    remainder, sep, init, steps = reference_ritt_reduce(g, aset)
+    assert res.remainder == remainder
+    assert (res.sep_powers, res.init_powers) == (sep, init)
+    assert [(s.element, s.theta, s.quotient) for s in res.steps] == steps
+    assert res.verify()
+    if text.startswith("d1^2"):
+        assert (8, 16) in widths and res.remainder.degree_in(AlgIndet((0,), 2)) == 161
+
+
 def test_pseudo_reduce_once_identity():
     rng = random.Random(default_seed())
     ctx = DiffContext(1, 2)
@@ -264,6 +369,126 @@ def test_pseudo_reduce_once_with_denominators(m, n, h, r, v):
     assert lead**e * r == q * h + rem
     assert rem.degree_in(v) < d
     assert any(c.denominator > 1 for c in q.body.terms.values())
+
+
+def packed_pseudo_divide(a, b, i, ncols):
+    """The packed kernel on tuple-key (den, terms) dicts: packed at the
+    least width that holds their exponents, unpacked after.  Returns
+    ((e, Q, R, D), width packed at, width returned)."""
+    (D, A), (den_b, B) = a, b
+    width = packed_width(max(chain.from_iterable(chain(A, B)), default=0))
+    pack = packer(ncols, width)[0]
+    A = {pack(x): c for x, c in A.items()}
+    B = {pack(x): c for x, c in B.items()}
+    e, Q, R, D, wide = pseudo_divide_terms((D, A), (den_b, B), i, ncols, width)
+    unpack = packer(ncols, wide)[1]
+    Q = {unpack(k): c for k, c in Q.items()}
+    R = {unpack(k): c for k, c in R.items()}
+    return (e, Q, R, D), width, wide
+
+
+# exponents at the guard bit of each field width, and past 64 bits
+EDGES = (127, 128, 255, 256, 32767, 32768, 40000, 2**63 - 1, 2**63, 2**64 + 1)
+
+
+def _edge_pair(rng, ncols, i, edge, lead):
+    """(a, b): integer term dicts over ncols columns, dividing in column i;
+    column j != i carries exponents near edge.  lead picks b's coefficient
+    of its top power of x: "constant", "monomial" or "polynomial"."""
+    j = (i + 1) % ncols
+
+    def mono(xdeg, big):
+        e = [rng.randint(0, 2) if k not in (i, j) else 0 for k in range(ncols)]
+        e[i] = xdeg
+        e[j] = max(0, edge - rng.randint(0, 1)) if big else rng.randint(0, 2)
+        return tuple(e)
+
+    def coeff():
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+
+    d = rng.randint(1, 2)
+    b = {}
+    if lead == "constant":
+        b[tuple(d if k == i else 0 for k in range(ncols))] = coeff()
+    elif lead == "monomial":
+        b[mono(d, True)] = coeff()
+    else:
+        b[mono(d, True)] = coeff()
+        b[mono(d, False)] = coeff()
+    for _ in range(rng.randint(0, 2)):
+        b[mono(rng.randrange(d), rng.random() < 0.5)] = coeff()
+    a = {}
+    for _ in range(rng.randint(1, 5)):
+        a[mono(rng.randint(0, d + 2), rng.random() < 0.6)] = coeff()
+    return a, b
+
+
+@pytest.mark.parametrize("lead", ["constant", "monomial", "polynomial"])
+def test_packed_kernel_matches_tuple_reference(lead):
+    rng = random.Random(f"{default_seed()}:packed:{lead}")
+    widened = 0
+    for edge in EDGES:
+        for _ in range(6):
+            ncols = rng.randint(2, 4)
+            i = rng.randrange(ncols)
+            a, b = _edge_pair(rng, ncols, i, edge, lead)
+            den_a, den_b = rng.choice([1, 1, 3, 10]), rng.choice([1, 2, 7])
+            want = reference_pseudo_divide_terms((den_a, dict(a)), (den_b, b), i)
+            got, width, wide = packed_pseudo_divide((den_a, dict(a)), (den_b, b), i, ncols)
+            assert got == want
+            assert width == packed_width(max(chain.from_iterable(chain(a, b))))
+            # a product whose field would pass the guard bit is repacked wider
+            top = max(chain.from_iterable(chain(want[1], want[2])), default=0)
+            assert wide >= width and top < 2**wide
+            widened += wide > width
+    if lead != "constant":
+        assert widened >= 5
+
+
+def test_packed_kernel_widens_past_40000_instead_of_wrapping():
+    # lc = y^20000 fits 16-bit fields; after one step R carries y^40000,
+    # which sets the guard bit, so the second step runs at 32 bits
+    a = {(3, 20000): 1, (0, 1): 2}
+    b = {(1, 20000): 1, (0, 0): 1}
+    want = reference_pseudo_divide_terms((1, dict(a)), (1, b), 0)
+    got, width, wide = packed_pseudo_divide((1, dict(a)), (1, b), 0, 2)
+    assert got == want and (width, wide) == (16, 32)
+    assert want[0] == 3 and max(y for _, y in want[2]) == 60001
+    assert packed_width(40000) == 32
+
+
+def test_packed_kernel_edge_cases():
+    # an empty remainder divides to nothing
+    assert packed_pseudo_divide((5, {}), (1, {(1, 0): 2}), 0, 2)[0] == (0, {}, {}, 5)
+    # x absent from a: no step, a comes back as the remainder
+    a = {(0, 3): 4, (0, 0): -1}
+    assert packed_pseudo_divide((2, dict(a)), (3, {(2, 1): 1}), 0, 2)[0] == (0, {}, a, 2)
+    # a column no term uses, between the others
+    a, b = {(3, 0, 2): 1, (1, 0, 0): 5}, {(2, 0, 1): 2, (0, 0, 4): -1}
+    want = reference_pseudo_divide_terms((1, dict(a)), (1, b), 0)
+    assert packed_pseudo_divide((1, dict(a)), (1, b), 0, 3)[0] == want
+    assert want[0] == 1 and all(x[1] == 0 for x in chain(want[1], want[2]))
+    # the packer of zero columns: () and nothing to guard
+    for width in (8, 128):
+        pack, unpack, guard = packer(0, width)
+        assert pack(()) == 0 and unpack(0) == () and guard == 0
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_packer_round_trip_and_guard(width):
+    rng = random.Random(f"{default_seed()}:packer:{width}")
+    pack, unpack, guard = packer(3, width)
+    assert guard == sum(1 << (width * k + width - 1) for k in range(3))
+    for _ in range(50):
+        pool = [0, 1, 2 ** (width - 1) - 1, 2 ** (width - 1), 2**width - 1, rng.randrange(2**width)]
+        e = tuple(rng.choice(pool) for _ in range(3))
+        k = pack(e)
+        assert k == sum(x << (width * c) for c, x in enumerate(e))
+        assert unpack(k) == e
+        assert bool(k & guard) == any(x >= 2 ** (width - 1) for x in e)
+    # an exponent too wide for its field is refused, never wrapped
+    with pytest.raises((struct.error, OverflowError)):
+        pack((2**width, 0, 0))
 
 
 def test_print_diffpoly_matches_reference():
