@@ -21,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from .diffring import AutoreducedSet, indet_name, is_autoreduced, ritt_reduce
 from .dvariety import darboux_search, first_integral_search
@@ -33,7 +34,7 @@ from .parser import (
     parse_ratfunc_expression,
     parse_system,
 )
-from .printer import print_diffpoly, print_ratfunc
+from .printer import print_diffpoly, print_integer_terms, print_ratfunc
 from .prolongation import extract_dvariety, prolong_ideal
 from .solve import SAMPLE_VALUES
 
@@ -386,7 +387,7 @@ def _cmd_reduce(args, problem):
         raise InternalError("certificate failed to re-expand")
     results = {
         "input": print_diffpoly(g),
-        "remainder": print_diffpoly(res.remainder),
+        "remainder": print_integer_terms(*res.packed_remainder.integer_terms()),
         "certificate": {
             "separant_powers": {str(k): v for k, v in sorted(res.sep_powers.items())},
             "initial_powers": {str(k): v for k, v in sorted(res.init_powers.items())},
@@ -394,7 +395,7 @@ def _cmd_reduce(args, problem):
                 {
                     "element": s.element,
                     "theta": list(s.theta),
-                    "quotient": print_diffpoly(s.quotient),
+                    "quotient": print_integer_terms(*s.packed_quotient.integer_terms()),
                 }
                 for s in res.steps
             ],
@@ -630,7 +631,7 @@ def main(argv=None, stdout=None, stderr=None):
             text = (
                 sys.stdin.read()
                 if args.file == "-"
-                else open(args.file, "r", encoding="utf-8").read()
+                else Path(args.file).read_text(encoding="utf-8")
             )
             problem = parse_system(text)
         doc = run_command(args.command, args, problem)

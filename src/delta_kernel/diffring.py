@@ -538,28 +538,91 @@ class AutoreducedSet:
 # ---------- Ritt-Kolchin reduction ----------
 
 
-@dataclass
+class PackedPoly:
+    """A polynomial of a reduction certificate, kept as ritt_reduce left
+    it: integer terms on packed exponent vectors over the reduction's
+    column table (_Columns), in width-bit fields, each coefficient
+    terms[k] / den, with no zero entry.  Its DiffPoly is built on the
+    first call of diffpoly, one Fraction per term, and kept."""
+
+    __slots__ = ("table", "width", "den", "terms", "_poly")
+
+    def __init__(self, table, width, den, terms, poly=None):
+        self.table = table
+        self.width = width
+        self.den = den
+        self.terms = terms
+        self._poly = poly
+
+    @classmethod
+    def of(cls, table, f):
+        """The DiffPoly f packed over table (_Columns.pack_poly)."""
+        return cls(table, *table.pack_poly(f.body), f)
+
+    def diffpoly(self):
+        if self._poly is None:
+            self._poly = self.table.poly(self.width, self.den, self.terms)
+        return self._poly
+
+    def integer_terms(self):
+        """(signature, den, terms): the terms rekeyed by exponent tuples
+        over the signature of the indeterminates that occur, integers over
+        den, as the printer reads them; no Fraction is built."""
+        sig, terms = self.table.unpack(self.width, self.terms)
+        return sig, self.den, terms
+
+
 class ReductionStep:
-    element: int  # index into the autoreduced set
-    theta: tuple  # derivative applied to that element (all zeros = none)
-    quotient: DiffPoly
+    """One term q * theta(f) of a certificate: f the element-th element of
+    the set, theta its derivative (all zeros = none) and q the quotient,
+    held packed (packed_quotient).  The DiffPoly quotient is built on first
+    read; a DiffPoly assigned to it is packed over the same table."""
+
+    __slots__ = ("element", "theta", "packed_quotient")
+
+    def __init__(self, element, theta, packed_quotient):
+        self.element = element
+        self.theta = theta
+        self.packed_quotient = packed_quotient
+
+    @property
+    def quotient(self):
+        return self.packed_quotient.diffpoly()
+
+    @quotient.setter
+    def quotient(self, q):
+        self.packed_quotient = PackedPoly.of(self.packed_quotient.table, q)
 
 
-@dataclass
 class ReductionResult:
     """remainder plus the exact certificate
 
         (prod_i S_i^sep[i] * I_i^init[i]) * g  =  sum_nu q_nu * theta_nu f_nu + remainder
 
-    which re-expands symbolically via verify().
+    which re-expands symbolically via verify().  The remainder and each
+    step's quotient stay packed over the reduction's column table (table);
+    remainder, like a step's quotient, is a DiffPoly built on first read,
+    and a DiffPoly assigned to it is packed over the table.
     """
 
-    input: DiffPoly
-    aset: AutoreducedSet
-    remainder: DiffPoly
-    sep_powers: dict
-    init_powers: dict
-    steps: list
+    __slots__ = ("input", "aset", "table", "packed_remainder", "sep_powers", "init_powers", "steps")
+
+    def __init__(self, input, aset, table, packed_remainder, sep_powers, init_powers, steps):
+        self.input = input
+        self.aset = aset
+        self.table = table
+        self.packed_remainder = packed_remainder
+        self.sep_powers = sep_powers
+        self.init_powers = init_powers
+        self.steps = steps
+
+    @property
+    def remainder(self):
+        return self.packed_remainder.diffpoly()
+
+    @remainder.setter
+    def remainder(self, r):
+        self.packed_remainder = PackedPoly.of(self.table, r)
 
     def multiplier(self):
         ctx = self.input.ctx
@@ -575,39 +638,50 @@ class ReductionResult:
 
             multiplier * input - remainder - sum_nu q_nu * theta_nu f_nu
 
-        is zero over Q.  Each theta_nu f_nu is derived anew from the set
-        through verify's own memo, not taken from ritt_reduce.  The sum is
-        one integer term dict on packed exponent vectors over the union of
-        the parts' signatures, at one field width that holds every part's
-        exponents below the guard bit, so no product carries out of a
-        field; and over one common denominator, rescaled only when a
-        part's denominator does not divide the common one.  Each part is
-        packed from its own signature; each product is added as it is
-        formed: the smaller factor is cleared, packed and scaled once, the
-        larger one is streamed a term at a time, never copied, and
-        add_packed_products drops an entry the moment it cancels, so the
-        dict holds just what the parts added so far leave over.  Nothing is
-        unpacked.
+        is zero over Q.  The sum is one integer term dict on packed
+        exponent vectors over the reduction's column table.  The remainder
+        and the quotients enter as they are held; the multiplier (from the
+        DiffPoly separants and initials) and the input are packed from
+        their bodies; each theta_nu f_nu is derived anew from the set
+        through verify's own memo (_derived_terms), not taken from
+        ritt_reduce, and packed from its sparse terms.  The products run at
+        one field width that holds every part's exponents below the guard
+        bit, so none carries out of a field; a part held at a narrower
+        width is rekeyed there (widen).  The sum is over one common
+        denominator, rescaled only when a part's denominator does not
+        divide it.  Each product is added as it is formed: the smaller
+        factor is scaled once, the larger one streamed, and
+        add_packed_products drops an entry the moment it cancels.  No
+        DiffPoly of the remainder or of a quotient is built.
         """
-        ctx = self.input.ctx
+        table = self.table
+        elements = self.aset.elements
         memo = {}
-        # (factor, factor, sign): the product of the two enters with the sign
-        parts = [(self.multiplier(), self.input, 1), (self.remainder, ctx.const(1), -1)]
+        r = self.packed_remainder
+        # (factor, factor, sign): the product of the two enters with the
+        # sign; each factor a packed polynomial (width, den, terms)
+        parts = [
+            (table.pack_poly(self.multiplier().body), table.pack_poly(self.input.body), 1),
+            ((r.width, r.den, r.terms), (8, 1, {0: 1}), -1),
+        ]
         for step in self.steps:
-            f = derived(self.aset.elements, step.element, step.theta, memo)
-            parts.append((step.quotient, f, -1))
-        bodies = [p.body for a, b, _ in parts for p in (a, b)]
-        sig = ctx._signature([v for p in bodies for v in p.vars])
-        top = max(chain.from_iterable(chain.from_iterable(p.terms for p in bodies)), default=0)
-        pack = packer(len(sig), packed_width(top))[0]
+            q = step.packed_quotient
+            den, terms, _ = _derived_terms(elements, step.element, step.theta, memo)
+            width = packed_width(max([exp for x in terms for _, _, exp in x], default=0))
+            h = width, den, table.pack_sparse(terms, width)
+            parts.append(((q.width, q.den, q.terms), h, -1))
+        ncols = len(table.vars)
+        width = max(
+            p[0] * 2 if reduce(or_, p[2], 0) & packer(ncols, p[0])[2] else p[0]
+            for a, b, _ in parts
+            for p in (a, b)
+        )
         acc = {}
         den = 1
         for a, b, sign in parts:
-            a, b = a.body, b.body
-            if len(a.terms) < len(b.terms):
+            if len(a[2]) < len(b[2]):
                 a, b = b, a
-            da = lcm(*[c.denominator for c in a.terms.values()])
-            db, B = integer_terms(b.terms)
+            (wa, da, A), (wb, db, B) = a, b
             part_den = da * db
             if den % part_den:
                 common = lcm(den, part_den)
@@ -616,11 +690,8 @@ class ReductionResult:
                     acc[x] *= k
                 den = common
             k = sign * (den // part_den)
-            pick = reindexer(b.vars, sig)[0]
-            B = {pack(pick(x)): k * c for x, c in B.items()}
-            pick = reindexer(a.vars, sig)[0]
-            A = ((pack(pick(x)), c.numerator * (da // c.denominator)) for x, c in a.terms.items())
-            add_packed_products(acc, A, B)
+            B = {x: k * c for x, c in widen(B, ncols, wb, width).items()}
+            add_packed_products(acc, widen(A, ncols, wa, width).items(), B)
         return not acc
 
 
@@ -664,8 +735,12 @@ class _Columns:
     Each key (theta, var) of an algebraic indeterminate, or ((), index) of
     the coefficient generator t_index, takes the next column the first
     time it is seen, so a key packed earlier stays valid as the table
-    grows.  With each column of an algebraic indeterminate the table
-    records what the choice of the next reduction step asks of it.
+    grows: ritt_reduce, the certificate it returns and that certificate's
+    verify all pack over one table.  With each column of an algebraic
+    indeterminate the table records what the choice of the next reduction
+    step asks of it.  A packed polynomial is (width, den, terms); unpack
+    rekeys its terms by exponent tuples over the signature of the
+    indeterminates that occur, and poly builds its DiffPoly from those.
     """
 
     __slots__ = ("ctx", "leaders", "at", "vars", "ranked", "derives", "leads")
@@ -772,9 +847,10 @@ class _Columns:
                 return out
             p = self.product(p, p)
 
-    def poly(self, width, den, terms):
-        """The DiffPoly of the packed polynomial (width, den, terms), over
-        the signature of the indeterminates that occur."""
+    def unpack(self, width, terms):
+        """(signature, terms): the packed terms in width-bit fields
+        rekeyed by exponent tuples over the signature of the indeterminates
+        that occur."""
         occurs = reduce(or_, terms, 0)
         mask = (1 << width) - 1
         sig = self.ctx._signature(
@@ -782,8 +858,13 @@ class _Columns:
         )
         pick = reindexer(self.vars, sig)[0]
         unpack = packer(len(self.vars), width)[1]
-        body = from_integer_terms(sig, {pick(unpack(k)): c for k, c in terms.items()}, den)
-        return DiffPoly(self.ctx, body)
+        return sig, {pick(unpack(k)): c for k, c in terms.items()}
+
+    def poly(self, width, den, terms):
+        """The DiffPoly of the packed polynomial (width, den, terms), over
+        the signature of the indeterminates that occur: one Fraction per
+        term."""
+        return DiffPoly(self.ctx, from_integer_terms(*self.unpack(width, terms), den))
 
 
 def ritt_reduce(g, aset):
@@ -800,11 +881,12 @@ def ritt_reduce(g, aset):
     theta(f) is packed straight from its sparse derivation chain
     (_derived_terms); the degree in an indeterminate is a shift and a
     mask, and a column that no longer occurs costs nothing, so no step
-    builds or restricts a signature.  Each result is unpacked once, at the
-    end, into a DiffPoly over the signature of the indeterminates that
-    occur, one Fraction per term.  The remainder is kept at one field
+    builds or restricts a signature.  The remainder is kept at one field
     width, which a pseudo-division or a wider theta(f) may double; each
-    stored quotient and scale keeps the width it was made at.
+    stored quotient and scale keeps the width it was made at.  Nothing is
+    unpacked here: the remainder and the quotients are returned packed
+    (PackedPoly) with the table, which verify re-expands on and the CLI
+    prints from; a DiffPoly of one is built only when it is read.
     """
     if isinstance(aset, (list, tuple)):
         aset = AutoreducedSet(aset)
@@ -859,11 +941,9 @@ def ritt_reduce(g, aset):
             if common > 1:
                 R = {k: x // common for k, x in R.items()}
                 D //= common
-    remainder = table.poly(W, D, R)
     # every scaling multiplies the quotients recorded before it: walk from
     # the last step back, each quotient taking the product of the scales
-    # met after it; one Fraction per term at the end, and each packed
-    # quotient let go once it is built
+    # met after it
     acc = None
     steps = []
     while quotients:
@@ -874,12 +954,13 @@ def ritt_reduce(g, aset):
             acc = scale if acc is None else table.product(acc, scale)
         if acc is not None:
             q = table.product(q, acc)
-        steps.append(ReductionStep(i, theta, table.poly(*q)))
+        steps.append(ReductionStep(i, theta, PackedPoly(table, *q)))
     steps.reverse()
     return ReductionResult(
         input=g,
         aset=aset,
-        remainder=remainder,
+        table=table,
+        packed_remainder=PackedPoly(table, W, D, R),
         sep_powers=sep_powers,
         init_powers=init_powers,
         steps=steps,

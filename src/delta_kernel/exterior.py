@@ -357,10 +357,6 @@ class SpanProbeReport:
     beta_indices: tuple
     membership_checks: list  # (vector index, in_span, coeffs_in_coefficient_space)
 
-    @property
-    def all_coefficients_confined(self):
-        return all(ok for _, in_span, ok in self.membership_checks if in_span)
-
 
 def span_probe(sample, ell):
     """Finite-dimensionality probe over the tower Q inside Q(t).

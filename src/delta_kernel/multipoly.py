@@ -215,11 +215,6 @@ class MultiPoly:
         terms = self.terms
         return [(e, terms[e]) for e in sorted_exponents(terms, order or self.order, reverse)]
 
-    def with_order(self, order):
-        if order == self.order:
-            return self
-        return MultiPoly(self.vars, self.terms, order)
-
     # ---------- equality (order tag excluded) ----------
 
     def __eq__(self, other):

@@ -23,6 +23,11 @@ def random_fraction(rng, span=6):
     return Fraction(num, den)
 
 
+def with_order(p, order):
+    """The MultiPoly p tagged with the term order order."""
+    return p if order == p.order else MultiPoly(p.vars, p.terms, order)
+
+
 def random_multipoly(rng, sig, max_degree=3, max_terms=4, allow_zero=True):
     terms = {}
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):

@@ -33,7 +33,7 @@ from delta_kernel.multipoly import (
 )
 from delta_kernel.ratfunc import RatFunc
 
-from conftest import default_seed, random_fraction, random_multipoly
+from conftest import default_seed, random_fraction, random_multipoly, with_order
 
 SIG = ("x", "y")
 X = MultiPoly.var(SIG, "x")
@@ -218,7 +218,7 @@ class TestTermDictHelpers:
                 for reverse in (True, False):
                     want = sorted(p.terms, key=order_key(order), reverse=reverse)
                     assert sorted_exponents(p.terms, order, reverse) == want
-                assert [e for e, _ in p.with_order(order).sorted_terms()] == sorted(
+                assert [e for e, _ in with_order(p, order).sorted_terms()] == sorted(
                     p.terms, key=order_key(order), reverse=True
                 )
 

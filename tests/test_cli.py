@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import warnings
 
 import pytest
 
@@ -352,6 +354,15 @@ class TestExitCodes:
     def test_missing_file(self):
         code, _, err = run(["analyze", "/nonexistent/path.dk"])
         assert code == 1
+
+    def test_problem_file_is_closed(self, problem_path):
+        # a handle left for the garbage collector to close warns when it goes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(["--json", "analyze", problem_path])
+            gc.collect()
+        assert code == 0
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_certificate_that_fails_to_verify_is_internal(self, problem_path, monkeypatch):
         monkeypatch.setattr(ReductionResult, "verify", lambda self: False)

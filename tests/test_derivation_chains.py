@@ -174,8 +174,9 @@ def test_reduction_builds_one_diffpoly_per_derivative_a_step_uses(monkeypatch):
     straight from its sparse terms: it builds no DiffPoly for one and
     restricts no term dict (on exponent tuples it built 15 and called
     restrict_terms 48 times).  verify derives them again through its own
-    memo and builds its 15 DiffPolys (one per derivative used), so there
-    are two memos."""
+    memo, so there are two memos, and packs each from its sparse terms
+    too: it builds no DiffPoly for one either (it built 15 while it
+    re-expanded DiffPolys)."""
     problem = parse_system(
         "m=2 n=1 coeffs=Q\n"
         "poly f1 = d1^2*u1 - 3/2*u1\n"
@@ -213,7 +214,7 @@ def test_reduction_builds_one_diffpoly_per_derivative_a_step_uses(monkeypatch):
     (memo,) = {id(m): m for m in memos}.values()
     assert len(memo) == 156 + 2  # the links and the two elements
     assert res.verify()
-    assert len(built) == 15
+    assert built == []
     assert len({id(m) for m in memos}) == 2
     # d1^2 u1 = 3/2 u1 and d2^2 u1 = -2 u1, with separants and initials 1
     assert res.remainder == 6561 * problem.ctx.u()

@@ -19,7 +19,7 @@ from delta_kernel.groebner import (
 from delta_kernel.multipoly import MultiPoly, exponents_upto, order_key
 from delta_kernel.solve import sampled_rational_solutions
 
-from conftest import default_seed, random_multipoly
+from conftest import default_seed, random_multipoly, with_order
 
 SIG = ("x", "y")
 X = MultiPoly.var(SIG, "x")
@@ -230,7 +230,7 @@ def _interreduce(basis, order):
 def _buchberger_no_criteria(gens, order):
     """Textbook Buchberger without pair-skipping criteria; test oracle."""
     key = order_key(order)
-    basis = [g.with_order(order).monic(order) for g in gens if not g.is_zero()]
+    basis = [with_order(g, order).monic(order) for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
         i, j = min(pairs, key=lambda p: key(

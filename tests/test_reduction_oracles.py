@@ -9,18 +9,30 @@ its target from a signature, and a printer that rebuilds every factor
 string.
 """
 
+import io
 import random
 import struct
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import add
+from pathlib import Path
 
 import pytest
 
 from delta_kernel import diffring, multipoly
-from delta_kernel.diffring import AlgIndet, CoeffGen, DiffContext, DiffPoly, ritt_reduce
+from delta_kernel.cli import main
+from delta_kernel.diffring import (
+    AlgIndet,
+    CoeffGen,
+    DiffContext,
+    DiffPoly,
+    PackedPoly,
+    ritt_reduce,
+)
 from delta_kernel.multipoly import (
     MultiPoly,
+    from_integer_terms,
     mul_integer_terms,
     order_key,
     packed_width,
@@ -29,7 +41,7 @@ from delta_kernel.multipoly import (
     pseudo_divide_terms,
 )
 from delta_kernel.parser import parse_diff_expression, parse_system
-from delta_kernel.printer import print_diffpoly
+from delta_kernel.printer import print_diffpoly, print_integer_terms
 
 from conftest import default_seed, random_diffpoly
 
@@ -491,11 +503,28 @@ def test_packer_round_trip_and_guard(width):
         pack((2**width, 0, 0))
 
 
+# (den, integer terms over d1*u1, u2, t1, t2, text)
+PRINTED = [
+    # 2/4 and -6/9 print in lowest terms, as their Fractions do
+    (4, {(1, 0, 0, 0): 2, (0, 1, 0, 1): -3, (0, 0, 0, 0): 8}, "-3/4*t2*u2 + 1/2*d1*u1 + 2"),
+    (9, {(0, 2, 0, 0): -6, (0, 0, 1, 0): 9, (0, 1, 2, 0): 3}, "1/3*t1^2*u2 - 2/3*u2^2 + t1"),
+    # generators only, the last of the signature printed first
+    (1, {(0, 0, 1, 1): -1, (0, 0, 0, 3): 5}, "5*t2^3 - t2*t1"),
+    (3, {(2, 1, 0, 1): -3, (0, 0, 0, 0): -1}, "-t2*u2*(d1*u1)^2 - 1/3"),
+    (7, {}, "0"),
+]
+
+
 def test_print_diffpoly_matches_reference():
     rng = random.Random(default_seed())
     ctx = DiffContext(2, 2, coeff_gens=2)
+    sig = ctx._signature([AlgIndet((1, 0), 1), AlgIndet((0, 0), 2)])
+    for den, ints, text in PRINTED:
+        f = DiffPoly(ctx, from_integer_terms(sig, ints, den))
+        assert print_integer_terms(sig, den, ints) == text
+        assert print_diffpoly(f) == reference_print_diffpoly(f) == text
     pool = [AlgIndet((a, b), var) for a in range(3) for b in range(3) for var in (1, 2)]
-    kinds = {"dead": 0, "generator": 0, "repeated": 0}
+    kinds = {"dead": 0, "generator": 0, "repeated": 0, "not lowest": 0}
     for _ in range(150):
         indets = rng.sample(pool, rng.randint(1, 6))
         sig = ctx._signature(indets)
@@ -514,6 +543,12 @@ def test_print_diffpoly_matches_reference():
         kinds["dead"] += len(used) < len(sig)
         kinds["generator"] += any(isinstance(sig[i], CoeffGen) for i in used)
         kinds["repeated"] += any(x > 1 for e in f.body.terms for x in e)
+        # the kernel on integers over a denominator they share factors with
+        den = rng.choice([1, 4, 9, 12, 36])
+        ints = {e: rng.choice([-6, -3, -2, 1, 2, 4, 9, 18]) for e in terms}
+        f = DiffPoly(ctx, from_integer_terms(sig, ints, den))
+        assert print_integer_terms(sig, den, ints) == reference_print_diffpoly(f)
+        kinds["not lowest"] += any(gcd(c, den) > 1 for c in ints.values()) and den > 1
     assert min(kinds.values()) >= 20
 
 
@@ -582,6 +617,96 @@ def test_verify_rejects_a_tampered_nonlinear_certificate():
     assert not res.verify()
     step.theta = theta
     assert res.verify()
+
+
+def _bumped(p, k):
+    """The packed polynomial p with the coefficient at the packed key k
+    raised by 1 (k = 0 is the constant term)."""
+    return PackedPoly(p.table, p.width, p.den, {**p.terms, k: p.terms.get(k, 0) + 1})
+
+
+def test_verify_rejects_a_tampered_packed_part():
+    res = _nonlinear_certificate()
+    assert res.verify() and len(res.steps) >= 2
+    # ritt_reduce builds no DiffPoly of a quotient
+    assert all(step.packed_quotient._poly is None for step in res.steps)
+    for step in res.steps:
+        q = step.packed_quotient
+        assert q.table is res.table and q.terms
+        for k in [*list(q.terms)[:3], 0]:
+            step.packed_quotient = _bumped(q, k)
+            assert not res.verify()
+        step.packed_quotient = PackedPoly(q.table, q.width, 2 * q.den, q.terms)
+        assert not res.verify()
+        step.packed_quotient = q
+        assert res.verify()
+    r = res.packed_remainder
+    assert r.terms
+    for k in [*list(r.terms)[:3], 0]:
+        res.packed_remainder = _bumped(r, k)
+        assert not res.verify()
+        # the DiffPoly read after the change is the changed one
+        assert res.remainder != r.diffpoly()
+    res.packed_remainder = r
+    assert res.verify()
+
+
+def test_verify_rekeys_parts_whose_guard_bits_are_set():
+    # a stored part may sit at a width whose guard bits it sets (a product
+    # landed there): here each quotient, u1^152 and 59*u1^210 - ..., is
+    # repacked at 8 bits, below the 16 of the input u1^150*d1^2*u1, and
+    # verify must rekey both before their products are formed
+    problem = parse_system("m=1 n=1 coeffs=Q\npoly f = u1*d1*u1 - u1^60\nset A = f\n")
+    g = parse_diff_expression("d1^2*u1*u1^150", problem.ctx)
+    res = ritt_reduce(g, problem.autoreduced("A"))
+    assert res.verify() and len(res.steps) == 2
+    ncols = len(res.table.vars)
+    for step in res.steps:
+        q = step.packed_quotient
+        top = max(chain.from_iterable(map(packer(ncols, q.width)[1], q.terms)))
+        assert 128 <= top < 256
+        narrow = multipoly.widen(q.terms, ncols, q.width, 8)
+        step.packed_quotient = PackedPoly(q.table, 8, q.den, narrow)
+    assert res.verify()
+    assert res.steps[1].quotient == parse_diff_expression("59*u1^210 - u1^151*d1*u1", problem.ctx)
+
+
+def test_assigned_diffpolys_are_packed_over_the_table():
+    res = _nonlinear_certificate()
+    step = res.steps[0]
+    q = step.quotient
+    assert step.quotient is q  # built once, on the first read
+    # a quotient assigned as a DiffPoly is packed over the same table
+    step.quotient = q * 1
+    assert step.packed_quotient.table is res.table and step.quotient == q
+    assert res.verify()
+    res.remainder = res.remainder + 0
+    assert res.packed_remainder.table is res.table and res.verify()
+
+
+def test_reduce_command_builds_no_certificate_diffpoly(monkeypatch):
+    """The reduce command verifies the certificate and prints the
+    remainder and each quotient from their packed terms: no DiffPoly of
+    one is built."""
+    built = []
+    poly = diffring._Columns.poly
+
+    def counting(self, *args):
+        built.append(args)
+        return poly(self, *args)
+
+    monkeypatch.setattr(diffring._Columns, "poly", counting)
+    monkeypatch.chdir(Path(__file__).parent / "data" / "reduce_golden")
+    argv = ["--json", "reduce", "rational.dk", "(1/3)*d1^3*u1*(d1^2*u2)^2 - 5/7*d1*u2*u1"]
+    out = io.StringIO()
+    assert main([*argv, "--modulo", "N"], stdout=out) == 0
+    assert built == [] and '"verified": true' in out.getvalue()
+    # the DiffPolys of the same certificate print to the same text
+    problem = parse_system(Path("rational.dk").read_text(encoding="utf-8"))
+    res = ritt_reduce(parse_diff_expression(argv[3], problem.ctx), problem.autoreduced("N"))
+    assert print_diffpoly(res.remainder) in out.getvalue()
+    assert all(print_diffpoly(s.quotient) in out.getvalue() for s in res.steps)
+    assert len(built) == len(res.steps) + 1 >= 3
 
 
 def test_verify_accepts_a_higher_power_of_one():
