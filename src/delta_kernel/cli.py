@@ -107,6 +107,20 @@ def _need(problem, table, name, what):
     return table[name]
 
 
+def _field_on_affine_space(problem, name):
+    """The dspec named name, refused when it declares an ideal: the Darboux
+    and first-integral searches act on every monomial of Q[x1..xn], not on
+    the coordinate ring of V, so on a variety they would miss elements and
+    report ones that are constant there."""
+    spec = _need(problem, problem.dspecs, name, "dspec")
+    if spec.ideal_gens:
+        raise MathError(
+            f"dspec {name!r} declares an ideal; Darboux and first-integral "
+            "searches run on affine space only"
+        )
+    return spec
+
+
 def _load_aset(problem, name):
     polys = _need(problem, problem.sets, name, "set")
     try:
@@ -283,7 +297,7 @@ def _cmd_extract(args, problem):
 
 
 def _cmd_darboux(args, problem):
-    spec = _need(problem, problem.dspecs, args.dspec, "dspec")
+    spec = _field_on_affine_space(problem, args.dspec)
     found, warnings = darboux_search(spec, args.deg, method=args.method)
     results = {
         "warnings": warnings,
@@ -310,7 +324,7 @@ def _cmd_darboux(args, problem):
 
 
 def _cmd_integrals(args, problem):
-    spec = _need(problem, problem.dspecs, args.dspec, "dspec")
+    spec = _field_on_affine_space(problem, args.dspec)
     found = first_integral_search(spec, args.deg)
     results = {
         "degree_bound": args.deg,

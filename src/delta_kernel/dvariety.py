@@ -499,39 +499,6 @@ def _flips(ratio):
     return den_deg > num_deg or (den_deg == num_deg and ratio.den.to_str() > ratio.num.to_str())
 
 
-def is_dconstant_on_fibers(f, data):
-    """D-constant test against prolongation fiber data (any fiber dimension).
-
-    f is a rational function of the level-bound frame coordinates.  Its
-    differential is pushed along the tangent section: for each derivation
-    the result is an affine expression in the free fiber parameters, and f
-    is a D-constant exactly when every coefficient of every such expression
-    vanishes modulo the saturated variety ideal.
-    """
-    from .prolongation import AffineExpr, _frame_sig
-
-    ext = _frame_sig(data.variety.frame)
-    if isinstance(f, MultiPoly):
-        f = RatFunc(f.restrict(ext))
-    elif f.num.vars != ext:
-        f = RatFunc(f.num.restrict(ext), f.den.restrict(ext))
-    gb = data.variety.groebner_basis()
-    if normal_form(f.den, gb).is_zero():
-        raise ZeroDivisionError("denominator vanishes identically on the variety")
-    section = data.tangent_section()
-    m = len(data.variety.frame[0].theta)
-    partials = [f.derivative(i) for i in range(len(ext))]
-    for k in range(1, m + 1):
-        total = AffineExpr(RatFunc(MultiPoly.zero(ext)))
-        for x, df in zip(ext, partials):
-            if not df.is_zero():
-                total = total.plus(section[(x, k)].scaled(df))
-        for value in [total.const, *total.linear.values()]:
-            if not value.is_zero() and not normal_form(value.num, gb).is_zero():
-                return False
-    return True
-
-
 def log_derivative(a):
     """(a'/a in lowest terms, whether it lies in Q) for a in Q(t), a != 0.
 
@@ -544,12 +511,3 @@ def log_derivative(a):
         raise ZeroDivisionError("logarithmic derivative of zero")
     ratio = a.derivative(0) / a
     return ratio, ratio.is_constant()
-
-
-def exponential_solvable_over_ratfield(gamma):
-    """Whether delta x = gamma x has a nonzero solution in (Q(t), d/dt)."""
-    if isinstance(gamma, RatFunc):
-        if not gamma.is_constant():
-            return False
-        gamma = gamma.constant_value()
-    return gamma == 0

@@ -1,10 +1,12 @@
 """Exterior algebra over an exact field, with executable instances of the
 two linear-algebra lemmas behind the finiteness arguments.
 
-Vectors are sparse maps from strictly increasing index subsets of {1..N} to
-field elements (Fraction or RatFunc, or Python ints for vectors with integer
-entries, which then multiply as ints); wedge finds collisions and
-permutation signs on the subsets' bitmasks.
+A vector stores its terms as a map from support bitmasks to field elements:
+the basis form e_{i1} ^ ... ^ e_{ik} (i1 < ... < ik in 1..N) is the mask with
+bits i1..ik set.  The entries are Fraction or RatFunc, or Python ints for
+vectors with integer entries, which then multiply as ints.  Only the
+constructor reads index tuples, and only the `coeffs` view writes them; sums,
+scalings and wedges work on the masks alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .linalg import ExactMatrix, rank
 from .multipoly import MultiPoly
@@ -21,21 +24,21 @@ from .ratfunc import RatFunc
 class ExtVector:
     """Homogeneous element of an exterior power of an N-dimensional space."""
 
-    __slots__ = ("dim", "grade", "coeffs")
+    __slots__ = ("dim", "grade", "terms")
 
     def __init__(self, dim, grade, coeffs=None):
         self.dim = dim
         self.grade = grade
-        clean = {}
+        terms = {}
         for subset, c in (coeffs or {}).items():
             subset = tuple(subset)
             if len(subset) != grade or list(subset) != sorted(set(subset)):
                 raise ValueError(f"index subset {subset} is not strictly increasing of size {grade}")
             if subset and (subset[0] < 1 or subset[-1] > dim):
                 raise ValueError(f"index subset {subset} outside 1..{dim}")
-            if _nonzero(c):
-                clean[subset] = c
-        self.coeffs = clean
+            if c:
+                terms[_mask(subset)] = c
+        self.terms = terms
 
     @classmethod
     def zero(cls, dim, grade=1):
@@ -46,32 +49,38 @@ class ExtVector:
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
 
+    @property
+    def coeffs(self):
+        """Read-only view of the terms keyed by increasing index tuples, in
+        the order the terms were made."""
+        return MappingProxyType({_subset(m): c for m, c in self.terms.items()})
+
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     def scaled(self, c):
-        coeffs = {}
-        for s, v in self.coeffs.items():
+        terms = {}
+        for m, v in self.terms.items():
             v = v * c
-            if _nonzero(v):
-                coeffs[s] = v
-        return _unchecked(self.dim, self.grade, coeffs)
+            if v:
+                terms[m] = v
+        return _unchecked(self.dim, self.grade, terms)
 
     def __add__(self, other):
         if self.dim != other.dim or self.grade != other.grade:
             raise ValueError("grade or ambient mismatch in addition")
-        coeffs = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            cur = coeffs.get(s)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            cur = terms.get(m)
             total = c if cur is None else cur + c
-            if _nonzero(total):
-                coeffs[s] = total
-            elif s in coeffs:
-                del coeffs[s]
-        return _unchecked(self.dim, self.grade, coeffs)
+            if total:
+                terms[m] = total
+            elif cur is not None:
+                del terms[m]
+        return _unchecked(self.dim, self.grade, terms)
 
     def __neg__(self):
-        return self.scaled(Fraction(-1))
+        return self.scaled(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,65 +91,72 @@ class ExtVector:
         return (
             self.dim == other.dim
             and self.grade == other.grade
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __repr__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return f"ExtVector(0; grade {self.grade})"
         bits = []
-        for s in sorted(self.coeffs):
+        for s in sorted(coeffs):
             name = "^".join(f"e{i}" for i in s) if s else "1"
-            bits.append(f"({self.coeffs[s]!r})*{name}")
+            bits.append(f"({coeffs[s]!r})*{name}")
         return "ExtVector(" + " + ".join(bits) + ")"
 
 
-def _unchecked(dim, grade, coeffs):
-    """The ExtVector with the nonzero coefficients coeffs on index subsets
+def _unchecked(dim, grade, terms):
+    """The ExtVector with the nonzero coefficients terms on support masks
     that are valid by construction: the constructor's checks are skipped."""
     out = ExtVector.__new__(ExtVector)
     out.dim = dim
     out.grade = grade
-    out.coeffs = coeffs
+    out.terms = terms
     return out
-
-
-def _nonzero(c):
-    if isinstance(c, RatFunc):
-        return not c.is_zero()
-    return bool(c)
 
 
 def wedge(a, b):
     """Graded-anticommutative product with exact permutation signs.
 
-    Index subsets become bitmasks, bit i for index i.  Two subsets share an
-    index when ma & mb is nonzero.  The sign of merging them is the parity
-    of the inversions, sum over y in b of popcount(ma >> y) (the indices of
-    a above y); that parity is popcount(pa & mb), pa the mask of the
-    positions with an odd number of indices of a above them, built once per
-    subset of a.  The products are summed by ma | mb, each mask turned back
-    into its index tuple once, in first-seen order.
+    Two support masks share an index when ma & mb is nonzero; otherwise
+    the product's support is ma | mb.  Its sign is the parity of the
+    inversions of the merge, the number of pairs of an index of a above an
+    index y of b.  When b has grade 1, with mb the single bit y, that
+    parity is popcount(ma >> y).  In general it is popcount(pa & mb), pa
+    the mask of the positions with an odd number of indices of a above
+    them, built once per term of a.  Products are summed by support in
+    first-seen order, and the zero sums are dropped.
     """
     if a.dim != b.dim:
         raise ValueError("ambient dimension mismatch in wedge")
-    bs = [(_mask(sb), cb) for sb, cb in b.coeffs.items()]
     out = {}
     get = out.get
-    for sa, ca in a.coeffs.items():
-        ma = _mask(sa)
-        pa = _odd_above(ma)
-        for mb, cb in bs:
-            if ma & mb:
-                continue
-            c = ca * cb
-            if (pa & mb).bit_count() & 1:
-                c = -c
-            m = ma | mb
-            cur = get(m)
-            out[m] = c if cur is None else cur + c
-    coeffs = {_subset(m): c for m, c in out.items() if _nonzero(c)}
-    return _unchecked(a.dim, a.grade + b.grade, coeffs)
+    if b.grade == 1:
+        bs = [(mb, cb, mb.bit_length() - 1) for mb, cb in b.terms.items()]
+        for ma, ca in a.terms.items():
+            for mb, cb, y in bs:
+                if ma & mb:
+                    continue
+                c = ca * cb
+                if (ma >> y).bit_count() & 1:
+                    c = -c
+                m = ma | mb
+                cur = get(m)
+                out[m] = c if cur is None else cur + c
+    else:
+        bs = list(b.terms.items())
+        for ma, ca in a.terms.items():
+            pa = _odd_above(ma)
+            for mb, cb in bs:
+                if ma & mb:
+                    continue
+                c = ca * cb
+                if (pa & mb).bit_count() & 1:
+                    c = -c
+                m = ma | mb
+                cur = get(m)
+                out[m] = c if cur is None else cur + c
+    return _unchecked(a.dim, a.grade + b.grade, {m: c for m, c in out.items() if c})
 
 
 def _mask(subset):
@@ -262,7 +278,7 @@ def _flatten_over_q(vectors):
     tsig = _entry_signature(vectors)
     common = MultiPoly.const(tsig, 1)
     for v in vectors:
-        for c in v.coeffs.values():
+        for c in v.terms.values():
             d = _as_ratfunc(c, tsig).den
             if not d.is_constant():
                 common = poly_lcm(common, d)
@@ -270,11 +286,11 @@ def _flatten_over_q(vectors):
     rows = []
     for v in vectors:
         entries = {}
-        for s, c in v.coeffs.items():
+        for m, c in v.terms.items():
             c = _as_ratfunc(c, tsig)
             cleared = c.num * common.exact_div(c.den)
             for e, coeff in cleared.terms.items():
-                key = (s, e)
+                key = (m, e)
                 columns.setdefault(key, len(columns))
                 entries[key] = coeff
         rows.append(entries)
@@ -312,14 +328,14 @@ def k_dimension(vectors):
     rows = []
     for v in vectors:
         rows.append(
-            [_as_ratfunc(v.coeffs.get((i,), Fraction(0)), tsig) for i in range(1, dim + 1)]
+            [_as_ratfunc(v.terms.get(1 << i, Fraction(0)), tsig) for i in range(1, dim + 1)]
         )
     return rank(ExactMatrix(rows, one=one))
 
 
 def _entry_signature(vectors):
     for v in vectors:
-        for c in v.coeffs.values():
+        for c in v.terms.values():
             if isinstance(c, RatFunc):
                 return c.num.vars
     return ("t",)
@@ -333,8 +349,8 @@ def k_solve(targets, vector, tsig):
     one = RatFunc.from_const(tsig, 1)
     rows = []
     for i in range(1, dim + 1):
-        row = [_as_ratfunc(t.coeffs.get((i,), Fraction(0)), tsig) for t in targets]
-        row.append(_as_ratfunc(vector.coeffs.get((i,), Fraction(0)), tsig))
+        row = [_as_ratfunc(t.terms.get(1 << i, Fraction(0)), tsig) for t in targets]
+        row.append(_as_ratfunc(vector.terms.get(1 << i, Fraction(0)), tsig))
         rows.append(row)
     from .linalg import rref
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diffring import AlgIndet, AutoreducedSet, derived
-from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, normal_form, saturate
+from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, saturate
 from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
 from .multipoly import MultiPoly, coefficients, exponents_upto
 from .ratfunc import RatFunc
@@ -266,64 +266,6 @@ def affine_fiber(aset, t):
         expressions=expressions,
         separants_used=separants_used,
     )
-
-
-def fiber_residuals(aset, model, ideal_low=None):
-    """Exact check of the affine solve against the prolonged ideal.
-
-    Substitutes the fiber expressions into every level-t generator and
-    reduces modulo the Groebner basis of the saturated level-(t-1) ideal
-    (ProlongedIdeal.groebner_basis, lifted to the level-t frame); returns
-    the list of remainders (all zero when the model is consistent).
-    """
-    if not isinstance(aset, AutoreducedSet):
-        aset = AutoreducedSet(aset)
-    t = model.level
-    ctx = aset.ctx
-    pid = prolong_ideal(aset, t)
-    if ideal_low is None:
-        ideal_low = prolong_ideal(aset, t - 1)
-    gb_low = ideal_low.groebner_basis()
-    ext = _frame_sig(nabla_frame(ctx.m, ctx.n, t))
-    # a basis over the lower frame stays one over the level-t frame: the
-    # term order on ext restricts to gb_low's order on the lower coordinates
-    lifted = [g.restrict(ext) for g in gb_low]
-    residuals = []
-    for gen in pid.generators:
-        top = [
-            v
-            for i, v in enumerate(gen.vars)
-            if isinstance(v, AlgIndet) and v.order == t and gen.degree_in(i) > 0
-        ]
-        if not top:
-            continue
-        # clear denominators: multiply by the product of expression denominators
-        total = RatFunc(MultiPoly.zero(ext))
-        for e, c in gen.terms.items():
-            factor = RatFunc.from_const(ext, c)
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                v = gen.vars[i]
-                if isinstance(v, AlgIndet) and v.order == t and v not in model.basis_coords:
-                    sub = model.expressions[v]
-                    val = _expr_as_ratfunc(sub, ext)
-                else:
-                    val = RatFunc.var(ext, v)
-                factor = factor * val ** x
-            total = total + factor
-        residuals.append(normal_form(total.num, lifted, gb_low.order))
-    return residuals
-
-
-def _expr_as_ratfunc(expr, ext):
-    total = RatFunc(MultiPoly.zero(ext))
-    if expr.const:
-        total = total + RatFunc(expr.const.num.restrict(ext), expr.const.den.restrict(ext))
-    for b, coef in expr.linear.items():
-        if coef:
-            total = total + RatFunc(coef.num.restrict(ext), coef.den.restrict(ext)) * RatFunc.var(ext, b)
-    return total
 
 
 @dataclass

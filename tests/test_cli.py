@@ -309,6 +309,29 @@ class TestExitCodes:
         code, _, err = run(["bound", str(path), "--set", "L"])
         assert code == 3 and "error" in err
 
+    @pytest.mark.parametrize(
+        "clauses",
+        [
+            # the circle: x1^2 + x2^2 is constant on V, not a first integral
+            ["n = 2", "d1 x1 = -x2", "d1 x2 = x1", "ideal = x1^2 + x2^2 - 1"],
+            # 2 x x' = 1 in (t, x, y): x2^2 - x1 is an integral on V
+            ["n = 3", "d1 x1 = 2*x2", "d1 x2 = 2*x2*x3", "d1 x3 = -2*x3^2",
+             "ideal = 2*x2*x3 - 1"],
+        ],
+        ids=["circle", "surface"],
+    )
+    @pytest.mark.parametrize("command", ["darboux", "integrals"])
+    def test_searches_refuse_a_dspec_with_an_ideal(self, tmp_path, clauses, command):
+        path = tmp_path / "variety.dk"
+        body = "".join(f"  {c}\n" for c in ["m = 1", *clauses])
+        path.write_text(f"m=1 n=1 coeffs=Q\ndspec v {{\n{body}}}\n", encoding="utf-8")
+        code, out, err = run(["--json", command, str(path), "--dspec", "v", "--deg", "2"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: dspec 'v' declares an ideal; Darboux and first-integral "
+            "searches run on affine space only\n"
+        )
+
     def test_not_autoreduced_names_indeterminates(self, tmp_path):
         # the violation text names indeterminates as the printer does, the
         # same on every run: in analyze's JSON and in the error of a command

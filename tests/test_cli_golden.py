@@ -45,7 +45,8 @@ output recorded while pseudo-division still ran on Fraction coefficients
 and wedge-check on Fraction vectors.  `reduce_nonlinear_wide.json` reduces
 (d1 u1)^300 u2 on `nonlinear.dk`; its degrees pass 255, so no exponent
 fits 8 bits.  It was recorded while the reduction still keyed its terms by
-exponent tuples.
+exponent tuples.  `wedge_check_d12.json` was recorded while exterior
+vectors still stored their terms under index tuples.
 """
 
 import io
@@ -102,6 +103,7 @@ REDUCE_JOBS = {
         "reduce", "nonlinear.dk", "(d1*u1)^300*u2 + d1^2*u1", "--modulo", "N",
     ],
     "wedge_check_d8": ["wedge-check", "--dim", "8", "--count", "40", "--seed", "159630"],
+    "wedge_check_d12": ["wedge-check", "--dim", "12", "--count", "40", "--seed", "7"],
 }
 
 

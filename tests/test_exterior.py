@@ -158,6 +158,54 @@ class TestBitmaskWedge:
                     checked += bool(want.coeffs)
         assert checked >= 20
 
+    @pytest.mark.parametrize("kind", ["int", "fraction", "ratfunc"])
+    def test_grade_one_factor_on_either_side(self, rng, kind):
+        # a grade-1 right factor takes the popcount(ma >> y) sign; a grade-1
+        # left factor takes the general one
+        for dim in range(2, 11 if kind != "ratfunc" else 6):
+            for grade in range(dim):
+                a = _random_vector(rng, dim, grade, kind)
+                v = _random_vector(rng, dim, 1, kind)
+                for x, y in ((a, v), (v, a)):
+                    got, want = wedge(x, y), reference_wedge(x, y)
+                    assert (got.dim, got.grade) == (want.dim, want.grade)
+                    assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+    def test_masks_past_64_bits(self, rng):
+        dim = 70
+        for _ in range(30):
+            vs = []
+            for grade in (1, 1, 2, 3):
+                coeffs = {}
+                for _ in range(rng.randint(1, 6)):
+                    s = tuple(sorted(rng.sample(range(1, dim + 1), grade)))
+                    coeffs[s] = rng.randint(-4, 4)
+                vs.append(ExtVector(dim, grade, coeffs))
+            for p, q in combinations(vs, 2):
+                for x, y in ((p, q), (q, p)):
+                    got, want = wedge(x, y), reference_wedge(x, y)
+                    assert list(got.coeffs.items()) == list(want.coeffs.items())
+        top = ExtVector.basis(dim, (dim,), 3)
+        low = ExtVector.basis(dim, (1, 65), 2)
+        assert wedge(low, top).coeffs == {(1, 65, 70): 6}
+        assert wedge(top, low).coeffs == {(1, 65, 70): 6}
+        e66, w = ExtVector.basis(dim, (66,), 1), wedge(low, top)
+        assert wedge(e66, w).coeffs == {(1, 65, 66, 70): 6}
+        assert wedge(w, e66).coeffs == {(1, 65, 66, 70): -6}
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "ratfunc"])
+    def test_coeffs_view_round_trips(self, rng, kind):
+        for _ in range(40):
+            dim = rng.randint(1, 7)
+            grade = rng.randint(0, dim)
+            w = _random_vector(rng, dim, grade, kind)
+            if grade < dim:
+                w = wedge(w, _random_vector(rng, dim, 1, kind))
+            assert ExtVector(w.dim, w.grade, w.coeffs) == w
+            assert all(list(s) == sorted(s) and len(s) == w.grade for s in w.coeffs)
+        with pytest.raises(TypeError):
+            w.coeffs[(1,) * w.grade] = 1
+
     def test_collisions_and_signs(self):
         e = {i: ExtVector.basis(9, (i,)) for i in range(1, 10)}
         assert wedge(ExtVector.basis(9, (2, 5, 9)), e[5]).is_zero()
@@ -229,6 +277,22 @@ class TestIntegerCoefficients:
             a, af = ints[0].scaled(k) + ints[1], fracs[0].scaled(Fraction(k)) + fracs[1]
             assert a.coeffs == af.coeffs
             assert wedge(a, ints[-1]).coeffs == wedge(af, fracs[-1]).coeffs
+
+    def test_negation_keeps_the_entry_type(self):
+        v = ExtVector(4, 1, {(1,): 2, (3,): -5})
+        w = ExtVector(4, 1, {(1,): 1, (4,): 7})
+        assert (-v).coeffs == {(1,): -2, (3,): 5}
+        assert (v - w).coeffs == {(1,): 1, (3,): -5, (4,): -7}
+        for u in (-v, v - w, v - v):
+            assert all(type(c) is int for c in u.coeffs.values())
+        assert (v - v).is_zero()
+        f = ExtVector(4, 1, {(2,): Fraction(3, 4)})
+        assert (-f).coeffs == {(2,): Fraction(-3, 4)}
+        assert type((-f).coeffs[(2,)]) is Fraction
+        t = RatFunc(MultiPoly.var(("t",), "t"))
+        r = ExtVector(4, 1, {(2,): (t + 1) / (t - 2)})
+        assert (-r).coeffs == {(2,): (-t - 1) / (t - 2)}
+        assert (r - r).is_zero()
 
     def test_wedge_check_matches_fraction_reference(self):
         count = 8
