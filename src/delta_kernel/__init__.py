@@ -29,7 +29,15 @@ from .dvariety import (
     log_derivative,
 )
 from .exterior import ExtVector, factorization_implication_check, span_probe, wedge
-from .groebner import GroebnerBasis, buchberger, ideal_dimension, normal_form, saturate
+from .groebner import (
+    GREVLEX,
+    LEX,
+    GroebnerBasis,
+    buchberger,
+    ideal_dimension,
+    normal_form,
+    saturate,
+)
 from .heights import (
     HeightReport,
     OdePoly,
@@ -46,14 +54,7 @@ from .initialsets import (
     prolongation_bound,
 )
 from .linalg import ExactMatrix, nullspace, rational_eigen
-from .multipoly import (
-    GREVLEX,
-    LEX,
-    InexactDivisionError,
-    MultiPoly,
-    SignatureMismatchError,
-    poly_gcd,
-)
+from .multipoly import InexactDivisionError, MultiPoly, SignatureMismatchError, poly_gcd
 from .parser import ParseError, ProblemFile, parse_system
 from .prolongation import (
     AffineFiberModel,

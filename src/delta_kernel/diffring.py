@@ -151,10 +151,6 @@ class DiffContext:
     def is_constant_field(self):
         return all(p.is_zero() for p in self.actions.values())
 
-    def action(self, k, gen):
-        poly = self.actions.get((k, gen.index))
-        return poly
-
     def __eq__(self, other):
         if not isinstance(other, DiffContext):
             return NotImplemented

@@ -36,15 +36,15 @@ from itertools import product
 from operator import sub
 
 from .factor import factor_univariate
-from .groebner import GREVLEX, buchberger, normal_form
+from .groebner import buchberger, normal_form
 from .linalg import ExactMatrix, nullspace, rational_eigen, rref, shifted, stack
 from .multipoly import (
     InexactDivisionError,
     MultiPoly,
     coefficients,
     exponents_upto,
-    order_key,
     poly_gcd,
+    sorted_exponents,
 )
 from .ratfunc import RatFunc
 from .solve import SAMPLE_VALUES, sampled_rational_solutions, specialize, undetermined
@@ -172,7 +172,7 @@ class DarbouxResult:
 
 def _monomials(nvars, d):
     """Exponents of the monomials of degree <= d, grevlex-descending."""
-    return sorted(exponents_upto(nvars, d), key=order_key(GREVLEX), reverse=True)
+    return sorted_exponents(exponents_upto(nvars, d))
 
 
 def _action_matrix(spec, k, monos, cofactor=None):

@@ -217,7 +217,7 @@ def factor_univariate(p):
             else:
                 stack += [piece, _exact_quotient(g, piece)]
     factors = [
-        (from_dense([Fraction(c, g[-1]) for c in g], p.vars, i, p.order), mult)
+        (from_dense([Fraction(c, g[-1]) for c in g], p.vars, i), mult)
         for g, mult in found
     ]
     return unit, sorted(factors, key=lambda fm: (fm[0].total_degree(), fm[0].to_str()))

@@ -1,4 +1,11 @@
-"""Buchberger-based Groebner engine over Q.
+"""Buchberger-based Groebner engine over Q, and the owner of term orders.
+
+A term order is an argument of a Groebner run, not a property of a
+polynomial: GREVLEX (the default, for staircase dimensions and the
+searches) and LEX (for elimination and saturation) name the two orders,
+order_key gives a sort key for each, and a GroebnerBasis records the order
+it was computed in, which normal_form reads.  A MultiPoly's own leading
+term, monic form and text are always grevlex.
 
 Used throughout the package as the independent algebraic oracle: ideal
 membership via normal forms, staircase (Krull) dimension by branch-and-bound
@@ -54,7 +61,23 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, ge, neg, sub
 
-from .multipoly import GREVLEX, LEX, MultiPoly, integer_terms, order_key
+from .multipoly import MultiPoly, grevlex_key, integer_terms
+
+GREVLEX = "grevlex"
+LEX = "lex"
+
+
+def _lex_key(e):
+    return e
+
+
+def order_key(order):
+    """Return a sort key on exponent tuples for the given term order tag."""
+    if order == GREVLEX:
+        return grevlex_key
+    if order == LEX:
+        return _lex_key
+    raise ValueError(f"unknown term order {order!r}")
 
 
 def _lcm(e1, e2):
@@ -127,32 +150,33 @@ def _integral(p, key):
     return t, le, Fraction(g, den)
 
 
-def _from_ints(t, scale, vars, order):
+def _from_ints(t, scale, vars):
     """The MultiPoly with coefficients scale * t[e]."""
-    out = MultiPoly.zero(vars, order)
+    out = MultiPoly.zero(vars)
     out.terms = {e: c * scale for e, c in t.items()}
     return out
 
 
-def normal_form(p, basis, order=None):
+def normal_form(p, basis, order=GREVLEX):
     """Remainder of p on division by the basis; no term divisible by any LT.
 
-    normal_form(p, G) == 0 iff p lies in the ideal, when G is a Groebner
-    basis for the order.  The remainder is exact, not a scalar multiple.
+    The leading terms are taken under the basis's own order when basis is a
+    GroebnerBasis, else under order.  normal_form(p, G) == 0 iff p lies in
+    the ideal, when G is a Groebner basis for that order.  The remainder is
+    exact, not a scalar multiple.
     """
-    gens = list(basis.generators) if isinstance(basis, GroebnerBasis) else list(basis)
-    if order is None:
-        order = basis.order if isinstance(basis, GroebnerBasis) else p.order
+    if isinstance(basis, GroebnerBasis):
+        order = basis.order
     if p.is_zero():
-        return MultiPoly.zero(p.vars, order)
+        return MultiPoly.zero(p.vars)
     key = order_key(order)
-    ints = [_integral(g, key) for g in gens if not g.is_zero()]
+    ints = [_integral(g, key) for g in basis if not g.is_zero()]
     t, _, content = _integral(p, key)
     leads = [le for _, le, _ in ints]
     rem, mult = _reduce(
         t, [g for g, _, _ in ints], leads, [_mask(le) for le in leads], _descending_key(order)
     )
-    return _from_ints(rem, content / mult, p.vars, order)
+    return _from_ints(rem, content / mult, p.vars)
 
 
 def _reduce(t, gens, leads, masks, desc):
@@ -212,8 +236,10 @@ def _reduce(t, gens, leads, masks, desc):
 
 
 def s_polynomial(f, g, order):
-    ef, cf = f.leading(order)
-    eg, cg = g.leading(order)
+    key = order_key(order)
+    ef = max(f.terms, key=key)
+    eg = max(g.terms, key=key)
+    cf, cg = f.terms[ef], g.terms[eg]
     lij = _lcm(ef, eg)
     mf = tuple(map(sub, lij, ef))
     mg = tuple(map(sub, lij, eg))
@@ -238,20 +264,18 @@ def _s_poly(f, ef, g, eg, lij):
     return out
 
 
-def buchberger(gens, order=None):
-    """Reduced Groebner basis of the ideal generated by gens: the MultiPoly
-    face of buchberger_terms, monic over Q."""
-    all_vars = gens[0].vars if gens else ()
+def buchberger(gens, order=GREVLEX):
+    """Reduced Groebner basis of the ideal generated by gens under the term
+    order: the MultiPoly face of buchberger_terms, each element monic in
+    that order over Q."""
+    vars = gens[0].vars if gens else ()
     gens = [g for g in gens if not g.is_zero()]
-    if order is None:
-        order = gens[0].order if gens else GREVLEX
     if not gens:
-        return GroebnerBasis((), order, all_vars)
-    vars = gens[0].vars
+        return GroebnerBasis((), order, vars)
     key = order_key(order)
     ints = [_integral(g, key) for g in gens]
     basis, leads = buchberger_terms([t for t, _, _ in ints], [le for _, le, _ in ints], order)
-    return GroebnerBasis(tuple(_monic(basis, leads, vars, order)), order, vars)
+    return GroebnerBasis(tuple(_monic(basis, leads, vars)), order, vars)
 
 
 def buchberger_terms(gens, gen_leads, order):
@@ -366,9 +390,10 @@ def _reduced(basis, leads, order):
     return kept, kept_leads
 
 
-def _monic(basis, leads, vars, order):
-    """The integer term dicts of a basis as monic MultiPolys."""
-    return [_from_ints(g, Fraction(1, g[le]), vars, order) for g, le in zip(basis, leads)]
+def _monic(basis, leads, vars):
+    """The integer term dicts of a basis, with leading monomials leads, as
+    MultiPolys whose coefficients at those monomials are 1."""
+    return [_from_ints(g, Fraction(1, g[le]), vars) for g, le in zip(basis, leads)]
 
 
 def _max_independent_set(leads, nvars):
@@ -477,5 +502,5 @@ def saturate(gens, h):
     """
     ext = (_SatVar(),) + h.vars
     lifted = [g.restrict(ext) for g in gens]
-    rab = MultiPoly.gen(ext, 0, LEX) * h.restrict(ext) - MultiPoly.const(ext, 1, LEX)
+    rab = MultiPoly.gen(ext, 0) * h.restrict(ext) - 1
     return eliminate_first(lifted + [rab])

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import GREVLEX, buchberger_terms, independent_variable_set
-from .multipoly import MultiPoly, exponents_upto, integer_terms, mul_integer_terms, order_key
+from .groebner import GREVLEX, buchberger_terms, independent_variable_set, order_key
+from .multipoly import MultiPoly, exponents_upto, integer_terms, mul_integer_terms, sorted_exponents
 from .ratfunc import RatFunc
 from .solve import solve_terms, specialize, undetermined
 
@@ -134,10 +134,9 @@ def rational_solution_search(ode, degree_bound):
             "multivariate coefficients: experimental pipeline, heights use total degree"
         )
     seen = set()
-    key = order_key(GREVLEX)
     for pmax in range(degree_bound + 1):
         for dq in range(pmax + 1):
-            exponents = sorted(exponents_upto(s, dq), key=key, reverse=True)
+            exponents = sorted_exponents(exponents_upto(s, dq))
             for pivot in (e for e in exponents if sum(e) == dq):
                 _run_stratum(ode, pmax, dq, pivot, report, seen)
                 if s == 1:
@@ -154,9 +153,9 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
     tsig = ode.tvars
     s = len(tsig)
     key = order_key(GREVLEX)
-    p_monos = sorted(exponents_upto(s, pmax), key=key, reverse=True)
+    p_monos = sorted_exponents(exponents_upto(s, pmax))
     # q: pivot monomial pinned to 1, strictly grevlex-smaller monomials free
-    q_monos = sorted(exponents_upto(s, dq), key=key, reverse=True)
+    q_monos = sorted_exponents(exponents_upto(s, dq))
     q_free = [e for e in q_monos if key(e) < key(pivot)]
     avars = [f"a{i}" for i in range(len(p_monos))]
     bvars = [f"b{i}" for i in range(len(q_free))]

@@ -30,18 +30,6 @@ class ExactMatrix:
             raise ValueError("matrix rows have unequal length")
         self.one = one
 
-    @classmethod
-    def zero(cls, rows, cols, one=Fraction(1)):
-        z = one - one
-        return cls([[z] * cols for _ in range(rows)], one)
-
-    @classmethod
-    def identity(cls, n, one=Fraction(1)):
-        m = cls.zero(n, n, one)
-        for i in range(n):
-            m.entries[i][i] = one
-        return m
-
     def copy(self):
         return ExactMatrix(self.entries, self.one)
 
@@ -49,12 +37,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def mul_vec(self, v):
-        return [
-            sum((row[j] * v[j] for j in range(self.cols)), self.one - self.one)
-            for row in self.entries
-        ]
 
     def __repr__(self):
         return f"ExactMatrix({self.entries!r})"
@@ -113,8 +95,8 @@ def rank(m):
 def nullspace(m):
     """Basis of the right kernel; empty list when the kernel is trivial.
 
-    Each vector v satisfies m.mul_vec(v) == 0 exactly, and the basis size is
-    cols - rank(m).
+    Each vector v satisfies sum(row[j] * v[j]) == 0 exactly for every row of
+    m, and the basis size is cols - rank(m).
     """
     rows, pivots = _echelon(m)
     zero = m.one - m.one

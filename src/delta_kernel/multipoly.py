@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Variables are opaque hashable ids carried in an ordered signature; terms map
-exponent tuples to nonzero Fraction coefficients.  Two term orders are
-supported: graded reverse lexicographic (the default) and lexicographic
-(for elimination).  All arithmetic is exact; there is no floating point
-anywhere in this package.
+exponent tuples to nonzero Fraction coefficients.  A polynomial carries no
+term order: its leading term, its monic and primitive forms, exact division
+and its text are all taken under graded reverse lexicographic order
+(grevlex_key, sorted_exponents).  A Groebner run takes its order as an
+argument (groebner), which is where lex, for elimination, lives.  All
+arithmetic is exact; there is no floating point anywhere in this package.
 
 Coefficients are Fraction in every MultiPoly.  Loops that would make a
 Fraction per operation run on integer term dicts instead: integer_terms
@@ -54,10 +56,6 @@ from math import lcm
 from operator import add, itemgetter, neg, or_, sub
 from struct import Struct
 
-GREVLEX = "grevlex"
-LEX = "lex"
-
-
 class SignatureMismatchError(ValueError):
     """Binary operation on polynomials with different variable signatures."""
 
@@ -66,38 +64,23 @@ class InexactDivisionError(ArithmeticError):
     """exact_div called on a non-divisible pair; never a silent remainder."""
 
 
-def _grevlex_key(e):
+def grevlex_key(e):
+    """Sort key on exponent tuples for graded reverse lexicographic order."""
     return (sum(e), tuple(map(neg, reversed(e))))
-
-
-def _lex_key(e):
-    return e
-
-
-def order_key(order):
-    """Return a sort key on exponent tuples for the given term order tag."""
-    if order == GREVLEX:
-        return _grevlex_key
-    if order == LEX:
-        return _lex_key
-    raise ValueError(f"unknown term order {order!r}")
 
 
 _reversed_tuple = itemgetter(slice(None, None, -1))
 
 
-def sorted_exponents(terms, order, reverse=True):
-    """The exponent tuples of terms sorted by the term order, largest first
-    unless reverse is False.
+def sorted_exponents(terms):
+    """The exponent tuples of terms sorted grevlex-descending, largest first.
 
-    Under grevlex two stable sorts with C-level keys do it: by the reversed
-    tuple (ascending for largest first), then by degree; so no Python key
-    function runs per term.
+    Two stable sorts with C-level keys do it: by the reversed tuple
+    (ascending), then by degree (descending); so no Python key function
+    runs per term.
     """
-    if order != GREVLEX:
-        return sorted(terms, key=order_key(order), reverse=reverse)
-    out = sorted(terms, key=_reversed_tuple, reverse=not reverse)
-    out.sort(key=sum, reverse=reverse)
+    out = sorted(terms, key=_reversed_tuple)
+    out.sort(key=sum, reverse=True)
     return out
 
 
@@ -110,11 +93,10 @@ def _as_fraction(c):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms", "order")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, vars, terms=None, order=GREVLEX):
+    def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        self.order = order
         clean = {}
         if terms:
             nv = len(self.vars)
@@ -138,32 +120,32 @@ class MultiPoly:
     # ---------- constructors ----------
 
     @classmethod
-    def zero(cls, vars, order=GREVLEX):
-        return cls(vars, {}, order)
+    def zero(cls, vars):
+        return cls(vars, {})
 
     @classmethod
-    def const(cls, vars, c, order=GREVLEX):
+    def const(cls, vars, c):
         c = _as_fraction(c)
         vars = tuple(vars)
         if not c:
-            return cls(vars, {}, order)
-        return cls(vars, {(0,) * len(vars): c}, order)
+            return cls(vars, {})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
-    def gen(cls, vars, index, order=GREVLEX):
+    def gen(cls, vars, index):
         vars = tuple(vars)
         e = [0] * len(vars)
         e[index] = 1
-        return cls(vars, {tuple(e): Fraction(1)}, order)
+        return cls(vars, {tuple(e): Fraction(1)})
 
     @classmethod
-    def var(cls, vars, v, order=GREVLEX):
+    def var(cls, vars, v):
         vars = tuple(vars)
-        return cls.gen(vars, vars.index(v), order)
+        return cls.gen(vars, vars.index(v))
 
     @classmethod
-    def monomial(cls, vars, expo, coeff=1, order=GREVLEX):
-        return cls(vars, {tuple(expo): _as_fraction(coeff)}, order)
+    def monomial(cls, vars, expo, coeff=1):
+        return cls(vars, {tuple(expo): _as_fraction(coeff)})
 
     # ---------- predicates & accessors ----------
 
@@ -203,19 +185,14 @@ class MultiPoly:
                     used.add(i)
         return used
 
-    def leading(self, order=None):
-        """(exponent, coefficient) of the leading term under the active order."""
+    def leading(self):
+        """(exponent, coefficient) of the grevlex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = order_key(order or self.order)
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=grevlex_key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order=None, reverse=True):
-        terms = self.terms
-        return [(e, terms[e]) for e in sorted_exponents(terms, order or self.order, reverse)]
-
-    # ---------- equality (order tag excluded) ----------
+    # ---------- equality ----------
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -235,7 +212,7 @@ class MultiPoly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other, self.order)
+            other = MultiPoly.const(self.vars, other)
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -248,20 +225,20 @@ class MultiPoly:
                     terms[e] = acc
                 else:
                     del terms[e]
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = {e: -c for e, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other, self.order)
+            other = MultiPoly.const(self.vars, other)
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -274,7 +251,7 @@ class MultiPoly:
                     terms[e] = acc
                 else:
                     del terms[e]
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = terms
         return out
 
@@ -286,18 +263,18 @@ class MultiPoly:
             return self.scale(other)
         self._check(other)
         if not self.terms or not other.terms:
-            return MultiPoly.zero(self.vars, self.order)
+            return MultiPoly.zero(self.vars)
         da, a = integer_terms(self.terms)
         db, b = integer_terms(other.terms)
         if len(a) < len(b):
             a, b = b, a
-        return from_integer_terms(self.vars, mul_integer_terms(None, a, b), da * db, self.order)
+        return from_integer_terms(self.vars, mul_integer_terms(None, a, b), da * db)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = _as_fraction(c)
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         if c:
             out.terms = {e: c * k for e, k in self.terms.items()}
         return out
@@ -305,7 +282,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(self.vars, 1, self.order)
+        result = MultiPoly.const(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -316,7 +293,7 @@ class MultiPoly:
 
     def mul_monomial(self, expo, coeff=1):
         coeff = _as_fraction(coeff)
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         if coeff:
             out.terms = {
                 tuple(map(add, e, expo)): c * coeff for e, c in self.terms.items()
@@ -326,17 +303,16 @@ class MultiPoly:
     def exact_div(self, other):
         """Exact quotient; raises InexactDivisionError when other does not divide."""
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other, self.order)
+            other = MultiPoly.const(self.vars, other)
         self._check(other)
         if not other.terms:
             raise ZeroDivisionError("division by the zero polynomial")
-        key = order_key(self.order)
         le, lc = other.leading()
         divisor = other.terms.items()
         q = {}
         r = dict(self.terms)
         while r:
-            re = max(r, key=key)
+            re = max(r, key=grevlex_key)
             diff = tuple(map(sub, re, le))
             if any(d < 0 for d in diff):
                 raise InexactDivisionError("polynomial division leaves a remainder")
@@ -349,7 +325,7 @@ class MultiPoly:
                     r[e] = acc
                 else:
                     del r[e]
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = q
         return out
 
@@ -368,7 +344,7 @@ class MultiPoly:
         terms = {
             tuple(map(sub, e, step)): c * e[i] for e, c in self.terms.items() if e[i]
         }
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = terms
         return out
 
@@ -413,7 +389,7 @@ class MultiPoly:
                     terms[ne] = acc
                 else:
                     terms.pop(ne, None)
-        out = MultiPoly.zero(self.vars, self.order)
+        out = MultiPoly.zero(self.vars)
         out.terms = terms
         return out
 
@@ -441,7 +417,7 @@ class MultiPoly:
         if vars == self.vars:
             return self
         # distinct terms stay distinct: only zero columns are dropped
-        out = MultiPoly.zero(vars, self.order)
+        out = MultiPoly.zero(vars)
         out.terms = restrict_terms(self.terms, self.vars, vars)
         return out
 
@@ -467,20 +443,21 @@ class MultiPoly:
             return self
         return self.scale(1 / cont)
 
-    def monic(self, order=None):
+    def monic(self):
         if not self.terms:
             return self
-        _, lc = self.leading(order)
+        _, lc = self.leading()
         return self.scale(1 / lc)
 
     # ---------- printing ----------
 
-    def to_str(self, names=None):
+    def to_str(self):
         if not self.terms:
             return "0"
-        names = names or [str(v) for v in self.vars]
+        names = [str(v) for v in self.vars]
         pieces = []
-        for e, c in self.sorted_terms():
+        for e in sorted_exponents(self.terms):
+            c = self.terms[e]
             factors = []
             for name, x in zip(names, e):
                 if x == 1:
@@ -601,10 +578,10 @@ def add_integer_products(out, pairs, b):
     return out
 
 
-def from_integer_terms(vars, terms, den, order=GREVLEX):
+def from_integer_terms(vars, terms, den):
     """The MultiPoly with coefficients terms[e] / den, its zero entries
     dropped: one Fraction per surviving term."""
-    out = MultiPoly.zero(vars, order)
+    out = MultiPoly.zero(vars)
     if den == 1:
         out.terms = {e: Fraction(c) for e, c in terms.items() if c}
     else:
@@ -711,7 +688,7 @@ def exponents_upto(n, d):
     """Exponent tuples of length n with coordinate sum <= d.
 
     The first coordinate varies slowest and every coordinate ascends; sort
-    with order_key at the call site when a term order is wanted.
+    with sorted_exponents at the call site when grevlex order is wanted.
     """
     if n == 0:
         yield ()
@@ -729,7 +706,7 @@ def dense_coeffs(p, i=0):
     return out
 
 
-def from_dense(coeffs, vars, i=0, order=GREVLEX):
+def from_dense(coeffs, vars, i=0):
     """The polynomial sum of coeffs[k] * (variable i)^k over the signature."""
     terms = {}
     for k, c in enumerate(coeffs):
@@ -737,7 +714,7 @@ def from_dense(coeffs, vars, i=0, order=GREVLEX):
             e = [0] * len(vars)
             e[i] = k
             terms[tuple(e)] = c
-    return MultiPoly(vars, terms, order)
+    return MultiPoly(vars, terms)
 
 
 def horner(coeffs, x):
@@ -855,7 +832,7 @@ def _poly_gcd(a, b):
 def coeff_of_power(p, i, d):
     """Coefficient of x**d in the MultiPoly p, x its variable at index i;
     over p's signature, free of x."""
-    out = MultiPoly.zero(p.vars, p.order)
+    out = MultiPoly.zero(p.vars)
     out.terms = {e[:i] + (0,) + e[i + 1 :]: c for e, c in p.terms.items() if e[i] == d}
     return out
 
@@ -870,7 +847,7 @@ def coefficients(p, k):
         buckets.setdefault(e[:k], {})[e[k:]] = c
     out = {}
     for head, terms in buckets.items():
-        q = out[head] = MultiPoly.zero(p.vars[k:], p.order)
+        q = out[head] = MultiPoly.zero(p.vars[k:])
         q.terms = terms
     return out
 
@@ -892,8 +869,8 @@ def pseudo_divide(a, b, i):
     B = den_b, {pack(x): c for x, c in B.items()}
     e, Q, R, D, width = pseudo_divide_terms(A, B, i, ncols, width)
     unpack = packer(ncols, width)[1]
-    q = from_integer_terms(b.vars, {unpack(k): c for k, c in Q.items()}, D, b.order)
-    r = from_integer_terms(b.vars, {unpack(k): c for k, c in R.items()}, D, b.order)
+    q = from_integer_terms(b.vars, {unpack(k): c for k, c in Q.items()}, D)
+    r = from_integer_terms(b.vars, {unpack(k): c for k, c in R.items()}, D)
     return e, q, r
 
 
@@ -975,12 +952,12 @@ def poly_gcd(a, b):
         return a.monic()
     sa, sb = a.support_indices(), b.support_indices()
     if not (sa & sb):
-        return MultiPoly.const(a.vars, 1, a.order)
+        return MultiPoly.const(a.vars, 1)
     support = sa | sb
     if len(support) == 1:
         (i,) = support
         g = _poly_gcd(_integer_coeffs(a, i), _integer_coeffs(b, i))
-        return from_dense([Fraction(c, g[-1]) for c in g], a.vars, i, a.order)
+        return from_dense([Fraction(c, g[-1]) for c in g], a.vars, i)
     i = min(support)
 
     def content_pp(p):
@@ -989,7 +966,7 @@ def poly_gcd(a, b):
             c = coeff_of_power(p, i, d)
             cont = c.monic() if cont is None else poly_gcd(cont, c)
             if cont.is_constant():
-                cont = MultiPoly.const(p.vars, 1, p.order)
+                cont = MultiPoly.const(p.vars, 1)
                 break
         pp = p if cont.is_constant() and cont.constant_value() == 1 else p.exact_div(cont)
         return cont, pp
@@ -1012,5 +989,5 @@ def poly_gcd(a, b):
 
 def poly_lcm(a, b):
     if not a.terms or not b.terms:
-        return MultiPoly.zero(a.vars, a.order)
+        return MultiPoly.zero(a.vars)
     return (a * b).exact_div(poly_gcd(a, b)).monic()

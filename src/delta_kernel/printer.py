@@ -1,7 +1,7 @@
 """Canonical text forms for the expression grammar.
 
 parse(print(x)) == x for every value the printer accepts; the printers sort
-terms by the descending term order of the body, so output is stable.
+terms grevlex-descending (sorted_exponents), so output is stable.
 
 A differential polynomial is printed by one kernel, print_integer_terms,
 from integer terms over one denominator: each coefficient is put in lowest
@@ -16,7 +16,7 @@ from math import gcd
 from operator import getitem
 
 from .diffring import CoeffGen, indet_name
-from .multipoly import GREVLEX, integer_terms, sorted_exponents
+from .multipoly import integer_terms, sorted_exponents
 
 
 def _indet_factor(v, exp):
@@ -49,10 +49,10 @@ class _Factors(dict):
 
 def print_diffpoly(f):
     body = f.body
-    return print_integer_terms(body.vars, *integer_terms(body.terms), body.order)
+    return print_integer_terms(body.vars, *integer_terms(body.terms))
 
 
-def print_integer_terms(vars, den, terms, order=GREVLEX):
+def print_integer_terms(vars, den, terms):
     """The text of the polynomial with coefficients terms[e] / den over the
     signature vars (a differential ring's: algebraic indeterminates, then
     coefficient generators), terms holding no zero entry."""
@@ -62,7 +62,7 @@ def print_integer_terms(vars, den, terms, order=GREVLEX):
     # of a power 0 is empty, and filter drops it
     factors = [_Factors(v) for v in reversed(vars)]
     pieces = []
-    for e in sorted_exponents(terms, order):
+    for e in sorted_exponents(terms):
         mono = "*".join(filter(None, map(getitem, factors, e[::-1])))
         num = terms[e]
         negative = num < 0

@@ -1,4 +1,10 @@
-"""Rational functions over Q in lowest terms with a monic denominator."""
+"""Rational functions over Q in lowest terms with a monic denominator.
+
+The numerator and denominator are MultiPolys over one signature.  The
+gcd is divided out on construction and the denominator made monic under
+grevlex, the order every MultiPoly's leading term is taken in, so each
+rational function has one representative and equality is structural.
+"""
 
 from __future__ import annotations
 
@@ -8,23 +14,20 @@ from .multipoly import MultiPoly, SignatureMismatchError, poly_gcd
 
 
 class RatFunc:
-    """num/den with gcd(num, den) = 1 and den monic under the active order.
-
-    The normalization makes representatives unique, so equality is structural.
-    """
+    """num/den with gcd(num, den) = 1 and den monic under grevlex."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, reduce=True):
         if den is None:
-            den = MultiPoly.const(num.vars, 1, num.order)
+            den = MultiPoly.const(num.vars, 1)
         if num.vars != den.vars:
             raise SignatureMismatchError("numerator and denominator signatures differ")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce:
             if num.is_zero():
-                den = MultiPoly.const(num.vars, 1, num.order)
+                den = MultiPoly.const(num.vars, 1)
             else:
                 g = poly_gcd(num, den)
                 if g.total_degree() > 0:
@@ -40,12 +43,12 @@ class RatFunc:
     # ---------- constructors ----------
 
     @classmethod
-    def from_const(cls, vars, c, order="grevlex"):
-        return cls(MultiPoly.const(vars, c, order), reduce=False)
+    def from_const(cls, vars, c):
+        return cls(MultiPoly.const(vars, c), reduce=False)
 
     @classmethod
-    def var(cls, vars, v, order="grevlex"):
-        return cls(MultiPoly.var(vars, v, order), reduce=False)
+    def var(cls, vars, v):
+        return cls(MultiPoly.var(vars, v), reduce=False)
 
     # ---------- predicates ----------
 
@@ -61,16 +64,13 @@ class RatFunc:
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_polynomial(self):
-        return self.den.is_constant()
-
     # ---------- coercion ----------
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFunc.from_const(self.num.vars, other, self.num.order)
+            return RatFunc.from_const(self.num.vars, other)
         if isinstance(other, MultiPoly):
             return RatFunc(other, reduce=False)
         return None
@@ -152,11 +152,11 @@ class RatFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def to_str(self, names=None):
+    def to_str(self):
         if self.den.is_constant() and self.den.constant_value() == 1:
-            return self.num.to_str(names)
-        ns = self.num.to_str(names)
-        ds = self.den.to_str(names)
+            return self.num.to_str()
+        ns = self.num.to_str()
+        ds = self.den.to_str()
         if len(self.num.terms) > 1:
             ns = f"({ns})"
         if len(self.den.terms) > 1:

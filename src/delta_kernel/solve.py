@@ -46,8 +46,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .factor import integer_rational_roots
-from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger_terms, independent_variable_set
-from .multipoly import MultiPoly, integer_terms, order_key
+from .groebner import (
+    GREVLEX,
+    LEX,
+    GroebnerBasis,
+    buchberger_terms,
+    independent_variable_set,
+    order_key,
+)
+from .multipoly import MultiPoly, integer_terms
 
 # The parameter values every positive-dimensional system is sampled on.
 SAMPLE_VALUES = (0, 1, -1, 2, -2, 3)

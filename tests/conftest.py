@@ -23,9 +23,9 @@ def random_fraction(rng, span=6):
     return Fraction(num, den)
 
 
-def with_order(p, order):
-    """The MultiPoly p tagged with the term order order."""
-    return p if order == p.order else MultiPoly(p.vars, p.terms, order)
+def mul_vec(m, v):
+    """The product of the ExactMatrix m with the column vector v."""
+    return [sum((x * y for x, y in zip(row, v)), m.one - m.one) for row in m.entries]
 
 
 def random_multipoly(rng, sig, max_degree=3, max_terms=4, allow_zero=True):

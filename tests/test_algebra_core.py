@@ -24,16 +24,16 @@ from delta_kernel.multipoly import (
     horner,
     interpolate,
     mul_integer_terms,
-    order_key,
     poly_gcd,
     pseudo_divide,
     pseudo_divide_terms,
     restrict_terms,
     sorted_exponents,
 )
+from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.ratfunc import RatFunc
 
-from conftest import default_seed, random_fraction, random_multipoly, with_order
+from conftest import default_seed, mul_vec, random_fraction, random_multipoly
 
 SIG = ("x", "y")
 X = MultiPoly.var(SIG, "x")
@@ -212,15 +212,10 @@ class TestTermDictHelpers:
 
     def test_sorted_exponents_is_the_term_order(self):
         rng = random.Random(default_seed() + 22)
-        for order in (multipoly.GREVLEX, multipoly.LEX):
-            for _ in range(40):
-                p = random_multipoly(rng, ("x", "y", "z"), max_degree=4, max_terms=8)
-                for reverse in (True, False):
-                    want = sorted(p.terms, key=order_key(order), reverse=reverse)
-                    assert sorted_exponents(p.terms, order, reverse) == want
-                assert [e for e, _ in with_order(p, order).sorted_terms()] == sorted(
-                    p.terms, key=order_key(order), reverse=True
-                )
+        for _ in range(80):
+            p = random_multipoly(rng, ("x", "y", "z"), max_degree=4, max_terms=8)
+            want = sorted(p.terms, key=order_key(GREVLEX), reverse=True)
+            assert sorted_exponents(p.terms) == want
 
     def test_mul_integer_terms_new_or_accumulated(self):
         a = {(1, 0): 2, (0, 1): -3}
@@ -368,15 +363,15 @@ class TestLinalg:
         m = ExactMatrix([[1, 1], [2, 2]])
         basis = nullspace(m)
         assert len(basis) == 1
-        assert m.mul_vec(basis[0]) == [0, 0]
+        assert mul_vec(m, basis[0]) == [0, 0]
         v = basis[0]
         assert v[0] == -v[1]
 
     def test_nullspace_identity(self):
-        assert nullspace(ExactMatrix.identity(2)) == []
+        assert nullspace(ExactMatrix([[1, 0], [0, 1]])) == []
 
     def test_nullspace_zero_matrix(self):
-        basis = nullspace(ExactMatrix.zero(2, 3))
+        basis = nullspace(ExactMatrix([[0, 0, 0], [0, 0, 0]]))
         assert len(basis) == 3
 
     def test_nullspace_random_exact(self):
@@ -389,7 +384,7 @@ class TestLinalg:
             )
             basis = nullspace(m)
             for v in basis:
-                assert all(x == 0 for x in m.mul_vec(v))
+                assert all(x == 0 for x in mul_vec(m, v))
             assert len(basis) + rank(m) == cols
 
     def test_rational_eigen_diagonal(self):

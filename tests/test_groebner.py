@@ -13,22 +13,49 @@ from delta_kernel.groebner import (
     ideal_dimension,
     independent_variable_set,
     normal_form,
+    order_key,
     s_polynomial,
     saturate,
 )
-from delta_kernel.multipoly import MultiPoly, exponents_upto, order_key
+from delta_kernel.multipoly import MultiPoly, exponents_upto, poly_gcd
+from delta_kernel.ratfunc import RatFunc
 from delta_kernel.solve import sampled_rational_solutions
 
-from conftest import default_seed, random_multipoly, with_order
+from conftest import default_seed, random_multipoly
 
 SIG = ("x", "y")
 X = MultiPoly.var(SIG, "x")
 Y = MultiPoly.var(SIG, "y")
 
 
+def _leading(p, order):
+    """(exponent, coefficient) of the leading term of p under the order."""
+    e = max(p.terms, key=order_key(order))
+    return e, p.terms[e]
+
+
+def _monic(p, order):
+    """p divided by its leading coefficient under the order."""
+    return p.scale(1 / _leading(p, order)[1]) if p.terms else p
+
+
 def test_buchberger_lex_example():
     gb = buchberger([X * Y - 1, Y * Y - 1], LEX)
     assert {g.to_str() for g in gb.generators} == {"x - y", "y^2 - 1"}
+
+
+def test_lex_basis_element_behaves_as_its_polynomial():
+    # x + 1/2*y^2 from a lex run against the same polynomial built directly:
+    # equal polynomials, so equal monic forms, gcds, quotients and text
+    (g,) = buchberger([2 * X + Y * Y], LEX).generators
+    p = X + Y * Y * Fraction(1, 2)
+    assert g == p
+    assert g.monic() == p.monic() and g.monic().to_str() == "y^2 + 2*x"
+    assert poly_gcd(g * g, g) == poly_gcd(p * p, p)
+    one = MultiPoly.const(SIG, 1)
+    assert RatFunc(one, g) == RatFunc(one, p)
+    assert RatFunc(one, g).to_str() == RatFunc(one, p).to_str() == "2/(y^2 + 2*x)"
+    assert str(g) == str(p)
 
 
 def test_buchberger_principal_monomial():
@@ -200,10 +227,10 @@ def test_saturation_matches_sympy():
             [_to_sympy(sympy, syms, g) for g in gens] + [w * _to_sympy(sympy, syms, h) - 1],
             w, *syms, order="lex", domain="QQ",
         ).exprs
-        want = {_from_sympy(sympy, syms, g, sig).monic(LEX) for g in theirs if not g.has(w)}
+        want = {_monic(_from_sympy(sympy, syms, g, sig), LEX) for g in theirs if not g.has(w)}
         assert len(sat) == len(want) and set(sat.generators) == want
-        assert all(g.leading(LEX)[1] == 1 for g in sat)
-        leads = [g.leading(LEX)[0] for g in sat]
+        assert all(_leading(g, LEX)[1] == 1 for g in sat)
+        leads = [_leading(g, LEX)[0] for g in sat]
         assert leads == sorted(leads)
         proper += not set(sat.generators) <= set(buchberger(gens, LEX).generators)
     assert proper >= 3
@@ -218,29 +245,29 @@ def _interreduce(basis, order):
     that makes the result the unique reduced basis."""
     key = order_key(order)
     kept = []
-    for g in sorted((g for g in basis if not g.is_zero()), key=lambda g: key(g.leading(order)[0])):
-        le = g.leading(order)[0]
-        if not any(all(a <= b for a, b in zip(h.leading(order)[0], le)) for h in kept):
+    for g in sorted((g for g in basis if not g.is_zero()), key=lambda g: key(_leading(g, order)[0])):
+        le = _leading(g, order)[0]
+        if not any(all(a <= b for a, b in zip(_leading(h, order)[0], le)) for h in kept):
             kept.append(g)
     return [
-        normal_form(g, kept[:i] + kept[i + 1 :], order).monic(order) for i, g in enumerate(kept)
+        _monic(normal_form(g, kept[:i] + kept[i + 1 :], order), order) for i, g in enumerate(kept)
     ]
 
 
 def _buchberger_no_criteria(gens, order):
     """Textbook Buchberger without pair-skipping criteria; test oracle."""
     key = order_key(order)
-    basis = [with_order(g, order).monic(order) for g in gens if not g.is_zero()]
+    basis = [_monic(g, order) for g in gens if not g.is_zero()]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
-        i, j = min(pairs, key=lambda p: key(
-            tuple(max(a, b) for a, b in zip(basis[p[0]].leading()[0], basis[p[1]].leading()[0]))
-        ))
+        i, j = min(pairs, key=lambda p: key(tuple(map(
+            max, _leading(basis[p[0]], order)[0], _leading(basis[p[1]], order)[0]
+        ))))
         pairs.remove((i, j))
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero():
             continue
-        basis.append(r.monic(order))
+        basis.append(_monic(r, order))
         new = len(basis) - 1
         pairs.extend((k, new) for k in range(new))
     return GroebnerBasis(tuple(_interreduce(basis, order)), order, gens[0].vars)
@@ -323,9 +350,9 @@ def test_buchberger_matches_sympy():
         if not gens:
             continue
         for order in (GREVLEX, LEX):
-            ours = {g.monic(order) for g in buchberger(list(gens), order).generators}
+            ours = {_monic(g, order) for g in buchberger(list(gens), order).generators}
             theirs = {
-                _from_sympy(sympy, syms, g, sig).monic(order)
+                _monic(_from_sympy(sympy, syms, g, sig), order)
                 for g in sympy.groebner(
                     [_to_sympy(sympy, syms, g) for g in gens], *syms, order=order, domain="QQ"
                 ).exprs
@@ -451,7 +478,7 @@ def test_redundant_inputs_match_sympy_and_plain_buchberger():
         for order in (GREVLEX, LEX):
             ours = buchberger(list(gens), order)
             theirs = {
-                _from_sympy(sympy, syms, g, sig).monic(order)
+                _monic(_from_sympy(sympy, syms, g, sig), order)
                 for g in sympy.groebner(
                     [_to_sympy(sympy, syms, g) for g in gens], *syms, order=order, domain="QQ"
                 ).exprs

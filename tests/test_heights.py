@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from delta_kernel import heights
-from delta_kernel.groebner import GREVLEX
+from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.heights import (
     OdePoly,
     height_axioms_check,
@@ -11,7 +11,7 @@ from delta_kernel.heights import (
     rational_solution_search,
     verify_ode_solution,
 )
-from delta_kernel.multipoly import MultiPoly, coefficients, exponents_upto, order_key
+from delta_kernel.multipoly import MultiPoly, coefficients, exponents_upto
 from delta_kernel.ratfunc import RatFunc
 from delta_kernel.solve import undetermined
 

@@ -16,12 +16,12 @@ import pytest
 from delta_kernel import dvariety, exterior, linalg
 from delta_kernel.dvariety import DSpec
 from delta_kernel.exterior import ExtVector
-from delta_kernel.groebner import GREVLEX
+from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.linalg import ExactMatrix, nullspace, rank, rational_eigen, rref, shifted
-from delta_kernel.multipoly import MultiPoly, exponents_upto, order_key
+from delta_kernel.multipoly import MultiPoly, exponents_upto
 from delta_kernel.ratfunc import RatFunc
 
-from conftest import default_seed, random_fraction
+from conftest import default_seed, mul_vec, random_fraction
 
 
 def reference_rref(m):
@@ -47,9 +47,7 @@ def reference_rref(m):
         r += 1
         if r == m.rows:
             break
-    out = ExactMatrix.zero(m.rows, m.cols, m.one)
-    out.entries = a
-    return out, pivots
+    return ExactMatrix(a, m.one), pivots
 
 
 def assert_matches_reference(m):
@@ -65,7 +63,7 @@ def assert_matches_reference(m):
     kernel = nullspace(m)
     assert len(kernel) == m.cols - len(pivots)
     for v in kernel:
-        assert not any(m.mul_vec(v))
+        assert not any(mul_vec(m, v))
 
 
 # ---------- seeded Fraction matrices ----------

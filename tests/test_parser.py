@@ -166,8 +166,8 @@ class TestActions:
             (2, 1): t1.scale(3),
             (1, 2): MultiPoly.const(gens, 1),
         }
-        assert ctx.action(1, CoeffGen(1)) == t1**2 + t2.scale(HALF)
-        assert ctx.action(2, CoeffGen(2)) is None
+        assert ctx.actions.get((1, 1)) == t1**2 + t2.scale(HALF)
+        assert ctx.actions.get((2, 2)) is None
         assert ctx.d(1, ctx.t(1)) == ctx.t(1) ** 2 + ctx.t(2) * HALF
         assert not ctx.is_constant_field()
 

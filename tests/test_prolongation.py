@@ -345,7 +345,7 @@ class TestOneBasis:
 
         runs = []
 
-        def counting(gens, order=None):
+        def counting(gens, order=GREVLEX):
             runs.append(order)
             return buchberger(gens, order)
 

@@ -30,11 +30,11 @@ from delta_kernel.diffring import (
     PackedPoly,
     ritt_reduce,
 )
+from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.multipoly import (
     MultiPoly,
     from_integer_terms,
     mul_integer_terms,
-    order_key,
     packed_width,
     packer,
     pseudo_divide,
@@ -167,7 +167,7 @@ def reference_print_diffpoly(f):
     if body.is_zero():
         return "0"
     pieces = []
-    key = order_key(body.order)
+    key = order_key(GREVLEX)
     for e, c in sorted(body.terms.items(), key=lambda t: key(t[0]), reverse=True):
         factors = []
         for i in range(len(body.vars) - 1, -1, -1):
