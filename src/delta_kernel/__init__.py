@@ -47,7 +47,6 @@ from .heights import (
     verify_ode_solution,
 )
 from .initialsets import (
-    ExpPoint,
     InitialSetRep,
     dimension_function,
     leaders_to_exponents,

@@ -199,7 +199,7 @@ def _cmd_bound(args, problem):
         "l": b.level,
         "l1": b.from_orders,
         "l2": b.from_removable,
-        "removable": [p.as_list() for p in b.removable],
+        "removable": [[*p.theta, p.var] for p in b.removable],
         "note": "level beyond which codimension-one dimension deficits are stable",
     }
     return _report("bound", _inputs(args, set=args.set), results, [CHARSET_ASSUMPTION])
@@ -275,7 +275,7 @@ def _cmd_extract(args, problem):
         "level_breakdown": {
             "l1": data.bound.from_orders,
             "l2": data.bound.from_removable,
-            "removable": [p.as_list() for p in data.bound.removable],
+            "removable": [[*p.theta, p.var] for p in data.bound.removable],
         },
         "variety_generators": [g.to_str() for g in data.variety.generators],
         "fiber_dimension": data.fiber_dim,

@@ -432,15 +432,8 @@ def derive_terms(den, terms, k, ctx):
 
 def poly_rank_compare(f, g):
     """-1, 0, 1 on the rank (leader, leading degree); coefficient-field
-    elements rank below everything else."""
-    cf, cg = f.is_in_coeff_field(), g.is_in_coeff_field()
-    if cf and cg:
-        return 0
-    if cf:
-        return -1
-    if cg:
-        return 1
-    a, b = f.rank(), g.rank()
+    elements rank below everything else (_rank_sort_key)."""
+    a, b = _rank_sort_key(f), _rank_sort_key(g)
     return (a > b) - (a < b)
 
 
@@ -451,12 +444,11 @@ def set_rank_compare(A, B):
     A's next element ranks lower, or when A properly extends a rank-equal
     prefix of the whole of B (longer is lower in that case).
     """
-    a = sorted(_elements(A), key=_rank_sort_key)
-    b = sorted(_elements(B), key=_rank_sort_key)
-    for fa, fb in zip(a, b):
-        c = poly_rank_compare(fa, fb)
-        if c:
-            return c
+    a = sorted(map(_rank_sort_key, _elements(A)))
+    b = sorted(map(_rank_sort_key, _elements(B)))
+    for ka, kb in zip(a, b):
+        if ka != kb:
+            return -1 if ka < kb else 1
     if len(a) == len(b):
         return 0
     return -1 if len(a) > len(b) else 1
@@ -467,9 +459,11 @@ def _elements(s):
 
 
 def _rank_sort_key(f):
+    """The one polynomial ranking: coefficient-field elements lowest, then
+    the rank (leader, leading degree)."""
     if f.is_in_coeff_field():
         return (0, (), 0)
-    return (1, f.leader().rank_key(), f.leading_degree())
+    return (1, *f.rank())
 
 
 def is_autoreduced(polys):

@@ -128,9 +128,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
-    def is_unit_ideal(self):
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
-
 
 def _primitive(t, le):
     """(t / g, g) for the gcd g of the integer coefficients of t, signed so

@@ -1,8 +1,10 @@
 """Combinatorics of leader exponent sets and the initial sets they carve out.
 
 Points live in N^m x {1..n} with the componentwise partial order at fixed
-variable index.  E collects the leader exponents of an autoreduced set; the
-initial set B is everything not above E, always handled through the
+variable index: they are the ring's algebraic indeterminates (AlgIndet), a
+derivative exponent theta on a dependent variable var, and p lies above e
+when p is a derivative of e.  E collects the leaders of an autoreduced set;
+the initial set B is everything not above E, always handled through the
 co-finite representation (B itself is typically infinite).  On top sit the
 dimension counts |B_t|, the finitely many removable points, and the
 prolongation level bound.
@@ -13,34 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 
+from .diffring import AlgIndet
 from .multipoly import exponents_upto, horner, interpolate
 
-
-@dataclass(frozen=True)
-class ExpPoint:
-    """(r1..rm, j): derivative exponents plus dependent-variable index."""
-
-    r: tuple
-    j: int
-
-    @property
-    def weight(self):
-        return sum(self.r)
-
-    def leq(self, other):
-        return self.j == other.j and all(a <= b for a, b in zip(self.r, other.r))
-
-    def bump(self, k):
-        e = list(self.r)
-        e[k] += 1
-        return ExpPoint(tuple(e), self.j)
-
-    def as_list(self):
-        return [*self.r, self.j]
-
-    def __repr__(self):
-        return f"({', '.join(map(str, self.r))}; u{self.j})"
+_BY_VAR = attrgetter("var", "theta")
 
 
 class InitialSetRep:
@@ -53,27 +33,27 @@ class InitialSetRep:
         self.n = n
         pts = set()
         for p in points:
-            if len(p.r) != m:
+            if len(p.theta) != m:
                 raise ValueError("exponent length does not match m")
-            if not (1 <= p.j <= n):
-                raise ValueError(f"variable index {p.j} outside 1..{n}")
+            if not (1 <= p.var <= n):
+                raise ValueError(f"variable index {p.var} outside 1..{n}")
             pts.add(p)
         self.E = frozenset(pts)
 
     def contains(self, p):
         """Membership in B: p lies above no element of E."""
-        if len(p.r) != self.m or not (1 <= p.j <= self.n):
+        if len(p.theta) != self.m or not (1 <= p.var <= self.n):
             raise ValueError("point outside the ambient signature")
-        return not any(e.leq(p) for e in self.E)
+        return not any(p.is_derivative_of(e) for e in self.E)
 
     def count_up_to(self, t):
         """|B_t|: points of B with coordinate sum at most t, by enumeration."""
         total = 0
         for j in range(1, self.n + 1):
-            ej = [e for e in self.E if e.j == j]
+            ej = [e for e in self.E if e.var == j]
             for r in exponents_upto(self.m, t):
-                p = ExpPoint(r, j)
-                if not any(e.leq(p) for e in ej):
+                p = AlgIndet(r, j)
+                if not any(p.is_derivative_of(e) for e in ej):
                     total += 1
         return total
 
@@ -85,33 +65,33 @@ class InitialSetRep:
         """
         out = []
         for j in range(1, self.n + 1):
-            ej = [e for e in self.E if e.j == j]
+            ej = [e for e in self.E if e.var == j]
             if not ej:
                 continue
-            bounds = [max(e.r[k] for e in ej) for k in range(self.m)]
+            bounds = [max(e.theta[k] for e in ej) for k in range(self.m)]
             for r in product(*[range(b) for b in bounds]):
-                p = ExpPoint(tuple(r), j)
+                p = AlgIndet(r, j)
                 if not self.contains(p):
                     continue
-                if all(not self.contains(p.bump(k)) for k in range(self.m)):
+                if all(not self.contains(p.derive(k)) for k in range(1, self.m + 1)):
                     out.append(p)
-        out.sort(key=lambda p: (p.j, p.r))
+        out.sort(key=_BY_VAR)
         return out
 
     def removable_points_bruteforce(self, slack=None):
         """Direct maximality scan over an extended simplex; test oracle."""
         if not self.E:
             return []
-        bound = max(e.weight for e in self.E) + (slack if slack is not None else self.m)
+        bound = max(e.order for e in self.E) + (slack if slack is not None else self.m)
         out = []
         for j in range(1, self.n + 1):
             for r in exponents_upto(self.m, bound):
-                p = ExpPoint(r, j)
+                p = AlgIndet(r, j)
                 if self.contains(p) and all(
-                    not self.contains(p.bump(k)) for k in range(self.m)
+                    not self.contains(p.derive(k)) for k in range(1, self.m + 1)
                 ):
                     out.append(p)
-        out.sort(key=lambda p: (p.j, p.r))
+        out.sort(key=_BY_VAR)
         return out
 
     def is_downward_closed_without(self, p):
@@ -124,18 +104,16 @@ class InitialSetRep:
         """
         if not self.contains(p):
             raise ValueError("point not in B")
-        return all(not self.contains(p.bump(k)) for k in range(self.m))
+        return all(not self.contains(p.derive(k)) for k in range(1, self.m + 1))
 
     def __repr__(self):
-        return f"InitialSetRep(m={self.m}, n={self.n}, E={sorted(self.E, key=lambda p: (p.j, p.r))!r})"
+        return f"InitialSetRep(m={self.m}, n={self.n}, E={sorted(self.E, key=_BY_VAR)!r})"
 
 
 def leaders_to_exponents(aset):
-    """Leader exponent set E of an autoreduced set."""
-    elements = list(aset)
-    ctx = elements[0].ctx
-    pts = [ExpPoint(f.leader().theta, f.leader().var) for f in elements]
-    return InitialSetRep(ctx.m, ctx.n, pts)
+    """Leader exponent set E of an autoreduced set: its leaders."""
+    ctx = aset.ctx
+    return InitialSetRep(ctx.m, ctx.n, aset.leaders())
 
 
 @dataclass
@@ -188,19 +166,18 @@ class LevelBound:
 
     level: int
     from_orders: int  # l1: maximum order in the autoreduced set
-    from_removable: int  # l2: maximum weight of a removable point (0 if none)
+    from_removable: int  # l2: maximum order of a removable point (0 if none)
     removable: list = field(default_factory=list)
 
 
 def prolongation_bound(aset):
     """Level beyond which every codimension-one subvariety's dimension
     deficit is visible: the maximum of the set's top order and the largest
-    removable-point weight."""
-    elements = list(aset)
-    rep = leaders_to_exponents(elements)
-    l1 = max(f.order() for f in elements)
+    removable-point order."""
+    rep = leaders_to_exponents(aset)
+    l1 = aset.max_order()
     removable = rep.removable_points()
-    l2 = max((p.weight for p in removable), default=0)
+    l2 = max((p.order for p in removable), default=0)
     return LevelBound(
         level=max(l1, l2),
         from_orders=l1,

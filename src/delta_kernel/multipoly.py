@@ -4,9 +4,12 @@ Variables are opaque hashable ids carried in an ordered signature; terms map
 exponent tuples to nonzero Fraction coefficients.  A polynomial carries no
 term order: its leading term, its monic and primitive forms, exact division
 and its text are all taken under graded reverse lexicographic order
-(grevlex_key, sorted_exponents).  A Groebner run takes its order as an
-argument (groebner), which is where lex, for elimination, lives.  All
-arithmetic is exact; there is no floating point anywhere in this package.
+(grevlex_key, sorted_exponents).  The text comes from the printer's one
+kernel (printer.print_terms), in signature order with plain powers; the
+printer imports this module, so to_str reaches it by a local import.  A
+Groebner run takes its order as an argument (groebner), which is where lex,
+for elimination, lives.  All arithmetic is exact; there is no floating
+point anywhere in this package.
 
 Coefficients are Fraction in every MultiPoly.  Loops that would make a
 Fraction per operation run on integer term dicts instead: integer_terms
@@ -393,20 +396,6 @@ class MultiPoly:
         out.terms = terms
         return out
 
-    def evaluate(self, point):
-        """Evaluate at a full point given as {var id: Fraction}."""
-        total = Fraction(0)
-        vals = [point.get(v) for v in self.vars]
-        for e, c in self.terms.items():
-            acc = c
-            for x, val in zip(e, vals):
-                if x:
-                    if val is None:
-                        raise ValueError("evaluation point misses a used variable")
-                    acc *= val ** x
-            total += acc
-        return total
-
     def restrict(self, vars):
         """Reindex onto a (super- or sub-)signature; dropped vars must be unused.
 
@@ -452,32 +441,11 @@ class MultiPoly:
     # ---------- printing ----------
 
     def to_str(self):
-        if not self.terms:
-            return "0"
-        names = [str(v) for v in self.vars]
-        pieces = []
-        for e in sorted_exponents(self.terms):
-            c = self.terms[e]
-            factors = []
-            for name, x in zip(names, e):
-                if x == 1:
-                    factors.append(name)
-                elif x > 1:
-                    factors.append(f"{name}^{x}")
-            body = "*".join(factors)
-            if not body:
-                chunk = str(abs(c))
-            elif abs(c) == 1:
-                chunk = body
-            else:
-                chunk = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, chunk))
-        first_sign, first_chunk = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_chunk
-        for sign, chunk in pieces[1:]:
-            out += f" {sign} {chunk}"
-        return out
+        """Signature order, plain powers: x1^2*x2, d1*u1^2."""
+        from .printer import FactorTable, print_terms
+
+        factors = [FactorTable(str(v), False) for v in self.vars]
+        return print_terms(factors, slice(None), *integer_terms(self.terms))
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .diffring import AutoreducedSet, DiffContext
+from .diffring import DiffContext
 from .dvariety import DSpec, _ambient_sig
 from .heights import OdePoly, _ode_sig
 from .multipoly import MultiPoly
@@ -324,10 +324,6 @@ class ProblemFile:
 
     def names(self):
         return [name for _, name in self.order]
-
-    def autoreduced(self, name):
-        """The named set as a validated autoreduced set (raises ValueError)."""
-        return AutoreducedSet(self.sets[name])
 
 
 _COEFFS_RE = re.compile(r"^Q(\(t1(\.\.t(0*[1-9]\d*))?\))?$")

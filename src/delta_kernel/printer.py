@@ -3,11 +3,18 @@
 parse(print(x)) == x for every value the printer accepts; the printers sort
 terms grevlex-descending (sorted_exponents), so output is stable.
 
-A differential polynomial is printed by one kernel, print_integer_terms,
-from integer terms over one denominator: each coefficient is put in lowest
-terms by a gcd, so the text is the one its Fraction would give.
-print_diffpoly is its DiffPoly face; the reduce command feeds it a
-certificate's packed parts, unpacked with no Fraction built.
+Every polynomial is printed by one kernel, print_terms, from integer terms
+over one denominator: each coefficient is put in lowest terms by a gcd, so
+the text is the one its Fraction would give.  Its caller hands it a factor
+table per column (FactorTable: a name, and whether a power of it is
+bracketed) and the order the columns are written in.  A differential
+polynomial (print_integer_terms, and print_diffpoly its DiffPoly face; the
+reduce command feeds it a certificate's packed parts, unpacked with no
+Fraction built) is written lowest rank first, coefficient generators in
+front, with a derivative's powers bracketed: (d1*u1)^2.  A MultiPoly
+(MultiPoly.to_str) is written in signature order with plain powers, so a
+frame polynomial reads d1*u1^2; a derivative chain is one atom of the
+grammar, so both read back the same.
 """
 
 from __future__ import annotations
@@ -15,35 +22,22 @@ from __future__ import annotations
 from math import gcd
 from operator import getitem
 
-from .diffring import CoeffGen, indet_name
 from .multipoly import integer_terms, sorted_exponents
 
+class FactorTable(dict):
+    """exponent -> the text of the variable name to that power, made once;
+    with bracket set, a power puts the name in parentheses."""
 
-def _indet_factor(v, exp):
-    base = indet_name(v)
-    if exp == 1:
-        return base
-    if any(v.theta):
-        return f"({base})^{exp}"
-    return f"{base}^{exp}"
+    __slots__ = ("name", "bracket")
 
-
-def _coeff_factor(v, exp):
-    return f"t{v.index}" if exp == 1 else f"t{v.index}^{exp}"
-
-
-class _Factors(dict):
-    """exponent -> the text of the variable v to that power, made once."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        super().__init__({0: ""})
-        self.v = v
+    def __init__(self, name, bracket):
+        self.name = name
+        self.bracket = bracket
+        self[0] = ""
+        self[1] = name
 
     def __missing__(self, exp):
-        v = self.v
-        s = self[exp] = (_coeff_factor if isinstance(v, CoeffGen) else _indet_factor)(v, exp)
+        s = self[exp] = f"({self.name})^{exp}" if self.bracket else f"{self.name}^{exp}"
         return s
 
 
@@ -53,17 +47,28 @@ def print_diffpoly(f):
 
 
 def print_integer_terms(vars, den, terms):
-    """The text of the polynomial with coefficients terms[e] / den over the
-    signature vars (a differential ring's: algebraic indeterminates, then
-    coefficient generators), terms holding no zero entry."""
+    """The text of the differential polynomial with coefficients
+    terms[e] / den over the signature vars (a differential ring's: algebraic
+    indeterminates, then coefficient generators), terms holding no zero
+    entry.  A name with a '*' in it is a derivative, d1*u1."""
+    factors = []
+    for v in vars:
+        name = repr(v)
+        factors.append(FactorTable(name, "*" in name))
+    return print_terms(factors, slice(None, None, -1), den, terms)
+
+
+def print_terms(factors, order, den, terms):
+    """The text of the polynomial with coefficients terms[e] / den, terms
+    holding no zero entry: factors[i] is the FactorTable of column i, and
+    each monomial writes its columns in the order the slice order picks."""
     if not terms:
         return "0"
-    # low-rank factors first, coefficient generators in front; the text
-    # of a power 0 is empty, and filter drops it
-    factors = [_Factors(v) for v in reversed(vars)]
+    factors = factors[order]
     pieces = []
     for e in sorted_exponents(terms):
-        mono = "*".join(filter(None, map(getitem, factors, e[::-1])))
+        # the text of a power 0 is empty, and filter drops it
+        mono = "*".join(filter(None, map(getitem, factors, e[order])))
         num = terms[e]
         negative = num < 0
         if negative:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .diffring import AlgIndet, AutoreducedSet, derived
 from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, saturate
-from .initialsets import ExpPoint, leaders_to_exponents, prolongation_bound
+from .initialsets import leaders_to_exponents, prolongation_bound
 from .multipoly import MultiPoly, coefficients, exponents_upto
 from .ratfunc import RatFunc
 
@@ -212,7 +212,7 @@ def affine_fiber(aset, t):
     low_sig = _frame_sig(frame_low)
     order_t = [v for v in nabla_frame(ctx.m, ctx.n, t) if v.order == t]
     order_t.sort(key=lambda v: v.rank_key())
-    basis = tuple(v for v in order_t if rep.contains(ExpPoint(v.theta, v.var)))
+    basis = tuple(v for v in order_t if rep.contains(v))
     leaders = aset.leaders()
     # the order-t coordinates come first in frame_t, so the coefficients of
     # a polynomial in them are polynomials over low_sig
@@ -225,14 +225,11 @@ def affine_fiber(aset, t):
     for v in order_t:
         if v in basis:
             continue
-        candidates = [
-            i
-            for i, u in enumerate(leaders)
-            if v.is_derivative_of(u)
-        ]
-        if not candidates:
+        # the set holds its elements in increasing rank (the ranking's sort
+        # key), so the first one whose leader v derives from ranks lowest
+        i = next((i for i, u in enumerate(leaders) if v.is_derivative_of(u)), None)
+        if i is None:
             raise ValueError(f"coordinate {v!r} is neither basic nor reducible")
-        i = min(candidates, key=lambda idx: aset.elements[idx].rank())
         f = aset.elements[i]
         u = leaders[i]
         theta = tuple(a - b for a, b in zip(v.theta, u.theta))
@@ -303,7 +300,7 @@ class DVarietyData:
         return out
 
 
-def extract_dvariety(aset, check_oracle=True):
+def extract_dvariety(aset):
     """Variety and affine fiber data at the computed level bound.
 
     The fiber dimension from initial-set counts must match the Groebner
@@ -322,13 +319,12 @@ def extract_dvariety(aset, check_oracle=True):
         raise ValueError(
             f"fiber rank mismatch: counts give {r_counts}, model has {fibers.fiber_dimension()}"
         )
-    if check_oracle:
-        upper = prolong_ideal(aset, level + 1)
-        jump = upper.dimension() - variety.dimension()
-        if jump != r_counts:
-            raise ValueError(
-                f"non-characteristic input: oracle dimension jump {jump} != {r_counts}"
-            )
+    upper = prolong_ideal(aset, level + 1)
+    jump = upper.dimension() - variety.dimension()
+    if jump != r_counts:
+        raise ValueError(
+            f"non-characteristic input: oracle dimension jump {jump} != {r_counts}"
+        )
     return DVarietyData(
         level=level,
         variety=variety,

@@ -4,6 +4,13 @@ The numerator and denominator are MultiPolys over one signature.  The
 gcd is divided out on construction and the denominator made monic under
 grevlex, the order every MultiPoly's leading term is taken in, so each
 rational function has one representative and equality is structural.
+
+Text (to_str) is the numerator over the denominator, each bracketed when
+it has several terms; a denominator of one term in several variables is
+bracketed too, so that the text reads back: (t1 + 1)/(t1*t2^2).  A
+derivative chain is one variable, so its denominator stays bare: 5/3/d1*u1.
+printer.print_ratfunc brackets by its own rules, x1^4/(x2^2); pinned
+output uses both, so neither rule can take the other's place.
 """
 
 from __future__ import annotations
@@ -159,7 +166,7 @@ class RatFunc:
         ds = self.den.to_str()
         if len(self.num.terms) > 1:
             ns = f"({ns})"
-        if len(self.den.terms) > 1:
+        if len(self.den.terms) > 1 or len(self.den.support_indices()) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

@@ -28,6 +28,26 @@ def mul_vec(m, v):
     return [sum((x * y for x, y in zip(row, v)), m.one - m.one) for row in m.entries]
 
 
+def is_unit_ideal(gb):
+    """Whether the Groebner basis gb holds a nonzero constant."""
+    return any(g.is_constant() and not g.is_zero() for g in gb.generators)
+
+
+def evaluate(p, point):
+    """The MultiPoly p at a full point given as {var id: Fraction}."""
+    total = Fraction(0)
+    vals = [point.get(v) for v in p.vars]
+    for e, c in p.terms.items():
+        acc = c
+        for x, val in zip(e, vals):
+            if x:
+                if val is None:
+                    raise ValueError("evaluation point misses a used variable")
+                acc *= val**x
+        total += acc
+    return total
+
+
 def random_multipoly(rng, sig, max_degree=3, max_terms=4, allow_zero=True):
     terms = {}
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):

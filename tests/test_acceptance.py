@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from delta_kernel.cli import main, validate_report
 from delta_kernel.diffring import (
+    AlgIndet,
     AutoreducedSet,
     DiffContext,
     apply_derivation,
@@ -38,7 +39,7 @@ from delta_kernel.heights import (
     height_axioms_check,
     rational_solution_search,
 )
-from delta_kernel.initialsets import ExpPoint, InitialSetRep, leaders_to_exponents, prolongation_bound
+from delta_kernel.initialsets import InitialSetRep, leaders_to_exponents, prolongation_bound
 from delta_kernel.multipoly import MultiPoly
 from delta_kernel.parser import parse_diff_expression
 from delta_kernel.printer import print_diffpoly
@@ -124,10 +125,10 @@ def test_criterion_03_basis_oracle_equivalence():
 def test_criterion_04_prolongation_bounds():
     started = time.monotonic()
     expected = [
-        (1, [ExpPoint((0,), 1)]),
-        (1, [ExpPoint((0,), 1)]),
+        (1, [AlgIndet((0,), 1)]),
+        (1, [AlgIndet((0,), 1)]),
         (2, []),
-        (2, [ExpPoint((1, 1), 1)]),
+        (2, [AlgIndet((1, 1), 1)]),
     ]
     for aset, (level, removable) in zip(_corpus(), expected):
         b = prolongation_bound(aset)
@@ -143,7 +144,7 @@ def test_criterion_05_removable_bruteforce_equivalence():
         m = rng.randint(1, 3)
         n = rng.randint(1, 2)
         pts = [
-            ExpPoint(tuple(rng.randint(0, 4) for _ in range(m)), rng.randint(1, n))
+            AlgIndet(tuple(rng.randint(0, 4) for _ in range(m)), rng.randint(1, n))
             for _ in range(rng.randint(1, 4))
         ]
         rep = InitialSetRep(m, n, pts)

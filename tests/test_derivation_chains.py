@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 from delta_kernel import diffring, multipoly
-from delta_kernel.diffring import AlgIndet, CoeffGen, DiffContext, derived, ritt_reduce
+from delta_kernel.diffring import (
+    AlgIndet,
+    AutoreducedSet,
+    CoeffGen,
+    DiffContext,
+    derived,
+    ritt_reduce,
+)
 from delta_kernel.multipoly import MultiPoly, exponents_upto
 from delta_kernel.parser import parse_diff_expression, parse_system
 
@@ -206,7 +213,7 @@ def test_reduction_builds_one_diffpoly_per_derivative_a_step_uses(monkeypatch):
     # binding of it in diffring would be counted too
     monkeypatch.setattr(multipoly, "restrict_terms", counting_restricts)
     monkeypatch.setattr(diffring, "restrict_terms", counting_restricts, raising=False)
-    res = ritt_reduce(g, problem.autoreduced("L"))
+    res = ritt_reduce(g, AutoreducedSet(problem.sets["L"]))
     used = {(step.element, step.theta) for step in res.steps}
     assert len(res.steps) == len(used) == 16
     assert len({key for key in used if any(key[1])}) == 15

@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction
 
-from delta_kernel.diffring import AutoreducedSet, DiffContext
+from delta_kernel.diffring import AlgIndet, AutoreducedSet, DiffContext
 from delta_kernel.groebner import buchberger
 from delta_kernel.initialsets import (
-    ExpPoint,
     InitialSetRep,
     dimension_function,
     leaders_to_exponents,
@@ -16,7 +15,7 @@ from conftest import default_seed
 
 
 def wave_rep():
-    return InitialSetRep(2, 1, [ExpPoint((2, 0), 1), ExpPoint((0, 2), 1)])
+    return InitialSetRep(2, 1, [AlgIndet((2, 0), 1), AlgIndet((0, 2), 1)])
 
 
 class TestLeadersToExponents:
@@ -25,14 +24,14 @@ class TestLeadersToExponents:
         u = ctx.u()
         aset = AutoreducedSet([ctx.d(1, u, 2) - u, ctx.d(2, u, 2) - u])
         rep = leaders_to_exponents(aset)
-        assert rep.E == frozenset({ExpPoint((2, 0), 1), ExpPoint((0, 2), 1)})
+        assert rep.E == frozenset({AlgIndet((2, 0), 1), AlgIndet((0, 2), 1)})
 
     def test_leader_of_evolution_equation(self):
         ctx = DiffContext(2, 1)
         u = ctx.u()
         aset = AutoreducedSet([ctx.d(2, u) - ctx.d(1, u, 2)])
         rep = leaders_to_exponents(aset)
-        assert rep.E == frozenset({ExpPoint((2, 0), 1)})
+        assert rep.E == frozenset({AlgIndet((2, 0), 1)})
 
     def test_order_zero_leader_empties_b(self):
         ctx = DiffContext(2, 1)
@@ -43,14 +42,14 @@ class TestLeadersToExponents:
 
 class TestMembership:
     def test_inside(self):
-        assert wave_rep().contains(ExpPoint((1, 1), 1))
+        assert wave_rep().contains(AlgIndet((1, 1), 1))
 
     def test_above_a_generator(self):
-        assert not wave_rep().contains(ExpPoint((2, 5), 1))
+        assert not wave_rep().contains(AlgIndet((2, 5), 1))
 
     def test_empty_e_contains_everything(self):
         rep = InitialSetRep(2, 1, [])
-        assert rep.contains(ExpPoint((9, 9), 1))
+        assert rep.contains(AlgIndet((9, 9), 1))
 
 
 class TestCounts:
@@ -59,7 +58,7 @@ class TestCounts:
         assert [rep.count_up_to(t) for t in range(4)] == [1, 3, 4, 4]
 
     def test_evolution_counts(self):
-        rep = InitialSetRep(2, 1, [ExpPoint((2, 0), 1)])
+        rep = InitialSetRep(2, 1, [AlgIndet((2, 0), 1)])
         assert [rep.count_up_to(t) for t in range(4)] == [1, 3, 5, 7]
 
     def test_free_counts(self):
@@ -72,12 +71,12 @@ class TestCounts:
         for _ in range(10):
             m = rng.randint(1, 3)
             pts = [
-                ExpPoint(tuple(rng.randint(0, 3) for _ in range(m)), 1)
+                AlgIndet(tuple(rng.randint(0, 3) for _ in range(m)), 1)
                 for _ in range(rng.randint(1, 3))
             ]
             rep = InitialSetRep(m, 1, pts)
             sig = tuple(f"z{i}" for i in range(m))
-            gens = [MultiPoly.monomial(sig, p.r) for p in pts]
+            gens = [MultiPoly.monomial(sig, p.theta) for p in pts]
             gb = buchberger(gens)
             leads = [g.leading()[0] for g in gb.generators]
             def simplex(mm, tt):
@@ -100,21 +99,21 @@ class TestCounts:
 
 class TestRemovable:
     def test_wave_removable(self):
-        assert wave_rep().removable_points() == [ExpPoint((1, 1), 1)]
+        assert wave_rep().removable_points() == [AlgIndet((1, 1), 1)]
 
     def test_evolution_has_none(self):
-        rep = InitialSetRep(2, 1, [ExpPoint((2, 0), 1)])
+        rep = InitialSetRep(2, 1, [AlgIndet((2, 0), 1)])
         assert rep.removable_points() == []
 
     def test_single_generator_one_variable(self):
-        rep = InitialSetRep(1, 1, [ExpPoint((1,), 1)])
-        assert rep.removable_points() == [ExpPoint((0,), 1)]
+        rep = InitialSetRep(1, 1, [AlgIndet((1,), 1)])
+        assert rep.removable_points() == [AlgIndet((0,), 1)]
 
     def test_removal_preserves_downward_closure(self):
         rep = wave_rep()
         for p in rep.removable_points():
             assert rep.is_downward_closed_without(p)
-        assert not rep.is_downward_closed_without(ExpPoint((1, 0), 1))
+        assert not rep.is_downward_closed_without(AlgIndet((1, 0), 1))
 
     def test_matches_bruteforce_random(self):
         rng = random.Random(default_seed() + 7)
@@ -122,7 +121,7 @@ class TestRemovable:
             m = rng.randint(1, 3)
             n = rng.randint(1, 2)
             pts = [
-                ExpPoint(tuple(rng.randint(0, 4) for _ in range(m)), rng.randint(1, n))
+                AlgIndet(tuple(rng.randint(0, 4) for _ in range(m)), rng.randint(1, n))
                 for _ in range(rng.randint(1, 4))
             ]
             rep = InitialSetRep(m, n, pts)
@@ -133,13 +132,13 @@ class TestRemovable:
         for _ in range(40):
             m = rng.randint(1, 3)
             pts = [
-                ExpPoint(tuple(rng.randint(0, 3) for _ in range(m)), 1)
+                AlgIndet(tuple(rng.randint(0, 3) for _ in range(m)), 1)
                 for _ in range(rng.randint(1, 3))
             ]
             rep = InitialSetRep(m, 1, pts)
-            p = ExpPoint(tuple(rng.randint(0, 5) for _ in range(m)), 1)
+            p = AlgIndet(tuple(rng.randint(0, 5) for _ in range(m)), 1)
             if rep.contains(p):
-                q = ExpPoint(tuple(rng.randint(0, x) for x in p.r), 1)
+                q = AlgIndet(tuple(rng.randint(0, x) for x in p.theta), 1)
                 assert rep.contains(q)
 
     def test_closure_equivalence_random(self):
@@ -148,7 +147,7 @@ class TestRemovable:
         for _ in range(25):
             m = rng.randint(1, 2)
             pts = [
-                ExpPoint(tuple(rng.randint(1, 3) for _ in range(m)), 1)
+                AlgIndet(tuple(rng.randint(1, 3) for _ in range(m)), 1)
                 for _ in range(rng.randint(1, 3))
             ]
             rep = InitialSetRep(m, 1, pts)
@@ -156,14 +155,14 @@ class TestRemovable:
             for r in removable:
                 assert rep.is_downward_closed_without(r)
             for _ in range(10):
-                p = ExpPoint(tuple(rng.randint(0, 4) for _ in range(m)), 1)
+                p = AlgIndet(tuple(rng.randint(0, 4) for _ in range(m)), 1)
                 if rep.contains(p) and p not in removable:
                     assert not rep.is_downward_closed_without(p)
 
 
 class TestDimensionFunction:
     def test_eventual_polynomial_detection(self):
-        rep = InitialSetRep(2, 1, [ExpPoint((2, 0), 1)])
+        rep = InitialSetRep(2, 1, [AlgIndet((2, 0), 1)])
         df = dimension_function(rep, 8)
         assert df.values == [1, 3, 5, 7, 9, 11, 13, 15, 17]
         assert df.polynomial == [Fraction(1), Fraction(2)]  # 2t + 1
@@ -189,10 +188,10 @@ class TestBound:
             AutoreducedSet([ctx2.d(1, w, 2) - w, ctx2.d(2, w, 2) - w]),
         ]
         expected = [
-            (1, 1, 0, [ExpPoint((0,), 1)]),
-            (1, 1, 0, [ExpPoint((0,), 1)]),
+            (1, 1, 0, [AlgIndet((0,), 1)]),
+            (1, 1, 0, [AlgIndet((0,), 1)]),
             (2, 2, 0, []),
-            (2, 2, 2, [ExpPoint((1, 1), 1)]),
+            (2, 2, 2, [AlgIndet((1, 1), 1)]),
         ]
         for aset, (level, l1, l2, removable) in zip(corpus, expected):
             b = prolongation_bound(aset)

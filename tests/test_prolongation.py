@@ -5,7 +5,7 @@ import pytest
 
 from delta_kernel.diffring import AlgIndet, AutoreducedSet, DiffContext
 from delta_kernel.groebner import buchberger, normal_form
-from delta_kernel.initialsets import leaders_to_exponents
+from delta_kernel.initialsets import leaders_to_exponents, prolongation_bound
 from delta_kernel.multipoly import MultiPoly
 from delta_kernel.prolongation import (
     AffineExpr,
@@ -165,8 +165,6 @@ class TestProlongIdeal:
         # saturated staircase dimension equals the initial-set count, every level
         for aset in corpus():
             rep = leaders_to_exponents(aset)
-            from delta_kernel.initialsets import prolongation_bound
-
             level = prolongation_bound(aset).level
             for t in range(aset.max_order(), level + 3):
                 assert prolong_ideal(aset, t).dimension() == rep.count_up_to(t)
@@ -282,9 +280,9 @@ class TestNonCharacteristicInput:
         aset = AutoreducedSet([ctx.d(1, u) - u, ctx.d(2, u) - u * u])
         with pytest.raises(ValueError):
             extract_dvariety(aset)
-        # without the oracle check the fiber data itself is still produced
-        data = extract_dvariety(aset, check_oracle=False)
-        assert data.level == 1
+        # the fiber data itself is still produced, one level above the bound
+        assert prolongation_bound(aset).level == 1
+        assert affine_fiber(aset, 2).level == 2
 
 
 class TestDeterminedByLevel:

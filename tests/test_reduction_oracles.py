@@ -24,10 +24,12 @@ from delta_kernel import diffring, multipoly
 from delta_kernel.cli import main
 from delta_kernel.diffring import (
     AlgIndet,
+    AutoreducedSet,
     CoeffGen,
     DiffContext,
     DiffPoly,
     PackedPoly,
+    indet_name,
     ritt_reduce,
 )
 from delta_kernel.groebner import GREVLEX, order_key
@@ -161,8 +163,6 @@ def reference_ritt_reduce(g, aset):
 
 
 def reference_print_diffpoly(f):
-    from delta_kernel.printer import _coeff_factor, _indet_factor
-
     body = f.body
     if body.is_zero():
         return "0"
@@ -176,9 +176,15 @@ def reference_print_diffpoly(f):
                 continue
             v = body.vars[i]
             if isinstance(v, CoeffGen):
-                factors.append(_coeff_factor(v, exp))
+                base = f"t{v.index}"
             else:
-                factors.append(_indet_factor(v, exp))
+                base = indet_name(v)
+            if exp == 1:
+                factors.append(base)
+            elif isinstance(v, AlgIndet) and any(v.theta):
+                factors.append(f"({base})^{exp}")
+            else:
+                factors.append(f"{base}^{exp}")
         mono = "*".join(factors)
         if not mono:
             chunk = str(abs(c))
@@ -253,7 +259,7 @@ def test_certificates_match_eager_scaling(make, max_order, count):
     seen_scaled = 0
     for _ in range(count):
         problem, name = make(rng)
-        aset = problem.autoreduced(name)
+        aset = AutoreducedSet(problem.sets[name])
         g = _target(rng, problem, max_order)
         res = ritt_reduce(g, aset)
         remainder, sep, init, steps = reference_ritt_reduce(g, aset)
@@ -290,7 +296,7 @@ def test_reduction_across_field_widths_matches_reference(text, monkeypatch):
         "poly f2 = d1*u2 - u1*u2 + 1\n"
         "set N = f1, f2\n"
     )
-    aset = problem.autoreduced("N")
+    aset = AutoreducedSet(problem.sets["N"])
     g = parse_diff_expression(text, problem.ctx)
     widths = []
     widen = multipoly.widen
@@ -577,7 +583,7 @@ def _nonlinear_certificate():
         "set N = f1, f2\n"
     ), "N"
     g = parse_diff_expression("(d1^3*u1)^2*d1^2*u2 - 1/2*d1^2*u1*u1 + 5", problem.ctx)
-    return ritt_reduce(g, problem.autoreduced(name))
+    return ritt_reduce(g, AutoreducedSet(problem.sets[name]))
 
 
 def test_verify_rejects_a_tampered_nonlinear_certificate():
@@ -658,7 +664,7 @@ def test_verify_rekeys_parts_whose_guard_bits_are_set():
     # verify must rekey both before their products are formed
     problem = parse_system("m=1 n=1 coeffs=Q\npoly f = u1*d1*u1 - u1^60\nset A = f\n")
     g = parse_diff_expression("d1^2*u1*u1^150", problem.ctx)
-    res = ritt_reduce(g, problem.autoreduced("A"))
+    res = ritt_reduce(g, AutoreducedSet(problem.sets["A"]))
     assert res.verify() and len(res.steps) == 2
     ncols = len(res.table.vars)
     for step in res.steps:
@@ -703,7 +709,8 @@ def test_reduce_command_builds_no_certificate_diffpoly(monkeypatch):
     assert built == [] and '"verified": true' in out.getvalue()
     # the DiffPolys of the same certificate print to the same text
     problem = parse_system(Path("rational.dk").read_text(encoding="utf-8"))
-    res = ritt_reduce(parse_diff_expression(argv[3], problem.ctx), problem.autoreduced("N"))
+    g = parse_diff_expression(argv[3], problem.ctx)
+    res = ritt_reduce(g, AutoreducedSet(problem.sets["N"]))
     assert print_diffpoly(res.remainder) in out.getvalue()
     assert all(print_diffpoly(s.quotient) in out.getvalue() for s in res.steps)
     assert len(built) == len(res.steps) + 1 >= 3
@@ -717,7 +724,7 @@ def test_verify_accepts_a_higher_power_of_one():
     )
     ctx = problem.ctx
     g = parse_diff_expression("d1^5*d2^4*u1 + 2*(d1^3*u1)^2", ctx)
-    res = ritt_reduce(g, problem.autoreduced("L"))
+    res = ritt_reduce(g, AutoreducedSet(problem.sets["L"]))
     assert res.verify() and len(res.steps) >= 3
     for f in res.aset.elements:
         assert f.separant() == ctx.const(1) and f.initial() == ctx.const(1)
@@ -776,7 +783,8 @@ def test_verify_agrees_with_fraction_reference(make, max_order, count):
     verdicts = {True: 0, False: 0}
     for _ in range(count):
         problem, name = make(rng)
-        res = ritt_reduce(_target(rng, problem, max_order), problem.autoreduced(name))
+        aset = AutoreducedSet(problem.sets[name])
+        res = ritt_reduce(_target(rng, problem, max_order), aset)
         assert res.verify() and reference_verify(res)
         for _ in range(4):
             restore = _tamper(rng, res)
