@@ -295,10 +295,13 @@ def darboux_search_groebner(spec, d):
     cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
     bvars = [[f"b{k}_{i}" for i in range(len(cof_monos[k]))] for k in range(spec.nder)]
     warnings = []
-    candidates = [[MultiPoly.zero(spec.sig) for _ in range(spec.nder)]]
+    # the cofactor tuples in first-seen order, keyed by their coefficients
+    # (the b-values), the all-zero tuple first
+    bnames = tuple(b for names in bvars for b in names)
+    candidates = {(0,) * len(bnames): [MultiPoly.zero(spec.sig) for _ in range(spec.nder)]}
     for pivot in range(len(monos)):
         avars = [f"a{i}" for i in range(pivot + 1, len(monos))]
-        keep = tuple(avars) + tuple(b for names in bvars for b in names)
+        keep = tuple(avars) + bnames
         ext = spec.sig + keep
         f = undetermined(spec.sig, monos[pivot + 1 :], avars, ext, lead=monos[pivot])
         residuals = [
@@ -315,12 +318,14 @@ def darboux_search_groebner(spec, d):
                 f"solution family in pivot branch {pivot}; cofactors collected by sampling on {list(SAMPLE_VALUES)}"
             )
         for pt in points:
-            cofs = [specialize(spec.sig, cof_monos[k], bvars[k], pt) for k in range(spec.nder)]
-            if cofs not in candidates:
-                candidates.append(cofs)
+            key = tuple(pt[b] for b in bnames)
+            if key not in candidates:
+                candidates[key] = [
+                    specialize(spec.sig, cof_monos[k], bvars[k], pt) for k in range(spec.nder)
+                ]
 
     results = []
-    for cofs in candidates:
+    for cofs in candidates.values():
         for p in _solve_cofactor(spec, monos, cofs):
             results.append(_annotate(spec, p, cofs))
     return _dedup(results), warnings

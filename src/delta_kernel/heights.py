@@ -8,7 +8,10 @@ denominators, and hands the resulting coefficient system to the Groebner
 engine; every emitted solution is re-verified exactly and the observed
 height bound is reported.  The residual is built on integer term dicts and
 its coefficient equations go to the integer Groebner core and the integer
-solver as they are; a MultiPoly is made only for the printed basis.
+solver as they are, and the printed basis is written from those integer
+terms, with no MultiPoly made.  A sampled point becomes an exact integer key
+first (_candidate_key); its MultiPolys and its RatFunc are made, and its
+exact verification run, once per distinct candidate.
 
 The multivariate extension (coefficients in Q(t1..ts), one derivation per
 variable) rides the same pipeline and is flagged experimental.
@@ -17,9 +20,20 @@ variable) rides the same pipeline and is flagged experimental.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .groebner import GREVLEX, buchberger_terms, independent_variable_set, order_key
-from .multipoly import MultiPoly, exponents_upto, integer_terms, mul_integer_terms, sorted_exponents
+from .multipoly import (
+    MultiPoly,
+    _exact_quotient,
+    _poly_gcd,
+    _strip,
+    exponents_upto,
+    integer_terms,
+    mul_integer_terms,
+    sorted_exponents,
+)
+from .printer import FactorTable, print_terms
 from .ratfunc import RatFunc
 from .solve import solve_terms, specialize, undetermined
 
@@ -170,29 +184,76 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
         return
     dim = len(independent_variable_set(leads, len(unknowns)))
     points, exact, free = solve_terms(basis, leads, unknowns, reduced=True)
+    # each element monic: its positive leading coefficient is the denominator
+    factors = [FactorTable(v, False) for v in unknowns]
     report.strata.append(
         StratumReport(
             pmax,
             dq,
             pivot,
-            [MultiPoly(unknowns, g).monic().to_str() for g in basis],
+            [print_terms(factors, slice(None), g[le], g) for g, le in zip(basis, leads)],
             dim,
             exact,
             len(free),
         )
     )
     for pt in points:
-        p_val = specialize(tsig, p_monos, avars, pt)
-        q_val = specialize(tsig, q_free, bvars, pt, lead=pivot)
-        g = RatFunc(p_val, q_val)
-        gkey = (g.num, g.den)
+        gkey = _candidate_key(tsig, p_monos, avars, q_free, bvars, pivot, pt)
         if gkey in seen:
             continue
+        # a candidate that fails verification is kept too, so it is noted once
+        seen.add(gkey)
+        g = _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
         if not verify_ode_solution(ode, g):
             report.notes.append(f"sample failed exact verification: {g.to_str()}")
             continue
-        seen.add(gkey)
         report.solutions.append((g, height_ratfunc(g)))
+
+
+def _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt):
+    """The RatFunc p/q of the ansatz at the point pt."""
+    p_val = specialize(tsig, p_monos, avars, pt)
+    q_val = specialize(tsig, q_free, bvars, pt, lead=pivot)
+    return RatFunc(p_val, q_val)
+
+
+def _candidate_key(tsig, p_monos, avars, q_free, bvars, pivot, pt):
+    """A key of the candidate p/q at the point pt: two points have equal
+    keys exactly when their RatFuncs are equal.  With one t-variable it is
+    _ratfunc_key of the dense coefficient lists; with several, where there is
+    no multivariate integer gcd, it is the RatFunc's (num, den)."""
+    if len(tsig) > 1:
+        g = _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
+        return g.num, g.den
+    p = [0] * (p_monos[0][0] + 1)
+    for name, (k,) in zip(avars, p_monos):
+        p[k] = pt[name]
+    q = [0] * pivot[0] + [1]
+    for name, (k,) in zip(bvars, q_free):
+        q[k] = pt[name]
+    return _ratfunc_key(p, q)
+
+
+def _ratfunc_key(p, q):
+    """An exact integer key of p/q, for univariate p and q over Q given as
+    dense coefficient lists, constant term first, q nonzero: the pair of
+    integer coefficient tuples of p/q in lowest terms, scaled so that the
+    two share no integer factor and q's leading coefficient is positive.
+    Two pairs have equal keys exactly when RatFunc(p1, q1) == RatFunc(p2,
+    q2); every zero p has the key of 0/1."""
+    den = lcm(*[c.denominator for c in p], *[c.denominator for c in q])
+    num_p = _strip([c.numerator * (den // c.denominator) for c in p])
+    if not num_p:
+        return (), (1,)
+    num_q = _strip([c.numerator * (den // c.denominator) for c in q])
+    g = _poly_gcd(num_p, num_q)
+    if len(g) > 1:
+        num_p = _exact_quotient(num_p, g)
+        num_q = _exact_quotient(num_q, g)
+    c = gcd(*num_p, *num_q)
+    if num_q[-1] < 0:
+        c = -c
+    return tuple(x // c for x in num_p), tuple(x // c for x in num_q)
 
 
 def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):

@@ -19,6 +19,11 @@ Riccati ladder, was recorded while every fiber of a sampled family was still
 substituted and solved through MultiPoly and Fraction; many of its fibers
 have a pivot that occurs in the basis.
 
+`solver_golden/solve_ode_growth_d5.json` (11,196 sampled points, 1
+solution) and `solve_ode_square_d4.json` (1,951 points, 6 solutions) were
+recorded while every sampled point was still made a RatFunc before it was
+checked against the solutions already found.
+
 `solver_golden/integrals_euler_d8.json` and `darboux_rot_d8.json`, at twice
 the degree of the other `fields.dk` jobs, were recorded while the eigen path
 took the rational roots of one characteristic polynomial of the whole action
@@ -60,7 +65,9 @@ DATA = Path(__file__).parent / "data"
 
 SOLVER_JOBS = {
     "solve_ode_growth_d3": ["solve-ode", "search.dk", "--ode", "growth", "--deg", "3"],
+    "solve_ode_growth_d5": ["solve-ode", "search.dk", "--ode", "growth", "--deg", "5"],
     "solve_ode_square_d3": ["solve-ode", "search.dk", "--ode", "square", "--deg", "3"],
+    "solve_ode_square_d4": ["solve-ode", "search.dk", "--ode", "square", "--deg", "4"],
     "solve_ode_riccati_d2": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "2"],
     "solve_ode_riccati_d3": ["solve-ode", "search.dk", "--ode", "riccati", "--deg", "3"],
     "darboux_lv_d2": ["darboux", "search.dk", "--dspec", "lv", "--deg", "2"],

@@ -1,4 +1,6 @@
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,8 @@ from delta_kernel.heights import (
     rational_solution_search,
     verify_ode_solution,
 )
-from delta_kernel.multipoly import MultiPoly, coefficients, exponents_upto
+from delta_kernel.cli import main
+from delta_kernel.multipoly import MultiPoly, coefficients, exponents_upto, from_dense
 from delta_kernel.ratfunc import RatFunc
 from delta_kernel.solve import undetermined
 
@@ -224,3 +227,91 @@ def test_integer_residual_matches_the_multipoly_residual(name):
             assert MultiPoly(unknown_sig, ints) == eq.scale(scale)
         checked += 1
     assert checked >= 10
+
+
+def _dense_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_dense(rng, deg):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(deg + 1)]
+
+
+class TestCandidateKey:
+    """heights._ratfunc_key, the key a sampled point is deduplicated on
+    before any RatFunc is made, is the RatFunc identity."""
+
+    def test_literal_cases(self):
+        key = heights._ratfunc_key
+        F = Fraction
+        # a planted common factor t + 1, with and without denominators
+        assert key([-2, -1, 1], [0, 1, 1]) == ((-2, 1), (0, 1))
+        assert key([F(-1), F(-1, 2), F(1, 2)], [0, F(1, 2), F(1, 2)]) == ((-2, 1), (0, 1))
+        # every zero p is 0/1
+        assert key([0, 0], [3, F(1, 2), 1]) == key([0], [1]) == ((), (1,))
+        # a negative leading term of q: 1/(3 - 2t) = -1/(2t - 3)
+        assert key([1], [3, -2]) == ((-1,), (-3, 2))
+        # q with integer content: 2/(6t + 4) = 1/(3t + 2)
+        assert key([2], [4, 6]) == ((1,), (2, 3))
+
+    def test_equal_keys_exactly_when_equal_ratfuncs(self, rng):
+        pairs = []
+        for _ in range(12):
+            p, q = _random_dense(rng, rng.randint(0, 3)), _random_dense(rng, rng.randint(0, 3))
+            q[-1] = q[-1] or Fraction(1)
+            pairs.append((p, q))
+            # the same function again: a planted common factor and a
+            # nonzero scalar, negative half the time
+            h = _random_dense(rng, rng.randint(1, 2))
+            h[-1] = h[-1] or Fraction(-1)
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+            pairs.append(([c * x for x in _dense_mul(p, h)], [c * x for x in _dense_mul(q, h)]))
+            # a zero numerator, written with trailing zeros
+            pairs.append(([Fraction(0)] * rng.randint(1, 3), q))
+        funcs = [RatFunc(from_dense(p, TSIG), from_dense(q, TSIG)) for p, q in pairs]
+        keys = [heights._ratfunc_key(p, q) for p, q in pairs]
+        equal = 0
+        for i in range(len(pairs)):
+            for j in range(len(pairs)):
+                assert (keys[i] == keys[j]) == (funcs[i] == funcs[j])
+                equal += i != j and keys[i] == keys[j]
+        assert equal > len(pairs)
+
+
+SEARCH = Path(__file__).parent / "data" / "solver_golden"
+
+
+@pytest.mark.parametrize("ode, deg, calls", [("growth", 3, 2), ("square", 3, 8)])
+def test_solve_ode_specializes_each_distinct_candidate_once(ode, deg, calls, monkeypatch):
+    """Work guard: heights.specialize runs twice per distinct candidate (p
+    and q), not for each of the 310 and 331 sampled points, which read 620
+    and 662 calls while every point was made a RatFunc."""
+    count = [0]
+    specialize = heights.specialize
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return specialize(*args, **kwargs)
+
+    monkeypatch.setattr(heights, "specialize", counting)
+    monkeypatch.chdir(SEARCH)
+    argv = ["--json", "solve-ode", "search.dk", "--ode", ode, "--deg", str(deg)]
+    assert main(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert count[0] == calls
+
+
+def test_failed_verification_is_noted_once(monkeypatch):
+    # x = t is sampled in several strata of x' = 1; reject it every time
+    verify = heights.verify_ode_solution
+    monkeypatch.setattr(
+        heights, "verify_ode_solution", lambda ode, g: g.to_str() != "t" and verify(ode, g)
+    )
+    rep = rational_solution_search(OdePoly(Y - 1), 2)
+    assert rep.notes == ["sample failed exact verification: t"]
+    texts = {g.to_str() for g, _ in rep.solutions}
+    assert "t" not in texts
+    assert {"t + 1", "t - 1"} <= texts
