@@ -11,8 +11,6 @@ failure, 4 internal error (an exact self-check or an internal consistency
 check failed).
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -21,7 +19,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from .diffring import AutoreducedSet, indet_name, is_autoreduced, ritt_reduce
 from .dvariety import darboux_search, first_integral_search
@@ -563,7 +560,7 @@ def build_parser():
 
     p = add("dimfn", help="dimension-count table with oracle cross-check")
     p.add_argument("--set", required=True)
-    p.add_argument("--max-t", type=int, required=True, dest="max_t")
+    p.add_argument("--max-t", type=_int_at_least(0), required=True, dest="max_t")
 
     p = add("prolong", help="prolonged ideal generators and saturated dimension")
     p.add_argument("--set", required=True)
@@ -642,11 +639,11 @@ def main(argv=None, stdout=None, stderr=None):
             args.seed = int(os.environ.get("DELTA_KERNEL_SEED", DEFAULT_SEED))
         problem = None
         if getattr(args, "file", None) is not None:
-            text = (
-                sys.stdin.read()
-                if args.file == "-"
-                else Path(args.file).read_text(encoding="utf-8")
-            )
+            if args.file == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.file, encoding="utf-8") as fh:
+                    text = fh.read()
             problem = parse_system(text)
         doc = run_command(args.command, args, problem)
     except UsageError as exc:

@@ -8,9 +8,6 @@ ranking sit leaders, separants, initials, autoreduced sets, and partial
 reduction with exact certificates.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -33,9 +30,6 @@ from .multipoly import (
 )
 
 
-# not slots=True: before Python 3.12 setting a name other than a field on
-# a frozen slotted dataclass raises TypeError, not FrozenInstanceError
-@dataclass(frozen=True)
 class AlgIndet:
     """The algebraic indeterminate with derivative exponents theta = (e1..em)
     applied to dependent variable u_var.
@@ -45,15 +39,27 @@ class AlgIndet:
     again and again.
     """
 
-    theta: tuple
-    var: int
-    _rank_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("theta", "var", "_rank_key", "_hash")
 
-    def __post_init__(self):
-        key = (sum(self.theta), self.var, *reversed(self.theta))
-        object.__setattr__(self, "_rank_key", key)
-        object.__setattr__(self, "_hash", hash((self.theta, self.var)))
+    def __init__(self, theta, var):
+        setattr_ = object.__setattr__
+        setattr_(self, "theta", theta)
+        setattr_(self, "var", var)
+        setattr_(self, "_rank_key", (sum(theta), var, *reversed(theta)))
+        setattr_(self, "_hash", hash((theta, var)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"AlgIndet is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return AlgIndet, (self.theta, self.var)
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgIndet:
+            return NotImplemented
+        return self.theta == other.theta and self.var == other.var
 
     def __hash__(self):
         return self._hash
@@ -96,11 +102,29 @@ def indet_name(v):
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class CoeffGen:
     """A coefficient-field generator t_index (transcendental over Q)."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        object.__setattr__(self, "index", index)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CoeffGen is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return CoeffGen, (self.index,)
+
+    def __eq__(self, other):
+        if other.__class__ is not CoeffGen:
+            return NotImplemented
+        return self.index == other.index
+
+    def __hash__(self):
+        return hash((self.index,))
 
     def __repr__(self):
         return f"t{self.index}"
@@ -956,15 +980,3 @@ def ritt_reduce(g, aset):
         steps=steps,
     )
 
-
-def is_partially_reduced(g, aset):
-    """No proper derivative of any leader occurs and every leader occurs
-    with degree below its leading degree."""
-    leaders = [(f.leader(), f.leading_degree()) for f in _elements(aset)]
-    for v in g.indets():
-        for u, d in leaders:
-            if v.is_proper_derivative_of(u):
-                return False
-            if v == u and g.degree_in(v) >= d:
-                return False
-    return True

@@ -28,9 +28,6 @@ coprime refinement of the Darboux list, so it is in lowest terms without a
 gcd.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import sub
@@ -153,15 +150,26 @@ def is_dconstant(spec, f):
     return True
 
 
-@dataclass
 class DarbouxResult:
-    """f with delta_k f = K_k * f for every derivation; identities exact."""
+    """f with delta_k f = K_k * f for every derivation; identities exact.
+    Equal when every field is."""
 
-    polynomial: MultiPoly
-    cofactors: list
-    degree: int
-    irreducible: bool | None  # None = not checked (multivariate)
-    irreducibility: str  # "verified-univariate" or "not-checked"
+    __slots__ = ("polynomial", "cofactors", "degree", "irreducible", "irreducibility")
+
+    def __init__(self, polynomial, cofactors, degree, irreducible, irreducibility):
+        self.polynomial = polynomial
+        self.cofactors = cofactors
+        self.degree = degree
+        self.irreducible = irreducible  # None = not checked (multivariate)
+        self.irreducibility = irreducibility  # "verified-univariate" or "not-checked"
+
+    def _fields(self):
+        return (self.polynomial, self.cofactors, self.degree, self.irreducible, self.irreducibility)
+
+    def __eq__(self, other):
+        if other.__class__ is not DarbouxResult:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def key(self):
         return (

@@ -9,9 +9,6 @@ constructor reads index tuples, and only the `coeffs` view writes them; sums,
 scalings and wedges work on the masks alone.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -196,14 +193,22 @@ def wedge_all(vectors):
     return acc
 
 
-@dataclass
 class LemmaVerdict:
-    status: str  # confirmed | vacuous | trivial | precondition_failed
-    detail: str
-    gamma_nonzero: bool = None
-    omega_annihilates: bool = None
-    beta_gamma_zero: bool = None
-    beta_omega_zero: bool = None
+    __slots__ = (
+        "status", "detail",
+        "gamma_nonzero", "omega_annihilates", "beta_gamma_zero", "beta_omega_zero",
+    )
+
+    def __init__(
+        self, status, detail, gamma_nonzero=None, omega_annihilates=None,
+        beta_gamma_zero=None, beta_omega_zero=None,
+    ):
+        self.status = status  # confirmed | vacuous | trivial | precondition_failed
+        self.detail = detail
+        self.gamma_nonzero = gamma_nonzero
+        self.omega_annihilates = omega_annihilates
+        self.beta_gamma_zero = beta_gamma_zero
+        self.beta_omega_zero = beta_omega_zero
 
     @property
     def holds(self):
@@ -364,14 +369,22 @@ def k_solve(targets, vector, tsig):
     return coeffs
 
 
-@dataclass
 class SpanProbeReport:
-    wedge_count: int
-    dim_q_wedges: int
-    dim_k_sample: int
-    dim_q_sample: int
-    beta_indices: tuple
-    membership_checks: list  # (vector index, in_span, coeffs_in_coefficient_space)
+    __slots__ = (
+        "wedge_count", "dim_q_wedges", "dim_k_sample", "dim_q_sample",
+        "beta_indices", "membership_checks",
+    )
+
+    def __init__(
+        self, wedge_count, dim_q_wedges, dim_k_sample, dim_q_sample, beta_indices, membership_checks
+    ):
+        self.wedge_count = wedge_count
+        self.dim_q_wedges = dim_q_wedges
+        self.dim_k_sample = dim_k_sample
+        self.dim_q_sample = dim_q_sample
+        self.beta_indices = beta_indices
+        # (vector index, in_span, coeffs_in_coefficient_space)
+        self.membership_checks = membership_checks
 
 
 def span_probe(sample, ell):

@@ -15,8 +15,6 @@ primitive remainder sequence gcd) lives in multipoly, next to the dense
 views, and poly_gcd's univariate case runs on it too.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import product, zip_longest
 from math import gcd

@@ -53,9 +53,6 @@ exponent vectors, Bachmann-Schoenemann, ISSAC 1998); the same bitmasks
 decide coprimality and screen the pair criteria's divisibility tests.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -116,11 +113,43 @@ def _descending_key(order):
     raise ValueError(f"unknown term order {order!r}")
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    generators: tuple
-    order: str
-    vars: tuple = ()
+    """Immutable: the generators of a basis under the term order, over the
+    signature vars; equal and hashed on all three."""
+
+    __slots__ = ("generators", "order", "vars")
+
+    def __init__(self, generators, order, vars=()):
+        setattr_ = object.__setattr__
+        setattr_(self, "generators", generators)
+        setattr_(self, "order", order)
+        setattr_(self, "vars", vars)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"GroebnerBasis is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GroebnerBasis, (self.generators, self.order, self.vars)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroebnerBasis:
+            return NotImplemented
+        return (
+            self.generators == other.generators
+            and self.order == other.order
+            and self.vars == other.vars
+        )
+
+    def __hash__(self):
+        return hash((self.generators, self.order, self.vars))
+
+    def __repr__(self):
+        return (
+            f"GroebnerBasis(generators={self.generators!r}, order={self.order!r}, "
+            f"vars={self.vars!r})"
+        )
 
     def __iter__(self):
         return iter(self.generators)

@@ -17,9 +17,6 @@ The multivariate extension (coefficients in Q(t1..ts), one derivation per
 variable) rides the same pipeline and is flagged experimental.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .groebner import GREVLEX, buchberger_terms, independent_variable_set, order_key
@@ -107,26 +104,36 @@ def verify_ode_solution(ode, g):
     return total.is_zero()
 
 
-@dataclass
 class StratumReport:
-    p_degree: int
-    q_degree: int
-    pivot: tuple  # leading monomial of q pinned to 1
-    groebner: list  # printable generators of the coefficient ideal
-    dimension: int
-    exact: bool  # complete rational enumeration vs sampled
-    free_count: int
+    __slots__ = ("p_degree", "q_degree", "pivot", "groebner", "dimension", "exact", "free_count")
+
+    def __init__(self, p_degree, q_degree, pivot, groebner, dimension, exact, free_count):
+        self.p_degree = p_degree
+        self.q_degree = q_degree
+        self.pivot = pivot  # leading monomial of q pinned to 1
+        self.groebner = groebner  # printable generators of the coefficient ideal
+        self.dimension = dimension
+        self.exact = exact  # complete rational enumeration vs sampled
+        self.free_count = free_count
 
 
-@dataclass
 class HeightReport:
-    degree_bound: int
-    strata: list = field(default_factory=list)
-    solutions: list = field(default_factory=list)  # (RatFunc, height)
-    families: dict = field(default_factory=dict)  # (num deg, den deg) -> count
-    observed_bound: int = 0
-    experimental: bool = False
-    notes: list = field(default_factory=list)
+    __slots__ = (
+        "degree_bound", "strata", "solutions", "families",
+        "observed_bound", "experimental", "notes",
+    )
+
+    def __init__(
+        self, degree_bound, strata=None, solutions=None, families=None, observed_bound=0,
+        experimental=False, notes=None,
+    ):
+        self.degree_bound = degree_bound
+        self.strata = [] if strata is None else strata
+        self.solutions = [] if solutions is None else solutions  # (RatFunc, height)
+        self.families = {} if families is None else families  # (num deg, den deg) -> count
+        self.observed_bound = observed_bound
+        self.experimental = experimental
+        self.notes = [] if notes is None else notes
 
 
 def rational_solution_search(ode, degree_bound):
@@ -319,10 +326,12 @@ def _partial_terms(t, k):
     return {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in t.items() if e[k]}
 
 
-@dataclass
 class AxiomCheck:
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked=0, failures=None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):

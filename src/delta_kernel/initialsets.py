@@ -10,9 +10,6 @@ dimension counts |B_t|, the finitely many removable points, and the
 prolongation level bound.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import attrgetter
@@ -94,18 +91,6 @@ class InitialSetRep:
         out.sort(key=_BY_VAR)
         return out
 
-    def is_downward_closed_without(self, p):
-        """Whether B minus {p} is still downward closed.
-
-        Equivalent to maximality of p in B; the equivalence is exercised by
-        tests.  Removing p breaks downward closure exactly when some point
-        of B sits strictly above p, and a minimal such witness is p plus a
-        unit step.
-        """
-        if not self.contains(p):
-            raise ValueError("point not in B")
-        return all(not self.contains(p.derive(k)) for k in range(1, self.m + 1))
-
     def __repr__(self):
         return f"InitialSetRep(m={self.m}, n={self.n}, E={sorted(self.E, key=_BY_VAR)!r})"
 
@@ -116,13 +101,15 @@ def leaders_to_exponents(aset):
     return InitialSetRep(ctx.m, ctx.n, aset.leaders())
 
 
-@dataclass
 class DimensionFunction:
     """Values |B_t| for t = 0..T plus eventual-polynomial metadata."""
 
-    values: list
-    polynomial: list | None = None  # coefficients c0..cd, exact Fractions
-    stable_from: int | None = None
+    __slots__ = ("values", "polynomial", "stable_from")
+
+    def __init__(self, values, polynomial=None, stable_from=None):
+        self.values = values
+        self.polynomial = polynomial  # coefficients c0..cd, exact Fractions
+        self.stable_from = stable_from
 
     def __getitem__(self, t):
         return self.values[t]
@@ -160,14 +147,16 @@ def _detect_eventual_polynomial(values, max_degree):
     return coeffs, start
 
 
-@dataclass
 class LevelBound:
     """Prolongation level l = max(l1, l2) with its two ingredients."""
 
-    level: int
-    from_orders: int  # l1: maximum order in the autoreduced set
-    from_removable: int  # l2: maximum order of a removable point (0 if none)
-    removable: list = field(default_factory=list)
+    __slots__ = ("level", "from_orders", "from_removable", "removable")
+
+    def __init__(self, level, from_orders, from_removable, removable=None):
+        self.level = level
+        self.from_orders = from_orders  # l1: maximum order in the autoreduced set
+        self.from_removable = from_removable  # l2: maximum order of a removable point (0 if none)
+        self.removable = [] if removable is None else removable
 
 
 def prolongation_bound(aset):

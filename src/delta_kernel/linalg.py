@@ -10,9 +10,6 @@ a field of degree <= 1 on a degree filtration) never meets a large
 characteristic polynomial.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .factor import rational_roots
@@ -171,13 +168,15 @@ def charpoly(m):
     return from_dense(polys[n], ("X",))
 
 
-@dataclass
 class EigenReport:
     """Rational eigen data; irrational or complex eigenvalues are omitted."""
 
-    pairs: list = field(default_factory=list)  # (eigenvalue, eigenvector basis)
-    complete: bool = True
-    notes: list = field(default_factory=list)
+    __slots__ = ("pairs", "complete", "notes")
+
+    def __init__(self, pairs=None, complete=True, notes=None):
+        self.pairs = [] if pairs is None else pairs  # (eigenvalue, eigenvector basis)
+        self.complete = complete
+        self.notes = [] if notes is None else notes
 
 
 def rational_eigen(m):

@@ -49,8 +49,6 @@ variables; the searches read their equations in the unknowns off it, and
 the affine fiber solve its top-order linear parts.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain

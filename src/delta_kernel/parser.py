@@ -37,10 +37,7 @@ factors.  Division is general for rational functions (height) and by nonzero
 constants elsewhere.  Errors carry line and column positions.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -62,12 +59,14 @@ class ParseError(Exception):
         super().__init__(message + where)
 
 
-@dataclass
 class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 _TOKEN_RE = re.compile(
@@ -313,14 +312,16 @@ def _diff_env(ctx):
     return _Env(names, ctx.const, "a differential polynomial", ctx)
 
 
-@dataclass
 class ProblemFile:
-    ctx: DiffContext
-    polys: dict = field(default_factory=dict)
-    sets: dict = field(default_factory=dict)  # name -> list of DiffPoly
-    dspecs: dict = field(default_factory=dict)
-    odes: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)  # (kind, name) in file order
+    __slots__ = ("ctx", "polys", "sets", "dspecs", "odes", "order")
+
+    def __init__(self, ctx, polys=None, sets=None, dspecs=None, odes=None, order=None):
+        self.ctx = ctx
+        self.polys = {} if polys is None else polys
+        self.sets = {} if sets is None else sets  # name -> list of DiffPoly
+        self.dspecs = {} if dspecs is None else dspecs
+        self.odes = {} if odes is None else odes
+        self.order = [] if order is None else order  # (kind, name) in file order
 
     def names(self):
         return [name for _, name in self.order]

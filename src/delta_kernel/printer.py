@@ -17,8 +17,6 @@ frame polynomial reads d1*u1^2; a derivative chain is one atom of the
 grammar, so both read back the same.
 """
 
-from __future__ import annotations
-
 from math import gcd
 from operator import getitem
 

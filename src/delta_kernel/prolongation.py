@@ -12,12 +12,8 @@ which yields the affine fiber model and, at level bound + 1, the fiberwise
 affine subbundle of the tangent spaces.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 from .diffring import AlgIndet, AutoreducedSet, derived
-from .groebner import GREVLEX, GroebnerBasis, buchberger, ideal_dimension, saturate
+from .groebner import GREVLEX, buchberger, ideal_dimension, saturate
 from .initialsets import leaders_to_exponents, prolongation_bound
 from .multipoly import MultiPoly, coefficients, exponents_upto
 from .ratfunc import RatFunc
@@ -60,7 +56,6 @@ def _as_frame_poly(f, frame):
     return f.body.restrict(_frame_sig(frame))
 
 
-@dataclass
 class ProlongedIdeal:
     """Level-t generators theta(f), ord(theta f) <= t, over the frame ring.
 
@@ -70,12 +65,15 @@ class ProlongedIdeal:
     normal forms of the fiber checks read it.
     """
 
-    level: int
-    frame: tuple
-    generators: list
-    provenance: list  # (element index, theta) per generator
-    separants: list  # nonconstant separants over the frame
-    _basis: GroebnerBasis = field(default=None, repr=False)
+    __slots__ = ("level", "frame", "generators", "provenance", "separants", "_basis")
+
+    def __init__(self, level, frame, generators, provenance, separants, _basis=None):
+        self.level = level
+        self.frame = frame
+        self.generators = generators
+        self.provenance = provenance  # (element index, theta) per generator
+        self.separants = separants  # nonconstant separants over the frame
+        self._basis = _basis  # the GroebnerBasis, once computed
 
     def groebner_basis(self):
         if self._basis is None:
@@ -172,7 +170,6 @@ class AffineExpr:
         return f"AffineExpr({self.to_str()})"
 
 
-@dataclass
 class AffineFiberModel:
     """Order-t coordinates over the level-(t-1) function field.
 
@@ -181,11 +178,14 @@ class AffineFiberModel:
     separant products (recorded per expression before cancellation).
     """
 
-    level: int
-    frame_low: tuple  # coordinates of order <= t-1
-    basis_coords: tuple  # order-t coordinates inside B
-    expressions: dict  # non-basis order-t AlgIndet -> AffineExpr
-    separants_used: dict  # same keys -> tuple of element indices inverted
+    __slots__ = ("level", "frame_low", "basis_coords", "expressions", "separants_used")
+
+    def __init__(self, level, frame_low, basis_coords, expressions, separants_used):
+        self.level = level
+        self.frame_low = frame_low  # coordinates of order <= t-1
+        self.basis_coords = basis_coords  # order-t coordinates inside B
+        self.expressions = expressions  # non-basis order-t AlgIndet -> AffineExpr
+        self.separants_used = separants_used  # same keys -> tuple of element indices inverted
 
     def fiber_dimension(self):
         return len(self.basis_coords)
@@ -265,39 +265,18 @@ def affine_fiber(aset, t):
     )
 
 
-@dataclass
 class DVarietyData:
     """Algebraic variety at the level bound plus the affine subbundle of the
     m-fold tangent bundle read off from the next level."""
 
-    level: int
-    variety: ProlongedIdeal
-    fibers: AffineFiberModel
-    fiber_dim: int
-    bound: object  # LevelBound breakdown
+    __slots__ = ("level", "variety", "fibers", "fiber_dim", "bound")
 
-    def tangent_section(self):
-        """Affine expression of each tangent coordinate (coordinate, k).
-
-        For a frame coordinate x of order <= level and a derivation k the
-        tangent value is the coordinate one step further: a known frame
-        coordinate, a free fiber parameter, or a solved fiber expression.
-        """
-        ext = _frame_sig(self.fibers.frame_low)
-        out = {}
-        for x in self.variety.frame:
-            for k in range(1, len(x.theta) + 1):
-                target = x.derive(k)
-                if target.order <= self.level:
-                    out[(x, k)] = AffineExpr(RatFunc.var(ext, target))
-                elif target in self.fibers.basis_coords:
-                    out[(x, k)] = AffineExpr(
-                        RatFunc(MultiPoly.zero(ext)),
-                        {target: RatFunc.from_const(ext, 1)},
-                    )
-                else:
-                    out[(x, k)] = self.fibers.expressions[target]
-        return out
+    def __init__(self, level, variety, fibers, fiber_dim, bound):
+        self.level = level
+        self.variety = variety  # ProlongedIdeal
+        self.fibers = fibers  # AffineFiberModel
+        self.fiber_dim = fiber_dim
+        self.bound = bound  # LevelBound breakdown
 
 
 def extract_dvariety(aset):

@@ -13,8 +13,6 @@ printer.print_ratfunc brackets by its own rules, x1^4/(x2^2); pinned
 output uses both, so neither rule can take the other's place.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .multipoly import MultiPoly, SignatureMismatchError, poly_gcd

@@ -41,8 +41,6 @@ write their ansatz with undetermined and read each solution point back
 into a polynomial with specialize.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .factor import integer_rational_roots

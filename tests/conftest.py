@@ -111,3 +111,17 @@ def random_autoreduced(rng, ctx, max_members=2, max_order=2, max_degree=2):
     if not chosen:
         chosen = [ctx.u(1) - ctx.const(1)]
     return AutoreducedSet(chosen)
+
+
+def is_partially_reduced(g, aset):
+    """Reference check of partial reduction by the AutoreducedSet aset: no
+    proper derivative of any leader occurs in g, and every leader occurs
+    with degree below its leading degree."""
+    leaders = [(f.leader(), f.leading_degree()) for f in aset.elements]
+    for v in g.indets():
+        for u, d in leaders:
+            if v.is_proper_derivative_of(u):
+                return False
+            if v == u and g.degree_in(v) >= d:
+                return False
+    return True

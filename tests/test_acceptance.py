@@ -17,7 +17,6 @@ from delta_kernel.diffring import (
     AutoreducedSet,
     DiffContext,
     apply_derivation,
-    is_partially_reduced,
     poly_rank_compare,
     ritt_reduce,
 )
@@ -48,6 +47,7 @@ from delta_kernel.ratfunc import RatFunc
 
 from conftest import (
     default_seed,
+    is_partially_reduced,
     random_autoreduced,
     random_diffpoly,
 )

@@ -1,7 +1,10 @@
 import gc
 import io
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +237,15 @@ class TestExitCodes:
         assert code == 1 and "usage error" in err and out == ""
         assert flags[0] in err
 
+    def test_negative_dimfn_level(self, problem_path):
+        code, out, err = run(["--json", "dimfn", problem_path, "--set", "L", "--max-t", "-1"])
+        assert code == 1 and "usage error" in err and out == ""
+        assert "--max-t" in err
+
+    def test_dimfn_level_zero(self, problem_path):
+        code, out, _ = run(["--json", "dimfn", problem_path, "--set", "L", "--max-t", "0"])
+        assert code == 0 and json.loads(out)["results"]["table"] == [{"count": 1, "t": 0}]
+
     def test_smallest_wedge_check_sizes(self):
         code, out, _ = run(["--json", "wedge-check", "--dim", "1", "--count", "0"])
         results = json.loads(out)["results"]
@@ -458,3 +470,23 @@ class TestDeterminism:
             code, out, _ = run(argv)
             assert code == 0
             validate_report(json.loads(out))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up guard: importing the CLI in a fresh interpreter loads
+    neither module, compared against what was loaded before the import so
+    that whatever `site` brings in does not count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import delta_kernel.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = set(done.stdout.split())
+    assert "delta_kernel.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -3,17 +3,17 @@ import pytest
 from delta_kernel.diffring import (
     AlgIndet,
     AutoreducedSet,
+    CoeffGen,
     DiffContext,
     apply_derivation,
     is_autoreduced,
-    is_partially_reduced,
     poly_rank_compare,
     rank_compare,
     ritt_reduce,
     set_rank_compare,
 )
 
-from conftest import random_autoreduced, random_diffpoly
+from conftest import is_partially_reduced, random_autoreduced, random_diffpoly
 
 
 class TestRanking:
@@ -72,6 +72,29 @@ class TestAlgIndetValue:
         v = AlgIndet((0, 3), 2)
         w = pickle.loads(pickle.dumps(v))
         assert w == v and hash(w) == hash(v) and w.rank_key() == v.rank_key()
+
+
+class TestCoeffGenValue:
+    def test_immutable(self):
+        t = CoeffGen(2)
+        for name, value in [("index", 3), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        with pytest.raises(AttributeError):
+            del t.index
+        assert t.index == 2 and repr(t) == "t2"
+
+    def test_equality_and_hash_on_index(self):
+        t = CoeffGen(2)
+        assert t == CoeffGen(2) and hash(t) == hash(CoeffGen(2))
+        assert t != CoeffGen(1) and t != (2,) and t != 2 and t != AlgIndet((2,), 1)
+        assert len({t, CoeffGen(2), CoeffGen(1)}) == 2
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        t = CoeffGen(4)
+        assert pickle.loads(pickle.dumps(t)) == t
 
 
 class TestLeaderSeparantInitial:

@@ -39,6 +39,22 @@ def _monic(p, order):
     return p.scale(1 / _leading(p, order)[1]) if p.terms else p
 
 
+def test_basis_is_an_immutable_value():
+    gb = buchberger([X * X - Y, X * Y - 1], GREVLEX)
+    same = GroebnerBasis(tuple(gb.generators), gb.order, gb.vars)
+    assert gb == same and hash(gb) == hash(same)
+    assert gb != GroebnerBasis(gb.generators, LEX, gb.vars)
+    assert gb != GroebnerBasis(gb.generators[1:], gb.order, gb.vars)
+    assert gb != (gb.generators, gb.order, gb.vars) and gb != gb.generators
+    assert GroebnerBasis((), GREVLEX).vars == ()
+    for name, value in [("generators", ()), ("order", LEX), ("vars", ()), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(gb, name, value)
+    with pytest.raises(AttributeError):
+        del gb.order
+    assert gb == same
+
+
 def test_buchberger_lex_example():
     gb = buchberger([X * Y - 1, Y * Y - 1], LEX)
     assert {g.to_str() for g in gb.generators} == {"x - y", "y^2 - 1"}

@@ -73,6 +73,31 @@ def _expr_as_ratfunc(expr, ext):
     return total
 
 
+def tangent_section(data):
+    """Affine expression of each tangent coordinate (coordinate, k) of the
+    DVarietyData data.
+
+    For a frame coordinate x of order <= level and a derivation k the
+    tangent value is the coordinate one step further: a known frame
+    coordinate, a free fiber parameter, or a solved fiber expression.
+    """
+    ext = _frame_sig(data.fibers.frame_low)
+    out = {}
+    for x in data.variety.frame:
+        for k in range(1, len(x.theta) + 1):
+            target = x.derive(k)
+            if target.order <= data.level:
+                out[(x, k)] = AffineExpr(RatFunc.var(ext, target))
+            elif target in data.fibers.basis_coords:
+                out[(x, k)] = AffineExpr(
+                    RatFunc(MultiPoly.zero(ext)),
+                    {target: RatFunc.from_const(ext, 1)},
+                )
+            else:
+                out[(x, k)] = data.fibers.expressions[target]
+    return out
+
+
 def is_dconstant_on_fibers(f, data):
     """D-constant test against prolongation fiber data (any fiber dimension).
 
@@ -86,7 +111,7 @@ def is_dconstant_on_fibers(f, data):
     gb = data.variety.groebner_basis()
     if normal_form(f.den, gb).is_zero():
         raise ZeroDivisionError("denominator vanishes identically on the variety")
-    section = data.tangent_section()
+    section = tangent_section(data)
     m = len(data.variety.frame[0].theta)
     partials = [f.derivative(i) for i in range(len(ext))]
     for k in range(1, m + 1):
@@ -231,7 +256,7 @@ class TestExtract:
     def test_linear_ordinary(self):
         data = extract_dvariety(corpus()[0])
         assert data.level == 1 and data.fiber_dim == 0
-        section = data.tangent_section()
+        section = tangent_section(data)
         u0, u1 = AlgIndet((0,), 1), AlgIndet((1,), 1)
         assert section[(u0, 1)].const.num.to_str() == "d1*u1"
         assert section[(u1, 1)].const.num.to_str() == "d1*u1"
@@ -239,7 +264,7 @@ class TestExtract:
     def test_quadratic_section_value(self):
         data = extract_dvariety(corpus()[1])
         assert data.level == 1 and data.fiber_dim == 0
-        section = data.tangent_section()
+        section = tangent_section(data)
         u1 = AlgIndet((1,), 1)
         assert section[(u1, 1)].const.constant_value() == Fraction(1, 2)
 
