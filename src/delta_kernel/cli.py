@@ -83,16 +83,6 @@ def validate_report(doc):
     return True
 
 
-def _report(command, inputs, results, assumptions, timings=None):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "assumptions": list(assumptions),
-        "timings": dict(timings or {}),
-    }
-
-
 def _frac(x):
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -119,21 +109,17 @@ def _field_on_affine_space(problem, name):
 
 
 def _load_aset(problem, name):
-    polys = _need(problem, problem.sets, name, "set")
-    try:
-        return AutoreducedSet(polys)
-    except ValueError as exc:
-        raise MathError(str(exc))
+    return AutoreducedSet(_need(problem, problem.sets, name, "set"))
 
 
 # ---------- command implementations ----------
+# each returns (results, assumptions); run_command builds the report
 
 
 def _cmd_analyze(args, problem):
     results = {"polynomials": [], "sets": [], "dspecs": [], "odes": []}
-    names = [args.name] if args.name else None
     for kind, name in problem.order:
-        if names and name not in names:
+        if args.name and name != args.name:
             continue
         if kind == "dspec":
             spec = problem.dspecs[name]
@@ -184,9 +170,9 @@ def _cmd_analyze(args, problem):
             if not ok:
                 entry["violation"] = witness[2]
             results["sets"].append(entry)
-    if names and not any(results.values()):
+    if args.name and not any(results.values()):
         raise MathError(f"nothing named {args.name!r} to analyze")
-    return _report("analyze", _inputs(args), results, [CHARSET_ASSUMPTION])
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_bound(args, problem):
@@ -199,7 +185,7 @@ def _cmd_bound(args, problem):
         "removable": [[*p.theta, p.var] for p in b.removable],
         "note": "level beyond which codimension-one dimension deficits are stable",
     }
-    return _report("bound", _inputs(args, set=args.set), results, [CHARSET_ASSUMPTION])
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_dimfn(args, problem):
@@ -223,21 +209,11 @@ def _cmd_dimfn(args, problem):
         ),
         "stable_from": df.stable_from,
     }
-    return _report(
-        "dimfn",
-        _inputs(args, set=args.set, max_t=args.max_t),
-        results,
-        [CHARSET_ASSUMPTION],
-    )
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_prolong(args, problem):
-    aset = _load_aset(problem, args.set)
-    if args.t < aset.max_order():
-        raise MathError(
-            f"level {args.t} is below the maximum defining order {aset.max_order()}"
-        )
-    pid = prolong_ideal(aset, args.t)
+    pid = prolong_ideal(_load_aset(problem, args.set), args.t)
     results = {
         "level": pid.level,
         "frame": [indet_name(v) for v in pid.frame],
@@ -253,20 +229,11 @@ def _cmd_prolong(args, problem):
         "saturated_dimension": pid.dimension(),
         "note": "dimension of the separant-saturated ideal",
     }
-    return _report(
-        "prolong",
-        _inputs(args, set=args.set, t=args.t),
-        results,
-        [CHARSET_ASSUMPTION],
-    )
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_extract(args, problem):
-    aset = _load_aset(problem, args.set)
-    try:
-        data = extract_dvariety(aset)
-    except ValueError as exc:
-        raise MathError(str(exc))
+    data = extract_dvariety(_load_aset(problem, args.set))
     results = {
         "level": data.level,
         "level_breakdown": {
@@ -285,12 +252,7 @@ def _cmd_extract(args, problem):
         },
         "note": "affine fibers valid off the separant zero locus",
     }
-    return _report(
-        "extract-dvariety",
-        _inputs(args, set=args.set),
-        results,
-        [CHARSET_ASSUMPTION],
-    )
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_darboux(args, problem):
@@ -312,12 +274,9 @@ def _cmd_darboux(args, problem):
         ],
         "note": "each polynomial satisfies delta_k f = K_k f exactly; counts are per canonical basis element up to the stated degree",
     }
-    return _report(
-        "darboux",
-        _inputs(args, dspec=args.dspec, deg=args.deg, method=args.method),
-        results,
-        ["multivariate irreducibility not checked; univariate results factored exactly"],
-    )
+    return results, [
+        "multivariate irreducibility not checked; univariate results factored exactly"
+    ]
 
 
 def _cmd_integrals(args, problem):
@@ -329,12 +288,9 @@ def _cmd_integrals(args, problem):
         "results": [print_ratfunc(f) for f in found],
         "note": "nonconstant rational functions killed by every derivation",
     }
-    return _report(
-        "integrals",
-        _inputs(args, dspec=args.dspec, deg=args.deg),
-        results,
-        ["search is complete for polynomial integrals and Darboux-product ratios up to the degree bound"],
-    )
+    return results, [
+        "search is complete for polynomial integrals and Darboux-product ratios up to the degree bound"
+    ]
 
 
 def _cmd_height(args, problem):
@@ -344,14 +300,11 @@ def _cmd_height(args, problem):
         "height": height_ratfunc(g),
         "note": "max(deg numerator, deg denominator) in lowest terms",
     }
-    return _report("height", {"expr": args.expr}, results, [])
+    return results, []
 
 
 def _cmd_solve_ode(args, problem):
-    ode = _need(problem, problem.odes, args.ode, "ode")
-    if args.deg < 0:
-        raise MathError("degree bound must be nonnegative")
-    rep = rational_solution_search(ode, args.deg)
+    rep = rational_solution_search(_need(problem, problem.odes, args.ode, "ode"), args.deg)
     results = {
         "degree_bound": rep.degree_bound,
         "observed_bound": rep.observed_bound,
@@ -381,9 +334,7 @@ def _cmd_solve_ode(args, problem):
     ]
     if rep.experimental:
         assumptions.append("multivariate coefficient field: experimental pipeline")
-    return _report(
-        "solve-ode", _inputs(args, ode=args.ode, deg=args.deg), results, assumptions
-    )
+    return results, assumptions
 
 
 def _cmd_reduce(args, problem):
@@ -414,12 +365,7 @@ def _cmd_reduce(args, problem):
         },
         "note": "multiplier * input = sum(quotient * derived element) + remainder, exactly",
     }
-    return _report(
-        "reduce",
-        _inputs(args, poly=args.poly, modulo=args.modulo),
-        results,
-        [CHARSET_ASSUMPTION],
-    )
+    return results, [CHARSET_ASSUMPTION]
 
 
 def _cmd_wedge_check(args, problem):
@@ -454,12 +400,7 @@ def _cmd_wedge_check(args, problem):
         "examples": examples,
         "note": "decomposable form annihilating a frame is divisible by it: instance checks",
     }
-    return _report(
-        "wedge-check",
-        {"dim": dim, "count": args.count, "seed": args.seed},
-        results,
-        [],
-    )
+    return results, []
 
 
 def _random_vector(rng, dim):
@@ -470,14 +411,6 @@ def _random_vector(rng, dim):
         if c:
             coeffs[(i,)] = c
     return ExtVector(dim, 1, coeffs)
-
-
-def _inputs(args, **extra):
-    out = {}
-    if getattr(args, "file", None):
-        out["file"] = args.file if args.file != "-" else "<stdin>"
-    out.update({k: v for k, v in extra.items() if v is not None})
-    return out
 
 
 # ---------- rendering ----------
@@ -546,50 +479,60 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, needs_file=True, **kwargs):
+    def add(name, handler, needs_file=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         if needs_file:
             p.add_argument("file", help="problem file, or - for stdin")
         return p
 
-    p = add("analyze", help="leaders, ranks, separants, autoreduced verdicts")
+    p = add("analyze", _cmd_analyze, help="leaders, ranks, separants, autoreduced verdicts")
     p.add_argument("--name", help="restrict to one named object")
 
-    p = add("bound", help="prolongation level bound with breakdown")
+    p = add("bound", _cmd_bound, help="prolongation level bound with breakdown")
     p.add_argument("--set", required=True)
 
-    p = add("dimfn", help="dimension-count table with oracle cross-check")
+    p = add("dimfn", _cmd_dimfn, help="dimension-count table with oracle cross-check")
     p.add_argument("--set", required=True)
     p.add_argument("--max-t", type=_int_at_least(0), required=True, dest="max_t")
 
-    p = add("prolong", help="prolonged ideal generators and saturated dimension")
+    p = add("prolong", _cmd_prolong, help="prolonged ideal generators and saturated dimension")
     p.add_argument("--set", required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = add("extract-dvariety", help="variety plus affine fiber data at the level bound")
+    p = add(
+        "extract-dvariety", _cmd_extract,
+        help="variety plus affine fiber data at the level bound",
+    )
     p.add_argument("--set", required=True)
 
-    p = add("darboux", help="Darboux polynomials up to a degree bound")
+    p = add("darboux", _cmd_darboux, help="Darboux polynomials up to a degree bound")
     p.add_argument("--dspec", required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--method", choices=("auto", "eigen", "groebner"), default="auto")
 
-    p = add("integrals", help="rational first integrals up to a degree bound")
+    p = add("integrals", _cmd_integrals, help="rational first integrals up to a degree bound")
     p.add_argument("--dspec", required=True)
     p.add_argument("--deg", type=int, required=True)
 
-    p = add("height", needs_file=False, help="height of a rational function of t")
+    p = add("height", _cmd_height, needs_file=False, help="height of a rational function of t")
     p.add_argument("expr")
 
-    p = add("solve-ode", help="bounded-degree rational solutions and observed height bound")
+    p = add(
+        "solve-ode", _cmd_solve_ode,
+        help="bounded-degree rational solutions and observed height bound",
+    )
     p.add_argument("--ode", required=True)
     p.add_argument("--deg", type=int, required=True)
 
-    p = add("reduce", help="partial remainder with an exact certificate")
+    p = add("reduce", _cmd_reduce, help="partial remainder with an exact certificate")
     p.add_argument("poly", help="polynomial name or inline expression")
     p.add_argument("--modulo", required=True)
 
-    p = add("wedge-check", needs_file=False, help="exterior-algebra lemma instance battery")
+    p = add(
+        "wedge-check", _cmd_wedge_check, needs_file=False,
+        help="exterior-algebra lemma instance battery",
+    )
     p.add_argument("--dim", type=_int_at_least(1), default=4)
     p.add_argument("--count", type=_int_at_least(0), default=50)
     p.add_argument(
@@ -601,27 +544,26 @@ def build_parser():
     return parser
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "bound": _cmd_bound,
-    "dimfn": _cmd_dimfn,
-    "prolong": _cmd_prolong,
-    "extract-dvariety": _cmd_extract,
-    "darboux": _cmd_darboux,
-    "integrals": _cmd_integrals,
-    "height": _cmd_height,
-    "solve-ode": _cmd_solve_ode,
-    "reduce": _cmd_reduce,
-    "wedge-check": _cmd_wedge_check,
-}
+# parsed attributes that are not arguments of the subcommand
+_NOT_INPUTS = ("json", "timings", "command", "handler")
 
 
-def run_command(command, args, problem):
-    """Dispatch one parsed command; returns the report document."""
-    handler = _HANDLERS[command]
+def run_command(args, problem):
+    """Run one parsed command; returns the report document, whose inputs
+    echo every argument of the subcommand that is set."""
     started = time.monotonic()
-    doc = handler(args, problem)
-    if getattr(args, "timings", False):
+    results, assumptions = args.handler(args, problem)
+    inputs = {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS}
+    if inputs.get("file") == "-":
+        inputs["file"] = "<stdin>"
+    doc = {
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        "assumptions": assumptions,
+        "timings": {},
+    }
+    if args.timings:
         doc["timings"]["total_seconds"] = round(time.monotonic() - started, 6)
     validate_report(doc)
     return doc
@@ -645,7 +587,7 @@ def main(argv=None, stdout=None, stderr=None):
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
             problem = parse_system(text)
-        doc = run_command(args.command, args, problem)
+        doc = run_command(args, problem)
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 1

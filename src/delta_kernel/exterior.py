@@ -194,21 +194,11 @@ def wedge_all(vectors):
 
 
 class LemmaVerdict:
-    __slots__ = (
-        "status", "detail",
-        "gamma_nonzero", "omega_annihilates", "beta_gamma_zero", "beta_omega_zero",
-    )
+    __slots__ = ("status", "detail")
 
-    def __init__(
-        self, status, detail, gamma_nonzero=None, omega_annihilates=None,
-        beta_gamma_zero=None, beta_omega_zero=None,
-    ):
+    def __init__(self, status, detail):
         self.status = status  # confirmed | vacuous | trivial | precondition_failed
         self.detail = detail
-        self.gamma_nonzero = gamma_nonzero
-        self.omega_annihilates = omega_annihilates
-        self.beta_gamma_zero = beta_gamma_zero
-        self.beta_omega_zero = beta_omega_zero
 
     @property
     def holds(self):
@@ -223,49 +213,22 @@ def factorization_implication_check(alphas, omega, beta):
     preconditions are reported as verdicts, not faults.
     """
     if omega.is_zero():
-        return LemmaVerdict("trivial", "omega = 0, nothing to check", True, True)
+        return LemmaVerdict("trivial", "omega = 0, nothing to check")
     gamma = wedge_all(alphas)
     if gamma.is_zero():
-        return LemmaVerdict(
-            "precondition_failed",
-            "the alphas are linearly dependent (gamma = 0)",
-            gamma_nonzero=False,
-        )
+        return LemmaVerdict("precondition_failed", "the alphas are linearly dependent (gamma = 0)")
     for i, a in enumerate(alphas):
         if not wedge(omega, a).is_zero():
-            return LemmaVerdict(
-                "precondition_failed",
-                f"omega ^ alpha_{i + 1} != 0",
-                gamma_nonzero=True,
-                omega_annihilates=False,
-            )
+            return LemmaVerdict("precondition_failed", f"omega ^ alpha_{i + 1} != 0")
     bg = wedge(beta, gamma)
     if not bg.is_zero():
         return LemmaVerdict(
-            "vacuous",
-            "beta ^ gamma != 0: hypothesis fails, implication vacuously true",
-            True,
-            True,
-            beta_gamma_zero=False,
+            "vacuous", "beta ^ gamma != 0: hypothesis fails, implication vacuously true"
         )
     bo = wedge(beta, omega)
     if bo.is_zero():
-        return LemmaVerdict(
-            "confirmed",
-            "beta ^ gamma = 0 and beta ^ omega = 0",
-            True,
-            True,
-            beta_gamma_zero=True,
-            beta_omega_zero=True,
-        )
-    return LemmaVerdict(
-        "refuted",
-        "beta ^ gamma = 0 but beta ^ omega != 0",
-        True,
-        True,
-        beta_gamma_zero=True,
-        beta_omega_zero=False,
-    )
+        return LemmaVerdict("confirmed", "beta ^ gamma = 0 and beta ^ omega = 0")
+    return LemmaVerdict("refuted", "beta ^ gamma = 0 but beta ^ omega != 0")
 
 
 # ---------- finite-dimensionality probe over a field tower ----------

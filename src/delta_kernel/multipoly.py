@@ -106,16 +106,7 @@ class MultiPoly:
                 if len(expo) != nv:
                     raise ValueError("exponent vector length does not match signature")
                 if coeff:
-                    expo = tuple(expo)
-                    acc = clean.get(expo)
-                    if acc is None:
-                        clean[expo] = coeff
-                    else:
-                        acc += coeff
-                        if acc:
-                            clean[expo] = acc
-                        else:
-                            del clean[expo]
+                    clean[tuple(expo)] = coeff
         self.terms = clean
 
     # ---------- constructors ----------
@@ -329,13 +320,6 @@ class MultiPoly:
         out = MultiPoly.zero(self.vars)
         out.terms = q
         return out
-
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivisionError:
-            return False
 
     # ---------- calculus & substitution ----------
 

@@ -116,9 +116,7 @@ def prolong_ideal(aset, t):
     if not isinstance(aset, AutoreducedSet):
         aset = AutoreducedSet(aset)
     if t < aset.max_order():
-        raise ValueError(
-            f"prolongation level {t} below the maximum defining order {aset.max_order()}"
-        )
+        raise ValueError(f"level {t} is below the maximum defining order {aset.max_order()}")
     frame, gens, provenance = prolong_generators(aset.elements, t)
     separants = []
     for f in aset.elements:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -224,6 +225,9 @@ class TestCommands:
         assert "x1" in polys
 
 
+BELOW_ORDER = "is below the maximum defining order 2"
+
+
 class TestExitCodes:
     def test_usage_error(self):
         code, _, err = run(["no-such-command"])
@@ -386,6 +390,30 @@ class TestExitCodes:
         code, out, err = run([command, str(path), *flags])
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve-ode", "--ode", "P", "--deg", "-1"], "degree bound must be nonnegative"),
+            (["prolong", "--set", "L", "--t", "1"], f"level 1 {BELOW_ORDER}"),
+            (["prolong", "--set", "L", "--t", "-1"], f"level -1 {BELOW_ORDER}"),
+            # d1 u = u with d2 u = u^2 is autoreduced but incoherent
+            (
+                ["extract-dvariety", "--set", "I"],
+                "non-characteristic input: oracle dimension jump -1 != 0",
+            ),
+        ],
+        ids=["negative-degree", "level-below-order", "negative-level", "incoherent-set"],
+    )
+    def test_library_precondition_errors(self, tmp_path, argv, message):
+        # the libraries' ValueErrors print as the CLI's own checks did
+        path = tmp_path / "pre.dk"
+        path.write_text(
+            PROBLEM + "poly i1 = d1*u1 - u1\npoly i2 = d2*u1 - u1^2\nset I = i1, i2\n",
+            encoding="utf-8",
+        )
+        command, *flags = argv
+        assert run([command, str(path), *flags]) == (3, "", f"error: {message}\n")
+
     def test_missing_file(self):
         code, _, err = run(["analyze", "/nonexistent/path.dk"])
         assert code == 1
@@ -422,6 +450,66 @@ class TestExitCodes:
         code, out, err = run(["darboux", problem_path, "--dspec", "rot", "--deg", "2"])
         assert code == 4 and out == ""
         assert "internal error: degree <= 1 field failed to preserve the space" in err
+
+
+# each subcommand once with every one of its arguments given; FILE stands
+# for the problem file
+EVERY_COMMAND = {
+    "analyze": (["FILE", "--name", "rot"], {"file": "FILE", "name": "rot"}),
+    "bound": (["FILE", "--set", "L"], {"file": "FILE", "set": "L"}),
+    "dimfn": (["FILE", "--set", "L", "--max-t", "2"], {"file": "FILE", "set": "L", "max_t": 2}),
+    "prolong": (["FILE", "--set", "L", "--t", "2"], {"file": "FILE", "set": "L", "t": 2}),
+    "extract-dvariety": (["FILE", "--set", "L"], {"file": "FILE", "set": "L"}),
+    "darboux": (
+        ["FILE", "--dspec", "rot", "--deg", "1", "--method", "groebner"],
+        {"file": "FILE", "dspec": "rot", "deg": 1, "method": "groebner"},
+    ),
+    "integrals": (
+        ["FILE", "--dspec", "rot", "--deg", "1"], {"file": "FILE", "dspec": "rot", "deg": 1}
+    ),
+    "height": (["1/(t-3)"], {"expr": "1/(t-3)"}),
+    "solve-ode": (["FILE", "--ode", "Q", "--deg", "1"], {"file": "FILE", "ode": "Q", "deg": 1}),
+    "reduce": (
+        ["FILE", "d1^3*u1", "--modulo", "L"], {"file": "FILE", "poly": "d1^3*u1", "modulo": "L"}
+    ),
+    "wedge-check": (
+        ["--dim", "3", "--count", "2", "--seed", "5"], {"dim": 3, "count": 2, "seed": 5}
+    ),
+}
+
+
+class TestInputs:
+    def test_every_command_is_covered(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(EVERY_COMMAND)
+
+    @pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+    def test_inputs_echo_exactly_the_given_arguments(self, problem_path, command):
+        args, inputs = EVERY_COMMAND[command]
+        argv = ["--json", command, *(problem_path if a == "FILE" else a for a in args)]
+        code, out, err = run(argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert doc["inputs"] == {k: problem_path if v == "FILE" else v for k, v in inputs.items()}
+
+    def test_text_output_echoes_analyze_name(self, problem_path):
+        code, out, _ = run(["analyze", problem_path, "--name", "rot"])
+        assert code == 0 and "input name: rot\n" in out
+
+    def test_unset_options_are_left_out_and_defaults_echoed(self, problem_path, monkeypatch):
+        code, out, _ = run(["--json", "analyze", problem_path])
+        assert code == 0 and json.loads(out)["inputs"] == {"file": problem_path}
+        code, out, _ = run(["--json", "darboux", problem_path, "--dspec", "rot", "--deg", "1"])
+        assert json.loads(out)["inputs"]["method"] == "auto"
+        monkeypatch.setenv("DELTA_KERNEL_SEED", "9")
+        code, out, _ = run(["--json", "wedge-check", "--count", "1"])
+        assert json.loads(out)["inputs"] == {"dim": 4, "count": 1, "seed": 9}
+
+    def test_stdin_is_echoed_as_a_name(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(PROBLEM))
+        code, out, _ = run(["--json", "bound", "-", "--set", "L"])
+        assert code == 0 and json.loads(out)["inputs"] == {"file": "<stdin>", "set": "L"}
 
 
 class TestDeterminism:

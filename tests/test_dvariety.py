@@ -221,6 +221,20 @@ class TestFirstIntegrals:
                 assert not f.is_constant()
 
 
+def test_coprime_base_splits_a_pair_with_a_common_factor():
+    # x1*x2 and x1*(x1 + x2) share x1: the pair is refined to three
+    # pairwise coprime factors, and each input is their product exactly
+    polys = [X * Y, X * X + X * Y]
+    base, exps = dvariety._coprime_base(polys)
+    assert base == [Y, X, X + Y]
+    assert exps == [[1, 1, 0], [0, 1, 1]]
+    for f, vec in zip(polys, exps):
+        rebuilt = MultiPoly.const(SIG, 1)
+        for q, e in zip(base, vec):
+            rebuilt = rebuilt * q**e
+        assert rebuilt == f
+
+
 class TestLogDerivative:
     def setup_method(self):
         self.t = MultiPoly.var(("t",), "t")

@@ -186,6 +186,19 @@ class TestProlongIdeal:
         with pytest.raises(ValueError):
             prolong_ideal(corpus()[2], 1)
 
+    def test_saturation_by_several_separants(self):
+        # two nonconstant separants, d1*u1 and d1*u2: one elimination
+        # against their product, and the saturated dimension still equals
+        # the initial-set count
+        ctx = DiffContext(1, 2)
+        u1, u2 = ctx.u(1), ctx.u(2)
+        aset = AutoreducedSet([ctx.d(1, u1) ** 2 - u2, ctx.d(1, u2) ** 2 - u1])
+        rep = leaders_to_exponents(aset)
+        for t in (1, 2, 3):
+            pid = prolong_ideal(aset, t)
+            assert [s.to_str() for s in pid.separants] == ["d1*u1", "d1*u2"]
+            assert pid.dimension() == rep.count_up_to(t) == 2
+
     def test_oracle_equivalence_with_counts(self):
         # saturated staircase dimension equals the initial-set count, every level
         for aset in corpus():

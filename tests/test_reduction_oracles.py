@@ -10,8 +10,10 @@ string.
 """
 
 import io
+import json
 import random
 import struct
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -277,6 +279,14 @@ def test_certificates_match_eager_scaling(make, max_order, count):
         assert seen_scaled >= 3
 
 
+def _matches_reference(res, g, aset):
+    remainder, sep, init, steps = reference_ritt_reduce(g, aset)
+    assert res.remainder == remainder
+    assert (res.sep_powers, res.init_powers) == (sep, init)
+    assert [(s.element, s.theta, s.quotient) for s in res.steps] == steps
+    assert res.verify() and reference_verify(res)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -308,13 +318,75 @@ def test_reduction_across_field_widths_matches_reference(text, monkeypatch):
     monkeypatch.setattr(multipoly, "widen", recording)
     monkeypatch.setattr(diffring, "widen", recording)
     res = ritt_reduce(g, aset)
-    remainder, sep, init, steps = reference_ritt_reduce(g, aset)
-    assert res.remainder == remainder
-    assert (res.sep_powers, res.init_powers) == (sep, init)
-    assert [(s.element, s.theta, s.quotient) for s in res.steps] == steps
-    assert res.verify()
+    _matches_reference(res, g, aset)
     if text.startswith("d1^2"):
         assert (8, 16) in widths and res.remainder.degree_in(AlgIndet((0,), 2)) == 161
+
+
+def test_remainder_widens_for_a_derived_element_past_127(monkeypatch):
+    # the input fits 8-bit fields, but d1(f) carries u1^129: ritt_reduce
+    # widens the remainder before packing d1(f) over the table
+    problem = parse_system(
+        "m=1 n=1 coeffs=Q\npoly f = (u1^60 + 1)*d1*u1 - u1^130\nset A = f\n"
+    )
+    aset = AutoreducedSet(problem.sets["A"])
+    g = parse_diff_expression("d1^2*u1 + u1^100*(d1*u1)^2", problem.ctx)
+    callers = []
+    widen = diffring.widen
+
+    def recording(terms, ncols, width, new_width):
+        callers.append((sys._getframe(1).f_code.co_name, width, new_width))
+        return widen(terms, ncols, width, new_width)
+
+    monkeypatch.setattr(diffring, "widen", recording)
+    res = ritt_reduce(g, aset)
+    assert ("ritt_reduce", 8, 16) in callers
+    _matches_reference(res, g, aset)
+
+
+def test_product_doubles_its_width_when_a_guard_bit_is_set(monkeypatch):
+    # the initial u1^100 is cubed: u1^200 sets the guard bit of an 8-bit
+    # field, so _Columns.product doubles the width
+    problem = parse_system("m=1 n=1 coeffs=Q\npoly f = u1^100*(d1*u1)^2 - u1\nset A = f\n")
+    aset = AutoreducedSet(problem.sets["A"])
+    g = parse_diff_expression("d1^2*u1*d1*u1 + (d1*u1)^5", problem.ctx)
+    widths = []
+    product = diffring._Columns.product
+
+    def recording(self, p, q):
+        out = product(self, p, q)
+        widths.append((max(p[0], q[0]), out[0]))
+        return out
+
+    monkeypatch.setattr(diffring._Columns, "product", recording)
+    res = ritt_reduce(g, aset)
+    assert res.init_powers == {0: 3}
+    assert any(after == 2 * before for before, after in widths)
+    _matches_reference(res, g, aset)
+
+
+def test_reduction_over_a_nonconstant_coefficient_field(tmp_path):
+    # Q(t1) with d1 t1 = 1: t1 occurs in f and g, so the column table holds
+    # a coefficient generator beside the algebraic indeterminates
+    text = (
+        "m=1 n=1 coeffs=Q(t1)\naction d1 t1 = 1\n"
+        "poly f = t1*d1*u1 - u1^2 - t1\nset A = f\n"
+    )
+    problem = parse_system(text)
+    aset = AutoreducedSet(problem.sets["A"])
+    g = parse_diff_expression("d1^2*u1 + t1^3*u1", problem.ctx)
+    res = ritt_reduce(g, aset)
+    assert any(isinstance(v, CoeffGen) for v in res.table.vars)
+    _matches_reference(res, g, aset)
+    path = tmp_path / "field.dk"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    argv = ["--json", "reduce", str(path), "d1^2*u1 + t1^3*u1", "--modulo", "A"]
+    assert main(argv, stdout=out) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert results["remainder"] == "t1^5*u1 + 2*u1^3 - u1^2 + 2*t1*u1"
+    assert results["certificate"]["verified"] is True
+    assert print_diffpoly(res.remainder) == results["remainder"]
 
 
 def test_pseudo_reduce_once_identity():
