@@ -119,7 +119,7 @@ def _load_aset(problem, name):
 def _cmd_analyze(args, problem):
     results = {"polynomials": [], "sets": [], "dspecs": [], "odes": []}
     for kind, name in problem.order:
-        if args.name and name != args.name:
+        if args.name is not None and name != args.name:
             continue
         if kind == "dspec":
             spec = problem.dspecs[name]
@@ -170,7 +170,7 @@ def _cmd_analyze(args, problem):
             if not ok:
                 entry["violation"] = witness[2]
             results["sets"].append(entry)
-    if args.name and not any(results.values()):
+    if args.name is not None and not any(results.values()):
         raise MathError(f"nothing named {args.name!r} to analyze")
     return results, [CHARSET_ASSUMPTION]
 

@@ -24,6 +24,7 @@ from .multipoly import (
     mul_packed_terms,
     packed_width,
     packer,
+    power,
     pseudo_divide_terms,
     reindexer,
     widen,
@@ -850,17 +851,6 @@ class _Columns:
             width *= 2
         return width, p[1] * q[1], mul_packed_terms(P, Q)
 
-    def power(self, p, e):
-        """The packed polynomial p to the power e >= 1, by squaring."""
-        out = None
-        while True:
-            if e & 1:
-                out = p if out is None else self.product(out, p)
-            e >>= 1
-            if not e:
-                return out
-            p = self.product(p, p)
-
     def unpack(self, width, terms):
         """(signature, terms): the packed terms in width-bit fields
         rekeyed by exponent tuples over the signature of the indeterminates
@@ -946,7 +936,7 @@ def ritt_reduce(g, aset):
                 bases[kind, i] = None if base[2] == {0: base[1]} else base
             base = bases[kind, i]
             if base is not None:
-                scales.append((len(quotients), table.power(base, e)))
+                scales.append((len(quotients), power(base, e, table.product)))
         if Q:
             quotients.append((i, theta, (W, D, Q)))
         # the factor that R and D share (as a Fraction would)

@@ -39,9 +39,8 @@ from .multipoly import (
     InexactDivisionError,
     MultiPoly,
     coefficients,
-    exponents_upto,
+    monomials,
     poly_gcd,
-    sorted_exponents,
 )
 from .ratfunc import RatFunc
 from .solve import SAMPLE_VALUES, sampled_rational_solutions, specialize, undetermined
@@ -178,17 +177,12 @@ class DarbouxResult:
         )
 
 
-def _monomials(nvars, d):
-    """Exponents of the monomials of degree <= d, grevlex-descending."""
-    return sorted_exponents(exponents_upto(nvars, d))
-
-
 def _action_matrix(spec, k, monos, cofactor=None):
     """Matrix of f -> delta_k f (minus cofactor*f) on the span of monos."""
     extra = spec.max_field_degree(k) - 1
     if cofactor is not None and not cofactor.is_zero():
         extra = max(extra, cofactor.total_degree())
-    target = _monomials(spec.nvars, max(sum(e) for e in monos) + max(extra, 0))
+    target = monomials(spec.nvars, max(sum(e) for e in monos) + max(extra, 0))
     index = {e: i for i, e in enumerate(target)}
     rows = len(target)
     cols = len(monos)
@@ -260,7 +254,7 @@ def darboux_search_eigen(spec, d):
     for k in range(spec.nder):
         if spec.max_field_degree(k) > 1:
             raise ValueError("eigenproblem path needs every field of degree <= 1")
-    monos = _monomials(spec.nvars, d)
+    monos = monomials(spec.nvars, d)
     mats, eigenspaces = [], []
     for k in range(spec.nder):
         # the action maps the space to itself: square matrix
@@ -284,10 +278,6 @@ def darboux_search_eigen(spec, d):
     return _dedup(results)
 
 
-def _cofactor_monomials(spec, k):
-    return _monomials(spec.nvars, max(spec.max_field_degree(k) - 1, 0))
-
-
 def darboux_search_groebner(spec, d):
     """Bilinear path: enumerate rational cofactor tuples, then solve linearly.
 
@@ -299,8 +289,10 @@ def darboux_search_groebner(spec, d):
     cofactor tuple is always a candidate, so the polynomial first integrals
     are found whether or not a sample hits it.
     """
-    monos = _monomials(spec.nvars, d)
-    cof_monos = [_cofactor_monomials(spec, k) for k in range(spec.nder)]
+    monos = monomials(spec.nvars, d)
+    cof_monos = [
+        monomials(spec.nvars, max(spec.max_field_degree(k) - 1, 0)) for k in range(spec.nder)
+    ]
     bvars = [[f"b{k}_{i}" for i in range(len(cof_monos[k]))] for k in range(spec.nder)]
     warnings = []
     # the cofactor tuples in first-seen order, keyed by their coefficients

@@ -58,7 +58,14 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, ge, neg, sub
 
-from .multipoly import MultiPoly, grevlex_key, integer_terms
+from .multipoly import (
+    MultiPoly,
+    add_integer_products,
+    from_integer_terms,
+    grevlex_key,
+    integer_terms,
+    primitive_terms,
+)
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -158,29 +165,13 @@ class GroebnerBasis:
         return len(self.generators)
 
 
-def _primitive(t, le):
-    """(t / g, g) for the gcd g of the integer coefficients of t, signed so
-    that the coefficient at the monomial le becomes positive."""
-    g = gcd(*t.values())
-    if t[le] < 0:
-        g = -g
-    return (t if g == 1 else {e: c // g for e, c in t.items()}), g
-
-
 def _integral(p, key):
     """(t, le, c) for a nonzero MultiPoly p: its leading monomial le and the
     primitive integer term dict t, positive at le, with c * t == p."""
     den, t = integer_terms(p.terms)
     le = max(t, key=key)
-    t, g = _primitive(t, le)
+    t, g = primitive_terms(t, le)
     return t, le, Fraction(g, den)
-
-
-def _from_ints(t, scale, vars):
-    """The MultiPoly with coefficients scale * t[e]."""
-    out = MultiPoly.zero(vars)
-    out.terms = {e: c * scale for e, c in t.items()}
-    return out
 
 
 def normal_form(p, basis, order=GREVLEX):
@@ -202,7 +193,7 @@ def normal_form(p, basis, order=GREVLEX):
     rem, mult = _reduce(
         t, [g for g, _, _ in ints], leads, [_mask(le) for le in leads], _descending_key(order)
     )
-    return _from_ints(rem, content / mult, p.vars)
+    return from_integer_terms(p.vars, rem, mult / content)
 
 
 def _reduce(t, gens, leads, masks, desc):
@@ -280,14 +271,7 @@ def _s_poly(f, ef, g, eg, lij):
     mf = tuple(map(sub, lij, ef))
     mg = tuple(map(sub, lij, eg))
     out = {tuple(map(add, e, mf)): a * c for e, c in f.items()}
-    for e, c in g.items():
-        ne = tuple(map(add, e, mg))
-        acc = out.get(ne, 0) - b * c
-        if acc:
-            out[ne] = acc
-        else:
-            del out[ne]
-    return out
+    return add_integer_products(out, ((mg, -b),), g)
 
 
 def buchberger(gens, order=GREVLEX):
@@ -372,7 +356,7 @@ def buchberger_terms(gens, gen_leads, order):
             if not t:
                 continue
             le = max(t, key=key)
-        insert(_primitive(t, le)[0], le)
+        insert(primitive_terms(t, le)[0], le)
     while pairs:
         _, i, j, lij = heappop(pairs)
         if live.pop((i, j), None) is None:
@@ -381,7 +365,7 @@ def buchberger_terms(gens, gen_leads, order):
         r, _ = _reduce(s, basis, leads, masks, desc)
         if r:
             le = max(r, key=key)
-            insert(_primitive(r, le)[0], le)
+            insert(primitive_terms(r, le)[0], le)
     return _reduced(basis, leads, order)
 
 
@@ -412,14 +396,14 @@ def _reduced(basis, leads, order):
                 kept_masks[:idx] + kept_masks[idx + 1 :],
                 desc,
             )
-            kept[idx] = _primitive(g, le)[0]
+            kept[idx] = primitive_terms(g, le)[0]
     return kept, kept_leads
 
 
 def _monic(basis, leads, vars):
     """The integer term dicts of a basis, with leading monomials leads, as
     MultiPolys whose coefficients at those monomials are 1."""
-    return [_from_ints(g, Fraction(1, g[le]), vars) for g, le in zip(basis, leads)]
+    return [from_integer_terms(vars, g, g[le]) for g, le in zip(basis, leads)]
 
 
 def _max_independent_set(leads, nvars):

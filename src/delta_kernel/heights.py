@@ -17,18 +17,20 @@ The multivariate extension (coefficients in Q(t1..ts), one derivation per
 variable) rides the same pipeline and is flagged experimental.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from .groebner import GREVLEX, buchberger_terms, independent_variable_set, order_key
 from .multipoly import (
     MultiPoly,
     _exact_quotient,
     _poly_gcd,
+    _primitive,
     _strip,
-    exponents_upto,
     integer_terms,
+    monomials,
     mul_integer_terms,
-    sorted_exponents,
+    partial_terms,
+    split_terms,
 )
 from .printer import FactorTable, print_terms
 from .ratfunc import RatFunc
@@ -157,8 +159,7 @@ def rational_solution_search(ode, degree_bound):
     seen = set()
     for pmax in range(degree_bound + 1):
         for dq in range(pmax + 1):
-            exponents = sorted_exponents(exponents_upto(s, dq))
-            for pivot in (e for e in exponents if sum(e) == dq):
+            for pivot in (e for e in monomials(s, dq) if sum(e) == dq):
                 _run_stratum(ode, pmax, dq, pivot, report, seen)
                 if s == 1:
                     break  # univariate: t^dq is the only monic choice
@@ -174,9 +175,9 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
     tsig = ode.tvars
     s = len(tsig)
     key = order_key(GREVLEX)
-    p_monos = sorted_exponents(exponents_upto(s, pmax))
+    p_monos = monomials(s, pmax)
     # q: pivot monomial pinned to 1, strictly grevlex-smaller monomials free
-    q_monos = sorted_exponents(exponents_upto(s, dq))
+    q_monos = monomials(s, dq)
     q_free = [e for e in q_monos if key(e) < key(pivot)]
     avars = [f"a{i}" for i in range(len(p_monos))]
     bvars = [f"b{i}" for i in range(len(q_free))]
@@ -257,10 +258,8 @@ def _ratfunc_key(p, q):
     if len(g) > 1:
         num_p = _exact_quotient(num_p, g)
         num_q = _exact_quotient(num_q, g)
-    c = gcd(*num_p, *num_q)
-    if num_q[-1] < 0:
-        c = -c
-    return tuple(x // c for x in num_p), tuple(x // c for x in num_q)
+    joined = _primitive(num_p + num_q)
+    return tuple(joined[: len(num_p)]), tuple(joined[len(num_p) :])
 
 
 def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
@@ -284,8 +283,8 @@ def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
     # ext starts with tsig: the k-th t-variable sits at index k
     numerators = []
     for k in range(s):
-        num = mul_integer_terms(None, _partial_terms(p_sym, k), q_sym)
-        minus_dq = {e: -c for e, c in _partial_terms(q_sym, k).items()}
+        num = mul_integer_terms(None, partial_terms(p_sym, k), q_sym)
+        minus_dq = {e: -c for e, c in partial_terms(q_sym, k).items()}
         numerators.append(mul_integer_terms(num, p_sym, minus_dq))
 
     _, ode_terms = integer_terms(ode.poly.terms)
@@ -306,10 +305,7 @@ def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
         mul_integer_terms(residual, acc, _power(q_pows, max_pow - xdeg - 2 * sum(ydegs)))
 
     # the coefficients of the t-monomials: the system in the unknowns
-    buckets = {}
-    for e, c in residual.items():
-        buckets.setdefault(e[:s], {})[e[s:]] = c
-    return buckets
+    return split_terms(residual, s)
 
 
 def _power(pows, n):
@@ -318,12 +314,6 @@ def _power(pows, n):
     while len(pows) <= n:
         pows.append(mul_integer_terms(None, pows[-1], pows[1]))
     return pows[n]
-
-
-def _partial_terms(t, k):
-    """The partial derivative in the variable at index k of the integer
-    term dict t."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in t.items() if e[k]}
 
 
 class AxiomCheck:

@@ -44,9 +44,13 @@ on dense integer lists, constant term first, the one univariate gcd
 poly_gcd's univariate case and the factor module both run on that kernel;
 so do the contents of a bivariate gcd, which are univariate gcds.
 
-coefficients splits a polynomial by the monomials in its leading
-variables; the searches read their equations in the unknowns off it, and
-the affine fiber solve its top-order linear parts.
+The term toolkit writes each term-dict operation once, for Fraction and
+int coefficients alike: primitive_terms (content, groebner's basis),
+power (__pow__, diffring's packed scales), partial_terms (partial,
+heights' residual), split_terms (coefficients, heights' equations) and
+monomials (dvariety's and heights' ansatz spaces).  coefficients splits a
+polynomial by the monomials in its leading variables, for dvariety's
+equations and prolongation's affine fibers.
 """
 
 from fractions import Fraction
@@ -229,23 +233,7 @@ class MultiPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            if acc is None:
-                terms[e] = -c
-            else:
-                acc -= c
-                if acc:
-                    terms[e] = acc
-                else:
-                    del terms[e]
-        out = MultiPoly.zero(self.vars)
-        out.terms = terms
-        return out
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -274,14 +262,7 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.__mul__) if n else MultiPoly.const(self.vars, 1)
 
     def mul_monomial(self, expo, coeff=1):
         coeff = _as_fraction(coeff)
@@ -300,7 +281,6 @@ class MultiPoly:
         if not other.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         le, lc = other.leading()
-        divisor = other.terms.items()
         q = {}
         r = dict(self.terms)
         while r:
@@ -308,15 +288,8 @@ class MultiPoly:
             diff = tuple(map(sub, re, le))
             if any(d < 0 for d in diff):
                 raise InexactDivisionError("polynomial division leaves a remainder")
-            c = r[re] / lc
-            q[diff] = c
-            for oe, oc in divisor:
-                e = tuple(map(add, oe, diff))
-                acc = r.get(e, 0) - c * oc
-                if acc:
-                    r[e] = acc
-                else:
-                    del r[e]
+            c = q[diff] = r[re] / lc
+            add_integer_products(r, ((diff, -c),), other.terms)
         out = MultiPoly.zero(self.vars)
         out.terms = q
         return out
@@ -325,57 +298,30 @@ class MultiPoly:
 
     def partial(self, i):
         """Formal partial derivative with respect to variable index i."""
-        step = (0,) * i + (1,) + (0,) * (len(self.vars) - i - 1)
-        terms = {
-            tuple(map(sub, e, step)): c * e[i] for e, c in self.terms.items() if e[i]
-        }
         out = MultiPoly.zero(self.vars)
-        out.terms = terms
+        out.terms = partial_terms(self.terms, i)
         return out
 
     def substitute(self, values):
         """Substitute polynomials/Fractions for variables (by id).
 
         `values` maps variable ids to MultiPoly (over this signature) or
-        exact rationals.  Unmapped variables stay untouched.  The image of
-        each term goes straight into one dict: a number's power scales the
-        coefficient, a polynomial's power contributes its terms.
+        exact rationals.  Unmapped variables stay untouched.  Each term's
+        image is its monomial in the unmapped variables times the powers of
+        the values, and the images are summed.
         """
         idx = {}
         for v, val in values.items():
             if not isinstance(val, (int, Fraction)):
                 self._check(val)
             idx[self.vars.index(v)] = val
-        terms = {}
-        pow_cache = {}
+        out = MultiPoly.zero(self.vars)
         for e, c in self.terms.items():
-            rest = list(e)
-            factor = None
+            image = MultiPoly.monomial(self.vars, [0 if i in idx else x for i, x in enumerate(e)], c)
             for i, val in idx.items():
                 if e[i]:
-                    p = pow_cache.get((i, e[i]))
-                    if p is None:
-                        p = pow_cache[(i, e[i])] = val ** e[i]
-                    if isinstance(p, MultiPoly):
-                        factor = p if factor is None else factor * p
-                    else:
-                        c = c * p
-                    rest[i] = 0
-            if factor is None:
-                image = ((tuple(rest), c),)
-            else:
-                image = [
-                    (tuple(x + y for x, y in zip(fe, rest)), c * fc)
-                    for fe, fc in factor.terms.items()
-                ]
-            for ne, nc in image:
-                acc = terms.get(ne, 0) + nc
-                if acc:
-                    terms[ne] = acc
-                else:
-                    terms.pop(ne, None)
-        out = MultiPoly.zero(self.vars)
-        out.terms = terms
+                    image = image * val ** e[i]
+            out = out + image
         return out
 
     def restrict(self, vars):
@@ -398,14 +344,8 @@ class MultiPoly:
         """Rational content: gcd of numerators over lcm of denominators, sign of lead."""
         if not self.terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        cont = Fraction(num, den)
-        _, lc = self.leading()
-        return cont if lc > 0 else -cont
+        den, t = integer_terms(self.terms)
+        return Fraction(primitive_terms(t, self.leading()[0])[1], den)
 
     def primitive(self):
         """Integer-primitive form with positive leading coefficient."""
@@ -494,6 +434,46 @@ def integer_terms(terms):
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
+def primitive_terms(t, le):
+    """(t / g, g) for the gcd g of the integer coefficients of the nonzero
+    term dict t, signed so that the coefficient at the monomial le becomes
+    positive."""
+    g = int_gcd(*t.values())
+    if t[le] < 0:
+        g = -g
+    return (t if g == 1 else {e: c // g for e, c in t.items()}), g
+
+
+def power(x, n, times):
+    """x to the power n >= 1 by square-and-multiply, with times(a, b) the
+    product; x itself for n = 1."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else times(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = times(x, x)
+
+
+def partial_terms(terms, i):
+    """The partial derivative in the variable at index i of the term dict
+    terms."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+
+
+def split_terms(terms, k):
+    """The term dict terms split by the monomials in its first k variables:
+    a dict from each such monomial that occurs (its exponent tuple) to the
+    term dict of its coefficient over the other variables, in the order of
+    the first term carrying it."""
+    out = {}
+    for e, c in terms.items():
+        out.setdefault(e[:k], {})[e[k:]] = c
+    return out
+
+
 def mul_integer_terms(out, a, b):
     """Add the product of the integer term dicts a and b into the dict out
     and return out; with out None, return the product as a new dict.  An
@@ -514,7 +494,8 @@ def add_integer_products(out, pairs, b):
     an integer term dict and pairs read once, and return out.  An entry is
     dropped the moment it cancels, so out keeps no 0 entry that it did not
     have before.  A caller that clears or reindexes a factor term by term
-    streams it through pairs and never holds it whole."""
+    streams it through pairs and never holds it whole.  Nothing here needs
+    int coefficients: exact_div runs it on Fraction terms."""
     get = out.get
     b = b.items()
     for e1, c1 in pairs:
@@ -637,8 +618,8 @@ def add_packed_products(out, pairs, b):
 def exponents_upto(n, d):
     """Exponent tuples of length n with coordinate sum <= d.
 
-    The first coordinate varies slowest and every coordinate ascends; sort
-    with sorted_exponents at the call site when grevlex order is wanted.
+    The first coordinate varies slowest and every coordinate ascends;
+    monomials gives them grevlex-descending.
     """
     if n == 0:
         yield ()
@@ -646,6 +627,11 @@ def exponents_upto(n, d):
     for x in range(d + 1):
         for rest in exponents_upto(n - 1, d - x):
             yield (x,) + rest
+
+
+def monomials(n, d):
+    """Exponent tuples of length n with coordinate sum <= d, grevlex-descending."""
+    return sorted_exponents(exponents_upto(n, d))
 
 
 def dense_coeffs(p, i=0):
@@ -791,12 +777,9 @@ def coefficients(p, k):
     """Coefficients of p as a polynomial in its first k variables: a dict
     from each monomial in those variables that occurs (its exponent tuple)
     to its coefficient, a MultiPoly over p.vars[k:], in the order of the
-    first term of p carrying it."""
-    buckets = {}
-    for e, c in p.terms.items():
-        buckets.setdefault(e[:k], {})[e[k:]] = c
+    first term of p carrying it (split_terms)."""
     out = {}
-    for head, terms in buckets.items():
+    for head, terms in split_terms(p.terms, k).items():
         q = out[head] = MultiPoly.zero(p.vars[k:])
         q.terms = terms
     return out

@@ -403,9 +403,15 @@ def parse_system(text):
         if kind == "poly":
             problem.polys[name] = _parse_tokens(payload, _diff_env(ctx), name_tok.line)
         elif kind == "set":
+            # NAME (',' NAME)*: a comma at each odd position, none last
             members = []
-            for tok in payload:
-                if tok.kind == "sym" and tok.text == ",":
+            for k, tok in enumerate(payload):
+                comma = tok.kind == "sym" and tok.text == ","
+                if k % 2 and not comma:
+                    raise ParseError("expected ',' between set members", tok.line, tok.col)
+                if comma and (k % 2 == 0 or k == len(payload) - 1):
+                    raise ParseError("empty member in set", tok.line, tok.col)
+                if comma:
                     continue
                 if tok.kind != "name":
                     raise ParseError("set members are names of polynomials", tok.line, tok.col)

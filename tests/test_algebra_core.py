@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -18,17 +19,24 @@ from delta_kernel.multipoly import (
     SignatureMismatchError,
     add_integer_products,
     coeff_of_power,
+    coefficients,
     dense_coeffs,
     exponents_upto,
     from_dense,
     horner,
     interpolate,
+    monomials,
     mul_integer_terms,
+    partial_terms,
     poly_gcd,
+    poly_lcm,
+    power,
+    primitive_terms,
     pseudo_divide,
     pseudo_divide_terms,
     restrict_terms,
     sorted_exponents,
+    split_terms,
 )
 from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.ratfunc import RatFunc
@@ -61,6 +69,23 @@ class TestPolyArith:
         other = MultiPoly.var(("z",), "z")
         with pytest.raises(SignatureMismatchError):
             X + other
+
+    def test_sub_merges_like_add_of_the_negation(self):
+        rng = random.Random(default_seed() + 6)
+        for _ in range(60):
+            a, b = random_multipoly(rng, SIG), random_multipoly(rng, SIG)
+            want = dict(a.terms)
+            for e, c in b.terms.items():
+                want[e] = want.get(e, 0) - c
+                if not want[e]:
+                    del want[e]
+            # the terms of a first, in order, then those only b has
+            assert list((a - b).terms.items()) == list(want.items())
+            assert (a - b).terms == (a + -b).terms
+        assert (X - 2).terms == {(1, 0): 1, (0, 0): -2}
+        assert (2 - X).terms == {(1, 0): -1, (0, 0): 2}
+        with pytest.raises(SignatureMismatchError):
+            X - MultiPoly.var(("z",), "z")
 
     def test_ring_axioms_random(self):
         rng = random.Random(default_seed())
@@ -251,6 +276,84 @@ class TestTermDictHelpers:
         add_integer_products(out, ((e, -c) for e, c in a.items()), b)
         assert out == {(9, 9): 1}
 
+    def test_primitive_terms_gives_the_content(self):
+        rng = random.Random(default_seed() + 25)
+        for _ in range(80):
+            p = random_multipoly(rng, ("x", "y", "z"), max_degree=3, max_terms=5, allow_zero=False)
+            if p.is_zero():
+                continue
+            den, t = multipoly.integer_terms(p.terms)
+            le = p.leading()[0]
+            prim, g = primitive_terms(t, le)
+            assert {e: c * g for e, c in prim.items()} == t
+            assert gcd(*prim.values()) == 1 and prim[le] > 0
+            if g == 1:
+                assert prim is t
+            # gcd of numerators over lcm of denominators, signed by the lead
+            nums = [c.numerator for c in p.terms.values()]
+            want = Fraction(gcd(*nums), lcm(*[c.denominator for c in p.terms.values()]))
+            want = want if p.terms[le] > 0 else -want
+            assert p.content() == Fraction(g, den) == want
+            assert p.primitive().terms == {e: Fraction(c) for e, c in prim.items()}
+
+    def test_power_is_repeated_product(self):
+        rng = random.Random(default_seed() + 26)
+        calls = []
+
+        def times(a, b):
+            calls.append(1)
+            return a * b
+
+        for n in range(1, 20):
+            calls.clear()
+            assert power(3, n, times) == 3**n
+            # square-and-multiply: at most two products per bit of n
+            assert len(calls) <= 2 * (n.bit_length() - 1)
+            p = random_multipoly(rng, SIG, max_degree=2, max_terms=3)
+            want = MultiPoly.const(SIG, 1)
+            for _ in range(n):
+                want = want * p
+            assert power(p, n, mul) == p**n == want
+        p = X + 2 * Y
+        assert power(p, 1, mul) is p and p**1 is p
+        assert p**0 == MultiPoly.const(SIG, 1)
+        with pytest.raises(ValueError):
+            p ** -1
+
+    def test_partial_terms_matches_partial(self):
+        rng = random.Random(default_seed() + 27)
+        sig = ("x", "y", "z")
+        for _ in range(60):
+            p = random_multipoly(rng, sig, max_degree=4, max_terms=6)
+            for i in range(3):
+                want = {}
+                for e, c in p.terms.items():
+                    if e[i]:
+                        d = list(e)
+                        d[i] -= 1
+                        want[tuple(d)] = c * e[i]
+                assert partial_terms(p.terms, i) == want
+                assert p.partial(i).terms == want
+                # on integer dicts the coefficients stay ints
+                den, t = multipoly.integer_terms(p.terms)
+                got = partial_terms(t, i)
+                assert all(type(c) is int for c in got.values())
+                assert {e: Fraction(c, den) for e, c in got.items()} == want
+
+    def test_split_terms_matches_coefficients(self):
+        rng = random.Random(default_seed() + 28)
+        sig = ("x", "y", "z")
+        for _ in range(60):
+            p = random_multipoly(rng, sig, max_degree=4, max_terms=6)
+            for k in range(4):
+                got = split_terms(p.terms, k)
+                # reassembled, the split is p; heads in first-seen order
+                assert {h + e: c for h, part in got.items() for e, c in part.items()} == p.terms
+                assert list(got) == list(dict.fromkeys(e[:k] for e in p.terms))
+                coeffs = coefficients(p, k)
+                assert list(coeffs) == list(got)
+                assert all(coeffs[h].vars == sig[k:] and coeffs[h].terms == got[h] for h in got)
+
     def test_support_indices(self):
         rng = random.Random(default_seed() + 23)
         for _ in range(60):
@@ -330,6 +433,20 @@ class TestPseudoDivisionAndGcd:
             nontrivial += not got.is_constant()
         assert nontrivial >= 10
         assert len(calls) >= 10
+
+
+    def test_gcd_and_lcm_with_zero(self):
+        a = 2 * (X * X - Y * Y)
+        zero = MultiPoly.zero(SIG)
+        assert poly_gcd(zero, a) == poly_gcd(a, zero) == X * X - Y * Y
+        assert poly_gcd(zero, zero) == zero
+        assert poly_lcm(zero, a) == poly_lcm(a, zero) == zero
+
+    def test_lcm_of_shared_factor(self):
+        a, b = 2 * (X * X - Y * Y), 3 * (X + Y) ** 2
+        want = X**3 + X * X * Y - X * Y * Y - Y**3
+        assert poly_lcm(a, b) == poly_lcm(b, a) == want
+        assert want == ((X + Y) ** 2 * (X - Y)).monic()
 
 
 class TestRatFunc:
@@ -588,6 +705,15 @@ class TestMonomialsAndDenseViews:
                 assert len(got) == comb(n + d, d)
                 assert got == list(_simplex_reference(n, d))
                 assert all(sum(e) <= d for e in got)
+
+    def test_monomials_are_sorted_exponents(self):
+        for n in range(0, 5):
+            for d in range(5):
+                got = monomials(n, d)
+                assert got == sorted(exponents_upto(n, d), key=order_key(GREVLEX), reverse=True)
+                assert got == sorted_exponents(exponents_upto(n, d))
+                assert len(got) == comb(n + d, d)
+        assert monomials(2, 1) == [(1, 0), (0, 1), (0, 0)]
 
     def test_dense_roundtrip_random(self):
         rng = random.Random(default_seed() + 4)

@@ -497,6 +497,14 @@ class TestInputs:
         code, out, _ = run(["analyze", problem_path, "--name", "rot"])
         assert code == 0 and "input name: rot\n" in out
 
+    @pytest.mark.parametrize("name", ["", "nope"])
+    def test_analyze_name_that_matches_nothing(self, problem_path, name):
+        # an empty name is a name like any other: it matches no object
+        for argv in (["analyze"], ["--json", "analyze"]):
+            code, out, err = run([*argv, problem_path, "--name", name])
+            assert (code, out) == (3, "")
+            assert err == f"error: nothing named {name!r} to analyze\n"
+
     def test_unset_options_are_left_out_and_defaults_echoed(self, problem_path, monkeypatch):
         code, out, _ = run(["--json", "analyze", problem_path])
         assert code == 0 and json.loads(out)["inputs"] == {"file": problem_path}

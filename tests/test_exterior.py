@@ -431,3 +431,23 @@ class TestSpanProbe:
         e1 = ExtVector.basis(2, (1,))
         assert q_dimension([e1, e1.scaled(Fraction(2))]) == 1
         assert k_dimension([e1, e1.scaled(Fraction(2))]) == 1
+
+    def test_q_dimension_over_a_common_denominator(self, monkeypatch):
+        # 1/t, 1/t^2 and (t + 1)/t^2 times e1: Q-independent pairs, one K-line
+        import delta_kernel.multipoly as multipoly
+
+        lcms = []
+        real = multipoly.poly_lcm
+
+        def counting(a, b):
+            lcms.append(real(a, b))
+            return lcms[-1]
+
+        monkeypatch.setattr(multipoly, "poly_lcm", counting)
+        t = MultiPoly.var(("t",), "t")
+        one = MultiPoly.const(("t",), 1)
+        coeffs = [RatFunc(one, t), RatFunc(one, t * t), RatFunc(t + 1, t * t)]
+        vectors = [ExtVector.basis(2, (1,), c) for c in coeffs]
+        assert q_dimension(vectors) == 2
+        assert k_dimension(vectors) == 1
+        assert lcms and lcms[-1] == t * t

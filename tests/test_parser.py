@@ -263,6 +263,42 @@ class TestNewRejections:
         assert exc.value.line == 1
         assert exc.value.message == f"bad coefficient field {coeffs!r}"
 
+    @pytest.mark.parametrize(
+        "members, col, message",
+        [
+            ("f g", 11, "expected ',' between set members"),
+            ("f,,", 11, "empty member in set"),
+            ("f, , g", 12, "empty member in set"),
+            (", f", 9, "empty member in set"),
+            ("f,", 10, "empty member in set"),
+            (",", 9, "empty member in set"),
+            ("f, g,", 13, "empty member in set"),
+            ("f, 1", 12, "set members are names of polynomials"),
+            ("f, h", 12, "unknown polynomial 'h'"),
+        ],
+        ids=[
+            "no-comma", "double-comma", "empty-middle", "leading", "trailing",
+            "lone-comma", "trailing-after-two", "non-name", "unknown",
+        ],
+    )
+    def test_set_members_follow_their_grammar(self, tmp_path, members, col, message):
+        # set := 'set' NAME '=' NAME (',' NAME)*, an error at the offending token
+        text = f"m=1 n=1 coeffs=Q\npoly f = u1\npoly g = d1*u1\nset L = {members}\n"
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (4, col, message)
+        path = tmp_path / "set.dk"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message} at line 4, column {col}\n"
+
+    @pytest.mark.parametrize("members", ["f", "f, g", "f ,g", "g,f"])
+    def test_set_members_separated_by_commas(self, members):
+        prob = parse_system(f"m=1 n=1 coeffs=Q\npoly f = u1\npoly g = d1*u1\nset L = {members}\n")
+        names = [m.strip() for m in members.split(",")]
+        assert prob.sets["L"] == [prob.polys[n] for n in names]
+
     def test_t0_is_a_parse_error(self, tmp_path):
         path = tmp_path / "t0.dk"
         path.write_text("m=1 n=1 coeffs=Q(t1)\npoly f = u1 + t0\n", encoding="utf-8")
