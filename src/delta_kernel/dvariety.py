@@ -6,19 +6,20 @@ first integrals, searches Darboux polynomials and first integrals up to a
 degree bound, and provides the logarithmic-derivative test over Q(t).
 
 Two Darboux search paths exist, and darboux_search is the one place that
-chooses between them.  When every field component has degree at most one
-the derivations act on each bounded-degree coefficient space, and the
-search is a simultaneous rational eigenproblem: each derivation's square
-action matrix is decomposed once, and each cofactor tuple's solution space
-is its eigenspace (one derivation) or the kernel of the matrices stacked
-with their diagonals shifted (several).  The general path takes, for each
-pivot monomial, the ansatz monic there with only the smaller monomials
-free (solve.undetermined), reads the bilinear system in its coefficients
-and the cofactors' off the ambient monomials of delta_k f - K_k f,
-collects the rational cofactor tuples through the Groebner engine, the
-all-zero tuple always among them, and solves each candidate linearly.  Both
-paths emit the same canonical representatives: a reduced-echelon basis of
-each cofactor's solution space, constants quotiented out.
+chooses between them.  They differ only in how they find candidate cofactor
+tuples; one kernel stage serves both.  Each derivation's matrix of f ->
+delta_k f on the monomials of degree <= d is built once per search, and for
+each candidate tuple the matrices are copied with K_k's multiplication
+columns taken off, stacked, and their kernel solved.  When every field
+component has degree at most one the matrices are square and the
+candidates are the tuples of their rational eigenvalues.  The general path
+takes, for each pivot monomial, the ansatz monic there with only the
+smaller monomials free (solve.undetermined), reads the bilinear system in
+its coefficients and the cofactors' off the ambient monomials of
+delta_k f - K_k f, and collects the rational cofactor tuples through the
+Groebner engine, the all-zero tuple always among them.  Both paths emit
+the same canonical representatives: a reduced-echelon basis of each
+cofactor's solution space, constants quotiented out.
 
 First integrals are read from the Darboux list alone: each is a ratio of
 Darboux products with equal cofactor sums (the Darboux-Jouanolou
@@ -30,11 +31,11 @@ gcd.
 
 from fractions import Fraction
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from .factor import factor_univariate
 from .groebner import buchberger, normal_form
-from .linalg import ExactMatrix, nullspace, rational_eigen, rref, shifted, stack
+from .linalg import ExactMatrix, nullspace, rational_spectrum, rref
 from .multipoly import (
     InexactDivisionError,
     MultiPoly,
@@ -170,31 +171,24 @@ class DarbouxResult:
             return NotImplemented
         return self._fields() == other._fields()
 
-    def key(self):
-        return (
-            frozenset(self.polynomial.terms.items()),
-            tuple(frozenset(k.terms.items()) for k in self.cofactors),
-        )
 
-
-def _action_matrix(spec, k, monos, cofactor=None):
-    """Matrix of f -> delta_k f (minus cofactor*f) on the span of monos."""
-    extra = spec.max_field_degree(k) - 1
-    if cofactor is not None and not cofactor.is_zero():
-        extra = max(extra, cofactor.total_degree())
-    target = monomials(spec.nvars, max(sum(e) for e in monos) + max(extra, 0))
-    index = {e: i for i, e in enumerate(target)}
-    rows = len(target)
-    cols = len(monos)
-    entries = [[Fraction(0)] * cols for _ in range(rows)]
-    for c, e in enumerate(monos):
-        mono = MultiPoly.monomial(spec.sig, e)
-        img = spec.derive(k, mono)
-        if cofactor is not None:
-            img = img - cofactor * mono
-        for ee, cc in img.terms.items():
-            entries[index[ee]][c] += cc
-    return ExactMatrix(entries)
+def _derivation_matrices(spec, monos):
+    """For each derivation k, (matrix, rows): the matrix of f -> delta_k f
+    on span(monos), whose rows are the monomials of degree <= d +
+    max(deg delta_k - 1, 0), and the map from each of them to its row.
+    Every cofactor either search path tries has degree <= max(deg delta_k -
+    1, 0), so K_k * f lands in the same rows."""
+    d = max(sum(e) for e in monos)
+    out = []
+    for k in range(spec.nder):
+        target = monomials(spec.nvars, d + max(spec.max_field_degree(k) - 1, 0))
+        rows = {e: i for i, e in enumerate(target)}
+        entries = [[Fraction(0)] * len(monos) for _ in target]
+        for c, e in enumerate(monos):
+            for ee, cc in spec.derive(k, MultiPoly.monomial(spec.sig, e)).terms.items():
+                entries[rows[ee]][c] += cc
+        out.append((ExactMatrix(entries), rows))
+    return out
 
 
 def _annotate(spec, p, cofactors):
@@ -234,48 +228,47 @@ def _canonical_basis(sig, monos, vecs):
     return basis
 
 
-def _solve_cofactor(spec, monos, cofactors):
-    """Basis of {f in span(monos) : delta_k f = K_k f for all k}."""
-    mats = [
-        _action_matrix(spec, k, monos, cofactor=cofactors[k])
-        for k in range(spec.nder)
-    ]
-    return _canonical_basis(spec.sig, monos, nullspace(stack(mats)))
+def _darboux_results(spec, monos, mats, candidates):
+    """The Darboux polynomials on span(monos) of each cofactor tuple, sorted
+    by degree and text: a canonical basis of the kernel of the matrices of
+    f -> delta_k f - K_k f stacked, each matrix copied once with K_k's
+    multiplication columns taken off."""
+    results = []
+    for cofs in candidates:
+        stacked = []
+        for (a, rows), cof in zip(mats, cofs):
+            block = [row[:] for row in a.entries]
+            for ee, cc in cof.terms.items():
+                for c, e in enumerate(monos):
+                    block[rows[tuple(map(add, e, ee))]][c] -= cc
+            stacked += block
+        for p in _canonical_basis(spec.sig, monos, nullspace(ExactMatrix(stacked))):
+            results.append(_annotate(spec, p, cofs))
+    results.sort(key=lambda r: (r.degree, r.polynomial.to_str()))
+    return results
 
 
 def darboux_search_eigen(spec, d):
     """Simultaneous rational-eigenproblem path; needs degree <= 1 fields.
 
-    Each derivation's square action matrix on the monomials of degree <= d
-    is decomposed once.  With one derivation the solution space of each
-    cofactor lambda is its lambda-eigenspace; with several, each tuple of
-    eigenvalues gets the kernel of the stacked matrices A_k - lambda_k I.
+    Each derivation maps the monomials of degree <= d to themselves, so its
+    matrix is square, and a cofactor K_k of a Darboux polynomial is one of
+    its rational eigenvalues.  The candidates are the tuples of those
+    eigenvalues, one per derivation.
     """
     for k in range(spec.nder):
         if spec.max_field_degree(k) > 1:
             raise ValueError("eigenproblem path needs every field of degree <= 1")
     monos = monomials(spec.nvars, d)
-    mats, eigenspaces = [], []
-    for k in range(spec.nder):
+    mats = _derivation_matrices(spec, monos)
+    spectra = []
+    for a, _ in mats:
         # the action maps the space to itself: square matrix
-        a = _action_matrix(spec, k, monos)
         if a.rows != a.cols:
             raise AssertionError("degree <= 1 field failed to preserve the space")
-        mats.append(a)
-        eigenspaces.append(rational_eigen(a).pairs)
-    if spec.nder == 1:
-        spaces = [((ev,), vecs) for ev, vecs in eigenspaces[0]]
-    else:
-        spaces = [
-            (combo, nullspace(stack([shifted(a, ev) for a, ev in zip(mats, combo)])))
-            for combo in product(*([ev for ev, _ in pairs] for pairs in eigenspaces))
-        ]
-    results = []
-    for combo, vecs in spaces:
-        cofs = [MultiPoly.const(spec.sig, ev) for ev in combo]
-        for p in _canonical_basis(spec.sig, monos, vecs):
-            results.append(_annotate(spec, p, cofs))
-    return _dedup(results)
+        spectra.append(sorted(rational_spectrum(a)))
+    candidates = ([MultiPoly.const(spec.sig, ev) for ev in combo] for combo in product(*spectra))
+    return _darboux_results(spec, monos, mats, candidates)
 
 
 def darboux_search_groebner(spec, d):
@@ -324,20 +317,8 @@ def darboux_search_groebner(spec, d):
                     specialize(spec.sig, cof_monos[k], bvars[k], pt) for k in range(spec.nder)
                 ]
 
-    results = []
-    for cofs in candidates.values():
-        for p in _solve_cofactor(spec, monos, cofs):
-            results.append(_annotate(spec, p, cofs))
-    return _dedup(results), warnings
-
-
-def _dedup(results):
-    seen = {}
-    for r in results:
-        seen.setdefault(r.key(), r)
-    out = list(seen.values())
-    out.sort(key=lambda r: (r.degree, r.polynomial.to_str()))
-    return out
+    mats = _derivation_matrices(spec, monos)
+    return _darboux_results(spec, monos, mats, candidates.values()), warnings
 
 
 def darboux_search(spec, d, method="auto"):

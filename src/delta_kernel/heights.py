@@ -211,7 +211,7 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
             continue
         # a candidate that fails verification is kept too, so it is noted once
         seen.add(gkey)
-        g = _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
+        g = gkey if s > 1 else _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
         if not verify_ode_solution(ode, g):
             report.notes.append(f"sample failed exact verification: {g.to_str()}")
             continue
@@ -229,10 +229,9 @@ def _candidate_key(tsig, p_monos, avars, q_free, bvars, pivot, pt):
     """A key of the candidate p/q at the point pt: two points have equal
     keys exactly when their RatFuncs are equal.  With one t-variable it is
     _ratfunc_key of the dense coefficient lists; with several, where there is
-    no multivariate integer gcd, it is the RatFunc's (num, den)."""
+    no multivariate integer gcd, it is the RatFunc itself."""
     if len(tsig) > 1:
-        g = _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
-        return g.num, g.den
+        return _candidate(tsig, p_monos, avars, q_free, bvars, pivot, pt)
     p = [0] * (p_monos[0][0] + 1)
     for name, (k,) in zip(avars, p_monos):
         p[k] = pt[name]

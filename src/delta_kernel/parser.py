@@ -565,9 +565,20 @@ def _build_dspec(name_tok, payload):
             else:
                 current.append(tok)
     try:
-        return DSpec(nvars, nder, fields, ideal_gens=ideal, check_commuting=check)
+        spec = DSpec(nvars, nder, fields, ideal_gens=ideal, check_commuting=False)
     except ValueError as exc:
         raise ParseError(str(exc), name_tok.line, name_tok.col)
+    # checked here, not by DSpec, so that the message names the file's waiver
+    witness = spec.commuting_witness() if check else None
+    if witness is not None:
+        k, l, j = witness
+        raise ParseError(
+            f"derivations {k + 1} and {l + 1} do not commute on x{j + 1} "
+            "(add a nocommute clause to waive)",
+            name_tok.line,
+            name_tok.col,
+        )
+    return spec
 
 
 def parse_diff_expression(text, ctx):

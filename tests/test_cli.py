@@ -439,14 +439,14 @@ class TestExitCodes:
         assert code == 4 and "internal error" in err and out == ""
 
     def test_failed_consistency_check_is_internal(self, problem_path, monkeypatch):
-        # an action matrix that leaves the space trips the eigen path's check
-        action = dvariety._action_matrix
+        # a derivation matrix that leaves the space trips the eigen path's check
+        matrices = dvariety._derivation_matrices
 
-        def leaky(spec, k, monos, cofactor=None):
-            m = action(spec, k, monos, cofactor)
-            return ExactMatrix(m.entries + [[1] * m.cols])
+        def leaky(spec, monos):
+            (m, rows), *rest = matrices(spec, monos)
+            return [(ExactMatrix(m.entries + [[1] * m.cols]), rows), *rest]
 
-        monkeypatch.setattr(dvariety, "_action_matrix", leaky)
+        monkeypatch.setattr(dvariety, "_derivation_matrices", leaky)
         code, out, err = run(["darboux", problem_path, "--dspec", "rot", "--deg", "2"])
         assert code == 4 and out == ""
         assert "internal error: degree <= 1 field failed to preserve the space" in err

@@ -29,6 +29,13 @@ the degree of the other `fields.dk` jobs, were recorded while the eigen path
 took the rational roots of one characteristic polynomial of the whole action
 matrix (degree 45) and factored through MultiPoly.
 
+`solver_golden/commuting.dk` holds two commuting derivations on 3-space,
+x' = (x1, x2, 2*x3) and x' = (x1, 0, x3), which take the eigen path with
+several derivations: `darboux_diag3_d2.json` (9 results) and
+`integrals_diag3_d3.json` (the one integral (x1*x2)/x3) were recorded while
+that path still decomposed each matrix into eigenspaces and, for several
+derivations, solved the matrices stacked with their diagonals shifted.
+
 `solver_golden/groebner.dk` holds a field with two derivations and the
 energy field x1' = x2, x2' = -x1^2, whose degree-3 search samples a
 cofactor family; `prolong_golden/pair.dk` holds two sets with n = 2,
@@ -78,6 +85,8 @@ SOLVER_JOBS = {
     },
     "integrals_euler_d8": ["integrals", "fields.dk", "--dspec", "euler", "--deg", "8"],
     "darboux_rot_d8": ["darboux", "fields.dk", "--dspec", "rot", "--deg", "8"],
+    "darboux_diag3_d2": ["darboux", "commuting.dk", "--dspec", "diag3", "--deg", "2"],
+    "integrals_diag3_d3": ["integrals", "commuting.dk", "--dspec", "diag3", "--deg", "3"],
     "darboux_groebner_pair_d2": [
         "darboux", "groebner.dk", "--dspec", "pair", "--deg", "2", "--method", "groebner",
     ],

@@ -281,6 +281,21 @@ class TestCandidateKey:
                 equal += i != j and keys[i] == keys[j]
         assert equal > len(pairs)
 
+    def test_several_t_build_each_candidate_once(self, monkeypatch):
+        # with two t-variables the key is the candidate's RatFunc, so each of
+        # the 469 sampled points of P = y1 - y2 at D = 1 is built once,
+        # though only 227 distinct solutions are kept
+        calls = []
+        candidate = heights._candidate
+
+        def counted(*args):
+            calls.append(args)
+            return candidate(*args)
+
+        monkeypatch.setattr(heights, "_candidate", counted)
+        rep = rational_solution_search(OdePoly(Y21 - Y22, tvars=TSIG2), 1)
+        assert (len(calls), len(rep.solutions)) == (469, 227)
+
 
 SEARCH = Path(__file__).parent / "data" / "solver_golden"
 

@@ -241,6 +241,21 @@ class TestNewRejections:
         assert (code, out) == (2, "")
         assert err.startswith("parse error: ") and "Traceback" not in err
 
+    def test_noncommuting_dspec_names_the_nocommute_clause(self, tmp_path):
+        fields = "n = 2\n m = 2\n d1 x1 = x2\n d1 x2 = 0\n d2 x1 = 0\n d2 x2 = x1\n"
+        text = f"m=1 n=1 coeffs=Q\ndspec p {{\n {fields}}}\n"
+        path = tmp_path / "noncommuting.dk"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(["darboux", str(path), "--dspec", "p", "--deg", "1"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: derivations 1 and 2 do not commute on x1 "
+            "(add a nocommute clause to waive) at line 2, column 7\n"
+        )
+        # the clause the message names is the waiver
+        waived = parse_system(f"m=1 n=1 coeffs=Q\ndspec p {{\n {fields} nocommute\n}}\n")
+        assert waived.dspecs["p"].commuting_witness() == (0, 1, 0)
+
     @pytest.mark.parametrize("header", ["m=0 n=1", "m=2 n=0"], ids=["m0", "n0"])
     def test_header_without_variables_or_derivations(self, tmp_path, header):
         # a parse error at the header's line, not a precondition failure (exit 3)
