@@ -548,9 +548,11 @@ def build_parser():
 _NOT_INPUTS = ("json", "timings", "command", "handler")
 
 
-def run_command(args, problem):
+def run_command(args, problem, parse_seconds=None):
     """Run one parsed command; returns the report document, whose inputs
-    echo every argument of the subcommand that is set."""
+    echo every argument of the subcommand that is set.  With --timings the
+    timings hold total_seconds, the command's own time, and parse_seconds,
+    the time the problem file took to parse, for a command that read one."""
     started = time.monotonic()
     results, assumptions = args.handler(args, problem)
     inputs = {k: v for k, v in vars(args).items() if v is not None and k not in _NOT_INPUTS}
@@ -565,6 +567,8 @@ def run_command(args, problem):
     }
     if args.timings:
         doc["timings"]["total_seconds"] = round(time.monotonic() - started, 6)
+        if parse_seconds is not None:
+            doc["timings"]["parse_seconds"] = round(parse_seconds, 6)
     validate_report(doc)
     return doc
 
@@ -579,15 +583,17 @@ def main(argv=None, stdout=None, stderr=None):
             raise UsageError("a command is required (try --help)")
         if args.command == "wedge-check" and args.seed is None:
             args.seed = int(os.environ.get("DELTA_KERNEL_SEED", DEFAULT_SEED))
-        problem = None
+        problem = parse_seconds = None
         if getattr(args, "file", None) is not None:
             if args.file == "-":
                 text = sys.stdin.read()
             else:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
+            started = time.monotonic()
             problem = parse_system(text)
-        doc = run_command(args, problem)
+            parse_seconds = time.monotonic() - started
+        doc = run_command(args, problem, parse_seconds)
     except UsageError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 1

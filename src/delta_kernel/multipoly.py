@@ -89,6 +89,9 @@ def sorted_exponents(terms):
     return out
 
 
+_ONE = Fraction(1)
+
+
 def _as_fraction(c):
     if isinstance(c, Fraction):
         return c
@@ -115,24 +118,31 @@ class MultiPoly:
 
     # ---------- constructors ----------
 
+    # zero, const and gen build terms that are valid by construction, so
+    # they skip the checks of __init__
+
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {})
+        out = cls.__new__(cls)
+        out.vars = tuple(vars)
+        out.terms = {}
+        return out
 
     @classmethod
     def const(cls, vars, c):
+        out = cls.zero(vars)
         c = _as_fraction(c)
-        vars = tuple(vars)
-        if not c:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(vars): c})
+        if c:
+            out.terms = {(0,) * len(out.vars): c}
+        return out
 
     @classmethod
     def gen(cls, vars, index):
-        vars = tuple(vars)
-        e = [0] * len(vars)
+        out = cls.zero(vars)
+        e = [0] * len(out.vars)
         e[index] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        out.terms = {tuple(e): _ONE}
+        return out
 
     @classmethod
     def var(cls, vars, v):
@@ -348,11 +358,12 @@ class MultiPoly:
         return Fraction(primitive_terms(t, self.leading()[0])[1], den)
 
     def primitive(self):
-        """Integer-primitive form with positive leading coefficient."""
-        cont = self.content()
-        if not cont:
+        """Integer-primitive form with positive leading coefficient: self
+        divided by its content, read off the integer terms."""
+        if not self.terms:
             return self
-        return self.scale(1 / cont)
+        _, t = integer_terms(self.terms)
+        return from_integer_terms(self.vars, primitive_terms(t, self.leading()[0])[0], 1)
 
     def monic(self):
         if not self.terms:

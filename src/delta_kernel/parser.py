@@ -35,11 +35,22 @@ where s counts the header's generators; a bare `t` or `x` stands for `t1` or
 DiffContext, DSpec's ambient space, OdePoly's ring.  '*' is mandatory between
 factors.  Division is general for rational functions (height) and by nonzero
 constants elsewhere.  Errors carry line and column positions.
+
+A file is read in one pass over one token list.  A token is a string ('\\n'
+ends a line, '' the text), and the tokenizer's one regular expression takes
+the blanks and comment after each token into the token's match, so the list
+holds tokens only, next to their offsets in the text; line and column are
+counted from the text when an error reads them.  A statement, a dspec clause
+and an expression are index ranges of that list, which nothing copies.
+Numbers, and subexpressions made of numbers only, stay int or Fraction until
+they meet a name: an expression that is constant throughout makes its value
+once, and division by a constant is a scalar multiply.
 """
 
 import re
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from .diffring import DiffContext
 from .dvariety import DSpec, _ambient_sig
@@ -59,78 +70,33 @@ class ParseError(Exception):
         super().__init__(message + where)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+# a token with the blanks and comment after it, or a character that starts
+# no token; the blanks and comment before the first token are skipped apart
+_TOKEN_RE = re.compile(r"((\d+|[A-Za-z_][A-Za-z0-9_]*|\.\.|[-+*/^(){}=,;\n])[ \t]*(?:#[^\n]*)?|.)")
+_LEAD_RE = re.compile(r"[ \t]*(?:#[^\n]*)?")
+_NAME_RE = re.compile(r"[A-Za-z_]")  # matches the names among tokens
 
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# the types of the values of expressions made of numbers only, tested with
+# type(): isinstance(x, Fraction) is an abstract-class check, slow on a
+# polynomial
+_NUMBER = frozenset((int, Fraction))
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<newline>\n)"
-    r"|(?P<number>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<dots>\.\.)"
-    r"|(?P<sym>[-+*/^(){}=,;])"
-)
+def _line_col(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "newline":
-            tokens.append(Token("newline", chunk, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                tokens.append(Token(kind, chunk, line, col))
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
-class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self, offset=0):
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
-
-    def expect(self, kind, text=None):
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col)
-        return self.next()
-
-    def skip_newlines(self):
-        while self.peek().kind == "newline":
-            self.next()
-
-    def at_statement_end(self):
-        return self.peek().kind in ("newline", "eof")
+    """The tokens of text, ending in '', and the offset in text of each."""
+    start = _LEAD_RE.match(text).end()
+    matches = _TOKEN_RE.findall(text, start)
+    tokens = [tok for _, tok in matches]
+    tokens.append("")
+    offsets = list(accumulate([len(chunk) for chunk, _ in matches], initial=start))
+    bad = tokens.index("")
+    if bad < len(matches):
+        raise ParseError(f"unexpected character {matches[bad][0]!r}", *_line_col(text, offsets[bad]))
+    return tokens, offsets
 
 
 _D_RE = re.compile(r"^d(\d+)$")
@@ -146,143 +112,209 @@ def _lookup(names, text):
     return names.get(f"{m.group(1)}{int(m.group(2))}") if m else entry
 
 
-class ExprParser:
-    """Recursive-descent expression parser over one token stream.
+class _Parser:
+    """Recursive descent over one token list, with i the next token.
 
+    An expression is read from an index range whose end token, a newline,
+    ';', ',', '}' or the end of the text, no expression consumes.  Reaching
+    it is reported as 'eof' at the line of the anchor token, the statement or
+    clause head, with no column; without an anchor, at the end token itself.
     The environment decides what NAME atoms mean, whether derivative chains
     are read, and whether division by a nonconstant value is allowed.
     """
 
-    def __init__(self, stream, env):
-        self.s = stream
-        self.env = env
+    def __init__(self, text, tokens, offsets):
+        self.text = text
+        self.tokens = tokens
+        self.offsets = offsets
+        self.i = 0
+        self.end = None
+        self.anchor = None
+        self.env = None
 
-    def expr(self):
+    # ---------- positions and errors ----------
+
+    def fail(self, message, i):
+        """Raise a ParseError at token i, or at the anchor's line for the
+        end of the expression being read."""
+        if i == self.end and self.anchor is not None:
+            raise ParseError(message, _line_col(self.text, self.offsets[self.anchor])[0])
+        raise ParseError(message, *_line_col(self.text, self.offsets[i]))
+
+    def fail_found(self, message, i):
+        tok = "eof" if i == self.end else self.tokens[i] or "eof"
+        self.fail(f"{message}, found {tok!r}", i)
+
+    def expect(self, want):
+        """Step over the next token, which must be want: 'name', 'number' or
+        the token itself.  Returns its index."""
+        i = self.i
+        tok = self.tokens[i]
+        if want == "name":
+            ok = _NAME_RE.match(tok)
+        elif want == "number":
+            ok = tok.isdigit()
+        else:
+            ok = tok == want
+        if not ok:
+            self.fail_found(f"expected {want!r}", i)
+        self.i = i + 1
+        return i
+
+    def skip_newlines(self):
+        while self.tokens[self.i] == "\n":
+            self.i += 1
+
+    def line_end(self):
+        """The index of the newline, or of the end of the text, that ends
+        the line of the next token."""
+        try:
+            return self.tokens.index("\n", self.i)
+        except ValueError:
+            return len(self.tokens) - 1
+
+    # ---------- expressions ----------
+
+    def expression(self, start, end, env, anchor=None):
+        """The value in env of the one expression spanning tokens
+        start..end-1; cut short, it is reported at the line of anchor."""
+        self.i, self.end, self.anchor, self.env = start, end, anchor, env
+        value = self._sum()
+        if self.i != end:
+            self.fail(f"unexpected trailing input {self.tokens[self.i]!r}", self.i)
+        self.end = None
+        return env.const(value) if type(value) in _NUMBER else value
+
+    def _sum(self):
         value = self._term()
+        tokens = self.tokens
         while True:
-            tok = self.s.peek()
-            if tok.kind == "sym" and tok.text in "+-":
-                self.s.next()
-                rhs = self._term()
-                value = value + rhs if tok.text == "+" else value - rhs
+            op = tokens[self.i]
+            if op == "+":
+                self.i += 1
+                value = value + self._term()
+            elif op == "-":
+                self.i += 1
+                value = value - self._term()
             else:
                 return value
 
     def _term(self):
         value = self._factor()
+        tokens = self.tokens
         while True:
-            tok = self.s.peek()
-            if tok.kind == "sym" and tok.text in "*/":
-                self.s.next()
-                rhs = self._factor()
-                if tok.text == "*":
-                    value = value * rhs
-                else:
-                    value = self.env.divide(value, rhs, tok)
+            i = self.i
+            op = tokens[i]
+            if op == "*":
+                self.i = i + 1
+                value = value * self._factor()
+            elif op == "/":
+                self.i = i + 1
+                value = self._divide(value, self._factor(), i)
             else:
                 return value
 
     def _factor(self):
-        tok = self.s.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.s.next()
+        tokens = self.tokens
+        if tokens[self.i] == "-":
+            self.i += 1
             return -self._factor()
-        return self._power()
-
-    def _power(self):
         value = self._atom()
-        tok = self.s.peek()
-        if tok.kind == "sym" and tok.text == "^":
-            self.s.next()
-            ntok = self.s.expect("number")
-            value = value ** int(ntok.text)
+        if tokens[self.i] == "^":
+            self.i += 1
+            value = value ** int(tokens[self.expect("number")])
         return value
 
     def _atom(self):
-        tok = self.s.peek()
-        if tok.kind == "number":
-            self.s.next()
-            return self.env.const(Fraction(int(tok.text)))
-        if tok.kind == "sym" and tok.text == "(":
-            self.s.next()
-            value = self.expr()
-            self.s.expect("sym", ")")
+        i = self.i
+        tok = self.tokens[i]
+        if tok.isdigit():
+            self.i = i + 1
+            return int(tok)
+        if tok == "(":
+            self.i = i + 1
+            value = self._sum()
+            self.expect(")")
             return value
-        if tok.kind == "name":
-            if self.env.ctx is not None and _D_RE.match(tok.text):
+        env = self.env
+        make = env.names.get(tok)
+        if make is None:
+            if not _NAME_RE.match(tok):
+                self.fail_found("expected an expression", i)
+            if env.ctx is not None and _D_RE.match(tok):
                 return self._derivative_chain()
-            self.s.next()
-            return self.env.atom(tok)
-        raise ParseError(f"expected an expression, found {tok.text or tok.kind!r}", tok.line, tok.col)
+            make = _lookup(env.names, tok)
+            if make is None:
+                known = ", ".join(env.names) or "none"
+                self.fail(f"unknown symbol {tok!r} in {env.what} (names: {known})", i)
+        self.i = i + 1
+        return make()
 
     def _derivative_chain(self):
         ctx = self.env.ctx
-        exponents = {}
-        start = self.s.peek()
+        tokens = self.tokens
+        start = self.i
+        theta = [0] * ctx.m
         while True:
-            tok = self.s.peek()
-            dm = _D_RE.match(tok.text) if tok.kind == "name" else None
+            i = self.i
+            dm = _D_RE.match(tokens[i])
             if dm:
-                self.s.next()
+                self.i = i + 1
                 k = int(dm.group(1))
                 if not (1 <= k <= ctx.m):
-                    raise ParseError(f"derivation index {k} exceeds m={ctx.m}", start.line, start.col)
+                    self.fail(f"derivation index {k} exceeds m={ctx.m}", start)
                 e = 1
-                if self.s.peek().kind == "sym" and self.s.peek().text == "^":
-                    self.s.next()
-                    e = int(self.s.expect("number").text)
-                exponents[k] = exponents.get(k, 0) + e
-                self.s.expect("sym", "*")
+                if tokens[self.i] == "^":
+                    self.i += 1
+                    e = int(tokens[self.expect("number")])
+                theta[k - 1] += e
+                self.expect("*")
                 continue
-            um = _U_RE.match(tok.text) if tok.kind == "name" else None
+            um = _U_RE.match(tokens[i])
             if um:
-                self.s.next()
+                self.i = i + 1
                 j = int(um.group(1))
                 if not (1 <= j <= ctx.n):
-                    raise ParseError(f"variable index {j} exceeds n={ctx.n}", start.line, start.col)
-                return ctx.indet([exponents.get(k, 0) for k in range(1, ctx.m + 1)], j)
-            raise ParseError(
-                f"a derivative chain must end in u<j>, found {tok.text or tok.kind!r}",
-                tok.line,
-                tok.col,
-            )
+                    self.fail(f"variable index {j} exceeds n={ctx.n}", start)
+                return ctx.indet(theta, j)
+            self.fail_found("a derivative chain must end in u<j>", i)
+
+    def _divide(self, a, b, i):
+        """a/b for the '/' at token i.  Rational functions divide by any
+        nonzero value, the other contexts by nonzero constants only, which
+        is multiplying by the inverse."""
+        if isinstance(b, RatFunc):
+            if b.is_zero():
+                self.fail("division by zero", i)
+            return a / b
+        if type(b) not in _NUMBER:
+            body = b if self.env.ctx is None else b.body
+            if not body.is_constant():
+                self.fail("division by a nonconstant expression is not allowed here", i)
+            b = body.constant_value()
+        if not b:
+            self.fail("division by zero", i)
+        if type(a) in _NUMBER:
+            return Fraction(a, b)
+        return a / b if isinstance(a, RatFunc) else a * Fraction(1, b)
 
 
 class _Env:
     """One expression context.
 
     names maps every name the context accepts, a letter plus an optional
-    index, to a function that makes its value, and const makes the
-    constants.  Rational functions divide by any nonzero value, the other
-    contexts by nonzero constants only.  The differential context alone,
-    the one with a ring ctx, reads derivative chains d<k>*...*u<j>.
+    index, to a function that makes its value, and const makes a constant
+    value.  The differential context alone, the one with a ring ctx, reads
+    derivative chains d<k>*...*u<j>.
     """
+
+    __slots__ = ("names", "const", "what", "ctx")
 
     def __init__(self, names, const, what, ctx=None):
         self.names = names
         self.const = const
         self.what = what
         self.ctx = ctx
-
-    def atom(self, tok):
-        make = _lookup(self.names, tok.text)
-        if make is None:
-            known = ", ".join(self.names) or "none"
-            raise ParseError(f"unknown symbol {tok.text!r} in {self.what} (names: {known})", tok.line, tok.col)
-        return make()
-
-    def divide(self, a, b, tok):
-        if isinstance(b, RatFunc):
-            if b.is_zero():
-                raise ParseError("division by zero", tok.line, tok.col)
-            return a / b
-        body = b if self.ctx is None else b.body
-        if not body.is_constant():
-            raise ParseError("division by a nonconstant expression is not allowed here", tok.line, tok.col)
-        if body.is_zero():
-            raise ParseError("division by zero", tok.line, tok.col)
-        c = 1 / body.constant_value()
-        return a.scale(c) if self.ctx is None else a * c
 
 
 def _indexed(letter, items):
@@ -295,7 +327,7 @@ def _indexed(letter, items):
 
 def _poly_env(sig, names, what):
     """Polynomials over sig; names maps each accepted name to a variable."""
-    makers = {a: partial(MultiPoly.var, sig, v) for a, v in names.items()}
+    makers = {a: partial(MultiPoly.gen, sig, sig.index(v)) for a, v in names.items()}
     return _Env(makers, partial(MultiPoly.const, sig), what)
 
 
@@ -333,28 +365,27 @@ _COEFFS_RE = re.compile(r"^Q(\(t1(\.\.t(0*[1-9]\d*))?\))?$")
 def parse_system(text):
     """Parse a problem file into differential polynomials, named sets,
     vector-field specifications, and differential-equation polynomials."""
-    tokens = tokenize(text)
-    s = _Stream(tokens)
-    s.skip_newlines()
+    p = _Parser(text, *tokenize(text))
+    tokens = p.tokens
+    p.skip_newlines()
+    head = p.i
     header = {}
-    head = s.peek()
     for key in ("m", "n"):
-        tok = s.expect("name")
-        if tok.text != key:
-            raise ParseError(f"header must declare {key}=<int>", tok.line, tok.col)
-        s.expect("sym", "=")
-        header[key] = int(s.expect("number").text)
-    tok = s.expect("name")
-    if tok.text != "coeffs":
-        raise ParseError("header must declare coeffs=Q or coeffs=Q(t1..ts)", tok.line, tok.col)
-    s.expect("sym", "=")
-    coeff_tokens = []
-    while not s.at_statement_end():
-        coeff_tokens.append(s.next().text)
-    coeff_str = "".join(coeff_tokens)
+        k = p.expect("name")
+        if tokens[k] != key:
+            p.fail(f"header must declare {key}=<int>", k)
+        p.expect("=")
+        header[key] = int(tokens[p.expect("number")])
+    k = p.expect("name")
+    if tokens[k] != "coeffs":
+        p.fail("header must declare coeffs=Q or coeffs=Q(t1..ts)", k)
+    p.expect("=")
+    end = p.line_end()
+    coeff_str = "".join(tokens[p.i : end])
+    p.i = end
     m_coeffs = _COEFFS_RE.match(coeff_str)
     if not m_coeffs:
-        raise ParseError(f"bad coefficient field {coeff_str!r}", tok.line, tok.col)
+        p.fail(f"bad coefficient field {coeff_str!r}", k)
     if m_coeffs.group(1) is None:
         ngens = 0
     elif m_coeffs.group(3) is None:
@@ -363,183 +394,180 @@ def parse_system(text):
         ngens = int(m_coeffs.group(3))
     # the actions are polynomials in the generators of a ring without them
     try:
-        gens = DiffContext(header["m"], header["n"], coeff_gens=ngens).coeff_gens
+        ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens)
     except ValueError as exc:
-        raise ParseError(str(exc), head.line, head.col)
+        p.fail(str(exc), head)
+    gens = ctx.coeff_gens
 
+    # first pass: the action lines (they shape the ring), and the ranges of
+    # every other statement, read once the ring is known
     actions = {}
     stmts = []
-    s.skip_newlines()
-    # first pass: collect action lines (they shape the ring), defer the rest
-    while s.peek().kind != "eof":
-        tok = s.peek()
-        if tok.kind == "name" and tok.text == "action":
-            s.next()
-            dtok = s.expect("name")
-            dm = _D_RE.match(dtok.text)
+    p.skip_newlines()
+    while tokens[p.i]:
+        if tokens[p.i] == "action":
+            p.i += 1
+            d = p.expect("name")
+            dm = _D_RE.match(tokens[d])
             if not dm or not (1 <= int(dm.group(1)) <= header["m"]):
-                raise ParseError(f"action needs d<k> with 1 <= k <= m={header['m']}", dtok.line, dtok.col)
-            ttok = s.expect("name")
-            i = _lookup(_indexed("t", range(1, ngens + 1)), ttok.text)
+                p.fail(f"action needs d<k> with 1 <= k <= m={header['m']}", d)
+            t = p.expect("name")
+            i = _lookup(_indexed("t", range(1, ngens + 1)), tokens[t])
             if i is None:
-                raise ParseError(f"action needs a declared t<i>, found {ttok.text!r}", ttok.line, ttok.col)
-            s.expect("sym", "=")
-            actions[(int(dm.group(1)), i)] = (dtok.line, _take_line(s))
-            s.skip_newlines()
-            continue
-        stmts.append(_take_statement(s))
-        s.skip_newlines()
+                p.fail(f"action needs a declared t<i>, found {tokens[t]!r}", t)
+            p.expect("=")
+            end = p.line_end()
+            actions[(int(dm.group(1)), i)] = (p.i, end, d)
+            p.i = end
+        else:
+            stmts.append(_statement(p))
+        p.skip_newlines()
 
-    env = _poly_env(gens, _indexed("t", gens), "a derivation action")
-    actions = {key: _parse_tokens(toks, env, line) for key, (line, toks) in actions.items()}
-    ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens, actions=actions)
+    if actions:
+        env = _poly_env(gens, _indexed("t", gens), "a derivation action")
+        actions = {key: p.expression(start, end, env, d) for key, (start, end, d) in actions.items()}
+        ctx = DiffContext(header["m"], header["n"], coeff_gens=ngens, actions=actions)
     problem = ProblemFile(ctx=ctx)
     tvars = tuple(map(str, gens)) or ("t",)  # an equation over Q is in t
+    diff_env = ode_env = None
+    field_envs = {}
+    names = set()
 
-    for kind, name_tok, payload in stmts:
-        name = name_tok.text
-        if name in set(problem.names()):
-            raise ParseError(f"duplicate name {name!r}", name_tok.line, name_tok.col)
+    for kind, k, span in stmts:
+        name = tokens[k]
+        if name in names:
+            p.fail(f"duplicate name {name!r}", k)
         if kind == "poly":
-            problem.polys[name] = _parse_tokens(payload, _diff_env(ctx), name_tok.line)
+            diff_env = diff_env or _diff_env(ctx)
+            problem.polys[name] = p.expression(*span, diff_env, k)
         elif kind == "set":
             # NAME (',' NAME)*: a comma at each odd position, none last
             members = []
-            for k, tok in enumerate(payload):
-                comma = tok.kind == "sym" and tok.text == ","
-                if k % 2 and not comma:
-                    raise ParseError("expected ',' between set members", tok.line, tok.col)
-                if comma and (k % 2 == 0 or k == len(payload) - 1):
-                    raise ParseError("empty member in set", tok.line, tok.col)
+            start, end = span
+            for j in range(start, end):
+                tok = tokens[j]
+                comma = tok == ","
+                if (j - start) % 2 and not comma:
+                    p.fail("expected ',' between set members", j)
+                if comma and ((j - start) % 2 == 0 or j == end - 1):
+                    p.fail("empty member in set", j)
                 if comma:
                     continue
-                if tok.kind != "name":
-                    raise ParseError("set members are names of polynomials", tok.line, tok.col)
-                if tok.text not in problem.polys:
-                    raise ParseError(f"unknown polynomial {tok.text!r}", tok.line, tok.col)
-                members.append(problem.polys[tok.text])
+                if not _NAME_RE.match(tok):
+                    p.fail("set members are names of polynomials", j)
+                if tok not in problem.polys:
+                    p.fail(f"unknown polynomial {tok!r}", j)
+                members.append(problem.polys[tok])
             if not members:
-                raise ParseError("empty set", name_tok.line, name_tok.col)
+                p.fail("empty set", k)
             # stored raw: autoreducedness is a per-command verdict, not a
             # parse-time requirement (analyze reports it)
             problem.sets[name] = members
         elif kind == "dspec":
-            problem.dspecs[name] = _build_dspec(name_tok, payload)
-        elif kind == "ode":
-            value = _parse_tokens(payload, _ode_env(tvars), name_tok.line)
+            problem.dspecs[name] = _dspec(p, k, span, field_envs)
+        else:
+            ode_env = ode_env or _ode_env(tvars)
+            value = p.expression(*span, ode_env, k)
             try:
                 problem.odes[name] = OdePoly(value, tvars=tvars)
             except ValueError as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col)
-        else:
-            raise ParseError(f"unknown statement {kind!r}", name_tok.line, name_tok.col)
+                p.fail(str(exc), k)
         problem.order.append((kind, name))
+        names.add(name)
     return problem
 
 
-def _take_line(s):
-    toks = []
-    while not s.at_statement_end():
-        toks.append(s.next())
-    return toks
-
-
-def _take_statement(s):
-    tok = s.expect("name")
-    kind = tok.text
+def _statement(p):
+    """(kind, index of the name, span) of the statement at p.i, where span
+    is the range (start, end) after '=' or, for a dspec block, the list of
+    its clauses' ranges; p moves past the statement."""
+    tokens = p.tokens
+    k = p.expect("name")
+    kind = tokens[k]
     if kind not in ("poly", "set", "dspec", "ode"):
-        raise ParseError(
-            f"unknown statement {kind!r} (expected poly, set, dspec, ode, or action)",
-            tok.line,
-            tok.col,
-        )
-    name_tok = s.expect("name")
+        p.fail(f"unknown statement {kind!r} (expected poly, set, dspec, ode, or action)", k)
+    at = p.expect("name")
     if kind == "dspec":
-        s.expect("sym", "{")
-        payload = []
+        p.expect("{")
+        # clauses end at newlines and semicolons, the last at the '}'
+        # that closes the block
+        clauses = []
+        start = j = p.i
         depth = 1
         while True:
-            t = s.next()
-            if t.kind == "eof":
-                raise ParseError("unterminated dspec block", tok.line, tok.col)
-            if t.kind == "sym" and t.text == "{":
+            tok = tokens[j]
+            if tok == "\n" or tok == ";" or tok == "}" and depth == 1:
+                if j > start:
+                    clauses.append((start, j))
+                start = j + 1
+            if tok == "{":
                 depth += 1
-            if t.kind == "sym" and t.text == "}":
+            elif tok == "}":
                 depth -= 1
                 if depth == 0:
                     break
-            payload.append(t)
-        return (kind, name_tok, payload)
-    s.expect("sym", "=")
-    return (kind, name_tok, _take_line(s))
+            elif not tok:
+                p.fail("unterminated dspec block", k)
+            j += 1
+        p.i = j + 1
+        return kind, at, clauses
+    p.expect("=")
+    span = p.i, p.line_end()
+    p.i = span[1]
+    return kind, at, span
 
 
-def _parse_tokens(tokens, env, line=None):
-    """One expression spanning all of tokens, parsed in env; an expression
-    cut short is reported at line, where its statement starts."""
-    sub = _Stream(list(tokens) + [Token("eof", "", line, None)])
-    value = ExprParser(sub, env).expr()
-    tok = sub.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-    return value
-
-
-def _build_dspec(name_tok, payload):
-    # split clauses on newlines/semicolons
-    clauses = [[]]
-    for tok in payload:
-        if tok.kind == "newline" or (tok.kind == "sym" and tok.text == ";"):
-            if clauses[-1]:
-                clauses.append([])
-            continue
-        clauses[-1].append(tok)
-    if clauses and not clauses[-1]:
-        clauses.pop()
+def _dspec(p, at, clauses, field_envs):
+    """The DSpec of the block with the given clause ranges, its name the
+    token at; field_envs keeps the environment of each ambient dimension."""
+    tokens = p.tokens
     nvars = nder = None
     entries = {}
     ideal_clause = None
     check = True
     seen = set()
-    for clause in clauses:
-        head = clause[0]
-        if head.kind != "name":
-            raise ParseError("bad clause in dspec block", head.line, head.col)
-        if head.text in ("n", "m", "ideal"):
-            if head.text in seen:
-                raise ParseError(f"repeated clause {head.text}", head.line, head.col)
-            seen.add(head.text)
-        if head.text == "n" or head.text == "m":
-            if len(clause) != 3 or clause[1].text != "=" or clause[2].kind != "number":
-                raise ParseError(f"expected {head.text}=<int>", head.line, head.col)
-            if head.text == "n":
-                nvars = int(clause[2].text)
+    for a, b in clauses:
+        head = tokens[a]
+        size = b - a
+        if not _NAME_RE.match(head):
+            p.fail("bad clause in dspec block", a)
+        if head in ("n", "m", "ideal"):
+            if head in seen:
+                p.fail(f"repeated clause {head}", a)
+            seen.add(head)
+        if head == "n" or head == "m":
+            if size != 3 or tokens[a + 1] != "=" or not tokens[a + 2].isdigit():
+                p.fail(f"expected {head}=<int>", a)
+            if head == "n":
+                nvars = int(tokens[a + 2])
             else:
-                nder = int(clause[2].text)
-        elif head.text == "nocommute":
+                nder = int(tokens[a + 2])
+        elif head == "nocommute":
             check = False
-        elif head.text == "ideal":
-            if len(clause) < 2 or clause[1].text != "=":
-                raise ParseError("expected ideal = <poly>, <poly>, ...", head.line, head.col)
-            ideal_clause = clause
-        elif _D_RE.match(head.text):
-            k = int(_D_RE.match(head.text).group(1))
-            xm = _X_RE.match(clause[1].text) if len(clause) > 1 and clause[1].kind == "name" else None
-            if not xm or len(clause) < 3 or clause[2].text != "=":
-                raise ParseError("expected d<k> x<j> = <poly>", head.line, head.col)
+        elif head == "ideal":
+            if size < 2 or tokens[a + 1] != "=":
+                p.fail("expected ideal = <poly>, <poly>, ...", a)
+            ideal_clause = (a, b)
+        elif _D_RE.match(head):
+            k = int(_D_RE.match(head).group(1))
+            xm = _X_RE.match(tokens[a + 1]) if size > 1 else None
+            if not xm or size < 3 or tokens[a + 2] != "=":
+                p.fail("expected d<k> x<j> = <poly>", a)
             j = int(xm.group(1)) if xm.group(1) else 1
             if (k, j) in entries:
-                raise ParseError(f"repeated clause d{k} x{j}", head.line, head.col)
-            entries[(k, j)] = clause
+                p.fail(f"repeated clause d{k} x{j}", a)
+            entries[(k, j)] = (a, b)
         else:
-            raise ParseError(f"unknown dspec clause {head.text!r}", head.line, head.col)
+            p.fail(f"unknown dspec clause {head!r}", a)
     if nvars is None or nder is None:
-        raise ParseError("dspec block must declare n=<int> and m=<int>", name_tok.line, name_tok.col)
-    for (k, j), clause in entries.items():
+        p.fail("dspec block must declare n=<int> and m=<int>", at)
+    for (k, j), (a, _) in entries.items():
         if not (1 <= k <= nder and 1 <= j <= nvars):
-            raise ParseError(f"clause d{k} x{j} lies outside m={nder}, n={nvars}", clause[0].line, clause[0].col)
-    sig = _ambient_sig(nvars)
-    env = _poly_env(sig, _indexed("x", sig), "a vector field")
+            p.fail(f"clause d{k} x{j} lies outside m={nder}, n={nvars}", a)
+    env = field_envs.get(nvars)
+    if env is None:
+        sig = _ambient_sig(nvars)
+        env = field_envs[nvars] = _poly_env(sig, _indexed("x", sig), "a vector field")
 
     fields = []
     for k in range(1, nder + 1):
@@ -547,47 +575,49 @@ def _build_dspec(name_tok, payload):
         for j in range(1, nvars + 1):
             clause = entries.get((k, j))
             if clause is None:
-                raise ParseError(
-                    f"dspec is missing d{k} x{j}", name_tok.line, name_tok.col
-                )
-            row.append(_parse_tokens(clause[3:], env, clause[0].line))
+                p.fail(f"dspec is missing d{k} x{j}", at)
+            a, b = clause
+            row.append(p.expression(a + 3, b, env, a))
         fields.append(row)
     ideal = []
-    if ideal_clause and ideal_clause[2:]:
-        head = ideal_clause[0]
-        current = []
-        for tok in ideal_clause[2:] + [Token("sym", ",", 0, 0)]:
-            if tok.kind == "sym" and tok.text == ",":
-                if not current:
-                    raise ParseError("empty member in ideal", head.line, head.col)
-                ideal.append(_parse_tokens(current, env, head.line))
-                current = []
-            else:
-                current.append(tok)
+    if ideal_clause and ideal_clause[1] - ideal_clause[0] > 2:
+        a, b = ideal_clause
+        member = a + 2
+        for j in range(a + 2, b + 1):
+            if j == b or tokens[j] == ",":
+                if j == member:
+                    p.fail("empty member in ideal", a)
+                ideal.append(p.expression(member, j, env, a))
+                member = j + 1
     try:
         spec = DSpec(nvars, nder, fields, ideal_gens=ideal, check_commuting=False)
     except ValueError as exc:
-        raise ParseError(str(exc), name_tok.line, name_tok.col)
+        p.fail(str(exc), at)
     # checked here, not by DSpec, so that the message names the file's waiver
     witness = spec.commuting_witness() if check else None
     if witness is not None:
         k, l, j = witness
-        raise ParseError(
+        p.fail(
             f"derivations {k + 1} and {l + 1} do not commute on x{j + 1} "
             "(add a nocommute clause to waive)",
-            name_tok.line,
-            name_tok.col,
+            at,
         )
     return spec
 
 
+def _expression(text, env):
+    """text as one expression in env, its newlines read as blanks."""
+    tokens, offsets = tokenize(text)
+    keep = [k for k, tok in enumerate(tokens) if tok != "\n"]
+    p = _Parser(text, [tokens[k] for k in keep], [offsets[k] for k in keep])
+    return p.expression(0, len(keep) - 1, env)
+
+
 def parse_diff_expression(text, ctx):
     """One differential-polynomial expression over an existing ring."""
-    tokens = [t for t in tokenize(text) if t.kind != "newline"]
-    return _parse_tokens(tokens, _diff_env(ctx))
+    return _expression(text, _diff_env(ctx))
 
 
 def parse_ratfunc_expression(text, tvars=("t",)):
-    tokens = [t for t in tokenize(text) if t.kind != "newline"]
     names = {a: partial(RatFunc.var, tvars, v) for a, v in _indexed("t", tvars).items()}
-    return _parse_tokens(tokens, _Env(names, partial(RatFunc.from_const, tvars), "a rational function"))
+    return _expression(text, _Env(names, partial(RatFunc.from_const, tvars), "a rational function"))

@@ -555,6 +555,27 @@ class TestDeterminism:
         assert "input seed: 4" in reseeded[1]
         assert reseeded == first_call(wedge)
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["analyze", "FILE"], ["parse_seconds", "total_seconds"]),
+            (["darboux", "FILE", "--dspec", "rot", "--deg", "1"], ["parse_seconds", "total_seconds"]),
+            (["height", "1/(t-3)"], ["total_seconds"]),
+            (["wedge-check", "--count", "3"], ["total_seconds"]),
+        ],
+        ids=["analyze", "darboux", "height", "wedge-check"],
+    )
+    def test_timings_report_the_parse_of_a_problem_file(self, problem_path, argv, keys):
+        argv = [problem_path if a == "FILE" else a for a in argv]
+        code, out, _ = run(["--json", "--timings", *argv])
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert sorted(timings) == keys
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+        # without --timings the object stays empty
+        code, out, _ = run(["--json", *argv])
+        assert code == 0 and json.loads(out)["timings"] == {}
+
     def test_all_reports_validate(self, problem_path):
         for argv in (
             ["--json", "analyze", problem_path],

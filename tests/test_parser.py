@@ -3,14 +3,20 @@ where a misplaced name is reported, and what `action` lines produce."""
 
 import io
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from delta_kernel.cli import main
-from delta_kernel.diffring import CoeffGen
+from delta_kernel.diffring import CoeffGen, DiffContext
 from delta_kernel.heights import OdePoly
 from delta_kernel.multipoly import MultiPoly
-from delta_kernel.parser import ParseError, parse_ratfunc_expression, parse_system
+from delta_kernel.parser import (
+    ParseError,
+    parse_diff_expression,
+    parse_ratfunc_expression,
+    parse_system,
+)
 from delta_kernel.ratfunc import RatFunc
 
 HALF = Fraction(1, 2)
@@ -319,3 +325,361 @@ class TestNewRejections:
         path.write_text("m=1 n=1 coeffs=Q(t1)\npoly f = u1 + t0\n", encoding="utf-8")
         code, _, err = run(["analyze", str(path)])
         assert code == 2 and "at line 2, column 15" in err
+
+
+# Every ParseError site, pinned as (text, message, line, column): a column of
+# None is an expression cut short, reported at the line its statement (or
+# dspec clause) starts on.  Statements are checked in the order of the file,
+# after the header and after every action line, so the first error wins.
+PARSE_ERRORS = [
+    # tokenize
+    ("m=1 n=1 coeffs=Q\npoly f = u1 $ 2\n", "unexpected character '$'", 2, 13),
+    ("m=1 n=1 coeffs=Q\n\tpoly f = u1 # ok\npoly g = @\n", "unexpected character '@'", 3, 10),
+    # expect: a token of the wrong kind, in the header, a statement or an expression
+    ("m 1 n=1 coeffs=Q\n", "expected '=', found '1'", 1, 3),
+    ("m=1 n=1\n", "expected 'name', found '\\n'", 1, 8),
+    ("m=1 n=1 coeffs=Q\npoly f u1\n", "expected '=', found 'u1'", 2, 8),
+    ("m=1 n=1 coeffs=Q\npoly = u1\n", "expected 'name', found '='", 2, 6),
+    ("m=1 n=1 coeffs=Q\npoly f = (u1 + 1\n", "expected ')', found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\npoly f = u1^x\n", "expected 'number', found 'x'", 2, 13),
+    ("m=1 n=1 coeffs=Q\npoly f = u1^\n", "expected 'number', found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\npoly f = d1 u1\n", "expected '*', found 'u1'", 2, 13),
+    ("m=1 n=1 coeffs=Q\npoly f = d1^*u1\n", "expected 'number', found '*'", 2, 13),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = (x1\n}\n", "expected ')', found 'eof'", 5, None),
+    # atoms, derivative chains, names and division
+    ("m=1 n=1 coeffs=Q\npoly f = u1 + *\n", "expected an expression, found '*'", 2, 15),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 +\n", "expected an expression, found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\npoly f =\n", "expected an expression, found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\node E = y -\n", "expected an expression, found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = t2 *\n", "expected an expression, found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal = x1 +\n}\n", "expected an expression, found 'eof'", 6, None),
+    ("m=1 n=1 coeffs=Q\npoly f = d2*u1\n", "derivation index 2 exceeds m=1", 2, 10),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 + d1*d1^2*d3*u1\n", "derivation index 3 exceeds m=1", 2, 15),
+    ("m=1 n=1 coeffs=Q\npoly f = d1*u2\n", "variable index 2 exceeds n=1", 2, 10),
+    ("m=1 n=1 coeffs=Q\npoly f = d1*x\n", "a derivative chain must end in u<j>, found 'x'", 2, 13),
+    ("m=1 n=1 coeffs=Q\npoly f = d1*2\n", "a derivative chain must end in u<j>, found '2'", 2, 13),
+    ("m=1 n=1 coeffs=Q\npoly f = d1*\n", "a derivative chain must end in u<j>, found 'eof'", 2, None),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 + v\n", "unknown symbol 'v' in a differential polynomial (names: u1)", 2, 15),
+    ("m=1 n=1 coeffs=Q\npoly f = u1/u1\n", "division by a nonconstant expression is not allowed here", 2, 12),
+    ("m=1 n=1 coeffs=Q\npoly f = u1/0\n", "division by zero", 2, 12),
+    ("m=1 n=1 coeffs=Q\npoly f = u1/(1 - 1)\n", "division by zero", 2, 12),
+    ("m=1 n=1 coeffs=Q\node E = y/(2*x - x*2)\n", "division by zero", 2, 10),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1/(3-3)\n}\n", "division by zero", 5, 12),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1/x1\n}\n", "division by a nonconstant expression is not allowed here", 5, 12),
+    ("m=1 n=1 coeffs=Q\node E = y/x\n", "division by a nonconstant expression is not allowed here", 2, 10),
+    # the header and the ring it declares
+    ("n=1 m=1 coeffs=Q\n", "header must declare m=<int>", 1, 1),
+    ("m=1 m=1 coeffs=Q\n", "header must declare n=<int>", 1, 5),
+    ("m=1 n=1 field=Q\n", "header must declare coeffs=Q or coeffs=Q(t1..ts)", 1, 9),
+    ("m=1 n=1 coeffs=R\n", "bad coefficient field 'R'", 1, 9),
+    ("m=1 n=1 coeffs=Q(t2)\n", "bad coefficient field 'Q(t2)'", 1, 9),
+    ("m=1 n=1 coeffs=Q(t1..t2\n", "bad coefficient field 'Q(t1..t2'", 1, 9),
+    ("m=0 n=1 coeffs=Q\n", "need at least one derivation and one variable", 1, 1),
+    # action lines
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction x1 t1 = 1\n", "action needs d<k> with 1 <= k <= m=1", 2, 8),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d3 t1 = 1\n", "action needs d<k> with 1 <= k <= m=1", 2, 8),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t3 = 1\n", "action needs a declared t<i>, found 't3'", 2, 11),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 1\n", "expected '=', found '1'", 2, 14),
+    # statements and sets
+    ("m=1 n=1 coeffs=Q\npoly f = u1\npoly f = u1\n", "duplicate name 'f'", 3, 6),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset f = f\n", "duplicate name 'f'", 3, 5),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset L = f f\n", "expected ',' between set members", 3, 11),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset L = f,,f\n", "empty member in set", 3, 11),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset L = f, 2\n", "set members are names of polynomials", 3, 12),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset L = g\n", "unknown polynomial 'g'", 3, 9),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\nset L =\n", "empty set", 3, 5),
+    ("m=1 n=1 coeffs=Q\node E = 0\n", "the defining polynomial must be nonzero", 2, 5),
+    ("m=1 n=1 coeffs=Q\node E = x - x\n", "the defining polynomial must be nonzero", 2, 5),
+    ("m=1 n=1 coeffs=Q\nfoo f = 1\n", "unknown statement 'foo' (expected poly, set, dspec, ode, or action)", 2, 1),
+    ("m=1 n=1 coeffs=Q\n3 f = 1\n", "expected 'name', found '3'", 2, 1),
+    ("m=1 n=1 coeffs=Q\npoly 3 = 1\n", "expected 'name', found '3'", 2, 6),
+    # statement heads, dspec blocks and trailing input
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n", "unterminated dspec block", 2, 1),
+    ("m=1 n=1 coeffs=Q\ndspec q\n", "expected '{', found '\\n'", 2, 8),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 u1\n", "unexpected trailing input 'u1'", 2, 13),
+    ("m=1 n=1 coeffs=Q\npoly f = (u1))\n", "unexpected trailing input ')'", 2, 14),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1 x1\n}\n", "unexpected trailing input 'x1'", 5, 13),
+    # dspec clauses, fields and ideals
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n 1 = 2\n d1 x1 = x1\n}\n", "bad clause in dspec block", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n n = 1\n d1 x1 = x1\n}\n", "repeated clause n", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n ideal = x1\n ideal = x1\n d1 x1 = x1\n}\n", "repeated clause ideal", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = x\n m = 1\n d1 x1 = x1\n}\n", "expected n=<int>", 3, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1 2\n m = 1\n d1 x1 = x1\n}\n", "expected n=<int>", 3, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m\n d1 x1 = x1\n}\n", "expected m=<int>", 4, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal x1\n}\n", "expected ideal = <poly>, <poly>, ...", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal\n}\n", "expected ideal = <poly>, <poly>, ...", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 x1\n}\n", "expected d<k> x<j> = <poly>", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1\n}\n", "expected d<k> x<j> = <poly>", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 = x1\n}\n", "expected d<k> x<j> = <poly>", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n d1 x = x1\n}\n", "repeated clause d1 x1", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n foo = 1\n}\n", "unknown dspec clause 'foo'", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n d1 x1 = x1\n}\n", "dspec block must declare n=<int> and m=<int>", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n m = 1\n}\n", "dspec block must declare n=<int> and m=<int>", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n d2 x1 = x1\n}\n", "clause d2 x1 lies outside m=1, n=1", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 1\n d1 x1 = x1\n}\n", "dspec is missing d1 x2", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 1\n d1 x2 = x1\n}\n", "dspec is missing d1 x1", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal = x1,,x1\n}\n", "empty member in ideal", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal = ,\n}\n", "empty member in ideal", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n ideal = x1,\n}\n", "empty member in ideal", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1; m = 1; d1 x1 = x1; ideal = x1 +; }\n", "expected an expression, found 'eof'", 3, None),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 0\n}\n", "need at least one derivation and one variable", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 2\n d1 x1 = x2\n d1 x2 = 0\n d2 x1 = 0\n d2 x2 = x1\n}\n", "derivations 1 and 2 do not commute on x1 (add a nocommute clause to waive)", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = {x1}\n}\n", "expected an expression, found '{'", 5, 10),
+    # which error comes first, and positions around blanks and comments
+    ("m=1 n=1 coeffs=Q\npoly f = u1 +\nfoo g = 1\n", "unknown statement 'foo' (expected poly, set, dspec, ode, or action)", 3, 1),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 +\naction d1 t1 = 1\n", "action needs a declared t<i>, found 't1'", 3, 11),
+    ("m=1 n=1 coeffs=Q(t1)\npoly f = u1 +\naction d1 t1 = 1 +\n", "expected an expression, found 'eof'", 3, None),
+    ("m=0 n=1 coeffs=Q\nfoo\n", "need at least one derivation and one variable", 1, 1),
+    ("m=1 n=1 coeffs=R\npoly f = $\n", "unexpected character '$'", 2, 10),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1 +\n}\npoly f = d3*u1\n", "expected an expression, found 'eof'", 5, None),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1 +\n foo = 1\n}\n", "unknown dspec clause 'foo'", 6, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 1\n d1 x1 = x1 +\n}\n", "expected an expression, found 'eof'", 5, None),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 2\n m = 1\n d1 x2 = x1 +\n}\n", "dspec is missing d1 x1", 2, 7),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n ideal = x1,\n d1 x1 = x1 +\n}\n", "expected an expression, found 'eof'", 6, None),
+    ("m=1 n=1 coeffs=Q\nset L = f\npoly f = u1\n", "unknown polynomial 'f'", 2, 9),
+    ("m=1 n=1 coeffs=Q\npoly f = u1\n\n\n  poly g = u1\tu1\n", "unexpected trailing input 'u1'", 5, 15),
+    ("m=1 n=1 coeffs=Q\npoly f = u1 # trailing comment\n  # comment\npoly g = u1 + ) # x\n", "expected an expression, found ')'", 4, 15),
+    ("# lead\n\n m = 1 n = 1 coeffs = Q ( t1 .. t2 )  # spaced\naction d1 t2 = t3\n", "unknown symbol 't3' in a derivation action (names: t1, t2, t)", 4, 16),
+    ("m=1 n=1 coeffs=Q\ndspec q { n = 1; m = 1; d1 x1 = x1 } poly f = u1 +\n", "expected an expression, found 'eof'", 2, None),
+    ("\n\n  # comment only\n", "expected 'name', found 'eof'", 4, 1),
+    ("", "expected 'name', found 'eof'", 1, 1),
+]
+
+# parse_diff_expression over a ring with m=2, n=1, and parse_ratfunc_expression in t
+DIFF_EXPRESSION_ERRORS = [
+    ("u1 +", "expected an expression, found 'eof'", 1, 5),
+    ("u1 $", "unexpected character '$'", 1, 4),
+    ("d3*u1", "derivation index 3 exceeds m=2", 1, 1),
+    ("u1 u1", "unexpected trailing input 'u1'", 1, 4),
+    ("(u1", "expected ')', found 'eof'", 1, 4),
+    ("u1/u1", "division by a nonconstant expression is not allowed here", 1, 3),
+    ("u1/0", "division by zero", 1, 3),
+    ("\nu1 +\n u2", "unknown symbol 'u2' in a differential polynomial (names: u1)", 3, 2),
+    ("u1\n/(1-1)", "division by zero", 2, 1),
+    ("", "expected an expression, found 'eof'", 1, 1),
+    ("x", "unknown symbol 'x' in a differential polynomial (names: u1)", 1, 1),
+]
+
+RATFUNC_EXPRESSION_ERRORS = [
+    ("1/(t-t)", "division by zero", 1, 2),
+    ("t +", "expected an expression, found 'eof'", 1, 4),
+    ("t t", "unexpected trailing input 't'", 1, 3),
+    ("(t", "expected ')', found 'eof'", 1, 3),
+    ("x", "unknown symbol 'x' in a rational function (names: t1, t)", 1, 1),
+    ("t^y", "expected 'number', found 'y'", 1, 3),
+    ("", "expected an expression, found 'eof'", 1, 1),
+    ("2/0", "division by zero", 1, 2),
+    ("1/\n(t - t)", "division by zero", 1, 2),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", PARSE_ERRORS)
+def test_parse_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_system(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text, message, line, col", DIFF_EXPRESSION_ERRORS)
+def test_diff_expression_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_diff_expression(text, DiffContext(2, 1))
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text, message, line, col", RATFUNC_EXPRESSION_ERRORS)
+def test_ratfunc_expression_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_ratfunc_expression(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+# ---------- constant folding against direct arithmetic ----------
+#
+# A tree is ("num", n), ("name", slot), ("neg", a), ("par", a), ("pow", a, k)
+# or (op, a, b) for op in add, sub, mul, div; a divisor is constant, though
+# it may spell names that cancel.  The oracle evaluates a tree with the
+# arithmetic of the values themselves, every number a constant of the
+# context and nothing folded.
+
+_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_SYMBOLS = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
+
+
+def _tree(rng, depth, names=True):
+    if depth == 0 or rng.random() < 0.25:
+        if names and rng.random() < 0.45:
+            return ("name", rng.randrange(2))
+        return ("num", rng.randint(0, 9))
+    op = rng.choice(("add", "sub", "mul", "div", "neg", "pow", "par"))
+    if op in ("neg", "par"):
+        return (op, _tree(rng, depth - 1, names))
+    if op == "pow":
+        return (op, _tree(rng, depth - 1, names), rng.randint(0, 3))
+    if op == "div":
+        return (op, _tree(rng, depth - 1, names), _divisor(rng, depth - 1))
+    return (op, _tree(rng, depth - 1, names), _tree(rng, depth - 1, names))
+
+
+def _divisor(rng, depth):
+    constant = _tree(rng, depth, names=False)
+    if rng.random() < 0.2:
+        cancels = _tree(rng, min(depth, 2))
+        return ("add", ("par", ("sub", cancels, cancels)), constant)
+    return constant
+
+
+def _text(tree, names, slashes, out, level=0):
+    """Append tree to the string list out with the fewest brackets the
+    grammar needs; slashes collects the offset of each '/', in text order."""
+    kind = tree[0]
+    if kind == "num":
+        out.append(str(tree[1]))
+        return
+    if kind == "name":
+        out.append(names[tree[1]])
+        return
+    if kind == "par":
+        out.append("(")
+        _text(tree[1], names, slashes, out)
+        out.append(")")
+        return
+    own = _PRECEDENCE[kind]
+    bracket = own < level
+    if bracket:
+        out.append("(")
+    if kind == "neg":
+        out.append("-")
+        _text(tree[1], names, slashes, out, 3)
+    elif kind == "pow":
+        _text(tree[1], names, slashes, out, 5)
+        out.append(f"^{tree[2]}")
+    else:
+        _text(tree[1], names, slashes, out, own)
+        if kind == "div":
+            slashes.append(len("".join(out)))
+        out.append(_SYMBOLS[kind])
+        _text(tree[2], names, slashes, out, own + 1)
+    if bracket:
+        out.append(")")
+
+
+class _ZeroDivisor(Exception):
+    """Division by zero at the k-th '/' of the text, k = args[0]."""
+
+
+def _evaluate(tree, names, const, slashes=None):
+    """The value of tree; slashes counts the '/' passed in text order."""
+    slashes = [0] if slashes is None else slashes
+    kind = tree[0]
+    if kind == "num":
+        return const(tree[1])
+    if kind == "name":
+        return names[tree[1]]()
+    if kind == "par":
+        return _evaluate(tree[1], names, const, slashes)
+    if kind == "neg":
+        return -_evaluate(tree[1], names, const, slashes)
+    if kind == "pow":
+        return _evaluate(tree[1], names, const, slashes) ** tree[2]
+    a = _evaluate(tree[1], names, const, slashes)
+    if kind == "div":
+        slash = slashes[0]
+        slashes[0] += 1
+    b = _evaluate(tree[2], names, const, slashes)
+    if kind == "add":
+        return a + b
+    if kind == "sub":
+        return a - b
+    if kind == "mul":
+        return a * b
+    body = getattr(b, "body", b)
+    assert body.is_constant()
+    if body.is_zero():
+        raise _ZeroDivisor(slash)
+    return a * (1 / body.constant_value())
+
+
+def _trees(rng, count=200):
+    """count trees: every fourth made of numbers only, every fourth a
+    difference of a tree with itself, which cancels to zero."""
+    for k in range(count):
+        if k % 4 == 0:
+            yield _tree(rng, 4, names=False)
+        elif k % 4 == 1:
+            tree = _tree(rng, 3)
+            yield ("sub", tree, ("par", tree))
+        else:
+            yield _tree(rng, 4)
+
+
+_FIELD_SIG = ("x1", "x2")
+_ODE_SIG = ("t", "x", "y")
+_RING = DiffContext(1, 1, coeff_gens=1)
+
+# per context: the file around the expression, the line and prefix of the
+# expression, the names of the two slots, the values they and the numbers
+# stand for, and the value the file makes of the expression
+_CONTEXTS = {
+    "dspec": (
+        "m=1 n=1 coeffs=Q\ndspec q {{\n n = 2\n m = 1\n d1 x1 = {}\n d1 x2 = 0\n}}\n",
+        5,
+        " d1 x1 = ",
+        ("x1", "x2"),
+        [partial(MultiPoly.var, _FIELD_SIG, v) for v in _FIELD_SIG],
+        partial(MultiPoly.const, _FIELD_SIG),
+        lambda prob: prob.dspecs["q"].fields[0][0],
+    ),
+    "ode": (
+        "m=1 n=1 coeffs=Q\node E = {}\n",
+        2,
+        "ode E = ",
+        ("x", "y"),
+        [partial(MultiPoly.var, _ODE_SIG, v) for v in ("x", "y")],
+        partial(MultiPoly.const, _ODE_SIG),
+        lambda prob: prob.odes["E"].poly,
+    ),
+    "poly": (
+        "m=1 n=1 coeffs=Q(t1)\npoly f = {}\n",
+        2,
+        "poly f = ",
+        ("u1", "t"),
+        [partial(_RING.u, 1), partial(_RING.t, 1)],
+        _RING.const,
+        lambda prob: prob.polys["f"].body,
+    ),
+}
+
+
+@pytest.mark.parametrize("context", sorted(_CONTEXTS))
+def test_folded_constants_match_direct_arithmetic(rng, context):
+    template, line, prefix, names, values, const, read = _CONTEXTS[context]
+    zero_divisors = cancelled = 0
+    for tree in _trees(rng):
+        out, slashes = [], []
+        _text(tree, names, slashes, out)
+        text = "".join(out)
+        try:
+            expected = _evaluate(tree, values, const)
+        except _ZeroDivisor as exc:
+            zero_divisors += 1
+            with pytest.raises(ParseError) as caught:
+                parse_system(template.format(text))
+            col = len(prefix) + slashes[exc.args[0]] + 1
+            assert (caught.value.message, caught.value.line, caught.value.col) == (
+                "division by zero", line, col,
+            ), text
+            continue
+        body = getattr(expected, "body", expected)
+        if context == "ode":
+            if body.is_zero():
+                cancelled += 1
+                with pytest.raises(ParseError, match="the defining polynomial must be nonzero"):
+                    parse_system(template.format(text))
+                continue
+            body = OdePoly(body, tvars=("t",)).poly
+        cancelled += body.is_zero()
+        got = read(parse_system(template.format(text)))
+        assert (got.vars, got.terms) == (body.vars, body.terms), text
+    # the draw covers both special cases
+    assert zero_divisors and cancelled
