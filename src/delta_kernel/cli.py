@@ -32,7 +32,7 @@ from .parser import (
     parse_system,
 )
 from .printer import print_diffpoly, print_integer_terms, print_ratfunc
-from .prolongation import extract_dvariety, prolong_ideal
+from .prolongation import ProlongationLadder, extract_dvariety, prolong_ideal
 from .solve import SAMPLE_VALUES
 
 DEFAULT_SEED = 20260808
@@ -192,13 +192,9 @@ def _cmd_dimfn(args, problem):
     aset = _load_aset(problem, args.set)
     rep = leaders_to_exponents(aset)
     df = dimension_function(rep, args.max_t)
-    cross = []
-    for t in range(args.max_t + 1):
-        if t < aset.max_order():
-            cross.append(None)
-            continue
-        pid = prolong_ideal(aset, t)
-        cross.append(pid.dimension())
+    bottom = aset.max_order()
+    ladder = ProlongationLadder(aset) if args.max_t >= bottom else None
+    cross = [None if t < bottom else ladder.dimension(t) for t in range(args.max_t + 1)]
     agree = all(c is None or c == v for c, v in zip(cross, df.values))
     results = {
         "table": [{"t": t, "count": v} for t, v in enumerate(df.values)],

@@ -30,7 +30,12 @@ on each pair's lcm, stored when the pair is formed (ties broken on the
 pair's indices), and skips the entries of dropped pairs.  Every basis
 element's leading monomial is computed once and reused by the pairs, the
 S-polynomials, the reductions and the final interreduction.  The reduced
-basis is unique, so none of this changes it.
+basis is unique, so none of this changes it.  A run may also start from a
+known reduced basis, with new generators on top (the prolongation ladder
+starts each level from the basis of the level below): that basis goes in
+first, none of its pairs is formed, and the final interreduction
+tail-reduces one of its elements only where a new leading monomial divides
+one of its terms.
 
 Reduction is fraction-free: basis elements, S-polynomials and remainders
 are dicts from exponent tuples to Python ints, each basis element primitive
@@ -288,7 +293,7 @@ def buchberger(gens, order=GREVLEX):
     return GroebnerBasis(tuple(_monic(basis, leads, vars)), order, vars)
 
 
-def buchberger_terms(gens, gen_leads, order):
+def buchberger_terms(gens, gen_leads, order, known=((), ())):
     """(basis, leads): the reduced Groebner basis, smallest leading monomial
     first, of the ideal generated by the nonzero integer term dicts gens
     with leading monomials gen_leads, each element primitive with a
@@ -296,16 +301,22 @@ def buchberger_terms(gens, gen_leads, order):
     monomials.  The integer core of buchberger: the searches that build
     their systems on integers call it directly.
 
-    The inputs go in smallest lead first, each reduced by the ones kept
-    before it; those that reduce to zero are dropped.  Every element that
-    joins the basis updates the pairs by Gebauer-Moeller (JSC 1988).
+    known is a pair (basis, leads) in the form this function returns: a
+    reduced basis under the same order, over the same columns, whose ideal
+    the result also contains.  It goes in first and its pairs are never
+    formed, since each of them already reduces to zero on it.  The inputs go in
+    after it, smallest lead first, each reduced by the elements kept before
+    it; those that reduce to zero are dropped.  Every element that joins
+    the basis updates the pairs by Gebauer-Moeller (JSC 1988).
     """
     key = order_key(order)
     desc = _descending_key(order)
-    basis, leads, masks = [], [], []
+    basis, leads = list(known[0]), list(known[1])
+    masks = [_mask(le) for le in leads]
     # active: the elements whose lead no later lead divides; only they take
-    # new pairs, the others stay in the basis as reducers
-    active = []
+    # new pairs, the others stay in the basis as reducers.  No lead of a
+    # reduced basis divides another, so every known element is active.
+    active = list(range(len(basis)))
     # live pairs (i, j) -> lcm; normal selection pops the heap of
     # (key(lcm), i, j, lcm), smallest lcm first, ties broken on (i, j), and
     # skips the entries of pairs that a later element made redundant
@@ -366,27 +377,40 @@ def buchberger_terms(gens, gen_leads, order):
         if r:
             le = max(r, key=key)
             insert(primitive_terms(r, le)[0], le)
-    return _reduced(basis, leads, order)
+    return _reduced(basis, leads, masks, order, len(known[0]))
 
 
-def _reduced(basis, leads, order):
+def _reduced(basis, leads, masks, order, n_known=0):
     """(kept, kept_leads): the reduced basis, smallest leading monomial
     first, as primitive integer term dicts with positive leading
-    coefficients, from a Groebner basis of integer term dicts and their
-    leading monomials."""
+    coefficients, from a Groebner basis of integer term dicts, their
+    leading monomials and the support bitmasks of those.  The first n_known
+    elements are a reduced basis themselves: one of them needs tail
+    reduction only where a later lead divides one of its terms."""
     key = order_key(order)
     desc = _descending_key(order)
     # drop generators whose leading monomial a kept one divides; smaller
     # monomials come first, and of equal ones the first is kept
-    kept, kept_leads = [], []
+    # dirty: whether a kept element's tail may need reducing
+    kept, kept_leads, kept_masks, dirty = [], [], [], []
     for idx in sorted(range(len(basis)), key=lambda i: key(leads[i])):
-        if not any(_divides(le, leads[idx]) for le in kept_leads):
+        le, lm = leads[idx], masks[idx]
+        if not any(not m & ~lm and _divides(k, le) for k, m in zip(kept_leads, kept_masks)):
             kept.append(basis[idx])
-            kept_leads.append(leads[idx])
+            kept_leads.append(le)
+            kept_masks.append(lm)
+            dirty.append(idx >= n_known)
+    # a known element's terms are reduced on the other known leads already
+    fresh = [(le, lm) for le, lm, d in zip(kept_leads, kept_masks, dirty) if d]
+    if fresh:
+        for idx, g in enumerate(kept):
+            if not dirty[idx]:
+                dirty[idx] = any(_divided(e, fresh) for e in g)
     # tail-reduce each against the others: no kept leading monomial divides
     # another, so reduction keeps every leading term and one pass suffices
-    kept_masks = [_mask(le) for le in kept_leads]
     for idx, (g, le) in enumerate(zip(kept, kept_leads)):
+        if not dirty[idx]:
+            continue
         others = kept[:idx] + kept[idx + 1 :]
         if others:
             g, _ = _reduce(
@@ -398,6 +422,13 @@ def _reduced(basis, leads, order):
             )
             kept[idx] = primitive_terms(g, le)[0]
     return kept, kept_leads
+
+
+def _divided(e, leads):
+    """Whether one of leads, pairs of a monomial and its support bitmask,
+    divides the monomial e."""
+    off = ~_mask(e)
+    return any(not lm & off and _divides(le, e) for le, lm in leads)
 
 
 def _monic(basis, leads, vars):
@@ -447,14 +478,17 @@ def _max_independent_set(leads, nvars):
     return set(best)
 
 
-def ideal_dimension(basis):
+def ideal_dimension(basis, nvars=None):
     """Staircase dimension of a reduced Groebner basis.
 
     Largest cardinality of a variable subset S such that no leading monomial
     involves only variables from S; -1 for the unit ideal, the full variable
-    count for the zero ideal.
+    count for the zero ideal.  basis is a GroebnerBasis or, with nvars
+    given, the leading monomials of one in nvars variables.
     """
-    indep = _max_independent_set(_leading_monomials(basis), len(basis.vars))
+    if nvars is None:
+        basis, nvars = _leading_monomials(basis), len(basis.vars)
+    indep = _max_independent_set(basis, nvars)
     return -1 if indep is None else len(indep)
 
 

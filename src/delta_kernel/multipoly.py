@@ -640,6 +640,17 @@ def exponents_upto(n, d):
             yield (x,) + rest
 
 
+def exponents_of_degree(n, d):
+    """Exponent tuples of length n >= 1 with coordinate sum exactly d >= 0,
+    in the order of exponents_upto."""
+    if n == 1:
+        yield (d,)
+        return
+    for x in range(d + 1):
+        for rest in exponents_of_degree(n - 1, d - x):
+            yield (x,) + rest
+
+
 def monomials(n, d):
     """Exponent tuples of length n with coordinate sum <= d, grevlex-descending."""
     return sorted_exponents(exponents_upto(n, d))

@@ -415,9 +415,12 @@ def parse_system(text):
             i = _lookup(_indexed("t", range(1, ngens + 1)), tokens[t])
             if i is None:
                 p.fail(f"action needs a declared t<i>, found {tokens[t]!r}", t)
+            key = (int(dm.group(1)), i)
+            if key in actions:
+                p.fail(f"repeated action d{key[0]} t{i}", d)
             p.expect("=")
             end = p.line_end()
-            actions[(int(dm.group(1)), i)] = (p.i, end, d)
+            actions[key] = (p.i, end, d)
             p.i = end
         else:
             stmts.append(_statement(p))
@@ -543,6 +546,8 @@ def _dspec(p, at, clauses, field_envs):
             else:
                 nder = int(tokens[a + 2])
         elif head == "nocommute":
+            if size != 1:
+                p.fail("expected nocommute alone", a)
             check = False
         elif head == "ideal":
             if size < 2 or tokens[a + 1] != "=":

@@ -6,16 +6,26 @@ Frames list every algebraic indeterminate up to a given order in canonical
 rank order.  Prolonged ideals collect all derivatives of the defining
 polynomials that fit inside a frame; their honest geometric counterpart is
 the saturation by the separants, realized through a single Rabinowitsch
-variable.  At levels above every defining order, each non-basis top-order
-coordinate is a degree-one consequence of exactly one derived polynomial,
-which yields the affine fiber model and, at level bound + 1, the fiberwise
-affine subbundle of the tangent spaces.
+variable.  A ProlongationLadder computes these saturations level by level,
+each from the basis of the level below.  At levels above every defining
+order, each non-basis top-order coordinate is a degree-one consequence of
+exactly one derived polynomial, which yields the affine fiber model and, at
+level bound + 1, the fiberwise affine subbundle of the tangent spaces.
 """
 
-from .diffring import AlgIndet, AutoreducedSet, derived
-from .groebner import GREVLEX, buchberger, ideal_dimension, saturate
+from functools import reduce
+from operator import mul
+
+from .diffring import AlgIndet, AutoreducedSet, _derived_terms, derived
+from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger_terms, ideal_dimension, order_key
 from .initialsets import leaders_to_exponents, prolongation_bound
-from .multipoly import MultiPoly, coefficients, exponents_upto
+from .multipoly import (
+    MultiPoly,
+    coefficients,
+    exponents_of_degree,
+    exponents_upto,
+    from_integer_terms,
+)
 from .ratfunc import RatFunc
 
 
@@ -26,14 +36,15 @@ def nabla_frame(m, n, t):
     frame = [
         AlgIndet(r, j) for j in range(1, n + 1) for r in exponents_upto(m, t)
     ]
-    frame.sort(key=lambda v: v.rank_key())
+    frame.sort(key=AlgIndet.rank_key)
     return tuple(frame)
 
 
 def _frame_sig(frame):
     """Polynomial signature for a frame: highest rank first, so leading terms
-    of derived polynomials sit on their leaders."""
-    return tuple(sorted(frame, key=lambda v: v.rank_key(), reverse=True))
+    of derived polynomials sit on their leaders.  A frame is in increasing
+    rank, so this is its reverse."""
+    return frame[::-1]
 
 
 def _require_constant_field(ctx):
@@ -44,51 +55,28 @@ def _require_constant_field(ctx):
         )
 
 
-def _as_frame_poly(f, frame):
-    """Body of a differential polynomial over the frame signature."""
-    used = f.body.support_indices()
-    for i in used:
+def _require_frame_poly(f):
+    """Raise unless the differential polynomial f is free of coefficient
+    generators, so that its body lives on a frame."""
+    for i in f.body.support_indices():
         if not isinstance(f.body.vars[i], AlgIndet):
             raise ValueError(
                 "prolongation works over rational constants; a coefficient "
                 "generator occurs in the system"
             )
-    return f.body.restrict(_frame_sig(frame))
 
 
-class ProlongedIdeal:
-    """Level-t generators theta(f), ord(theta f) <= t, over the frame ring.
-
-    The geometric object is the saturation by the separant set.  Its one
-    reduced Groebner basis, computed once, is the lex basis that saturation
-    returns (grevlex when no separant needs inverting); dimension() and the
-    normal forms of the fiber checks read it.
-    """
-
-    __slots__ = ("level", "frame", "generators", "provenance", "separants", "_basis")
-
-    def __init__(self, level, frame, generators, provenance, separants, _basis=None):
-        self.level = level
-        self.frame = frame
-        self.generators = generators
-        self.provenance = provenance  # (element index, theta) per generator
-        self.separants = separants  # nonconstant separants over the frame
-        self._basis = _basis  # the GroebnerBasis, once computed
-
-    def groebner_basis(self):
-        if self._basis is None:
-            if self.separants:
-                # one Rabinowitsch elimination against the separants' product
-                product = self.separants[0]
-                for h in self.separants[1:]:
-                    product = product * h
-                self._basis = saturate(self.generators, product.primitive())
-            else:
-                self._basis = buchberger(self.generators, GREVLEX)
-        return self._basis
-
-    def dimension(self):
-        return ideal_dimension(self.groebner_basis())
+def _theta_images(polys, orders, sig, t, memo):
+    """(generators, provenance): the polynomials theta(f) over the frame
+    signature sig, with ord(theta f) <= t, element by element, and
+    (element index, theta) of each; orders holds each element's order."""
+    m = len(sig[0].theta)
+    gens, provenance = [], []
+    for idx, order in enumerate(orders):
+        for theta in exponents_upto(m, t - order):
+            gens.append(derived(polys, idx, theta, memo).body.restrict(sig))
+            provenance.append((idx, theta))
+    return gens, provenance
 
 
 def prolong_generators(polys, t):
@@ -98,40 +86,209 @@ def prolong_generators(polys, t):
     ctx = polys[0].ctx
     _require_constant_field(ctx)
     frame = nabla_frame(ctx.m, ctx.n, t)
-    gens, provenance = [], []
-    memo = {}
-    for idx, f in enumerate(polys):
-        room = t - f.order()
-        if room < 0:
-            continue
-        for theta in exponents_upto(ctx.m, room):
-            g = derived(polys, idx, theta, memo)
-            gens.append(_as_frame_poly(g, frame))
-            provenance.append((idx, theta))
-    return frame, gens, provenance
+    orders = [f.order() for f in polys]
+    for f, order in zip(polys, orders):
+        if order <= t:
+            _require_frame_poly(f)
+    return (frame, *_theta_images(polys, orders, _frame_sig(frame), t, {}))
+
+
+class ProlongationLadder:
+    """The prolonged ideals of one autoreduced system, level by level.
+
+    Let I_t be the ideal of the theta(f) with ord(theta f) <= t, and h the
+    product of the nonconstant separants, which is the same at every level.
+    Then I_t = I_{t-1} + J_t, where J_t holds the theta(f) of order exactly
+    t, so the ideal I_t + <z*h - 1>, z the Rabinowitsch variable, is the
+    one of level t - 1 plus J_t.  The ladder keeps the reduced lex basis of
+    that extended ideal, z greatest, by level, and starts each level from
+    the basis below it: a Groebner basis stays one when the ring gains
+    variables and the term order restricts to the old one.  The z-free
+    part of a level's basis is the reduced basis of the saturation
+    I_t : h^infinity, which buchberger_terms finds from scratch as well: it
+    is unique.  With no separant to invert, the basis is the grevlex basis
+    of I_t itself.
+
+    Bases are integer term dicts over the columns (z, then the frame
+    signature, highest rank first).  The order-t coordinates rank highest,
+    so a basis moves up one level by zero columns put after z: under lex
+    and under grevlex every leading monomial stays where it was.  Each
+    theta(f) is derived once, through one memo; the generator lists are
+    built only for the levels read through level().
+    """
+
+    __slots__ = ("aset", "bottom", "order", "_orders", "_memo", "_frames", "_separants", "_bases")
+
+    def __init__(self, aset):
+        if not isinstance(aset, AutoreducedSet):
+            aset = AutoreducedSet(aset)
+        ctx = aset.ctx
+        _require_constant_field(ctx)
+        for f in aset.elements:
+            _require_frame_poly(f)
+        self.aset = aset
+        self._orders = [f.order() for f in aset.elements]
+        self.bottom = max(self._orders)
+        self._memo = {}
+        self._frames = []  # the frames of levels bottom, bottom + 1, ...
+        sig = _frame_sig(self.frame(self.bottom))
+        separants = []
+        for f in aset.elements:
+            s = f.separant()
+            if not s.is_in_coeff_field():
+                sp = s.body.restrict(sig).primitive()
+                if sp not in separants:
+                    separants.append(sp)
+        self._separants = separants  # over the bottom level's signature
+        self.order = LEX if separants else GREVLEX
+        self._bases = {}  # level -> (basis, leads) of its extended ideal
+
+    def frame(self, t):
+        """nabla_frame at level t: the one below it and then the order-t
+        coordinates, which rank above it."""
+        frames = self._frames
+        m, n = self.aset.ctx.m, self.aset.ctx.n
+        if not frames:
+            frames.append(nabla_frame(m, n, self.bottom))
+        while len(frames) <= t - self.bottom:
+            s = self.bottom + len(frames)
+            top = [AlgIndet(r, j) for j in range(1, n + 1) for r in exponents_of_degree(m, s)]
+            frames.append(frames[-1] + tuple(sorted(top, key=AlgIndet.rank_key)))
+        return frames[t - self.bottom]
+
+    def level(self, t):
+        """The ProlongedIdeal of level t, with its generators; its basis is
+        computed when read."""
+        if t < self.bottom:
+            raise ValueError(f"level {t} is below the maximum defining order {self.bottom}")
+        frame = self.frame(t)
+        sig = _frame_sig(frame)
+        gens, provenance = _theta_images(self.aset.elements, self._orders, sig, t, self._memo)
+        separants = [s.restrict(sig) for s in self._separants]
+        return ProlongedIdeal(t, frame, gens, provenance, separants, self)
+
+    def saturated(self, t):
+        """(basis, leads): the reduced basis of level t's saturated ideal,
+        over the columns of the frame signature.  Under lex with z greatest,
+        an element is z-free exactly when its leading monomial is."""
+        basis, leads = self._extended(t)
+        if self.order == LEX:
+            keep = [i for i, le in enumerate(leads) if not le[0]]
+            basis = [{e[1:]: c for e, c in basis[i].items()} for i in keep]
+            leads = [leads[i][1:] for i in keep]
+        return basis, leads
+
+    def dimension(self, t):
+        """Staircase dimension of level t's saturated ideal."""
+        return ideal_dimension(self.saturated(t)[1], len(self.frame(t)))
+
+    def _extended(self, t):
+        """(basis, leads) of level t's extended ideal, walking up from the
+        highest level computed."""
+        bases = self._bases
+        if t not in bases:
+            key = order_key(self.order)
+            off = int(self.order == LEX)
+            s = max(bases, default=self.bottom - 1)
+            basis, leads = bases.get(s, ((), ()))
+            while s < t:
+                s += 1
+                frame = self.frame(s)
+                width = len(frame) + off
+                # columns: z (when saturating), then the frame highest rank first
+                col = {(v.theta, v.var): width - 1 - i for i, v in enumerate(frame)}
+                gens = self._theta_terms(s, col, width)
+                if s > self.bottom:
+                    pad = (0,) * (len(frame) - len(self.frame(s - 1)))
+                    basis = [{e[:off] + pad + e[off:]: c for e, c in g.items()} for g in basis]
+                    leads = [le[:off] + pad + le[off:] for le in leads]
+                elif off:
+                    gens.append(self._rabinowitsch(col, width))
+                basis, leads = buchberger_terms(
+                    gens, [max(g, key=key) for g in gens], self.order, (basis, leads)
+                )
+                bases[s] = basis, leads
+        return bases[t]
+
+    def _theta_terms(self, t, col, width):
+        """The theta(f) as integer term dicts over the columns col, width of
+        them: all those with ord(theta f) <= t at the bottom level, J_t above
+        it."""
+        elements = self.aset.elements
+        thetas = exponents_upto if t == self.bottom else exponents_of_degree
+        out = []
+        for idx, order in enumerate(self._orders):
+            if order <= t:
+                for theta in thetas(self.aset.ctx.m, t - order):
+                    _, terms, _ = _derived_terms(elements, idx, theta, self._memo)
+                    out.append(_columns(terms, col, width))
+        return out
+
+    def _rabinowitsch(self, col, width):
+        """z*h - 1 over the bottom level's columns, h the separant product."""
+        h = reduce(mul, self._separants).primitive()
+        terms = {
+            tuple((v.theta, v.var, k) for v, k in zip(h.vars, e) if k): int(c)
+            for e, c in h.terms.items()
+        }
+        out = {(1,) + e[1:]: c for e, c in _columns(terms, col, width).items()}
+        out[(0,) * width] = -1
+        return out
+
+
+def _columns(terms, col, width):
+    """The sparse terms of a derivative (diffring._derived_terms) as an
+    integer term dict over width columns, col giving each indeterminate's."""
+    out = {}
+    for x, c in terms.items():
+        e = [0] * width
+        for theta, var, k in x:
+            e[col[theta, var]] = k
+        out[tuple(e)] = c
+    return out
+
+
+class ProlongedIdeal:
+    """Level t of a ProlongationLadder: the generators theta(f),
+    ord(theta f) <= t, over the frame ring.
+
+    The geometric object is the saturation by the separant set.  Its one
+    reduced Groebner basis is the lex basis the ladder reads off the
+    extended ideal (grevlex when no separant needs inverting); dimension()
+    and the normal forms of the fiber checks read it.
+    """
+
+    __slots__ = ("level", "frame", "generators", "provenance", "separants", "_ladder", "_basis")
+
+    def __init__(self, level, frame, generators, provenance, separants, ladder):
+        self.level = level
+        self.frame = frame
+        self.generators = generators
+        self.provenance = provenance  # (element index, theta) per generator
+        self.separants = separants  # nonconstant separants over the frame
+        self._ladder = ladder
+        self._basis = None  # the GroebnerBasis, once built
+
+    def groebner_basis(self):
+        if self._basis is None:
+            sig = _frame_sig(self.frame)
+            basis, leads = self._ladder.saturated(self.level)
+            monic = (from_integer_terms(sig, g, g[le]) for g, le in zip(basis, leads))
+            self._basis = GroebnerBasis(tuple(monic), self._ladder.order, sig)
+        return self._basis
+
+    def dimension(self):
+        return self._ladder.dimension(self.level)
 
 
 def prolong_ideal(aset, t):
-    """The level-t prolongation of an autoreduced system."""
+    """The level-t prolongation of an autoreduced system: level t of its
+    ProlongationLadder."""
     if not isinstance(aset, AutoreducedSet):
         aset = AutoreducedSet(aset)
     if t < aset.max_order():
         raise ValueError(f"level {t} is below the maximum defining order {aset.max_order()}")
-    frame, gens, provenance = prolong_generators(aset.elements, t)
-    separants = []
-    for f in aset.elements:
-        s = f.separant()
-        if not s.is_in_coeff_field():
-            sp = _as_frame_poly(s, frame).primitive()
-            if sp not in separants:
-                separants.append(sp)
-    return ProlongedIdeal(
-        level=t,
-        frame=frame,
-        generators=gens,
-        provenance=provenance,
-        separants=separants,
-    )
+    return ProlongationLadder(aset).level(t)
 
 
 class AffineExpr:
@@ -289,15 +446,15 @@ def extract_dvariety(aset):
     bound = prolongation_bound(aset)
     level = bound.level
     rep = leaders_to_exponents(aset)
-    variety = prolong_ideal(aset, level)
+    ladder = ProlongationLadder(aset)
+    variety = ladder.level(level)
     fibers = affine_fiber(aset, level + 1)
     r_counts = rep.count_up_to(level + 1) - rep.count_up_to(level)
     if r_counts != fibers.fiber_dimension():
         raise ValueError(
             f"fiber rank mismatch: counts give {r_counts}, model has {fibers.fiber_dimension()}"
         )
-    upper = prolong_ideal(aset, level + 1)
-    jump = upper.dimension() - variety.dimension()
+    jump = ladder.dimension(level + 1) - variety.dimension()
     if jump != r_counts:
         raise ValueError(
             f"non-characteristic input: oracle dimension jump {jump} != {r_counts}"

@@ -21,6 +21,7 @@ from delta_kernel.multipoly import (
     coeff_of_power,
     coefficients,
     dense_coeffs,
+    exponents_of_degree,
     exponents_upto,
     from_dense,
     horner,
@@ -705,6 +706,8 @@ class TestMonomialsAndDenseViews:
                 assert len(got) == comb(n + d, d)
                 assert got == list(_simplex_reference(n, d))
                 assert all(sum(e) <= d for e in got)
+                # the layer of degree exactly d, in the same order
+                assert list(exponents_of_degree(n, d)) == [e for e in got if sum(e) == d]
 
     def test_monomials_are_sorted_exponents(self):
         for n in range(0, 5):

@@ -17,7 +17,13 @@ from delta_kernel.groebner import (
     s_polynomial,
     saturate,
 )
-from delta_kernel.multipoly import MultiPoly, exponents_upto, poly_gcd
+from delta_kernel.multipoly import (
+    MultiPoly,
+    exponents_upto,
+    from_integer_terms,
+    integer_terms,
+    poly_gcd,
+)
 from delta_kernel.ratfunc import RatFunc
 from delta_kernel.solve import sampled_rational_solutions
 
@@ -545,3 +551,94 @@ def test_pair_criteria_work_guard(order, at_most, monkeypatch):
     for gens in _work_guard_systems():
         buchberger(gens, order)
     assert 0 < len(calls) <= at_most
+
+
+# ---------- a known reduced basis as the start ----------
+
+
+def _integer_run(gens, order, known=((), ())):
+    """buchberger_terms on the integer term dicts of the MultiPolys gens."""
+    key = order_key(order)
+    ints = [integer_terms(g.terms)[1] for g in gens]
+    return buchberger_terms(ints, [max(t, key=key) for t in ints], order, known)
+
+
+def _with_known(prefix, rest, order, width=0):
+    """The basis of prefix + rest from the reduced basis of prefix, as the
+    known argument, plus rest; prefix is over the signature of rest less
+    its first width variables, which the known basis gains as zero columns
+    in front, the way a prolongation level gains its order-t coordinates."""
+    basis, leads = _integer_run(prefix, order)
+    pad = (0,) * width
+    known = ([{pad + e: c for e, c in g.items()} for g in basis], [pad + le for le in leads])
+    basis, leads = _integer_run(rest, order, known)
+    sig = rest[0].vars
+    return GroebnerBasis(
+        tuple(from_integer_terms(sig, g, g[le]) for g, le in zip(basis, leads)), order, sig
+    )
+
+
+def _split_systems(rng, sig):
+    """Seeded systems of three or four generators over sig, each split
+    into a known prefix and the generators added after it."""
+    out = []
+    while len(out) < 12:
+        gens = [
+            random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False)
+            for _ in range(rng.randint(3, 4))
+        ]
+        gens = [g for g in gens if not g.is_constant()]
+        if len(gens) >= 2:
+            cut = rng.randint(1, len(gens) - 1)
+            out.append((gens[:cut], gens[cut:]))
+    return out
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_known_basis_matches_from_scratch(order):
+    rng = random.Random(default_seed() + 31)
+    sig = ("x", "y", "z")
+    for prefix, rest in _split_systems(rng, sig):
+        assert _with_known(prefix, rest, order) == buchberger(prefix + rest, order)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_known_basis_gains_zero_columns_first(order):
+    """A basis over (y, z) stays one over (x, y, z) under both orders, since
+    each restricts to the old one; the run from it equals the one from
+    scratch on the lifted generators."""
+    rng = random.Random(default_seed() + 32)
+    sig = ("x", "y", "z")
+    for prefix, rest in _split_systems(rng, sig[1:]):
+        top = random_multipoly(rng, sig, max_degree=2, max_terms=3, allow_zero=False)
+        rest = [g.restrict(sig) for g in rest] + [MultiPoly.var(sig, "x") * top + top]
+        lifted = [g.restrict(sig) for g in prefix]
+        assert _with_known(prefix, rest, order, width=1) == buchberger(lifted + rest, order)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_new_lead_on_old_variables_reduces_a_known_tail(order):
+    """The known basis {y^2 - z} over (y, z) gains x; the new generators
+    x - z and x - 2z yield z, whose lead lies on the old variables and
+    divides the known tail z, so the known element becomes y^2."""
+    sig = ("x", "y", "z")
+    x, y, z = (MultiPoly.var(sig, v) for v in sig)
+    low = ("y", "z")
+    prefix = [MultiPoly.var(low, "y") ** 2 - MultiPoly.var(low, "z")]
+    got = _with_known(prefix, [x - z, x - 2 * z], order, width=1)
+    assert got == buchberger([y * y - z, x - z, x - 2 * z], order)
+    assert set(got.generators) == {x, y * y, z}
+
+
+def test_known_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(default_seed() + 33)
+    sig = ("x", "y", "z")
+    syms = sympy.symbols(sig)
+    for prefix, rest in _split_systems(rng, sig):
+        for order in (GREVLEX, LEX):
+            theirs = sympy.groebner(
+                [_to_sympy(sympy, syms, g) for g in prefix + rest], *syms, order=order, domain="QQ"
+            ).exprs
+            want = {_monic(_from_sympy(sympy, syms, g, sig), order) for g in theirs}
+            assert set(_with_known(prefix, rest, order).generators) == want

@@ -380,6 +380,8 @@ PARSE_ERRORS = [
     ("m=1 n=1 coeffs=Q(t1..t2)\naction d3 t1 = 1\n", "action needs d<k> with 1 <= k <= m=1", 2, 8),
     ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t3 = 1\n", "action needs a declared t<i>, found 't3'", 2, 11),
     ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 1\n", "expected '=', found '1'", 2, 14),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t1 = t2\naction d1 t1 = 1\n", "repeated action d1 t1", 3, 8),
+    ("m=1 n=1 coeffs=Q(t1..t2)\naction d1 t = t2\naction d1 t01 = 1\n", "repeated action d1 t1", 3, 8),
     # statements and sets
     ("m=1 n=1 coeffs=Q\npoly f = u1\npoly f = u1\n", "duplicate name 'f'", 3, 6),
     ("m=1 n=1 coeffs=Q\npoly f = u1\nset f = f\n", "duplicate name 'f'", 3, 5),
@@ -413,6 +415,8 @@ PARSE_ERRORS = [
     ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 = x1\n}\n", "expected d<k> x<j> = <poly>", 5, 2),
     ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n d1 x = x1\n}\n", "repeated clause d1 x1", 6, 2),
     ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n foo = 1\n}\n", "unknown dspec clause 'foo'", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n nocommute = 3 foo\n d1 x1 = x1\n}\n", "expected nocommute alone", 5, 2),
+    ("m=1 n=1 coeffs=Q\ndspec q { n = 1; m = 1; nocommute x1; d1 x1 = x1 }\n", "expected nocommute alone", 2, 25),
     ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n d1 x1 = x1\n}\n", "dspec block must declare n=<int> and m=<int>", 2, 7),
     ("m=1 n=1 coeffs=Q\ndspec q {\n m = 1\n}\n", "dspec block must declare n=<int> and m=<int>", 2, 7),
     ("m=1 n=1 coeffs=Q\ndspec q {\n n = 1\n m = 1\n d1 x1 = x1\n d2 x1 = x1\n}\n", "clause d2 x1 lies outside m=1, n=1", 6, 2),

@@ -1,14 +1,20 @@
+import importlib.util
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from delta_kernel.diffring import AlgIndet, AutoreducedSet, DiffContext
-from delta_kernel.groebner import buchberger, normal_form
+from delta_kernel.groebner import GREVLEX, buchberger, ideal_dimension, normal_form, saturate
 from delta_kernel.initialsets import leaders_to_exponents, prolongation_bound
 from delta_kernel.multipoly import MultiPoly
+from delta_kernel.parser import parse_system
 from delta_kernel.prolongation import (
     AffineExpr,
+    ProlongationLadder,
     _frame_sig,
     affine_fiber,
     extract_dvariety,
@@ -374,24 +380,163 @@ class TestOneBasis:
                 assert basis.order == LEX and pid.separants
                 assert pid.dimension() == ideal_dimension(buchberger(list(basis), GREVLEX))
 
-    def test_one_buchberger_run_per_ideal(self, monkeypatch):
-        import delta_kernel.groebner as groebner
+    def test_one_groebner_run_per_level(self, monkeypatch):
         import delta_kernel.prolongation as prolongation
-        from delta_kernel.groebner import GREVLEX, LEX
+        from delta_kernel.groebner import GREVLEX, LEX, buchberger_terms
 
         runs = []
 
-        def counting(gens, order=GREVLEX):
+        def counting(gens, leads, order, known=((), ())):
             runs.append(order)
-            return buchberger(gens, order)
+            return buchberger_terms(gens, leads, order, known)
 
-        monkeypatch.setattr(groebner, "buchberger", counting)
-        monkeypatch.setattr(prolongation, "buchberger", counting)
-        # (d1 u)^2 - u has a nonconstant separant, d1 u - u none
+        monkeypatch.setattr(prolongation, "buchberger_terms", counting)
+        # (d1 u)^2 - u has a nonconstant separant, d1 u - u none; each walks
+        # up from level 1, one Groebner run per level
         for aset, order in ((corpus()[1], LEX), (corpus()[0], GREVLEX)):
             runs.clear()
             pid = prolong_ideal(aset, 3)
             dim = pid.dimension()
             basis = pid.groebner_basis()
             assert pid.dimension() == dim and pid.groebner_basis() is basis
-            assert runs == [order] and basis.order == order
+            assert runs == [order] * 3 and basis.order == order
+
+
+# ---------- the ladder against from-scratch saturation ----------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+GOLDEN = Path(__file__).parent / "data" / "prolong_golden"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _from_scratch(pid):
+    """The oracle: level pid's reduced basis from its own generators in one
+    run, the saturation by the separants' product when there are any."""
+    if not pid.separants:
+        return buchberger(pid.generators, GREVLEX)
+    h = pid.separants[0]
+    for s in pid.separants[1:]:
+        h = h * s
+    return saturate(pid.generators, h.primitive())
+
+
+def _check_ladder(aset, top):
+    """Every level from the defining order to top, walked up one ladder,
+    equals the from-scratch basis; returns the number of levels."""
+    ladder = ProlongationLadder(aset)
+    for t in range(ladder.bottom, top + 1):
+        pid = ladder.level(t)
+        basis = pid.groebner_basis()
+        assert basis == _from_scratch(pid), (aset, t)
+        assert pid.dimension() == ideal_dimension(basis)
+    return top + 1 - ladder.bottom
+
+
+def _problem_sets(text):
+    problem = parse_system(text)
+    return {name: AutoreducedSet(gens) for name, gens in problem.sets.items()}
+
+
+def _workload_levels(jobs):
+    """file -> the highest level that a prolong, dimfn or extract-dvariety
+    job of the workload reads."""
+    top = {}
+    for job in jobs:
+        argv, check = job["argv"], job["check"]
+        if check["kind"] == "prolong":
+            t = check["t"]
+        elif check["kind"] == "dimfn":
+            t = check["max_t"]
+        elif check["kind"] == "extract":
+            t = check["level"] + 1
+        else:
+            continue
+        top[argv[1]] = max(top.get(argv[1], 0), t)
+    return top
+
+
+class TestLadder:
+    def test_corpus_levels_match_from_scratch(self):
+        ctx = DiffContext(1, 2)
+        u1, u2 = ctx.u(1), ctx.u(2)
+        pair = AutoreducedSet([ctx.d(1, u1) ** 2 - u2, ctx.d(1, u2) ** 2 - u1])
+        # elements of orders 1 and 2: the bottom level holds derivatives of
+        # the lower one, and each J_t derives the two by different amounts
+        mixed = AutoreducedSet([ctx.d(1, u1) ** 2 - u2, ctx.d(1, u2, 2) - u1])
+        ctx2 = DiffContext(2, 2)
+        w1, w2 = ctx2.u(1), ctx2.u(2)
+        mixed2 = AutoreducedSet([ctx2.d(1, w1) - w2, ctx2.d(2, w2, 2) ** 2 - w1])
+        levels = _check_ladder(mixed, 5) + _check_ladder(mixed2, 4)
+        for aset in corpus():
+            levels += _check_ladder(aset, prolongation_bound(aset).level + 2)
+        for aset, tops in _seeded_towers():
+            levels += _check_ladder(aset, max(tops))
+        levels += _check_ladder(pair, 3)
+        for name in ("sqrt.dk", "sqrt2.dk", "burgers.dk", "pair.dk"):
+            for aset in _problem_sets((GOLDEN / name).read_text()).values():
+                levels += _check_ladder(aset, prolongation_bound(aset).level + 1)
+        assert levels >= 40
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_workload_levels_match_from_scratch(self, seed):
+        files, jobs = _bench_workloads().build("prolong-search", seed)
+        tops = _workload_levels(jobs)
+        assert sorted(tops) == ["burgers.dk", "cbrt.dk", "heat.dk", "sqrt.dk", "wave.dk"]
+        for name, top in tops.items():
+            (aset,) = _problem_sets(files[name]).values()
+            assert _check_ladder(aset, top) >= 2
+
+    def test_levels_read_in_any_order(self, monkeypatch):
+        # a level below the highest one reached is read back, not recomputed
+        import delta_kernel.prolongation as prolongation
+
+        runs = []
+        buchberger_terms = prolongation.buchberger_terms
+
+        def counting(*args):
+            runs.append(args)
+            return buchberger_terms(*args)
+
+        monkeypatch.setattr(prolongation, "buchberger_terms", counting)
+        aset = _seeded_towers()[0][0]
+        ladder = ProlongationLadder(aset)
+        high = ladder.level(6).groebner_basis()
+        assert len(runs) == 6
+        low = ladder.level(3).groebner_basis()
+        assert len(runs) == 6
+        assert low == _from_scratch(ladder.level(3))
+        assert high == ProlongationLadder(aset).level(6).groebner_basis()
+
+    def test_dimfn_work_guard(self, monkeypatch):
+        """dimfn sqrt.dk --max-t 15 walks levels 1..15: one Groebner run per
+        level and 86 S-polynomials in all, where saturating each level from
+        scratch formed 18,035."""
+        import delta_kernel.groebner as groebner
+        import delta_kernel.prolongation as prolongation
+        from delta_kernel.cli import main
+
+        runs, pairs = [], []
+        buchberger_terms, s_poly = groebner.buchberger_terms, groebner._s_poly
+
+        def counting_runs(*args):
+            runs.append(args)
+            return buchberger_terms(*args)
+
+        def counting_pairs(*args):
+            pairs.append(args)
+            return s_poly(*args)
+
+        monkeypatch.setattr(prolongation, "buchberger_terms", counting_runs)
+        monkeypatch.setattr(groebner, "_s_poly", counting_pairs)
+        out = io.StringIO()
+        argv = ["--json", "dimfn", str(GOLDEN / "sqrt.dk"), "--set", "S", "--max-t", "15"]
+        assert main(argv, stdout=out) == 0
+        assert json.loads(out.getvalue())["results"]["oracle_agrees"]
+        assert len(runs) == 15
+        assert 0 < len(pairs) <= 100
