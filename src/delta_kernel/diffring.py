@@ -306,7 +306,7 @@ class DiffPoly:
     # ---------- arithmetic ----------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not DiffPoly and isinstance(other, (int, Fraction)):
             other = self.ctx.const(other)
         if self.ctx != other.ctx:
             raise SignatureMismatchError("differential polynomials from different rings")
@@ -580,11 +580,13 @@ class PackedPoly:
         return self._poly
 
     def integer_terms(self):
-        """(signature, den, terms): the terms rekeyed by exponent tuples
-        over the signature of the indeterminates that occur, integers over
-        den, as the printer reads them; no Fraction is built."""
-        sig, terms = self.table.unpack(self.width, self.terms)
-        return sig, self.den, terms
+        """(vars, den, terms): the terms rekeyed by exponent tuples over
+        the indeterminates that occur in written order (their signature
+        reversed: lowest rank first), integers over den, as
+        printer.print_integer_terms reads them; no Fraction is built."""
+        table = self.table
+        vars = table.signature(self.width, self.terms)[::-1]
+        return vars, self.den, table.unpack(self.width, self.terms, vars)
 
 
 class ReductionStep:
@@ -754,8 +756,9 @@ class _Columns:
     verify all pack over one table.  With each column of an algebraic
     indeterminate the table records what the choice of the next reduction
     step asks of it.  A packed polynomial is (width, den, terms); unpack
-    rekeys its terms by exponent tuples over the signature of the
-    indeterminates that occur, and poly builds its DiffPoly from those.
+    rekeys its terms by exponent tuples over the indeterminates that occur
+    (signature), in signature order for poly, which builds its DiffPoly
+    from those, or reversed for the printer.
     """
 
     __slots__ = ("ctx", "leaders", "at", "vars", "ranked", "derives", "leads")
@@ -851,24 +854,30 @@ class _Columns:
             width *= 2
         return width, p[1] * q[1], mul_packed_terms(P, Q)
 
-    def unpack(self, width, terms):
-        """(signature, terms): the packed terms in width-bit fields
-        rekeyed by exponent tuples over the signature of the indeterminates
-        that occur."""
+    def signature(self, width, terms):
+        """The signature of the indeterminates that occur in the packed
+        terms in width-bit fields: a column occurs when its field of the
+        OR of the keys is nonzero."""
         occurs = reduce(or_, terms, 0)
         mask = (1 << width) - 1
-        sig = self.ctx._signature(
+        return self.ctx._signature(
             [v for c, v in enumerate(self.vars) if occurs >> width * c & mask]
         )
-        pick = reindexer(self.vars, sig)[0]
+
+    def unpack(self, width, terms, vars):
+        """The packed terms in width-bit fields rekeyed by exponent tuples
+        over vars, which lists every indeterminate that occurs in them, in
+        any order."""
+        pick = reindexer(self.vars, vars)[0]
         unpack = packer(len(self.vars), width)[1]
-        return sig, {pick(unpack(k)): c for k, c in terms.items()}
+        return {pick(unpack(k)): c for k, c in terms.items()}
 
     def poly(self, width, den, terms):
         """The DiffPoly of the packed polynomial (width, den, terms), over
         the signature of the indeterminates that occur: one Fraction per
         term."""
-        return DiffPoly(self.ctx, from_integer_terms(*self.unpack(width, terms), den))
+        sig = self.signature(width, terms)
+        return DiffPoly(self.ctx, from_integer_terms(sig, self.unpack(width, terms, sig), den))
 
 
 def ritt_reduce(g, aset):
@@ -885,9 +894,12 @@ def ritt_reduce(g, aset):
     theta(f) is packed straight from its sparse derivation chain
     (_derived_terms); the degree in an indeterminate is a shift and a
     mask, and a column that no longer occurs costs nothing, so no step
-    builds or restricts a signature.  The remainder is kept at one field
-    width, which a pseudo-division or a wider theta(f) may double; each
-    stored quotient and scale keeps the width it was made at.  Nothing is
+    builds or restricts a signature.  Each step is one pseudo_divide_terms,
+    which scales each part of the remainder by the power of the leading
+    coefficient it owes once, not the whole remainder at every one of its
+    own steps.  The remainder is kept at one field width, which a
+    pseudo-division or a wider theta(f) may double; each stored quotient
+    and scale keeps the width it was made at.  Nothing is
     unpacked here: the remainder and the quotients are returned packed
     (PackedPoly) with the table, which verify re-expands on and the CLI
     prints from; a DiffPoly of one is built only when it is read.

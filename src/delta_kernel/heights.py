@@ -30,6 +30,7 @@ from .multipoly import (
     monomials,
     mul_integer_terms,
     partial_terms,
+    sorted_exponents,
     split_terms,
 )
 from .printer import FactorTable, print_terms
@@ -199,7 +200,7 @@ def _run_stratum(ode, pmax, dq, pivot, report, seen):
             pmax,
             dq,
             pivot,
-            [print_terms(factors, slice(None), g[le], g) for g, le in zip(basis, leads)],
+            [print_terms(factors, g[le], g, sorted_exponents(g)) for g, le in zip(basis, leads)],
             dim,
             exact,
             len(free),

@@ -36,7 +36,12 @@ No exponent is ever wrapped, and none is refused.  pseudo_divide_terms
 mul_packed_terms and add_packed_products as its product loops; the
 Ritt-Kolchin reduction runs it on one column table per call, and
 pseudo_divide, the face that poly_gcd's remainder sequence uses, packs its
-MultiPolys at the boundary.
+MultiPolys at the boundary.  It holds the remainder in buckets by degree
+in the variable divided in, each owing a power of the leading coefficient
+that is paid once, when the bucket is next touched (the idea of Yan's
+geobuckets, JSC 1998: never rescan the whole remainder to change one part
+of it); when a field must widen is read from each part's top exponents
+and the steps since its last scaling, not from its keys.
 
 Dense univariate views sit beside them: dense_coeffs and from_dense, and
 on dense integer lists, constant term first, the one univariate gcd
@@ -57,7 +62,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd as int_gcd
-from math import lcm
+from math import inf, lcm
 from operator import add, itemgetter, neg, or_, sub
 from struct import Struct
 
@@ -217,7 +222,9 @@ class MultiPoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the class test first: isinstance against Fraction, an abstract
+        # base class, costs ten times as much on a polynomial
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -249,7 +256,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         if not self.terms or not other.terms:
@@ -285,7 +292,7 @@ class MultiPoly:
 
     def exact_div(self, other):
         """Exact quotient; raises InexactDivisionError when other does not divide."""
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
         self._check(other)
         if not other.terms:
@@ -378,7 +385,8 @@ class MultiPoly:
         from .printer import FactorTable, print_terms
 
         factors = [FactorTable(str(v), False) for v in self.vars]
-        return print_terms(factors, slice(None), *integer_terms(self.terms))
+        den, terms = integer_terms(self.terms)
+        return print_terms(factors, den, terms, sorted_exponents(terms))
 
     def __repr__(self):
         return f"MultiPoly({self.to_str()})"
@@ -810,12 +818,15 @@ def coefficients(p, k):
 def pseudo_divide(a, b, i):
     """(e, q, r) with lc^e * a == q*b + r and deg_i(r) < d, where x is the
     variable at index i, d = deg_x(b) and lc is the coefficient of x**d in
-    b; a and b share one signature and b is nonzero.
+    b; a and b share one signature.  A zero b raises ZeroDivisionError,
+    as exact_div does.
 
     The MultiPoly face of pseudo_divide_terms, for poly_gcd's remainder
     sequence: a and b are packed over their signature at its boundary, and
     q and r unpacked with one Fraction per surviving term.
     """
+    if not b.terms:
+        raise ZeroDivisionError("pseudo-division by the zero polynomial")
     ncols = len(b.vars)
     width = packed_width(max(chain.from_iterable(chain(a.terms, b.terms))))
     pack = packer(ncols, width)[0]
@@ -841,60 +852,162 @@ def pseudo_divide_terms(a, b, col, ncols, width):
 
     Pseudo-division over an integral domain (Knuth, TAOCP 4.6.1, Algorithm
     R): b is B / den_b, with LC the integer coefficient of x**d in B, and q
-    and r are Q / D and R / D over one shared denominator D.  A step takes
-    the leading part M * x**d off R, M / D the quotient's new term, and
-    makes
+    and r are Q / D and R / D over one shared denominator D.  Step i takes
+    the leading part M_i * x**d off R, and makes
 
-        Q' = LC*Q + den_b*M,   R' = LC*R - M*(B - LC * x**d),   D' = D*den_b;
+        R' = LC*R - M_i*(B - LC * x**d),   D' = D*den_b;
 
-    the leading parts cancel exactly, so they are never formed, and Q and R
-    are scaled in place when LC is a constant.  The degree in x is a shift
-    and a mask of a key, and a product of monomials one int add, so a
-    monomial LC shifts every key by one add.  Before each step the OR of
-    the keys that its products read is tested against the guard bits; when
-    one is set, Q, R and b are repacked at twice the width and the step
-    runs there.  Callers that go on computing with q and r (ritt_reduce
-    scales q by later multipliers and divides r again) keep them packed.
+    the leading parts cancel exactly, so they are never formed.  After e
+    steps Q is the sum of den_b * LC**(e-1-i) * M_i.
+
+    No step rescans R.  R is held in buckets by its degree in x, each
+    stamped with the step it was last made current at: its true value is
+    LC**(steps since the stamp) times what it stores.  A step pops the top
+    bucket and brings up to date only the buckets that M_i times the tail
+    lands in; the others keep their stamps, and each is scaled once, by a
+    cached power of LC, when it is next touched or at the end.  LC is free
+    of x, so the M_i have distinct degrees in x, and Q is their scaled
+    union, built at the end with no add.
+
+    The degree in x is a shift and a mask of a key, and a product of
+    monomials one int add.  A field is widened exactly when a loop that
+    rescanned R at every step would widen it: before a step that finds a
+    guard bit set in R, in b, or (LC not a constant) in Q.  Over the
+    integers the top exponent of a column in LC**k * S is k times LC's
+    plus that of S, so the step at which a stored part first sets a guard
+    bit follows from its stamp and its top exponents (_due).  Each step
+    compares its number with a lower bound of those steps, lowered as each
+    part is stored; only a step at or past it reads the parts again, and
+    it widens when the exact first step has come.  Then R, Q and b are
+    repacked at twice the width, so the widths returned are those of the
+    rescanning loop.  Callers that go on computing with q and r
+    (ritt_reduce scales q by later multipliers and divides r again) keep
+    them packed.
     """
     (D, R), (den_b, B) = a, b
-    Q = {}
+    # degree in x -> [stamp, terms], made at the first step
+    buckets = None
+    # [stamp, M_i] of each step: the quotient's part LC**(e - stamp) * den_b * M_i
+    quotient = []
     e = 0
     while True:
         shift, mask = col * width, (1 << width) - 1
         guard = packer(ncols, width)[2]
-        d = max([k >> shift & mask for k in B])
+        degrees = [k >> shift & mask for k in B]
+        d = max(degrees)
         lead = d << shift
-        LC = {k - lead: c for k, c in B.items() if k >> shift & mask == d}
-        tail = {k: c for k, c in B.items() if k >> shift & mask != d}
-        # LC as an integer when it is a constant, else None
-        lc = LC.get(0) if len(LC) == 1 else None
-        top_b = reduce(or_, B)
-        while True:
+        # LC, and the negated tail of B by degree in x
+        LC, tails = {}, {}
+        for (k, c), x in zip(B.items(), degrees):
+            if x == d:
+                LC[k - lead] = c
+            else:
+                tails.setdefault(x, {})[k] = -c
+        fresh = buckets is None
+        if fresh:
             degrees = [k >> shift & mask for k in R]
-            dr = max(degrees, default=-1)
+            if not R or max(degrees) < d:
+                return 0, {}, R, D, width
+            buckets = {}
+            for (k, c), x in zip(R.items(), degrees):
+                if x in buckets:
+                    buckets[x][1][k] = c
+                else:
+                    buckets[x] = [0, {k: c}]
+        # parts are scaled by powers of LC (powers[k] = LC**k) unless LC is 1
+        unit = len(LC) == 1 and LC.get(0) == 1
+        powers = [{0: 1}, LC]
+        # (field mask, shift, top exponent, guard exponent) of each column
+        # that LC carries
+        grows = []
+        if reduce(or_, LC):
+            unpack = packer(ncols, width)[1]
+            for j, top in enumerate(map(max, zip(*map(unpack, LC)))):
+                if top:
+                    grows.append((mask << width * j, width * j, top, 1 << (width - 1)))
+        # no guard bit is set before step soonest, a lower bound that each
+        # part a step stores lowers; a step at or past it finds the exact
+        # first step over b and every part, and widens when that has come.
+        # At each width the first step reads them all.
+        if not fresh or reduce(or_, R, reduce(or_, B)) & guard:
+            soonest = 0
+        else:
+            soonest = _due(R, 0, guard, grows) if grows else inf
+        while True:
+            dr = max(buckets) if buckets else -1
             if dr < d:
-                return e, {k: c for k, c in Q.items() if c}, R, D, width
-            top = reduce(or_, R, top_b)
-            if lc is None:
-                top = reduce(or_, Q, top)
-            if top & guard:
-                break
-            M = {k - lead: R.pop(k) for k in [k for k, x in zip(R, degrees) if x == dr]}
-            if lc is None:
-                Q = mul_packed_terms(LC, Q)
-                R = mul_packed_terms(LC, R)
-            elif lc != 1:
-                for k in Q:
-                    Q[k] *= lc
-                for k in R:
-                    R[k] *= lc
-            for k, c in M.items():
-                Q[k] = Q.get(k, 0) + den_b * c
-            add_packed_products(R, ((k, -c) for k, c in M.items()), tail)
-            D *= den_b
+                R = {}
+                for stamp, terms in buckets.values():
+                    if not unit and stamp != e:
+                        terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+                    R.update(terms)
+                Q = {}
+                for stamp, M in quotient:
+                    if not unit and stamp != e:
+                        M = mul_packed_terms(_power_of(powers, e - stamp), M)
+                    Q.update(M if den_b == 1 else {k: den_b * c for k, c in M.items()})
+                return e, Q, R, D, width
+            if soonest <= e:
+                if reduce(or_, B) & guard:
+                    break
+                parts = list(buckets.values())
+                if grows:
+                    parts += quotient
+                soonest = min([_due(terms, stamp, guard, grows) for stamp, terms in parts])
+                if soonest <= e:
+                    break
+            stamp, terms = buckets.pop(dr)
+            if not unit and stamp != e:
+                terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+            M = {k - lead: c for k, c in terms.items()}
             e += 1
-        Q, R, B = (widen(T, ncols, width, 2 * width) for T in (Q, R, B))
+            for x, tail in tails.items():
+                x += dr - d
+                part = buckets.get(x)
+                if part is None:
+                    terms = {}
+                else:
+                    stamp, terms = part
+                    if not unit:
+                        terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+                add_packed_products(terms, M.items(), tail)
+                if terms:
+                    buckets[x] = [e, terms]
+                    if grows:
+                        soonest = min(soonest, _due(terms, e, guard, grows))
+                    elif reduce(or_, terms) & guard:
+                        soonest = e
+                elif part is not None:
+                    del buckets[x]
+            quotient.append([e, M])
+            D *= den_b
+        for part in chain(buckets.values(), quotient):
+            part[1] = widen(part[1], ncols, width, 2 * width)
+        B = widen(B, ncols, width, 2 * width)
         width *= 2
+
+
+def _power_of(powers, k):
+    """powers[k], for powers the list [LC**0, LC**1, ...] of packed
+    integer term dicts, extended as far as k."""
+    while len(powers) <= k:
+        powers.append(mul_packed_terms(powers[-1], powers[1]))
+    return powers[k]
+
+
+def _due(terms, stamp, guard, grows):
+    """The first step at which LC**(step - stamp) * terms sets a guard bit
+    (guard), for terms a nonzero packed integer term dict made current at
+    the step stamp and grows the columns that LC carries, as
+    pseudo_divide_terms lists them: over the integers the top exponent of
+    a column in LC**k * terms is k times LC's plus that of terms."""
+    if reduce(or_, terms) & guard:
+        return stamp
+    at = inf
+    for field, at_bit, top, limit in grows:
+        room = limit - (max(map(field.__and__, terms)) >> at_bit)
+        at = min(at, stamp + (room + top - 1) // top)
+    return at
 
 
 def poly_gcd(a, b):

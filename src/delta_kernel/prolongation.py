@@ -346,13 +346,15 @@ class AffineFiberModel:
         return len(self.basis_coords)
 
 
-def affine_fiber(aset, t):
+def affine_fiber(aset, t, memo=None):
     """Solve every non-basis order-t coordinate affinely over level t-1.
 
     Walks the order-t coordinates in increasing rank, mirroring the degree
     one structure of derived polynomials: the coordinate is the leader of
     theta(f) with coefficient the separant of f, everything else has lower
-    rank and is already solved or basic.
+    rank and is already solved or basic.  Each theta(f) is derived through
+    memo (see diffring.derived), a new one when None is given;
+    extract_dvariety passes its ladder's, so no theta(f) is derived twice.
     """
     if not isinstance(aset, AutoreducedSet):
         aset = AutoreducedSet(aset)
@@ -376,7 +378,8 @@ def affine_fiber(aset, t):
     units = [tuple(int(j == i) for j in range(len(top))) for i in range(len(top))]
     expressions = {}
     separants_used = {}
-    memo = {}
+    if memo is None:
+        memo = {}
     for v in order_t:
         if v in basis:
             continue
@@ -448,7 +451,7 @@ def extract_dvariety(aset):
     rep = leaders_to_exponents(aset)
     ladder = ProlongationLadder(aset)
     variety = ladder.level(level)
-    fibers = affine_fiber(aset, level + 1)
+    fibers = affine_fiber(aset, level + 1, ladder._memo)
     r_counts = rep.count_up_to(level + 1) - rep.count_up_to(level)
     if r_counts != fibers.fiber_dimension():
         raise ValueError(

@@ -66,6 +66,20 @@ class TestPolyArith:
         with pytest.raises(InexactDivisionError):
             (X * X + Y).exact_div(X - Y)
 
+    def test_int_subclasses_act_as_scalars(self):
+        # the operators test for the polynomial class first; an int
+        # subclass still takes the scalar path, as a Fraction does
+        class Small(int):
+            pass
+
+        a = X * Y + 3 * X
+        for k in (True, Small(2), Fraction(2, 3)):
+            c = MultiPoly.const(SIG, k)
+            assert a + k == k + a == a + c
+            assert a * k == k * a == a * c
+            assert a.exact_div(k) == a.exact_div(c)
+        assert (a + True).terms[(0, 0)] == 1 and type((a + True).terms[(0, 0)]) is Fraction
+
     def test_signature_mismatch(self):
         other = MultiPoly.var(("z",), "z")
         with pytest.raises(SignatureMismatchError):
@@ -405,6 +419,13 @@ class TestPseudoDivisionAndGcd:
             assert r == reference_pseudo_rem(a, b, i)
             steps += e
         assert steps >= 60
+
+    def test_pseudo_divide_by_zero_is_an_error(self):
+        zero = MultiPoly.zero(self.SIG3)
+        x = MultiPoly.var(self.SIG3, "x")
+        for a in (x * x + 1, zero):
+            with pytest.raises(ZeroDivisionError, match="pseudo-division by the zero polynomial"):
+                pseudo_divide(a, zero, 0)
 
     def test_poly_gcd_matches_sympy(self, monkeypatch):
         sympy = pytest.importorskip("sympy")

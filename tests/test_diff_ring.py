@@ -169,6 +169,13 @@ class TestUnusedIndeterminates:
         with pytest.raises(ValueError):
             f.leader()
 
+    def test_int_subclasses_act_as_scalars(self):
+        # _pair tests for the DiffPoly class first; bool, an int subclass,
+        # still takes the scalar path
+        a = self.u * self.d1u + 2
+        assert a + True == True + a == a + 1
+        assert a * True == a and a - True == a - 1
+
     def test_ring_laws_random(self, rng):
         for _ in range(30):
             ctx = DiffContext(rng.randint(1, 2), rng.randint(1, 2))

@@ -295,6 +295,25 @@ class TestExtract:
         data = extract_dvariety(corpus()[3])
         assert data.level == 2 and data.fiber_dim == 0
 
+    @pytest.mark.parametrize("name, derivations", [("sqrt.dk", 1), ("burgers.dk", 2)])
+    def test_each_theta_derived_once(self, monkeypatch, name, derivations):
+        # the affine fiber reads the ladder's derivation memo, so the
+        # order-(l+1) theta(f) it shares with the ladder is derived once
+        # (twice each when the fiber kept a memo of its own)
+        import delta_kernel.diffring as diffring
+
+        calls = []
+        derive_terms = diffring.derive_terms
+
+        def counting(*args):
+            calls.append(args[2])
+            return derive_terms(*args)
+
+        monkeypatch.setattr(diffring, "derive_terms", counting)
+        (aset,) = _problem_sets((GOLDEN / name).read_text()).values()
+        extract_dvariety(aset)
+        assert len(calls) == derivations
+
 
 class TestFiberwiseDConstants:
     def test_log_derivative_integral(self):

@@ -15,9 +15,10 @@ import random
 import struct
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd
-from operator import add
+from operator import add, or_
 from pathlib import Path
 
 import pytest
@@ -37,17 +38,22 @@ from delta_kernel.diffring import (
 from delta_kernel.groebner import GREVLEX, order_key
 from delta_kernel.multipoly import (
     MultiPoly,
+    add_packed_products,
     from_integer_terms,
     mul_integer_terms,
+    mul_packed_terms,
     packed_width,
     packer,
     pseudo_divide,
     pseudo_divide_terms,
+    widen,
 )
 from delta_kernel.parser import parse_diff_expression, parse_system
 from delta_kernel.printer import print_diffpoly, print_integer_terms
 
 from conftest import default_seed, random_diffpoly
+
+GOLDEN = Path(__file__).parent / "data" / "reduce_golden"
 
 # ---------- references ----------
 
@@ -564,6 +570,194 @@ def test_packed_kernel_edge_cases():
         assert pack(()) == 0 and unpack(0) == () and guard == 0
 
 
+def rescanning_pseudo_divide_terms(a, b, col, ncols, width):
+    """multipoly.pseudo_divide_terms as it was before the degree buckets:
+    each step lists the degrees of all of R, takes the top part out of it,
+    ORs R (and Q) against the guard bits and multiplies all of R and Q by
+    LC.  Same arguments and return value."""
+    (D, R), (den_b, B) = a, b
+    Q = {}
+    e = 0
+    while True:
+        shift, mask = col * width, (1 << width) - 1
+        guard = packer(ncols, width)[2]
+        d = max([k >> shift & mask for k in B])
+        lead = d << shift
+        LC = {k - lead: c for k, c in B.items() if k >> shift & mask == d}
+        tail = {k: c for k, c in B.items() if k >> shift & mask != d}
+        lc = LC.get(0) if len(LC) == 1 else None
+        top_b = reduce(or_, B)
+        while True:
+            degrees = [k >> shift & mask for k in R]
+            dr = max(degrees, default=-1)
+            if dr < d:
+                return e, {k: c for k, c in Q.items() if c}, R, D, width
+            top = reduce(or_, R, top_b)
+            if lc is None:
+                top = reduce(or_, Q, top)
+            if top & guard:
+                break
+            M = {k - lead: R.pop(k) for k in [k for k, x in zip(R, degrees) if x == dr]}
+            if lc is None:
+                Q = mul_packed_terms(LC, Q)
+                R = mul_packed_terms(LC, R)
+            elif lc != 1:
+                for k in Q:
+                    Q[k] *= lc
+                for k in R:
+                    R[k] *= lc
+            for k, c in M.items():
+                Q[k] = Q.get(k, 0) + den_b * c
+            add_packed_products(R, ((k, -c) for k, c in M.items()), tail)
+            D *= den_b
+            e += 1
+        Q, R, B = (widen(T, ncols, width, 2 * width) for T in (Q, R, B))
+        width *= 2
+
+
+# the coefficient of x**d in b, over the columns y, z next to x
+BUCKET_LEADS = {
+    "unit": lambda k: {(0, 0): 1},
+    "constant": lambda k: {(0, 0): -3},
+    "monomial": lambda k: {(k, 0): 2},
+    "polynomial": lambda k: {(k, 0): 1, (0, 1): -2},
+}
+
+
+def _bucket_case(rng, lead, shape):
+    """(a, b, x column, ncols) as tuple-key (den, terms) dicts over the
+    columns x, y, z and a column no term uses, in a seeded order.
+
+    shape "long": a of degree 20-24 in x and b linear in x with a tail free
+    of x, so that every degree of a is a step (e >= 20).  "cancel": a = p*b,
+    plus at times an s with deg_x(s) < deg_x(b), so the remainder is
+    LC**e * s; with no s it is zero, so the buckets that the last step's
+    products land in cancel to empty.  "wide": y exponents up to 127, which
+    LC's powers (in the buckets a step leaves stale) or the tail's products
+    carry past the guard bit of 8-bit fields after the first step, at a
+    step that depends on LC's degree in y."""
+    perm = rng.sample(range(4), 4)
+
+    def key(x, y, z):
+        e = [0] * 4
+        for col, v in zip(perm, (x, y, z)):
+            e[col] = v
+        return tuple(e)
+
+    def coeff():
+        return rng.choice([-7, -3, -2, -1, 1, 2, 4, 9])
+
+    big = shape == "wide"
+    k = rng.choice([1, 2, 3, 5, 20, 40]) if big else rng.randint(1, 3)
+    d = 1 if shape == "long" else rng.randint(1, 2)
+    b = {key(d, y, z): c for (y, z), c in BUCKET_LEADS[lead](k).items()}
+    # with no tail (at times when wide) a step only takes the top bucket
+    # off, and Q may pass the guard bit before R does
+    for _ in range(rng.randint(0 if big else 1, 3)):
+        y = rng.choice([0, 1, 10, 30]) if big else rng.randint(0, 3)
+        b[key(rng.randrange(d) if shape != "long" else 0, y, rng.randint(0, 2))] = coeff()
+    a = {}
+    if shape == "long":
+        for x in range(rng.randint(20, 24) + 1):
+            a[key(x, rng.randint(0, 3), rng.randint(0, 2))] = coeff()
+    elif shape == "cancel":
+        p = {}
+        for _ in range(4):
+            p[key(rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 2))] = coeff()
+        a = mul_integer_terms(None, p, b)
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            a[key(rng.randrange(d), rng.randint(0, 3), rng.randint(0, 3))] = coeff()
+    else:
+        for _ in range(rng.randint(3, 6)):
+            a[key(rng.randint(0, 8), rng.choice([0, 5, 90, 110, 127]), rng.randint(0, 2))] = coeff()
+    return (rng.choice([1, 3]), a), (rng.choice([1, 2, 7]), b), perm[0], 4
+
+
+@pytest.mark.parametrize("lead", sorted(BUCKET_LEADS))
+def test_bucket_kernel_matches_rescanning_reference(lead):
+    """The degree-bucket pseudo-division equals the rescanning one it
+    replaced, (e, Q, R, D) and the returned field width alike, on multi-term
+    LCs, den_b != 1, e >= 20, buckets that cancel to empty and exponents
+    that pass 127 midway."""
+    rng = random.Random(f"{default_seed()}:buckets:{lead}")
+    seen = {"e >= 20": 0, "emptied": 0, "widened midway": 0, "den_b > 1": 0}
+    for shape in ("long", "cancel", "wide"):
+        for _ in range(16):
+            (den_a, a), (den_b, b), col, ncols = _bucket_case(rng, lead, shape)
+            width = packed_width(max(chain.from_iterable(chain(a, b))))
+            pack = packer(ncols, width)[0]
+            A = {pack(x): c for x, c in a.items()}
+            B = {pack(x): c for x, c in b.items()}
+            want = rescanning_pseudo_divide_terms((den_a, dict(A)), (den_b, B), col, ncols, width)
+            got = pseudo_divide_terms((den_a, dict(A)), (den_b, B), col, ncols, width)
+            assert got == want
+            e, Q, R, D, wide = got
+            unpack = packer(ncols, wide)[1]
+            d = max(x[col] for x in b)
+            seen["e >= 20"] += e >= 20
+            # b's tail is nonzero, so an empty remainder after a step means
+            # that step's products cancelled the buckets they landed in
+            seen["emptied"] += shape == "cancel" and e > 0 and not R
+            # a and b fit 8-bit fields, so the first step runs at 8 bits
+            seen["widened midway"] += wide > width == 8
+            seen["den_b > 1"] += den_b > 1 and e > 0
+            assert all(unpack(x)[col] < d for x in R)
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize(
+    "a, b, width",
+    [
+        # no tail: R's buckets stay low in y while Q's first part,
+        # LC**(e-1) * x^5*y^120, passes 127 at e = 5, before the last step
+        ({(x, 120 * (x == 6), 0): 1 for x in range(7)}, {(1, 2, 0): 1}, 16),
+        # the bucket x^0 stays stale until the last step; its true y
+        # degree 120 + 3*e is 126 at e = 2, the last check, so no widening
+        (
+            {(3, 0, 0): 1, (2, 0, 0): 1, (1, 0, 0): 1, (0, 120, 0): 1},
+            {(1, 3, 0): 1, (0, 0, 1): 1},
+            8,
+        ),
+        # the tail's product puts z^130 in the bucket below the next top,
+        # and the next step is the last
+        ({(3, 0, 30): 1, (2, 0, 0): 1}, {(2, 1, 0): 1, (0, 0, 100): 1}, 16),
+        # b sets a guard bit at 8 bits, so the first step runs at 16
+        ({(2, 3, 0): 1, (0, 1, 0): 1}, {(1, 200, 0): 1, (0, 0, 1): 1}, 16),
+    ],
+    ids=["quotient-first", "stale-bucket-last-check", "product-past-guard", "b-past-guard"],
+)
+def test_bucket_kernel_widens_at_the_rescanning_step(a, b, width):
+    """Cases built to widen (or not) at one step: the bucket kernel's
+    width is the rescanning kernel's."""
+    pack = packer(3, 8)[0]
+    A = {pack(x): c for x, c in a.items()}
+    B = {pack(x): c for x, c in b.items()}
+    want = rescanning_pseudo_divide_terms((1, dict(A)), (1, B), 0, 3, 8)
+    assert want[4] == width
+    assert pseudo_divide_terms((1, dict(A)), (1, B), 0, 3, 8) == want
+
+
+def test_rescaling_work_guard(monkeypatch):
+    """Reducing d1^9*u1*d1^9*u2 modulo N scales each part of a remainder
+    once: the monomial products that pseudo-division spends on powers of
+    LC number 17,126, where rescaling all of R and Q at every step took
+    62,536."""
+    products = []
+    mul = multipoly.mul_packed_terms
+
+    def counting(a, b):
+        products.append(len(a) * len(b))
+        return mul(a, b)
+
+    # pseudo_divide_terms looks the name up in its module
+    monkeypatch.setattr(multipoly, "mul_packed_terms", counting)
+    problem = parse_system((GOLDEN / "nonlinear.dk").read_text())
+    g = parse_diff_expression("d1^9*u1*d1^9*u2", problem.ctx)
+    res = ritt_reduce(g, AutoreducedSet(problem.sets["N"]))
+    assert sum(res.sep_powers.values()) >= 20
+    assert 0 < sum(products) <= 20_000
+
+
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 def test_packer_round_trip_and_guard(width):
     rng = random.Random(f"{default_seed()}:packer:{width}")
@@ -593,13 +787,19 @@ PRINTED = [
 ]
 
 
+def _written(terms):
+    """terms over a signature rekeyed over it reversed, the order
+    print_integer_terms reads."""
+    return {e[::-1]: c for e, c in terms.items()}
+
+
 def test_print_diffpoly_matches_reference():
     rng = random.Random(default_seed())
     ctx = DiffContext(2, 2, coeff_gens=2)
     sig = ctx._signature([AlgIndet((1, 0), 1), AlgIndet((0, 0), 2)])
     for den, ints, text in PRINTED:
         f = DiffPoly(ctx, from_integer_terms(sig, ints, den))
-        assert print_integer_terms(sig, den, ints) == text
+        assert print_integer_terms(sig[::-1], den, _written(ints)) == text
         assert print_diffpoly(f) == reference_print_diffpoly(f) == text
     pool = [AlgIndet((a, b), var) for a in range(3) for b in range(3) for var in (1, 2)]
     kinds = {"dead": 0, "generator": 0, "repeated": 0, "not lowest": 0}
@@ -625,7 +825,7 @@ def test_print_diffpoly_matches_reference():
         den = rng.choice([1, 4, 9, 12, 36])
         ints = {e: rng.choice([-6, -3, -2, 1, 2, 4, 9, 18]) for e in terms}
         f = DiffPoly(ctx, from_integer_terms(sig, ints, den))
-        assert print_integer_terms(sig, den, ints) == reference_print_diffpoly(f)
+        assert print_integer_terms(sig[::-1], den, _written(ints)) == reference_print_diffpoly(f)
         kinds["not lowest"] += any(gcd(c, den) > 1 for c in ints.values()) and den > 1
     assert min(kinds.values()) >= 20
 
