@@ -58,6 +58,7 @@ from .parser import ParseError, ProblemFile, parse_system
 from .prolongation import (
     AffineFiberModel,
     DVarietyData,
+    ProlongationLadder,
     affine_fiber,
     extract_dvariety,
     nabla_frame,

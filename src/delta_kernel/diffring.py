@@ -389,6 +389,10 @@ def apply_derivation(f, k):
 # polynomial is (den, terms), terms a dict from sparse monomials to ints,
 # each coefficient terms[x] / den.  Along a chain of derivatives no
 # signature is built: a factor is raised or replaced where it sits.
+# _derived_terms keeps each theta(f) of a chain in a memo as a sparse
+# polynomial.  A frame rekeys its terms by exponent tuples over the
+# frame's columns (sparse_columns), a reduction packs them over its column
+# table (_Columns.pack_sparse), and only sparse_poly builds a DiffPoly.
 
 
 def sparse_terms(p):
@@ -405,17 +409,23 @@ def sparse_poly(ctx, den, terms):
     signature of the indeterminates that occur."""
     indets = {(theta, var) for x in terms for theta, var, _ in x if theta}
     sig = ctx._signature([AlgIndet(theta, var) for theta, var in indets])
-    where = {
+    col = {
         (v.theta, v.var) if isinstance(v, AlgIndet) else ((), v.index): j
         for j, v in enumerate(sig)
     }
+    return DiffPoly(ctx, from_integer_terms(sig, sparse_columns(terms, col, len(sig)), den))
+
+
+def sparse_columns(terms, col, width):
+    """The sparse terms as an integer term dict on exponent tuples of
+    width columns, col giving the column of each key (theta, var)."""
     out = {}
     for x, c in terms.items():
-        e = [0] * len(sig)
-        for theta, var, exp in x:
-            e[where[theta, var]] = exp
+        e = [0] * width
+        for theta, var, k in x:
+            e[col[theta, var]] = k
         out[tuple(e)] = c
-    return DiffPoly(ctx, from_integer_terms(sig, out, den))
+    return out
 
 
 def _times(x, theta, var, exp):
@@ -562,17 +572,12 @@ class PackedPoly:
 
     __slots__ = ("table", "width", "den", "terms", "_poly")
 
-    def __init__(self, table, width, den, terms, poly=None):
+    def __init__(self, table, width, den, terms):
         self.table = table
         self.width = width
         self.den = den
         self.terms = terms
-        self._poly = poly
-
-    @classmethod
-    def of(cls, table, f):
-        """The DiffPoly f packed over table (_Columns.pack_poly)."""
-        return cls(table, *table.pack_poly(f.body), f)
+        self._poly = None
 
     def diffpoly(self):
         if self._poly is None:
@@ -593,7 +598,7 @@ class ReductionStep:
     """One term q * theta(f) of a certificate: f the element-th element of
     the set, theta its derivative (all zeros = none) and q the quotient,
     held packed (packed_quotient).  The DiffPoly quotient is built on first
-    read; a DiffPoly assigned to it is packed over the same table."""
+    read."""
 
     __slots__ = ("element", "theta", "packed_quotient")
 
@@ -606,10 +611,6 @@ class ReductionStep:
     def quotient(self):
         return self.packed_quotient.diffpoly()
 
-    @quotient.setter
-    def quotient(self, q):
-        self.packed_quotient = PackedPoly.of(self.packed_quotient.table, q)
-
 
 class ReductionResult:
     """remainder plus the exact certificate
@@ -618,8 +619,7 @@ class ReductionResult:
 
     which re-expands symbolically via verify().  The remainder and each
     step's quotient stay packed over the reduction's column table (table);
-    remainder, like a step's quotient, is a DiffPoly built on first read,
-    and a DiffPoly assigned to it is packed over the table.
+    remainder, like a step's quotient, is a DiffPoly built on first read.
     """
 
     __slots__ = ("input", "aset", "table", "packed_remainder", "sep_powers", "init_powers", "steps")
@@ -636,10 +636,6 @@ class ReductionResult:
     @property
     def remainder(self):
         return self.packed_remainder.diffpoly()
-
-    @remainder.setter
-    def remainder(self, r):
-        self.packed_remainder = PackedPoly.of(self.table, r)
 
     def multiplier(self):
         ctx = self.input.ctx
@@ -683,7 +679,7 @@ class ReductionResult:
         ]
         for step in self.steps:
             q = step.packed_quotient
-            den, terms, _ = _derived_terms(elements, step.element, step.theta, memo)
+            den, terms = _derived_terms(elements, step.element, step.theta, memo)
             width = packed_width(max([exp for x in terms for _, _, exp in x], default=0))
             h = width, den, table.pack_sparse(terms, width)
             parts.append(((q.width, q.den, q.terms), h, -1))
@@ -712,36 +708,24 @@ class ReductionResult:
         return not acc
 
 
-def derived(elements, i, theta, memo):
-    """theta applied to elements[i], as a DiffPoly.
-
-    memo maps (i, theta) to [den, terms, poly]: the derivative as a sparse
-    polynomial, and its DiffPoly once one was asked for.  A derivative is
-    derive_terms of its parent, theta less one step in its last nonzero
-    direction, so the derivations run in the order that DiffContext.d
-    follows (direction 1 first).  The links of a chain stay sparse; only
-    the theta asked for becomes a DiffPoly, and theta = 0 is elements[i]
-    itself.
-    """
-    entry = _derived_terms(elements, i, theta, memo)
-    if entry[2] is None:
-        entry[2] = sparse_poly(elements[i].ctx, entry[0], entry[1])
-    return entry[2]
-
-
 def _derived_terms(elements, i, theta, memo):
-    """The memo entry [den, terms, poly] of theta applied to elements[i]."""
+    """theta applied to elements[i], as a sparse polynomial (den, terms).
+
+    memo maps (i, theta) to that polynomial.  A derivative is derive_terms
+    of its parent, theta less one step in its last nonzero direction, so
+    the derivations run in the order that DiffContext.d follows (direction
+    1 first), and every link of a chain stays sparse.
+    """
     key = (i, theta)
     entry = memo.get(key)
     if entry is None:
         f = elements[i]
         if not any(theta):
-            entry = [*sparse_terms(f.body), f]
+            entry = sparse_terms(f.body)
         else:
             k = max(j for j, t in enumerate(theta) if t)
             parent = theta[:k] + (theta[k] - 1,) + theta[k + 1 :]
-            den, terms, _ = _derived_terms(elements, i, parent, memo)
-            entry = [*derive_terms(den, terms, k, f.ctx), None]
+            entry = derive_terms(*_derived_terms(elements, i, parent, memo), k, f.ctx)
         memo[key] = entry
     return entry
 
@@ -928,7 +912,7 @@ def ritt_reduce(g, aset):
             break
         c, i = target
         theta = tuple(a - b for a, b in zip(table.vars[c].theta, table.leaders[i][0].theta))
-        den_h, H, _ = _derived_terms(elements, i, theta, memo)
+        den_h, H = _derived_terms(elements, i, theta, memo)
         top = max([exp for x in H for _, _, exp in x], default=0)
         if top >> (W - 1):
             wider = packed_width(top)

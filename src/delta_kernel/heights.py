@@ -17,12 +17,14 @@ The multivariate extension (coefficients in Q(t1..ts), one derivation per
 variable) rides the same pipeline and is flagged experimental.
 """
 
+from functools import partial
 from math import lcm
 
 from .groebner import GREVLEX, buchberger_terms, independent_variable_set, order_key
 from .multipoly import (
     MultiPoly,
     _exact_quotient,
+    _power_of,
     _poly_gcd,
     _primitive,
     _strip,
@@ -262,6 +264,10 @@ def _ratfunc_key(p, q):
     return tuple(joined[: len(num_p)]), tuple(joined[len(num_p) :])
 
 
+# the product of two integer term dicts, as _power_of takes it
+_product = partial(mul_integer_terms, None)
+
+
 def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
     """The system in the unknowns avars + bvars of x = p/q: a dict from each
     t-monomial of the cleared residual to its coefficient, an integer term
@@ -298,22 +304,15 @@ def _coefficient_equations(ode, p_monos, avars, q_free, bvars, pivot):
     residual = {}
     for e, c in ode_terms.items():
         xdeg, ydegs = e[s], e[s + 1 :]
-        acc = mul_integer_terms(None, {e[:s] + pad: c}, _power(p_pows, xdeg))
+        acc = mul_integer_terms(None, {e[:s] + pad: c}, _power_of(p_pows, xdeg, _product))
         for k, yd in enumerate(ydegs):
             if yd:
-                acc = mul_integer_terms(None, acc, _power(n_pows[k], yd))
-        mul_integer_terms(residual, acc, _power(q_pows, max_pow - xdeg - 2 * sum(ydegs)))
+                acc = mul_integer_terms(None, acc, _power_of(n_pows[k], yd, _product))
+        q_pow = _power_of(q_pows, max_pow - xdeg - 2 * sum(ydegs), _product)
+        mul_integer_terms(residual, acc, q_pow)
 
     # the coefficients of the t-monomials: the system in the unknowns
     return split_terms(residual, s)
-
-
-def _power(pows, n):
-    """pows[n], for the list pows = [1, f, f^2, ...] of powers of an integer
-    term dict f, extended as far as n first."""
-    while len(pows) <= n:
-        pows.append(mul_integer_terms(None, pows[-1], pows[1]))
-    return pows[n]
 
 
 class AxiomCheck:

@@ -939,12 +939,13 @@ def pseudo_divide_terms(a, b, col, ncols, width):
                 R = {}
                 for stamp, terms in buckets.values():
                     if not unit and stamp != e:
-                        terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+                        owed = _power_of(powers, e - stamp, mul_packed_terms)
+                        terms = mul_packed_terms(owed, terms)
                     R.update(terms)
                 Q = {}
                 for stamp, M in quotient:
                     if not unit and stamp != e:
-                        M = mul_packed_terms(_power_of(powers, e - stamp), M)
+                        M = mul_packed_terms(_power_of(powers, e - stamp, mul_packed_terms), M)
                     Q.update(M if den_b == 1 else {k: den_b * c for k, c in M.items()})
                 return e, Q, R, D, width
             if soonest <= e:
@@ -958,7 +959,7 @@ def pseudo_divide_terms(a, b, col, ncols, width):
                     break
             stamp, terms = buckets.pop(dr)
             if not unit and stamp != e:
-                terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+                terms = mul_packed_terms(_power_of(powers, e - stamp, mul_packed_terms), terms)
             M = {k - lead: c for k, c in terms.items()}
             e += 1
             for x, tail in tails.items():
@@ -969,7 +970,8 @@ def pseudo_divide_terms(a, b, col, ncols, width):
                 else:
                     stamp, terms = part
                     if not unit:
-                        terms = mul_packed_terms(_power_of(powers, e - stamp), terms)
+                        owed = _power_of(powers, e - stamp, mul_packed_terms)
+                        terms = mul_packed_terms(owed, terms)
                 add_packed_products(terms, M.items(), tail)
                 if terms:
                     buckets[x] = [e, terms]
@@ -987,11 +989,12 @@ def pseudo_divide_terms(a, b, col, ncols, width):
         width *= 2
 
 
-def _power_of(powers, k):
-    """powers[k], for powers the list [LC**0, LC**1, ...] of packed
-    integer term dicts, extended as far as k."""
+def _power_of(powers, k, times):
+    """powers[k], for powers the list [f**0, f**1, ...] of the powers of
+    one term dict f, extended as far as k first; times(a, b) is the
+    product."""
     while len(powers) <= k:
-        powers.append(mul_packed_terms(powers[-1], powers[1]))
+        powers.append(times(powers[-1], powers[1]))
     return powers[k]
 
 

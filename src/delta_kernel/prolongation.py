@@ -7,24 +7,26 @@ rank order.  Prolonged ideals collect all derivatives of the defining
 polynomials that fit inside a frame; their honest geometric counterpart is
 the saturation by the separants, realized through a single Rabinowitsch
 variable.  A ProlongationLadder computes these saturations level by level,
-each from the basis of the level below.  At levels above every defining
-order, each non-basis top-order coordinate is a degree-one consequence of
-exactly one derived polynomial, which yields the affine fiber model and, at
-level bound + 1, the fiberwise affine subbundle of the tangent spaces.
+each from the basis of the level below; it owns the frames and the one memo
+of derivatives, from which each theta(f) reaches a frame's columns one way
+(diffring.sparse_columns).  At levels above every defining order, each
+non-basis top-order coordinate is a degree-one consequence of exactly one
+derived polynomial, which yields the affine fiber model and, at level
+bound + 1, the fiberwise affine subbundle of the tangent spaces.
 """
 
 from functools import reduce
 from operator import mul
 
-from .diffring import AlgIndet, AutoreducedSet, _derived_terms, derived
+from .diffring import AlgIndet, AutoreducedSet, _derived_terms, sparse_columns, sparse_terms
 from .groebner import GREVLEX, LEX, GroebnerBasis, buchberger_terms, ideal_dimension, order_key
 from .initialsets import leaders_to_exponents, prolongation_bound
 from .multipoly import (
     MultiPoly,
-    coefficients,
     exponents_of_degree,
     exponents_upto,
     from_integer_terms,
+    split_terms,
 )
 from .ratfunc import RatFunc
 
@@ -47,6 +49,14 @@ def _frame_sig(frame):
     return frame[::-1]
 
 
+def _frame_columns(frame, off=0):
+    """The column of each frame coordinate, keyed (theta, var) as sparse
+    terms are (diffring.sparse_columns): off leading columns, then the
+    frame signature."""
+    last = off + len(frame) - 1
+    return {(v.theta, v.var): last - i for i, v in enumerate(frame)}
+
+
 def _require_constant_field(ctx):
     if ctx.coeff_gens and not ctx.is_constant_field():
         raise ValueError(
@@ -66,16 +76,28 @@ def _require_frame_poly(f):
             )
 
 
-def _theta_images(polys, orders, sig, t, memo):
-    """(generators, provenance): the polynomials theta(f) over the frame
-    signature sig, with ord(theta f) <= t, element by element, and
-    (element index, theta) of each; orders holds each element's order."""
-    m = len(sig[0].theta)
-    gens, provenance = [], []
-    for idx, order in enumerate(orders):
-        for theta in exponents_upto(m, t - order):
-            gens.append(derived(polys, idx, theta, memo).body.restrict(sig))
-            provenance.append((idx, theta))
+def _thetas(orders, m, t, exact=False):
+    """(element index, theta) of each theta(f) with ord(theta f) <= t, or
+    exactly t when exact, element by element; orders holds each element's
+    order."""
+    thetas = exponents_of_degree if exact else exponents_upto
+    for i, order in enumerate(orders):
+        if order <= t:
+            for theta in thetas(m, t - order):
+                yield i, theta
+
+
+def _theta_images(polys, orders, frame, t, memo):
+    """(generators, provenance): the polynomials theta(f) with
+    ord(theta f) <= t over the frame signature, each derived through memo
+    (diffring._derived_terms), and (element index, theta) of each."""
+    sig = _frame_sig(frame)
+    col = _frame_columns(frame)
+    provenance = list(_thetas(orders, len(frame[0].theta), t))
+    gens = []
+    for i, theta in provenance:
+        den, terms = _derived_terms(polys, i, theta, memo)
+        gens.append(from_integer_terms(sig, sparse_columns(terms, col, len(sig)), den))
     return gens, provenance
 
 
@@ -90,7 +112,7 @@ def prolong_generators(polys, t):
     for f, order in zip(polys, orders):
         if order <= t:
             _require_frame_poly(f)
-    return (frame, *_theta_images(polys, orders, _frame_sig(frame), t, {}))
+    return (frame, *_theta_images(polys, orders, frame, t, {}))
 
 
 class ProlongationLadder:
@@ -113,8 +135,12 @@ class ProlongationLadder:
     signature, highest rank first).  The order-t coordinates rank highest,
     so a basis moves up one level by zero columns put after z: under lex
     and under grevlex every leading monomial stays where it was.  Each
-    theta(f) is derived once, through one memo; the generator lists are
-    built only for the levels read through level().
+    theta(f) is derived once, through one memo (diffring._derived_terms),
+    and put on a frame's columns by diffring.sparse_columns: the bases,
+    the generators of level() and affine_fiber all read it so.  The
+    generator lists are built only for the levels read through level().
+    Every level asked for must be at least bottom, the highest defining
+    order; below it each method raises ValueError.
     """
 
     __slots__ = ("aset", "bottom", "order", "_orders", "_memo", "_frames", "_separants", "_bases")
@@ -146,6 +172,8 @@ class ProlongationLadder:
     def frame(self, t):
         """nabla_frame at level t: the one below it and then the order-t
         coordinates, which rank above it."""
+        if t < self.bottom:
+            raise ValueError(f"level {t} is below the maximum defining order {self.bottom}")
         frames = self._frames
         m, n = self.aset.ctx.m, self.aset.ctx.n
         if not frames:
@@ -159,11 +187,9 @@ class ProlongationLadder:
     def level(self, t):
         """The ProlongedIdeal of level t, with its generators; its basis is
         computed when read."""
-        if t < self.bottom:
-            raise ValueError(f"level {t} is below the maximum defining order {self.bottom}")
         frame = self.frame(t)
         sig = _frame_sig(frame)
-        gens, provenance = _theta_images(self.aset.elements, self._orders, sig, t, self._memo)
+        gens, provenance = _theta_images(self.aset.elements, self._orders, frame, t, self._memo)
         separants = [s.restrict(sig) for s in self._separants]
         return ProlongedIdeal(t, frame, gens, provenance, separants, self)
 
@@ -187,6 +213,7 @@ class ProlongationLadder:
         highest level computed."""
         bases = self._bases
         if t not in bases:
+            self.frame(t)  # raises below the bottom level
             key = order_key(self.order)
             off = int(self.order == LEX)
             s = max(bases, default=self.bottom - 1)
@@ -195,9 +222,13 @@ class ProlongationLadder:
                 s += 1
                 frame = self.frame(s)
                 width = len(frame) + off
-                # columns: z (when saturating), then the frame highest rank first
-                col = {(v.theta, v.var): width - 1 - i for i, v in enumerate(frame)}
-                gens = self._theta_terms(s, col, width)
+                # columns: z (when saturating), then the frame highest rank
+                # first; all the theta(f) at the bottom level, J_s above it
+                col = _frame_columns(frame, off)
+                gens = []
+                for i, theta in _thetas(self._orders, self.aset.ctx.m, s, s > self.bottom):
+                    _, terms = _derived_terms(self.aset.elements, i, theta, self._memo)
+                    gens.append(sparse_columns(terms, col, width))
                 if s > self.bottom:
                     pad = (0,) * (len(frame) - len(self.frame(s - 1)))
                     basis = [{e[:off] + pad + e[off:]: c for e, c in g.items()} for g in basis]
@@ -210,42 +241,12 @@ class ProlongationLadder:
                 bases[s] = basis, leads
         return bases[t]
 
-    def _theta_terms(self, t, col, width):
-        """The theta(f) as integer term dicts over the columns col, width of
-        them: all those with ord(theta f) <= t at the bottom level, J_t above
-        it."""
-        elements = self.aset.elements
-        thetas = exponents_upto if t == self.bottom else exponents_of_degree
-        out = []
-        for idx, order in enumerate(self._orders):
-            if order <= t:
-                for theta in thetas(self.aset.ctx.m, t - order):
-                    _, terms, _ = _derived_terms(elements, idx, theta, self._memo)
-                    out.append(_columns(terms, col, width))
-        return out
-
     def _rabinowitsch(self, col, width):
         """z*h - 1 over the bottom level's columns, h the separant product."""
-        h = reduce(mul, self._separants).primitive()
-        terms = {
-            tuple((v.theta, v.var, k) for v, k in zip(h.vars, e) if k): int(c)
-            for e, c in h.terms.items()
-        }
-        out = {(1,) + e[1:]: c for e, c in _columns(terms, col, width).items()}
+        _, terms = sparse_terms(reduce(mul, self._separants).primitive())
+        out = {(1,) + e[1:]: c for e, c in sparse_columns(terms, col, width).items()}
         out[(0,) * width] = -1
         return out
-
-
-def _columns(terms, col, width):
-    """The sparse terms of a derivative (diffring._derived_terms) as an
-    integer term dict over width columns, col giving each indeterminate's."""
-    out = {}
-    for x, c in terms.items():
-        e = [0] * width
-        for theta, var, k in x:
-            e[col[theta, var]] = k
-        out[tuple(e)] = c
-    return out
 
 
 class ProlongedIdeal:
@@ -284,10 +285,6 @@ class ProlongedIdeal:
 def prolong_ideal(aset, t):
     """The level-t prolongation of an autoreduced system: level t of its
     ProlongationLadder."""
-    if not isinstance(aset, AutoreducedSet):
-        aset = AutoreducedSet(aset)
-    if t < aset.max_order():
-        raise ValueError(f"level {t} is below the maximum defining order {aset.max_order()}")
     return ProlongationLadder(aset).level(t)
 
 
@@ -346,40 +343,35 @@ class AffineFiberModel:
         return len(self.basis_coords)
 
 
-def affine_fiber(aset, t, memo=None):
-    """Solve every non-basis order-t coordinate affinely over level t-1.
+def affine_fiber(ladder, t):
+    """Solve every non-basis order-t coordinate affinely over level t-1 of
+    the ProlongationLadder ladder, so t must lie above its bottom level.
 
     Walks the order-t coordinates in increasing rank, mirroring the degree
     one structure of derived polynomials: the coordinate is the leader of
     theta(f) with coefficient the separant of f, everything else has lower
-    rank and is already solved or basic.  Each theta(f) is derived through
-    memo (see diffring.derived), a new one when None is given;
-    extract_dvariety passes its ladder's, so no theta(f) is derived twice.
+    rank and is already solved or basic.  The order-t coordinates are the
+    ones the ladder's level-t frame appends to level t-1's, and each
+    theta(f) is read from the ladder's memo onto the level-t frame's
+    columns, so no theta(f) the ladder derived is derived again.
     """
-    if not isinstance(aset, AutoreducedSet):
-        aset = AutoreducedSet(aset)
-    ctx = aset.ctx
-    _require_constant_field(ctx)
-    if t <= aset.max_order():
-        raise ValueError(
-            f"affine solve needs a level strictly above the maximum order {aset.max_order()}"
-        )
+    aset = ladder.aset
+    frame_low = ladder.frame(t - 1)
+    frame = ladder.frame(t)
+    order_t = frame[len(frame_low) :]
     rep = leaders_to_exponents(aset)
-    frame_low = nabla_frame(ctx.m, ctx.n, t - 1)
-    low_sig = _frame_sig(frame_low)
-    order_t = [v for v in nabla_frame(ctx.m, ctx.n, t) if v.order == t]
-    order_t.sort(key=lambda v: v.rank_key())
     basis = tuple(v for v in order_t if rep.contains(v))
     leaders = aset.leaders()
-    # the order-t coordinates come first in frame_t, so the coefficients of
-    # a polynomial in them are polynomials over low_sig
-    frame_t = _frame_sig(nabla_frame(ctx.m, ctx.n, t))
-    top = frame_t[: len(order_t)]
-    units = [tuple(int(j == i) for j in range(len(top))) for i in range(len(top))]
+    # the order-t coordinates, highest rank first, lead the level-t frame
+    # signature, so the coefficients of a polynomial in them are
+    # polynomials over low_sig
+    low_sig = _frame_sig(frame_low)
+    top = order_t[::-1]
+    k = len(top)
+    col = _frame_columns(frame)
+    units = [tuple(int(j == i) for j in range(k)) for i in range(k)]
     expressions = {}
     separants_used = {}
-    if memo is None:
-        memo = {}
     for v in order_t:
         if v in basis:
             continue
@@ -391,22 +383,22 @@ def affine_fiber(aset, t, memo=None):
         f = aset.elements[i]
         u = leaders[i]
         theta = tuple(a - b for a, b in zip(v.theta, u.theta))
-        g = derived(aset.elements, i, theta, memo)
+        den, terms = _derived_terms(aset.elements, i, theta, ladder._memo)
         sep = f.separant()
         if sep.is_zero():
             raise ZeroDivisionError("identically zero separant: degenerate system")
         sep_rf = RatFunc(sep.body.restrict(low_sig))
         # split g = sep*v + (linear part in other order-t coords) + constant
-        parts = coefficients(g.body.restrict(frame_t), len(top))
+        parts = split_terms(sparse_columns(terms, col, len(frame)), k)
         if any(sum(e) > 1 for e in parts):
             raise AssertionError("derived polynomial is not degree one at top order")
-        const = parts.get((0,) * len(top), MultiPoly.zero(low_sig))
+        const = from_integer_terms(low_sig, parts.get((0,) * k, {}), den)
         expr = AffineExpr((-RatFunc(const)) / sep_rf)
         used = [i]
         for w, unit in zip(top, units):
             if w == v or unit not in parts:
                 continue
-            coef = (-RatFunc(parts[unit])) / sep_rf
+            coef = (-RatFunc(from_integer_terms(low_sig, parts[unit], den))) / sep_rf
             if w in basis:
                 expr = expr.plus(AffineExpr(RatFunc(MultiPoly.zero(low_sig)), {w: coef}))
             else:
@@ -444,14 +436,13 @@ def extract_dvariety(aset):
     oracle's dimension jump; a mismatch signals that the input was not a
     characteristic set and raises.
     """
-    if not isinstance(aset, AutoreducedSet):
-        aset = AutoreducedSet(aset)
+    ladder = ProlongationLadder(aset)
+    aset = ladder.aset
     bound = prolongation_bound(aset)
     level = bound.level
     rep = leaders_to_exponents(aset)
-    ladder = ProlongationLadder(aset)
     variety = ladder.level(level)
-    fibers = affine_fiber(aset, level + 1, ladder._memo)
+    fibers = affine_fiber(ladder, level + 1)
     r_counts = rep.count_up_to(level + 1) - rep.count_up_to(level)
     if r_counts != fibers.fiber_dimension():
         raise ValueError(

@@ -1,8 +1,8 @@
 """Chains of derivatives on sparse monomials against oracles that share no
 code with them: the step-by-step DiffContext.d chain and sympy's diff.
 
-derived keeps every link of a chain as a sparse term dict and builds a
-DiffPoly only for the theta a caller asks for; the work guard at the end
+_derived_terms keeps every link of a chain as a sparse term dict, and a
+DiffPoly of one is built only by sparse_poly; the work guard at the end
 counts those DiffPolys on a long linear reduction.
 """
 
@@ -17,8 +17,10 @@ from delta_kernel.diffring import (
     AutoreducedSet,
     CoeffGen,
     DiffContext,
-    derived,
+    _derived_terms,
     ritt_reduce,
+    sparse_poly,
+    sparse_terms,
 )
 from delta_kernel.multipoly import MultiPoly, exponents_upto
 from delta_kernel.parser import parse_diff_expression, parse_system
@@ -86,6 +88,11 @@ def _has_generator(f):
     return any(isinstance(f.body.vars[i], CoeffGen) for i in f.body.support_indices())
 
 
+def _derived(elements, i, theta, memo):
+    """theta applied to elements[i] through memo, as a DiffPoly."""
+    return sparse_poly(elements[i].ctx, *_derived_terms(elements, i, theta, memo))
+
+
 def _chain(ctx, f, theta):
     for k, times in enumerate(theta, start=1):
         f = ctx.d(k, f, times)
@@ -139,10 +146,10 @@ def test_derived_equals_the_d_chain_and_sympy_over_q_t():
         for i, f in enumerate(elements):
             by_theta = {(0,) * M: _to_sympy(f.body)}
             for theta in THETAS:
-                h = derived(elements, i, theta, memo)
+                h = _derived(elements, i, theta, memo)
                 assert h == _chain(ctx, f, theta)
                 if any(theta):
-                    # direction 1 first, as derived and DiffContext.d run
+                    # direction 1 first, as _derived_terms and DiffContext.d run
                     k = max(j for j, t in enumerate(theta) if t)
                     parent = theta[:k] + (theta[k] - 1,) + theta[k + 1 :]
                     by_theta[theta] = _sympy_derivative(by_theta[parent], k + 1, actions)
@@ -155,20 +162,24 @@ def test_request_order_does_not_change_a_derivative():
     elements = [_random_element(rng, ctx) for _ in range(2)]
     requests = [(i, theta) for i in range(len(elements)) for theta in THETAS]
     memo = {}
-    first = {key: derived(elements, *key, memo) for key in requests}
+    first = {key: _derived(elements, *key, memo) for key in requests}
     for _ in range(4):
         rng.shuffle(requests)
         memo = {}
         for key in requests:
-            h = derived(elements, *key, memo)
+            entry = _derived_terms(elements, *key, memo)
+            h = _derived(elements, *key, memo)
             assert h == first[key] and h.to_str() == first[key].to_str()
-            assert derived(elements, *key, memo) is h
+            assert _derived_terms(elements, *key, memo) is entry
 
 
 def test_derived_of_theta_zero_is_the_element():
     ctx = DiffContext(2, 1)
     f = ctx.d(1, ctx.u(), 2) - ctx.u()
-    assert derived([f], 0, (0, 0), {}) is f
+    memo = {}
+    assert _derived_terms([f], 0, (0, 0), memo) == sparse_terms(f.body)
+    h = _derived([f], 0, (0, 0), memo)
+    assert h == f and h.to_str() == f.to_str()
 
 
 # ---------- work guard ----------

@@ -216,14 +216,14 @@ class TestProlongIdeal:
 
 class TestAffineFiber:
     def test_linear_ordinary(self):
-        model = affine_fiber(corpus()[0], 2)
+        model = affine_fiber(ProlongationLadder(corpus()[0]), 2)
         expr = model.expressions[AlgIndet((2,), 1)]
         assert not expr.linear
         assert expr.const.num.to_str() == "d1*u1"
         assert model.basis_coords == ()
 
     def test_quadratic_cancels_separant(self):
-        model = affine_fiber(corpus()[1], 2)
+        model = affine_fiber(ProlongationLadder(corpus()[1]), 2)
         expr = model.expressions[AlgIndet((2,), 1)]
         assert not expr.linear
         assert expr.const.is_constant()
@@ -231,19 +231,19 @@ class TestAffineFiber:
         assert model.separants_used[AlgIndet((2,), 1)] == (0,)
 
     def test_evolution_substitution_chain(self):
-        model = affine_fiber(corpus()[2], 3)
+        model = affine_fiber(ProlongationLadder(corpus()[2]), 3)
         expr = model.expressions[AlgIndet((2, 1), 1)]
         assert not expr.linear
         assert expr.const.num.to_str() == "d2^2*u1"
 
     def test_level_must_exceed_order(self):
         with pytest.raises(ValueError):
-            affine_fiber(corpus()[2], 2)
+            affine_fiber(ProlongationLadder(corpus()[2]), 2)
 
     def test_residuals_vanish(self):
         for aset in corpus():
             t = aset.max_order() + 1
-            model = affine_fiber(aset, t)
+            model = affine_fiber(ProlongationLadder(aset), t)
             assert all(r.is_zero() for r in fiber_residuals(aset, model))
 
     def test_two_dependent_variables(self):
@@ -253,7 +253,7 @@ class TestAffineFiber:
         aset = AutoreducedSet([ctx.d(1, u1) - u2, ctx.d(1, u2) - u1])
         pid = prolong_ideal(aset, 2)
         assert pid.dimension() == 2
-        model = affine_fiber(aset, 2)
+        model = affine_fiber(ProlongationLadder(aset), 2)
         assert model.basis_coords == ()
         expr1 = model.expressions[AlgIndet((2,), 1)]
         expr2 = model.expressions[AlgIndet((2,), 2)]
@@ -267,7 +267,7 @@ class TestAffineFiber:
         for aset in corpus():
             rep = leaders_to_exponents(aset)
             t = aset.max_order() + 1
-            model = affine_fiber(aset, t)
+            model = affine_fiber(ProlongationLadder(aset), t)
             assert model.fiber_dimension() == rep.count_up_to(t) - rep.count_up_to(t - 1)
 
 
@@ -345,7 +345,7 @@ class TestNonCharacteristicInput:
             extract_dvariety(aset)
         # the fiber data itself is still produced, one level above the bound
         assert prolongation_bound(aset).level == 1
-        assert affine_fiber(aset, 2).level == 2
+        assert affine_fiber(ProlongationLadder(aset), 2).level == 2
 
 
 class TestDeterminedByLevel:
@@ -559,3 +559,40 @@ class TestLadder:
         assert json.loads(out.getvalue())["results"]["oracle_agrees"]
         assert len(runs) == 15
         assert 0 < len(pairs) <= 100
+
+    def test_levels_below_the_bottom_rejected(self):
+        # a level read below the defining order raises, also after higher
+        # frames were built: frame(0) used to index back from the top one
+        problem = parse_system("m=1 n=1 coeffs=Q\npoly f = (d1*u1)^2 - 3*u1\nset S = f\n")
+        ladder = ProlongationLadder(problem.sets["S"])
+        assert ladder.bottom == 1 and len(ladder.frame(3)) == 4
+        for read in (ladder.frame, ladder.level, ladder.dimension, ladder.saturated):
+            with pytest.raises(ValueError, match="level 0 is below the maximum defining order 1"):
+                read(0)
+        assert ladder.frame(1) == nabla_frame(1, 1, 1) and ladder.dimension(3) == 1
+
+    def test_commands_build_no_diffpoly_of_a_derivative(self, monkeypatch):
+        """prolong --t, dimfn and extract-dvariety put each theta(f) on
+        the frame's columns straight from its sparse terms: none of them
+        builds a DiffPoly of one through sparse_poly."""
+        import delta_kernel.diffring as diffring
+        from delta_kernel.cli import main
+
+        built = []
+        sparse_poly = diffring.sparse_poly
+
+        def counting(*args):
+            built.append(args)
+            return sparse_poly(*args)
+
+        monkeypatch.setattr(diffring, "sparse_poly", counting)
+        path = str(GOLDEN / "burgers.dk")
+        for argv in (
+            ["prolong", path, "--set", "S", "--t", "4"],
+            ["dimfn", path, "--set", "S", "--max-t", "4"],
+            ["extract-dvariety", path, "--set", "S"],
+        ):
+            out = io.StringIO()
+            assert main(["--json", *argv], stdout=out) == 0
+            assert json.loads(out.getvalue())["command"] == argv[0]
+        assert built == []

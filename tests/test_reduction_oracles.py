@@ -858,6 +858,12 @@ def _nonlinear_certificate():
     return ritt_reduce(g, AutoreducedSet(problem.sets[name]))
 
 
+def _packed(table, f):
+    """The DiffPoly f packed over a reduction's column table, as a
+    certificate holds its remainder and quotients."""
+    return PackedPoly(table, *table.pack_poly(f.body))
+
+
 def test_verify_rejects_a_tampered_nonlinear_certificate():
     res = _nonlinear_certificate()
     ctx = res.input.ctx
@@ -866,17 +872,17 @@ def test_verify_rejects_a_tampered_nonlinear_certificate():
     assert res.aset.elements[0].separant() != ctx.const(1)
     u1 = ctx.u(1)
     for step in res.steps:
-        q = step.quotient
+        packed, q = step.packed_quotient, step.quotient
         for bad in (q + 1, q * 2, q + u1 * q, -q):
-            step.quotient = bad
+            step.packed_quotient = _packed(res.table, bad)
             assert not res.verify()
-        step.quotient = q
+        step.packed_quotient = packed
         assert res.verify()
-    r = res.remainder
+    packed, r = res.packed_remainder, res.remainder
     for bad in (r + 1, r - u1, r * 3, ctx.const(0)):
-        res.remainder = bad
+        res.packed_remainder = _packed(res.table, bad)
         assert not res.verify()
-    res.remainder = r
+    res.packed_remainder = packed
     assert res.verify()
     for book, base in ((res.sep_powers, "separant"), (res.init_powers, "initial")):
         for i, f in enumerate(res.aset.elements):
@@ -949,19 +955,6 @@ def test_verify_rekeys_parts_whose_guard_bits_are_set():
     assert res.steps[1].quotient == parse_diff_expression("59*u1^210 - u1^151*d1*u1", problem.ctx)
 
 
-def test_assigned_diffpolys_are_packed_over_the_table():
-    res = _nonlinear_certificate()
-    step = res.steps[0]
-    q = step.quotient
-    assert step.quotient is q  # built once, on the first read
-    # a quotient assigned as a DiffPoly is packed over the same table
-    step.quotient = q * 1
-    assert step.packed_quotient.table is res.table and step.quotient == q
-    assert res.verify()
-    res.remainder = res.remainder + 0
-    assert res.packed_remainder.table is res.table and res.verify()
-
-
 def test_reduce_command_builds_no_certificate_diffpoly(monkeypatch):
     """The reduce command verifies the certificate and prints the
     remainder and each quotient from their packed terms: no DiffPoly of
@@ -1003,7 +996,7 @@ def test_verify_accepts_a_higher_power_of_one():
     res.sep_powers[0] = res.sep_powers.get(0, 0) + 3
     res.init_powers[1] = res.init_powers.get(1, 0) + 2
     assert res.verify() and reference_verify(res)
-    res.steps[0].quotient = res.steps[0].quotient + ctx.u(1)
+    res.steps[0].packed_quotient = _packed(res.table, res.steps[0].quotient + ctx.u(1))
     assert not res.verify() and not reference_verify(res)
 
 
@@ -1014,11 +1007,12 @@ def _tamper(rng, res):
     kind = rng.choice(["quotient", "remainder", "powers", "theta"])
     if kind == "quotient" and res.steps:
         step = rng.choice(res.steps)
-        q = step.quotient
-        step.quotient = q + Fraction(rng.choice([-1, 1]), rng.choice([1, 3])) * ctx.u(1) ** rng.randint(0, 2)
+        q = step.packed_quotient
+        bad = step.quotient + Fraction(rng.choice([-1, 1]), rng.choice([1, 3])) * ctx.u(1) ** rng.randint(0, 2)
+        step.packed_quotient = _packed(res.table, bad)
 
         def restore():
-            step.quotient = q
+            step.packed_quotient = q
     elif kind == "theta" and res.steps:
         step = rng.choice(res.steps)
         theta = step.theta
@@ -1037,11 +1031,12 @@ def _tamper(rng, res):
             book.clear()
             book.update(saved)
     else:
-        r = res.remainder
-        res.remainder = r + Fraction(rng.choice([-2, 1, 5]), rng.choice([1, 2])) * ctx.u(1)
+        r = res.packed_remainder
+        bad = res.remainder + Fraction(rng.choice([-2, 1, 5]), rng.choice([1, 2])) * ctx.u(1)
+        res.packed_remainder = _packed(res.table, bad)
 
         def restore():
-            res.remainder = r
+            res.packed_remainder = r
     return restore
 
 
